@@ -4,6 +4,8 @@
 #                  Run this before sending changes; CI-equivalent.
 #   make test    - the plain tier-1 gate (build + tests), as in ROADMAP.md.
 #   make vet     - the custom static analyzers only (cmd/pandia-vet).
+#   make bench-module - vet and test cmd/pandia-bench, a module of its own
+#                  that the root `go build ./...` skips.
 #   make fuzz    - short fuzzing pass over the parser/topology targets.
 #   make bench   - core benchmarks with -benchmem, recorded as the "current"
 #                  run in BENCH_core.json (the "baseline" run stays pinned).
@@ -16,7 +18,7 @@ GO ?= go
 # DESIGN.md §12.
 BENCH_CORE = BenchmarkFig10Curves|BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkPredictSweep|BenchmarkTestbedRun|BenchmarkEnumeratePlacements|BenchmarkPredictTimeWarm$$|BenchmarkCacheHit$$|BenchmarkSweepPruned$$
 
-.PHONY: check test vet pandia-vet alloccheck lockcheck fuzz fuzz-smoke scenario-smoke journal-smoke bench bench-smoke bench-gate build
+.PHONY: check test vet pandia-vet alloccheck lockcheck fuzz fuzz-smoke scenario-smoke journal-smoke bench bench-smoke bench-gate bench-module build
 
 build:
 	$(GO) build ./...
@@ -51,6 +53,14 @@ check: build
 	$(MAKE) bench-gate
 	$(MAKE) scenario-smoke
 	$(MAKE) journal-smoke
+	$(MAKE) bench-module
+
+# bench-module builds, vets, and tests the end-to-end benchmark. It is a
+# separate Go module (its go.mod replaces pandia with ../..), so the root
+# `go build ./...` never compiles it: without this target a change to the
+# public API could break the benchmark unnoticed.
+bench-module:
+	cd cmd/pandia-bench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke is the gate-sized fuzzing pass: 5 seconds per target, enough
 # to catch parser/expander regressions on the corpus plus easy mutations.

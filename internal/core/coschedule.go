@@ -45,17 +45,7 @@ func PredictCoSchedule(md *machine.Description, placed []PlacedWorkload, opt Opt
 // CoPrediction — the shared tail of PredictCoSchedule and CoPredictor.
 func coPrediction(md *machine.Description, e *engine, opt Options) (*CoPrediction, error) {
 	iters, converged := e.iterate(opt)
-	return assembleCoPrediction(md, e, iters, converged)
-}
-
-// assembleCoPrediction builds the CoPrediction from a bound engine whose
-// per-thread state already holds a solve's result — either because iterate
-// just ran, or because CoPredictor restored the previous converged state
-// (DESIGN.md §12). Re-running accumulate from the final utilisations
-// reproduces the load tables bit-identically, so both entry points yield the
-// same bytes.
-func assembleCoPrediction(md *machine.Description, e *engine, iters int, converged bool) (*CoPrediction, error) {
-	e.accumulate()
+	e.accumulate() // refresh loads at the converged utilisations
 	loads := e.loadsMap()
 
 	out := &CoPrediction{

@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"math"
-	"runtime"
 	"testing"
 	"time"
 )
@@ -102,10 +101,12 @@ func TestEPEstimatesPi(t *testing.T) {
 	}
 }
 
+// TestMeasureScalingAndFit checks the measure-then-fit pipeline
+// structurally: one measurement per requested count, in ascending thread
+// order, that the fit accepts. The fitted value depends on the host's
+// wall-clock scaling, so its bound lives in the wallclock-tagged
+// TestMeasureScalingParallelFraction.
 func TestMeasureScalingAndFit(t *testing.T) {
-	if runtime.NumCPU() < 2 {
-		t.Skip("needs 2+ CPUs")
-	}
 	e := &EP{Pairs: 1 << 21, Seed: 2}
 	ms, err := MeasureScaling(e, []int{1, 2, 4}, 2)
 	if err != nil {
@@ -114,14 +115,13 @@ func TestMeasureScalingAndFit(t *testing.T) {
 	if len(ms) != 3 || ms[0].Threads != 1 {
 		t.Fatalf("measurements = %v", ms)
 	}
-	p, err := FitParallelFraction(ms)
-	if err != nil {
-		t.Fatal(err)
+	for i := 1; i < len(ms); i++ {
+		if ms[i].Threads <= ms[i-1].Threads {
+			t.Fatalf("thread counts not ascending: %v", ms)
+		}
 	}
-	// EP is embarrassingly parallel: expect a high parallel fraction on
-	// any multi-core host. Keep the bound loose for noisy CI machines.
-	if p < 0.5 {
-		t.Errorf("EP fitted parallel fraction = %.2f, want > 0.5", p)
+	if _, err := FitParallelFraction(ms); err != nil {
+		t.Fatal(err)
 	}
 }
 

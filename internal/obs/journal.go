@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -338,20 +340,11 @@ func (j *Journal) Records() []DecisionRecord {
 		j.slots[i].mu.Unlock()
 	}
 	// Slots are claimed round-robin, so sorting by Seq restores emission
-	// order regardless of where the ring's head currently is.
-	sortRecordsBySeq(out)
+	// order regardless of where the ring's head currently is. A wrapped ring
+	// copies out as a rotated sorted run, and concurrent writers may lap the
+	// copy, so this needs a general sort, not an insertion pass.
+	slices.SortFunc(out, func(a, b DecisionRecord) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
-}
-
-func sortRecordsBySeq(recs []DecisionRecord) {
-	// Insertion sort: the slice is nearly sorted already (two runs split at
-	// the ring head) and small (ring capacity), so this beats pulling in
-	// sort for a hot dump path.
-	for i := 1; i < len(recs); i++ {
-		for k := i; k > 0 && recs[k].Seq < recs[k-1].Seq; k-- {
-			recs[k], recs[k-1] = recs[k-1], recs[k]
-		}
-	}
 }
 
 // Reset discards buffered records and incidents, keeping capacity, clock,

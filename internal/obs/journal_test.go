@@ -42,34 +42,43 @@ func TestJournalNilAndDisabled(t *testing.T) {
 }
 
 func TestJournalWraparoundKeepsNewestInSeqOrder(t *testing.T) {
-	clock := NewManualClock(0, 1)
-	j := NewJournal(4, clock)
-	j.SetEnabled(true)
-	for i := 0; i < 10; i++ {
-		j.Record(DecisionRecord{ID: j.NextID(), Op: "submit", Job: fmt.Sprintf("job-%02d", i)})
-	}
-	recs := j.Records()
-	if len(recs) != 4 {
-		t.Fatalf("ring of 4 holds %d records", len(recs))
-	}
-	for i, r := range recs {
-		wantSeq := int64(7 + i)
-		if r.Seq != wantSeq {
-			t.Fatalf("record %d has seq %d, want %d (newest 4, oldest first)", i, r.Seq, wantSeq)
+	for _, tc := range []struct{ capacity, writes int }{
+		{4, 10},
+		// A full-size ring wrapped with its head mid-ring: the slot copy is
+		// one rotated sorted run, the worst case for a naive insertion sort.
+		{8192, 8192 + 4096},
+	} {
+		clock := NewManualClock(0, 1)
+		j := NewJournal(tc.capacity, clock)
+		j.SetEnabled(true)
+		for i := 0; i < tc.writes; i++ {
+			j.Record(DecisionRecord{ID: j.NextID(), Op: "submit", Job: fmt.Sprintf("job-%02d", i)})
 		}
-		if wantJob := fmt.Sprintf("job-%02d", 6+i); r.Job != wantJob {
-			t.Fatalf("record %d is %q, want %q", i, r.Job, wantJob)
+		recs := j.Records()
+		if len(recs) != tc.capacity {
+			t.Fatalf("ring of %d holds %d records", tc.capacity, len(recs))
 		}
-		// The ManualClock ticks once per Record, so time tracks seq.
-		if want := float64(wantSeq - 1); r.Time != want {
-			t.Fatalf("record %d stamped t=%g, want %g", i, r.Time, want)
+		oldest := tc.writes - tc.capacity // index of the oldest surviving write
+		for i, r := range recs {
+			wantSeq := int64(oldest + 1 + i)
+			if r.Seq != wantSeq {
+				t.Fatalf("cap %d: record %d has seq %d, want %d (newest %d, oldest first)",
+					tc.capacity, i, r.Seq, wantSeq, tc.capacity)
+			}
+			if wantJob := fmt.Sprintf("job-%02d", oldest+i); r.Job != wantJob {
+				t.Fatalf("cap %d: record %d is %q, want %q", tc.capacity, i, r.Job, wantJob)
+			}
+			// The ManualClock ticks once per Record, so time tracks seq.
+			if want := float64(wantSeq - 1); r.Time != want {
+				t.Fatalf("cap %d: record %d stamped t=%g, want %g", tc.capacity, i, r.Time, want)
+			}
 		}
-	}
-	if got := j.Recorded(); got != 10 {
-		t.Fatalf("Recorded = %d, want 10", got)
-	}
-	if got := j.Dropped(); got != 6 {
-		t.Fatalf("Dropped = %d, want 6", got)
+		if got := j.Recorded(); got != int64(tc.writes) {
+			t.Fatalf("cap %d: Recorded = %d, want %d", tc.capacity, got, tc.writes)
+		}
+		if got := j.Dropped(); got != int64(oldest) {
+			t.Fatalf("cap %d: Dropped = %d, want %d", tc.capacity, got, oldest)
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 
 	"pandia/internal/core"
 	"pandia/internal/obs"
@@ -20,7 +19,6 @@ import (
 // Mux returns the scheduler's introspection endpoints on a fresh ServeMux:
 //
 //	/metrics          Prometheus text exposition of the default registry
-//	/debug/vars       expvar-shaped JSON snapshot of the same registry
 //	/debug/decisions  the decision journal's records and incident dumps
 //	/debug/health     context health, running assignments, journal counters
 //	/debug/explain    ?job=ID: contention attribution under the running mix
@@ -30,7 +28,6 @@ import (
 func (s *Scheduler) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", obs.Default().PrometheusHandler())
-	mux.Handle("/debug/vars", obs.Default().Handler())
 	mux.HandleFunc("/debug/decisions", s.handleDecisions)
 	mux.HandleFunc("/debug/health", s.handleHealth)
 	mux.HandleFunc("/debug/explain", s.handleExplain)
@@ -129,14 +126,7 @@ func (s *Scheduler) explainJob(id string, asText bool) (*explainResponse, string
 	if !ok {
 		return nil, "", fmt.Errorf("scheduler: job %q not running", id)
 	}
-	// jobsLocked orders the mix by sorted job ID, so the job's index is its
-	// rank among the running IDs.
-	jobs := s.jobsLocked()
-	ids := make([]string, 0, len(s.running))
-	for jid := range s.running {
-		ids = append(ids, jid)
-	}
-	sort.Strings(ids)
+	ids, jobs := s.mixLocked()
 	idx := -1
 	mix := make([]string, 0, len(jobs))
 	for i, pw := range jobs {

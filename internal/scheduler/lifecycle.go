@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"pandia/internal/core"
 	"pandia/internal/obs"
 	"pandia/internal/placement"
 	"pandia/internal/topology"
@@ -486,33 +485,9 @@ func (s *Scheduler) drainJobLocked(sc *opScope, id string, opt DrainOptions, rep
 // fixed. nil means no feasible placement. span is the requesting decision's
 // id for trace attribution. The caller must hold mu.
 func (s *Scheduler) bestMigrationLocked(id string, a *Assignment, span int64) placement.Placement {
-	avail := s.freeLocked()
-	for _, c := range a.Placement {
-		if s.healthLocked(c) == Healthy {
-			avail = append(avail, c)
-		}
-	}
-	sortContexts(avail)
-	n := len(a.Placement)
-	if n > len(avail) {
-		return nil
-	}
-
-	ids := make([]string, 0, len(s.running))
-	for jid := range s.running {
-		ids = append(ids, jid)
-	}
-	sort.Strings(ids)
-	jobs := make([]core.PlacedWorkload, len(ids))
-	idx := -1
-	for i, jid := range ids {
-		ja := s.running[jid]
-		jobs[i] = core.PlacedWorkload{Workload: ja.Job.Workload, Placement: ja.Placement}
-		if jid == id {
-			idx = i
-		}
-	}
-	if idx < 0 {
+	ids, jobs := s.mixLocked()
+	idx := sort.SearchStrings(ids, id)
+	if idx == len(ids) || ids[idx] != id {
 		return nil
 	}
 
@@ -529,34 +504,24 @@ func (s *Scheduler) bestMigrationLocked(id string, a *Assignment, span int64) pl
 	bestScore := math.Inf(-1)
 	var best placement.Placement
 	seen := make(map[string]bool)
-	busy := s.socketOccupancyLocked()
-	for _, gen := range []struct {
-		name string
-		fn   func([]topology.Context, int, topology.Machine) placement.Placement
-	}{
-		{"pack", packFree},
-		{"spread", spreadFree},
-		{"quiet-socket", func(free []topology.Context, n int, m topology.Machine) placement.Placement {
-			return quietSocketFree(busy, free, n, m)
-		}},
-	} {
-		cand := gen.fn(avail, n, s.md.Topo)
-		if cand == nil || seen[cand.String()] {
+	for _, cand := range s.candidatesLocked(s.availLocked(a), len(a.Placement)) {
+		key := cand.place.String()
+		if seen[key] {
 			continue
 		}
-		seen[cand.String()] = true
+		seen[key] = true
 		if bestScore >= idealBound {
 			metCandidatesPruned.Inc()
 			continue
 		}
-		jobs[idx] = core.PlacedWorkload{Workload: a.Job.Workload, Placement: cand}
+		jobs[idx].Placement = cand.place
 		co, err := s.predictMixLocked(jobs, span)
 		if err != nil {
 			continue
 		}
 		if score := aggregateThroughput(co); score > bestScore {
 			bestScore = score
-			best = cand
+			best = cand.place
 		}
 	}
 	return best

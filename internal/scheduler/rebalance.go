@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"pandia/internal/core"
 	"pandia/internal/obs"
 	"pandia/internal/placement"
 	"pandia/internal/topology"
@@ -71,18 +70,8 @@ func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
 	sc := s.beginOpLocked("rebalance", "")
 	defer sc.end()
 
-	ids := make([]string, 0, len(s.running))
-	for id := range s.running {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	baseJobs := make([]core.PlacedWorkload, len(ids))
-	for i, id := range ids {
-		a := s.running[id]
-		baseJobs[i] = core.PlacedWorkload{Workload: a.Job.Workload, Placement: a.Placement}
-	}
-	baseCo, err := s.predictMixLocked(baseJobs, sc.id)
+	ids, jobs := s.mixLocked()
+	baseCo, err := s.predictMixLocked(jobs, sc.id)
 	if err != nil {
 		sc.errored(err)
 		return nil, err
@@ -97,39 +86,13 @@ func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
 		rep.BaseTimes[i] = baseCo.Predictions[i].Time
 	}
 
-	// Snapshot the per-socket occupancy once, under the lock, so the
-	// quiet-socket strategy below stays a pure function of its inputs.
-	busy := s.socketOccupancyLocked()
-
 	for i, id := range ids {
 		a := s.running[id]
-		// The job may move anywhere that is free and healthy, or onto its
-		// own healthy contexts; cordoned contexts it occupies are excluded
-		// so advice naturally migrates jobs off a cordon.
-		avail := s.freeLocked()
-		for _, c := range a.Placement {
-			if s.healthLocked(c) == Healthy {
-				avail = append(avail, c)
-			}
-		}
-		sortContexts(avail)
-		n := len(a.Placement)
-		for _, gen := range []struct {
-			name string
-			fn   func([]topology.Context, int, topology.Machine) placement.Placement
-		}{
-			{"pack", packFree},
-			{"spread", spreadFree},
-			{"quiet-socket", func(free []topology.Context, n int, m topology.Machine) placement.Placement {
-				return quietSocketFree(busy, free, n, m)
-			}},
-		} {
-			cand := gen.fn(avail, n, s.md.Topo)
-			if cand == nil || samePlacement(cand, a.Placement) {
+		for _, cand := range s.candidatesLocked(s.availLocked(a), len(a.Placement)) {
+			if samePlacement(cand.place, a.Placement) {
 				continue
 			}
-			jobs := append([]core.PlacedWorkload(nil), baseJobs...)
-			jobs[i] = core.PlacedWorkload{Workload: a.Job.Workload, Placement: cand}
+			jobs[i].Placement = cand.place
 			co, err := s.predictMixLocked(jobs, sc.id)
 			if err != nil {
 				sc.errored(err)
@@ -146,11 +109,12 @@ func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
 					}
 				}
 				rep.Moves = append(rep.Moves, Move{
-					JobID: id, From: a.Placement, To: cand,
-					Strategy: gen.name, Gain: gain, Deltas: deltas,
+					JobID: id, From: a.Placement, To: cand.place,
+					Strategy: cand.strategy, Gain: gain, Deltas: deltas,
 				})
 			}
 		}
+		jobs[i].Placement = a.Placement // later jobs' moves are scored against the current state
 	}
 	sort.Slice(rep.Moves, func(a, b int) bool { return rep.Moves[a].Gain > rep.Moves[b].Gain })
 	metRebalanceMoves.Add(int64(len(rep.Moves)))
@@ -174,18 +138,8 @@ func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
 	return rep, nil
 }
 
-// RebalanceAdvice returns just the advised moves of Rebalance — the
-// original advisory API, kept for callers that don't need the report.
-func (s *Scheduler) RebalanceAdvice(minGain float64) ([]Move, error) {
-	rep, err := s.Rebalance(minGain)
-	if err != nil || rep == nil {
-		return nil, err
-	}
-	return rep.Moves, nil
-}
-
 // ApplyMove commits one advised move, re-pinning the job's threads. The
-// scheduler's state may have changed between RebalanceAdvice and ApplyMove
+// scheduler's state may have changed between Rebalance and ApplyMove
 // — another job admitted onto a target context, a cordon or failure, the
 // job itself re-placed — so everything is re-validated at apply time; a
 // stale move returns a *MoveConflictError and commits nothing.

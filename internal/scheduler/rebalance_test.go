@@ -45,10 +45,11 @@ func TestRebalanceRecoversFromBadPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	moves, err := s.RebalanceAdvice(0.02)
+	rep, err := s.Rebalance(0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
+	moves := rep.Moves
 	if len(moves) == 0 {
 		t.Fatal("advisor found no way out of a packed compute placement")
 	}
@@ -73,12 +74,12 @@ func TestRebalanceRecoversFromBadPlacement(t *testing.T) {
 		t.Fatal("stale move accepted")
 	}
 	// Advice on the recovered state should find nothing substantial.
-	again, err := s.RebalanceAdvice(0.02)
+	again, err := s.Rebalance(0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(again) != 0 {
-		t.Fatalf("advisor still unhappy after recovery: %+v", again)
+	if len(again.Moves) != 0 {
+		t.Fatalf("advisor still unhappy after recovery: %+v", again.Moves)
 	}
 }
 
@@ -163,9 +164,9 @@ func TestRebalanceEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	moves, err := s.RebalanceAdvice(0.01)
-	if err != nil || moves != nil {
-		t.Fatalf("empty scheduler advice = %v, %v", moves, err)
+	rep, err := s.Rebalance(0.01)
+	if err != nil || rep != nil {
+		t.Fatalf("empty scheduler advice = %v, %v", rep, err)
 	}
 }
 

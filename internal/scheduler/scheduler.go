@@ -286,31 +286,8 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		sc.rejected(aerr.Kind.String(), aerr.Reason)
 		return nil, aerr
 	}
-	counts := s.candidateCounts(job, len(free))
-
-	type candidate struct {
-		place    placement.Placement
-		strategy string
-	}
 	sc.phase(SpanPhaseSweep, true)
-	busy := s.socketOccupancyLocked()
-	var candidates []candidate
-	for _, n := range counts {
-		for _, gen := range []struct {
-			name string
-			fn   func([]topology.Context, int, topology.Machine) placement.Placement
-		}{
-			{"pack", packFree},
-			{"spread", spreadFree},
-			{"quiet-socket", func(free []topology.Context, n int, m topology.Machine) placement.Placement {
-				return quietSocketFree(busy, free, n, m)
-			}},
-		} {
-			if p := gen.fn(free, n, s.md.Topo); p != nil {
-				candidates = append(candidates, candidate{p, gen.name})
-			}
-		}
-	}
+	candidates := s.candidatesLocked(free, s.candidateCounts(job, len(free))...)
 	if len(candidates) == 0 {
 		sc.phase(SpanPhaseSweep, false)
 		aerr := &AdmissionError{JobID: job.ID, Kind: AdmitNoCapacity,
@@ -322,12 +299,9 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		sc.rec.Candidates = len(candidates)
 	}
 
-	// Joint prediction of each candidate with the running mix. The mix is
-	// assembled in sorted job-ID order: floating-point accumulation in the
-	// joint solver is order-sensitive, and scenario replays diff outcomes
-	// byte-for-byte, so iterating the running map directly would leak map
-	// order into the predictions.
-	base := s.jobsLocked()
+	// Joint prediction of each candidate with the running mix; the new job
+	// rides in the mix's last slot.
+	_, base := s.mixLocked()
 	// baseBound is the running mix's summed Amdahl speedups: with the new
 	// job's own Amdahl bound added it upper-bounds any candidate's aggregate
 	// throughput (Speedup <= AmdahlSpeedup per job, pinned by the model
@@ -337,6 +311,8 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 	for _, pw := range base {
 		baseBound += pw.Workload.AmdahlSpeedup(len(pw.Placement))
 	}
+	jobs := append(base, core.PlacedWorkload{Workload: job.Workload})
+	last := len(jobs) - 1
 
 	bestScore := -1.0
 	var best *Assignment
@@ -372,8 +348,7 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 			prunedHere++
 			continue
 		}
-		jobs := append(append([]core.PlacedWorkload(nil), base...),
-			core.PlacedWorkload{Workload: job.Workload, Placement: cand.place})
+		jobs[last].Placement = cand.place
 		co, err := s.predictMixLocked(jobs, sc.id)
 		if err != nil {
 			sc.phase(SpanPhaseSweep, false)
@@ -390,7 +365,7 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		asgn := &Assignment{
 			Job:        job,
 			Placement:  cand.place,
-			Prediction: co.Predictions[len(jobs)-1],
+			Prediction: co.Predictions[last],
 			Strategy:   cand.strategy,
 		}
 		if score > bestAnyScore {
@@ -567,7 +542,7 @@ func (s *Scheduler) Remove(jobID string) error {
 func (s *Scheduler) Predict() (*core.CoPrediction, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	jobs := s.jobsLocked()
+	_, jobs := s.mixLocked()
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("scheduler: nothing running")
 	}
@@ -643,20 +618,38 @@ func (s *Scheduler) PredictionCacheStats() core.CacheStats {
 	return s.coCache.Stats()
 }
 
-// jobsLocked copies the running mix in deterministic job-ID order. The
-// caller must hold mu.
-func (s *Scheduler) jobsLocked() []core.PlacedWorkload {
-	jobs := make([]core.PlacedWorkload, 0, len(s.running))
+// mixLocked returns the running jobs' IDs and placed workloads, both in
+// sorted job-ID order. Floating-point accumulation in the joint solver is
+// order-sensitive and scenario replays diff outcomes byte-for-byte, so
+// iterating the running map directly would leak map order into the
+// predictions. The caller must hold mu.
+func (s *Scheduler) mixLocked() ([]string, []core.PlacedWorkload) {
 	ids := make([]string, 0, len(s.running))
 	for id := range s.running {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	for _, id := range ids {
+	jobs := make([]core.PlacedWorkload, len(ids))
+	for i, id := range ids {
 		a := s.running[id]
-		jobs = append(jobs, core.PlacedWorkload{Workload: a.Job.Workload, Placement: a.Placement})
+		jobs[i] = core.PlacedWorkload{Workload: a.Job.Workload, Placement: a.Placement}
 	}
-	return jobs
+	return ids, jobs
+}
+
+// availLocked lists the contexts a running job may be re-placed onto: the
+// free healthy contexts plus the job's own healthy ones, in dense order.
+// Cordoned contexts the job occupies are excluded, so re-placement
+// naturally migrates it off a cordon. The caller must hold mu.
+func (s *Scheduler) availLocked(a *Assignment) []topology.Context {
+	avail := s.freeLocked()
+	for _, c := range a.Placement {
+		if s.healthLocked(c) == Healthy {
+			avail = append(avail, c)
+		}
+	}
+	sortContexts(avail)
+	return avail
 }
 
 // candidateCounts resolves the thread-count ladder for a job.
@@ -699,8 +692,37 @@ func aggregateThroughput(co *core.CoPrediction) float64 {
 	return sum
 }
 
+// candidate is one generated placement and the strategy that produced it.
+type candidate struct {
+	place    placement.Placement
+	strategy string
+}
+
+// candidatesLocked is the scheduler's one candidate generator, shared by
+// admission, rebalancing, and drain migration. For each thread count in
+// turn it tries pack, spread, and quiet-socket over avail, keeping every
+// placement a strategy can fill; duplicates are kept, since callers count
+// and skip them differently. Quiet-socket ranks sockets by an occupancy
+// snapshot taken here. The caller must hold mu.
+func (s *Scheduler) candidatesLocked(avail []topology.Context, counts ...int) []candidate {
+	busy := s.socketOccupancyLocked()
+	out := make([]candidate, 0, 3*len(counts))
+	for _, n := range counts {
+		for _, c := range [...]candidate{
+			{packFree(avail, n), "pack"},
+			{spreadFree(avail, n, s.md.Topo), "spread"},
+			{quietSocketFree(busy, avail, n, s.md.Topo), "quiet-socket"},
+		} {
+			if c.place != nil {
+				out = append(out, c)
+			}
+		}
+	}
+	return out
+}
+
 // packFree takes the first n free contexts in dense order.
-func packFree(free []topology.Context, n int, _ topology.Machine) placement.Placement {
+func packFree(free []topology.Context, n int) placement.Placement {
 	if n > len(free) {
 		return nil
 	}
@@ -741,11 +763,16 @@ func spreadFree(free []topology.Context, n int, m topology.Machine) placement.Pl
 }
 
 // socketOccupancyLocked counts occupied contexts per socket — the foreign-
-// occupancy snapshot quiet-socket placement ranks sockets by.
+// occupancy snapshot quiet-socket placement ranks sockets by. It walks the
+// running placements, which hold exactly the occupied contexts, rather than
+// the occupancy map: the generator snapshots once per call (once per job in
+// Rebalance), and a few slices iterate faster than a map of every context.
 func (s *Scheduler) socketOccupancyLocked() []int {
 	busy := make([]int, s.md.Topo.Sockets)
-	for c := range s.occupied {
-		busy[c.Socket]++
+	for _, a := range s.running {
+		for _, c := range a.Placement {
+			busy[c.Socket]++
+		}
 	}
 	return busy
 }
