@@ -14,9 +14,10 @@ GO ?= go
 
 # The benchmarks whose trajectory BENCH_core.json tracks. The unanchored
 # BenchmarkPredictSweep also matches BenchmarkPredictSweepWarm (the
-# cache-served sweep); the last three cover the incremental fast path of
-# DESIGN.md §12.
-BENCH_CORE = BenchmarkFig10Curves|BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkPredictSweep|BenchmarkTestbedRun|BenchmarkEnumeratePlacements|BenchmarkPredictTimeWarm$$|BenchmarkCacheHit$$|BenchmarkSweepPruned$$
+# cache-served sweep); BenchmarkPredictTimeWarm, BenchmarkCacheHit and
+# BenchmarkSweepPruned cover the incremental fast path of DESIGN.md §12;
+# BenchmarkTestbedRun and BenchmarkMeasureAll the simulated testbed (§8).
+BENCH_CORE = BenchmarkFig10Curves|BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkPredictSweep|BenchmarkTestbedRun|BenchmarkMeasureAll$$|BenchmarkEnumeratePlacements|BenchmarkPredictTimeWarm$$|BenchmarkCacheHit$$|BenchmarkSweepPruned$$
 
 .PHONY: check test vet pandia-vet alloccheck lockcheck fuzz fuzz-smoke scenario-smoke journal-smoke bench bench-smoke bench-gate bench-module build
 
@@ -33,7 +34,8 @@ pandia-vet:
 	$(GO) run ./cmd/pandia-vet ./...
 
 # alloccheck alone: the static zero-allocation proof of the annotated
-# //pandia:noalloc hot path (PredictTime, iterate, the obs updates).
+# //pandia:noalloc hot path (PredictTime, iterate, the obs updates, the
+# testbed's fixedPoint).
 alloccheck:
 	$(GO) run ./cmd/pandia-vet -only alloccheck ./...
 
@@ -89,7 +91,7 @@ bench:
 # sensitive micro-benchmarks, parsed but not recorded, so a broken bench or
 # parser fails the gate without paying for a full measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkPredictTimeWarm$$|BenchmarkCacheHit$$|BenchmarkSweepPruned$$' -benchtime 5x -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkPredictTimeWarm$$|BenchmarkCacheHit$$|BenchmarkSweepPruned$$|BenchmarkTestbedRun$$' -benchtime 5x -benchmem . \
 	  | $(GO) run ./cmd/pandia-benchjson -label smoke -out ''
 
 # bench-gate is the perf/observability overhead gate: the fast paths must

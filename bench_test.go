@@ -10,6 +10,7 @@
 package pandia
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 
@@ -548,6 +549,32 @@ func BenchmarkTestbedRun(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMeasureAll measures one ground-truth curve, the testbed rung of
+// the benchmark ladder: CG run on every one of the X3-2's 1034 canonical
+// shapes through Harness.MeasureAll, as the evaluation (and the reproduce
+// benchmark workload) does per workload. Each iteration measures under a
+// new cache key, so the harness's measurement cache never serves it.
+func BenchmarkMeasureAll(b *testing.B) {
+	h, err := eval.NewHarness("x3-2", eval.DefaultMaxPlacements("x3-2"), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(h.Shapes) != 1034 {
+		b.Fatalf("x3-2 harness has %d shapes, want 1034", len(h.Shapes))
+	}
+	e := entriesNamed(b, "CG")[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fresh := e
+		fresh.Name = e.Name + "#" + strconv.Itoa(i)
+		if _, err := h.MeasureAll(fresh); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(h.Shapes)), "runs")
 }
 
 // BenchmarkProfileSixRuns measures the six-run workload profiling pipeline.

@@ -438,6 +438,12 @@ func externalState(fn *types.Func) (state, string) {
 		if fn.Name() == "New" {
 			return allocatesState, "call to errors.New allocates"
 		}
+	case "slices":
+		// An in-place sort of the caller's slice; unlike sort.Float64s it
+		// does not box the slice into a sort.Interface.
+		if fn.Name() == "Sort" {
+			return allocFree, ""
+		}
 	case "strings":
 		if strings.Contains(name, "strings.Builder") {
 			return allocatesState, "call to " + name + " allocates"

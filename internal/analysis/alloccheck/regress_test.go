@@ -50,11 +50,11 @@ func runOn(t *testing.T, moduleDir, path string) ([]analysis.Diagnostic, *analys
 
 // TestRealHotPathClean pins the annotated production packages as negative
 // cases: the //pandia:noalloc entry points (PredictTime, iterate,
-// loadSummary, the metric updates, RingTracer.Emit) are provably
-// allocation-free, so alloccheck must stay silent.
+// loadSummary, the metric updates, RingTracer.Emit, the testbed's
+// fixedPoint) are provably allocation-free, so alloccheck must stay silent.
 func TestRealHotPathClean(t *testing.T) {
 	root := moduleRoot(t)
-	for _, path := range []string{"pandia/internal/core", "pandia/internal/obs"} {
+	for _, path := range []string{"pandia/internal/core", "pandia/internal/obs", "pandia/internal/simhw"} {
 		diags, pkg := runOn(t, root, path)
 		for _, d := range diags {
 			pos := pkg.Fset.Position(d.Pos)

@@ -5,6 +5,8 @@ package a
 import (
 	"b"
 	"fmt"
+	"slices"
+	"sort"
 	"strconv"
 )
 
@@ -155,6 +157,15 @@ func External(err error) string {
 func Unknown(s string) int {
 	n, _ := strconv.Atoi(s) // want `cannot prove alloc-free: external call to strconv\.Atoi`
 	return n
+}
+
+// Sorted sorts in place: slices.Sort is classified alloc-free, while
+// sort.Float64s (a sort.Interface conversion) stays unprovable.
+//
+//pandia:noalloc
+func Sorted(xs []float64) {
+	slices.Sort(xs)
+	sort.Float64s(xs) // want `cannot prove alloc-free: external call to sort\.Float64s`
 }
 
 type remote interface{ Far() }

@@ -2,7 +2,7 @@ package simhw
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"pandia/internal/topology"
 )
@@ -25,6 +25,11 @@ type resTable struct {
 	nSock  int
 	nPairs int
 
+	// capacity is each resource's capacity for the current run (0 means
+	// absent/unlimited); it depends only on the run's core occupancy and
+	// clock, so setCapacities fills it once per run.
+	capacity []float64
+
 	total []float64
 	minD  []float64
 	maxD  []float64
@@ -36,25 +41,34 @@ type resTable struct {
 	// proportionally, exactly as Pandia's model assumes.
 	stress []int
 
-	// theta caches the per-resource water-filling level for this iteration;
-	// NaN marks "not yet computed".
-	theta []float64
+	// slow memoises, per iteration, each resource's slowdown on the
+	// proportional-sharing path, where it depends on the resource alone.
+	// NaN marks "not yet computed"; 0 marks a heterogeneous resource whose
+	// slowdown is water-filled per demand from theta and wfScale.
+	slow []float64
+	// theta is the per-resource water-filling level and wfScale the
+	// queueing factor applied on top of it, both valid where slow is 0.
+	theta   []float64
+	wfScale []float64
 }
 
-func newResTable(topo topology.Machine) *resTable {
-	t := &resTable{
+func newResTable(topo topology.Machine) resTable {
+	t := resTable{
 		topo:   topo,
 		nCores: topo.TotalCores(),
 		nSock:  topo.Sockets,
 		nPairs: topo.NumSocketPairs(),
 	}
 	n := t.size()
+	t.capacity = make([]float64, n)
 	t.total = make([]float64, n)
 	t.minD = make([]float64, n)
 	t.maxD = make([]float64, n)
 	t.count = make([]int, n)
 	t.stress = make([]int, n)
+	t.slow = make([]float64, n)
 	t.theta = make([]float64, n)
+	t.wfScale = make([]float64, n)
 	return t
 }
 
@@ -77,7 +91,7 @@ func (t *resTable) reset() {
 		t.maxD[i] = 0
 		t.count[i] = 0
 		t.stress[i] = 0
-		t.theta[i] = math.NaN()
+		t.slow[i] = math.NaN()
 	}
 }
 
@@ -98,71 +112,78 @@ func (t *resTable) add(idx int, d float64, isWorkload bool) {
 	}
 }
 
-// capacity returns the resource's capacity; 0 means absent/unlimited.
-// coreOcc supplies per-core active-context counts for the SMT aggregate
-// instruction limit; freqScale supplies each socket's clock relative to the
-// reference point — core-side resources (instruction issue, private cache
-// links) track the clock, while the shared cache, DRAM and interconnect do
-// not.
-func (t *resTable) capacity(mt *MachineTruth, coreOcc []int, freqScale []float64, idx int) float64 {
-	coreFS := func(core int) float64 { return freqScale[core/t.topo.CoresPerSocket] }
-	switch {
-	case idx < t.nCores:
-		c := mt.CoreInstrRate * coreFS(idx)
-		if coreOcc[idx] > 1 {
+// setCapacities fills the run's resource capacities. coreOcc supplies
+// per-core active-context counts for the SMT aggregate instruction limit;
+// freqScale supplies each socket's clock relative to the reference point —
+// core-side resources (instruction issue, private cache links) track the
+// clock, while the shared cache, DRAM and interconnect do not.
+func (t *resTable) setCapacities(mt *MachineTruth, coreOcc []int, freqScale []float64) {
+	for core := 0; core < t.nCores; core++ {
+		fs := freqScale[core/t.topo.CoresPerSocket]
+		c := mt.CoreInstrRate * fs
+		if coreOcc[core] > 1 {
 			c *= mt.SMTAggFactor
 		}
-		return c
-	case idx < 2*t.nCores:
-		return mt.L1BW * coreFS(idx-t.nCores)
-	case idx < 3*t.nCores:
-		return mt.L2BW * coreFS(idx-2*t.nCores)
-	case idx < 4*t.nCores:
-		return mt.L3LinkBW * coreFS(idx-3*t.nCores)
-	case idx < 4*t.nCores+t.nSock:
-		return mt.L3AggBW
-	case idx < 4*t.nCores+2*t.nSock:
-		return mt.DRAMBW
-	default:
-		return mt.InterconnectBW
+		t.capacity[t.instrIdx(core)] = c
+		t.capacity[t.l1Idx(core)] = mt.L1BW * fs
+		t.capacity[t.l2Idx(core)] = mt.L2BW * fs
+		t.capacity[t.l3LinkIdx(core)] = mt.L3LinkBW * fs
+	}
+	for s := 0; s < t.nSock; s++ {
+		t.capacity[t.l3AggIdx(s)] = mt.L3AggBW
+		t.capacity[t.dramIdx(s)] = mt.DRAMBW
+	}
+	for i := 4*t.nCores + 2*t.nSock; i < len(t.capacity); i++ {
+		t.capacity[i] = mt.InterconnectBW
 	}
 }
 
-// slowdown returns the contention slowdown that a user offering demand d
-// experiences on resource idx with capacity c, applying water-filling when
-// the user population is heterogeneous.
-func (t *resTable) slowdown(idx int, d, c, q float64, demandsOf func(idx int) []float64) float64 {
-	if c <= 0 || d <= 0 {
-		return 1
+// slowdown returns the contention slowdown that a user offering demand d > 0
+// experiences on resource idx, applying water-filling when the user
+// population is heterogeneous. The first call per resource and iteration
+// classifies the resource; later calls read the memo.
+func (t *resTable) slowdown(idx int, d, q float64, dw *demandWalk) float64 {
+	s := t.slow[idx]
+	if math.IsNaN(s) {
+		s = t.classify(idx, q, dw)
 	}
-	u := t.total[idx] / c
-	if u <= 1 {
-		return phi(u, q)
+	if s != 0 {
+		return s
 	}
-	// Proportional sharing unless a foreign program (stress application)
-	// shares the resource with demand unlike the others'.
-	homogeneous := t.count[idx] <= 1 || t.stress[idx] == 0 ||
-		t.maxD[idx]-t.minD[idx] <= 1e-9*t.maxD[idx]
-	if homogeneous {
-		return phi(u, q)
-	}
-	th := t.theta[idx]
-	if math.IsNaN(th) {
-		th = waterfill(demandsOf(idx), c)
-		t.theta[idx] = th
-	}
-	alloc := math.Min(d, th)
+	alloc := math.Min(d, t.theta[idx])
 	slow := safeDiv(d, alloc, 1)
 	if slow < 1 {
 		slow = 1
 	}
-	return slow * (1 + q*satWeight(u))
+	return slow * t.wfScale[idx]
+}
+
+// classify computes resource idx's memo entry for this iteration: its
+// proportional-sharing slowdown, or 0 with theta and wfScale set when a
+// foreign program (stress application) shares the oversubscribed resource
+// with demand unlike the others'.
+func (t *resTable) classify(idx int, q float64, dw *demandWalk) float64 {
+	s := 1.0
+	if c := t.capacity[idx]; c > 0 {
+		u := t.total[idx] / c
+		homogeneous := u <= 1 || t.count[idx] <= 1 || t.stress[idx] == 0 ||
+			t.maxD[idx]-t.minD[idx] <= 1e-9*t.maxD[idx]
+		if homogeneous {
+			s = phi(u, q)
+		} else {
+			s = 0
+			t.theta[idx] = waterfill(dw.demandsOf(idx), c)
+			t.wfScale[idx] = 1 + q*satWeight(u)
+		}
+	}
+	t.slow[idx] = s
+	return s
 }
 
 // waterfill computes the max-min fair share level theta such that
-// sum(min(d_i, theta)) = c, assuming sum(d) > c.
+// sum(min(d_i, theta)) = c, assuming sum(d) > c. It sorts demands in place.
 func waterfill(demands []float64, c float64) float64 {
-	sort.Float64s(demands)
+	slices.Sort(demands)
 	remaining := c
 	k := len(demands)
 	for _, d := range demands {

@@ -2,10 +2,8 @@ package simhw
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
-	"math/rand"
-	"sort"
+	"sync"
 
 	"pandia/internal/counters"
 	"pandia/internal/topology"
@@ -53,9 +51,12 @@ type RunResult struct {
 }
 
 // Testbed executes runs against one machine truth. It is safe for
-// concurrent use.
+// concurrent use: each run borrows its working memory from a pool and
+// returns it when done.
 type Testbed struct {
 	truth MachineTruth
+	// scratch holds *runScratch values sized for truth.Topo.
+	scratch sync.Pool
 }
 
 // NewTestbed validates the machine truth and returns a testbed for it.
@@ -114,31 +115,38 @@ func (tb *Testbed) Run(cfg RunConfig) (RunResult, error) {
 	if n == 0 {
 		return RunResult{}, fmt.Errorf("simhw: empty placement for workload %q", wt.Name)
 	}
-	occupied := make(map[topology.Context]bool, n+len(cfg.Stressors))
+	s := tb.getScratch()
+	defer tb.scratch.Put(s)
+
+	// Distinct valid contexts bound the agent count by the machine's
+	// context count, which sizes every per-agent scratch buffer.
+	occupied := s.occupied
+	clear(occupied)
 	for _, c := range cfg.Placement {
 		if !mt.Topo.ValidContext(c) {
 			return RunResult{}, fmt.Errorf("simhw: context %v not on machine %s", c, mt.Topo.Name)
 		}
-		if occupied[c] {
+		ci := mt.Topo.ContextIndex(c)
+		if occupied[ci] {
 			return RunResult{}, fmt.Errorf("simhw: context %v assigned twice", c)
 		}
-		occupied[c] = true
+		occupied[ci] = true
 	}
-	for _, s := range cfg.Stressors {
-		if err := s.Truth.Validate(); err != nil {
+	for _, st := range cfg.Stressors {
+		if err := st.Truth.Validate(); err != nil {
 			return RunResult{}, err
 		}
-		if !mt.Topo.ValidContext(s.Ctx) {
-			return RunResult{}, fmt.Errorf("simhw: stressor context %v not on machine %s", s.Ctx, mt.Topo.Name)
+		if !mt.Topo.ValidContext(st.Ctx) {
+			return RunResult{}, fmt.Errorf("simhw: stressor context %v not on machine %s", st.Ctx, mt.Topo.Name)
 		}
-		if occupied[s.Ctx] {
-			return RunResult{}, fmt.Errorf("simhw: stressor context %v already occupied", s.Ctx)
+		ci := mt.Topo.ContextIndex(st.Ctx)
+		if occupied[ci] {
+			return RunResult{}, fmt.Errorf("simhw: stressor context %v already occupied", st.Ctx)
 		}
-		occupied[s.Ctx] = true
+		occupied[ci] = true
 	}
 
-	memSockets, err := tb.memorySockets(cfg)
-	if err != nil {
+	if err := tb.memorySockets(s, &cfg); err != nil {
 		return RunResult{}, err
 	}
 
@@ -149,127 +157,96 @@ func (tb *Testbed) Run(cfg RunConfig) (RunResult, error) {
 	amdahl := amdahlSpeedup(wt.ParallelFrac, nAct)
 	fInitWorkload := amdahl / float64(nAct)
 
-	freqScale := tb.socketFreqScales(cfg, nAct)
-	agents, coreOcc := tb.buildAgents(cfg, freqScale, fInitWorkload, nAct)
-	tb.fixedPoint(agents, coreOcc, freqScale, memSockets, wt, nAct)
+	tb.socketFreqScales(s, &cfg, nAct)
+	tb.buildAgents(s, &cfg, fInitWorkload, nAct)
+	tb.fixedPoint(s, wt, nAct)
 
-	return tb.assemble(cfg, agents, memSockets, amdahl, nAct)
+	return tb.assemble(s, &cfg, amdahl, nAct)
 }
 
 // memorySockets resolves the memory policy into the sorted set of sockets
-// holding the workload's pages.
-func (tb *Testbed) memorySockets(cfg RunConfig) ([]int, error) {
+// holding the workload's pages (s.memSockets, with s.memOn as its
+// membership flags).
+func (tb *Testbed) memorySockets(s *runScratch, cfg *RunConfig) error {
+	clear(s.memOn)
 	if bind := cfg.Memory.BindSockets; len(bind) > 0 {
-		seen := make(map[int]bool)
-		var out []int
-		for _, s := range bind {
-			if s < 0 || s >= tb.truth.Topo.Sockets {
-				return nil, fmt.Errorf("simhw: memory bound to socket %d outside machine %s", s, tb.truth.Topo.Name)
+		for _, b := range bind {
+			if b < 0 || b >= tb.truth.Topo.Sockets {
+				return fmt.Errorf("simhw: memory bound to socket %d outside machine %s", b, tb.truth.Topo.Name)
 			}
-			if !seen[s] {
-				seen[s] = true
-				out = append(out, s)
-			}
+			s.memOn[b] = true
 		}
-		sort.Ints(out)
-		return out, nil
-	}
-	seen := make(map[int]bool)
-	var out []int
-	for _, c := range cfg.Placement {
-		if !seen[c.Socket] {
-			seen[c.Socket] = true
-			out = append(out, c.Socket)
+	} else {
+		for _, c := range cfg.Placement {
+			s.memOn[c.Socket] = true
 		}
 	}
-	sort.Ints(out)
-	return out, nil
+	s.memSockets = s.memSockets[:0]
+	for sock, on := range s.memOn {
+		if on {
+			s.memSockets = append(s.memSockets, sock)
+		}
+	}
+	return nil
 }
 
 // socketFreqScales computes each socket's clock relative to the reference
 // operating point under the run's power mode: the turbo frequency depends on
 // how many cores the run keeps active.
-func (tb *Testbed) socketFreqScales(cfg RunConfig, nAct int) []float64 {
+func (tb *Testbed) socketFreqScales(s *runScratch, cfg *RunConfig, nAct int) {
 	mt := &tb.truth
-	activeCores := make([]int, mt.Topo.Sockets)
+	activeCores := s.activeCores
 	if cfg.Power == PowerFilled {
-		for s := range activeCores {
-			activeCores[s] = mt.Topo.CoresPerSocket
+		for sock := range activeCores {
+			activeCores[sock] = mt.Topo.CoresPerSocket
 		}
 	} else {
-		coreActive := make(map[int]bool)
-		mark := func(c topology.Context) {
-			g := mt.Topo.GlobalCore(c)
-			if !coreActive[g] {
-				coreActive[g] = true
-				activeCores[c.Socket]++
-			}
-		}
+		clear(activeCores)
+		clear(s.coreActive)
 		for i, c := range cfg.Placement {
 			if i < nAct {
-				mark(c)
+				s.markCoreActive(mt.Topo, c)
 			}
 		}
-		for _, s := range cfg.Stressors {
-			mark(s.Ctx)
+		for _, st := range cfg.Stressors {
+			s.markCoreActive(mt.Topo, st.Ctx)
 		}
 	}
-	out := make([]float64, mt.Topo.Sockets)
-	for s := range out {
-		out[s] = mt.FreqScale(activeCores[s], cfg.Power)
+	for sock := range s.freqScale {
+		s.freqScale[sock] = mt.FreqScale(activeCores[sock], cfg.Power)
 	}
-	return out
 }
 
-// buildAgents constructs the demand sources and the per-core occupancy of
-// active agents.
-func (tb *Testbed) buildAgents(cfg RunConfig, freqScale []float64, fInitWorkload float64, nAct int) ([]agent, []int) {
+// buildAgents constructs the demand sources, the per-core occupancy of
+// active agents and the per-core agent index.
+func (tb *Testbed) buildAgents(s *runScratch, cfg *RunConfig, fInitWorkload float64, nAct int) {
 	mt := &tb.truth
 	wt := &cfg.Workload
-	coreOcc := make([]int, mt.Topo.TotalCores())
+	clear(s.coreOcc)
 
 	// Cache pressure per socket drives the spill multiplier.
-	pressure := make([]float64, mt.Topo.Sockets)
+	pressure := s.pressure
+	clear(pressure)
 	for i, c := range cfg.Placement {
 		if i < nAct {
 			pressure[c.Socket] += wt.WorkingSetMB
 		}
 	}
-	for _, s := range cfg.Stressors {
-		pressure[s.Ctx.Socket] += s.Truth.WorkingSetMB
+	for _, st := range cfg.Stressors {
+		pressure[st.Ctx.Socket] += st.Truth.WorkingSetMB
 	}
-	dramMult := make([]float64, mt.Topo.Sockets)
-	for s := range dramMult {
-		dramMult[s] = mt.spillMultiplier(pressure[s])
+	for sock := range s.dramMult {
+		s.dramMult[sock] = mt.spillMultiplier(pressure[sock])
 	}
 
-	agents := make([]agent, 0, len(cfg.Placement)+len(cfg.Stressors))
-	add := func(ctx topology.Context, truth *WorkloadTruth, fInit float64, isWorkload, active bool) {
-		g := mt.Topo.GlobalCore(ctx)
-		a := agent{
-			ctx: ctx, core: g,
-			burst: truth.Burstiness,
-			fInit: fInit,
-			f:     fInit,
-			sRes:  1, sTot: 1,
-			dramMult: dramMult[ctx.Socket],
-			workload: isWorkload,
-			active:   active,
-		}
-		if active {
-			spd := speedScale(freqScale[ctx.Socket], truth.MemBoundFrac)
-			a.demand = truth.Demand.Scale(spd)
-			coreOcc[g]++
-		}
-		agents = append(agents, a)
-	}
+	s.agents = s.agents[:0]
 	for i, c := range cfg.Placement {
-		add(c, wt, fInitWorkload, true, i < nAct)
+		s.addAgent(mt.Topo, c, wt, fInitWorkload, true, i < nAct)
 	}
 	for i := range cfg.Stressors {
-		add(cfg.Stressors[i].Ctx, &cfg.Stressors[i].Truth, 1, false, true)
+		s.addAgent(mt.Topo, cfg.Stressors[i].Ctx, &cfg.Stressors[i].Truth, 1, false, true)
 	}
-	return agents, coreOcc
+	s.indexCores()
 }
 
 // spillMultiplier returns the factor by which a socket's cache pressure
@@ -302,72 +279,27 @@ func phi(util, q float64) float64 {
 	return v
 }
 
-// forEachDemand enumerates the (resource, offered demand) pairs of an active
-// agent at its current utilisation, applying the memory interleave and the
-// both-directions interconnect accounting convention (calibrated to the
-// paper's Fig. 7 worked example).
-func forEachDemand(t *resTable, a *agent, memSockets []int, memShare float64, fn func(idx int, d float64)) {
-	f := a.f
-	if d := a.demand.Instr * f; d > 0 {
-		fn(t.instrIdx(a.core), d)
-	}
-	if d := a.demand.L1 * f; d > 0 {
-		fn(t.l1Idx(a.core), d)
-	}
-	if d := a.demand.L2 * f; d > 0 {
-		fn(t.l2Idx(a.core), d)
-	}
-	if d := a.demand.L3 * f; d > 0 {
-		fn(t.l3LinkIdx(a.core), d)
-		fn(t.l3AggIdx(a.ctx.Socket), d)
-	}
-	if d := a.demand.DRAM * f * a.dramMult; d > 0 {
-		if a.workload {
-			for _, u := range memSockets {
-				fn(t.dramIdx(u), d*memShare)
-				if u != a.ctx.Socket {
-					fn(t.icIdx(a.ctx.Socket, u), 2*d*memShare)
-				}
-			}
-		} else {
-			fn(t.dramIdx(a.ctx.Socket), d) // stressors allocate locally
-		}
-	}
-}
-
 // fixedPoint iterates demand scaling, contention, communication and load
-// balancing until the utilisation factors converge.
-func (tb *Testbed) fixedPoint(agents []agent, coreOcc []int, freqScale []float64, memSockets []int, wt *WorkloadTruth, nAct int) {
+// balancing until the utilisation factors converge. It works entirely in
+// the run's scratch.
+//
+//pandia:noalloc
+func (tb *Testbed) fixedPoint(s *runScratch, wt *WorkloadTruth, nAct int) {
 	mt := &tb.truth
 	q := mt.QueueFactor
-	memShare := safeDiv(1, float64(len(memSockets)), 1)
-	table := newResTable(mt.Topo)
-
-	// demandsOf collects every user's offered demand on one resource, for
-	// water-filling on heterogeneous resources.
-	demandsOf := func(idx int) []float64 {
-		var ds []float64
-		for i := range agents {
-			if !agents[i].active {
-				continue
-			}
-			forEachDemand(table, &agents[i], memSockets, memShare, func(j int, d float64) {
-				if j == idx {
-					ds = append(ds, d)
-				}
-			})
-		}
-		return ds
-	}
+	agents := s.agents
+	table := &s.table
+	dw := &s.demands
+	memShare := safeDiv(1, float64(len(s.memSockets)), 1)
+	table.setCapacities(mt, s.coreOcc, s.freqScale)
 
 	for iter := 0; iter < maxFixedPointIters; iter++ {
+		dw.walk(table, agents, s.memSockets, memShare)
 		table.reset()
 		for i := range agents {
-			if agents[i].active {
-				a := &agents[i]
-				forEachDemand(table, a, memSockets, memShare, func(idx int, d float64) {
-					table.add(idx, d, a.workload)
-				})
+			idx, d := dw.of(i)
+			for k := range idx {
+				table.add(idx[k], d[k], agents[i].workload)
 			}
 		}
 
@@ -379,31 +311,33 @@ func (tb *Testbed) fixedPoint(agents []agent, coreOcc []int, freqScale []float64
 				a.sRes, a.sTot = 1, 1
 				continue
 			}
-			s := 1.0
-			forEachDemand(table, a, memSockets, memShare, func(idx int, d float64) {
-				c := table.capacity(mt, coreOcc, freqScale, idx)
-				if got := table.slowdown(idx, d, c, q, demandsOf); got > s {
-					s = got
+			sl := 1.0
+			idx, d := dw.of(i)
+			for k := range idx {
+				if got := table.slowdown(idx[k], d[k], q, dw); got > sl {
+					sl = got
 				}
-			})
+			}
 			// Core-sharing burstiness: interference scaled by how busy the
 			// co-runners are.
-			if coreOcc[a.core] > 1 && a.burst > 0 {
+			if s.coreOcc[a.core] > 1 && a.burst > 0 {
 				var coF float64
-				for j := range agents {
-					b := &agents[j]
-					if i != j && b.active && b.core == a.core {
+				for _, j := range s.coRunners(a.core) {
+					if b := &agents[j]; i != j && b.active {
 						coF += b.f
 					}
 				}
-				s += a.burst * s * coF
+				sl += a.burst * sl * coF
 			}
-			a.sRes = s
-			a.sTot = s
+			a.sRes = sl
+			a.sTot = sl
 		}
 
 		// Communication penalty across sockets for the measured workload,
-		// interpolated between lock-step and work-weighted extremes.
+		// interpolated between lock-step and work-weighted extremes. A
+		// thread's penalty sums over its peers on other sockets, so it
+		// depends only on its own socket: one sum per socket, over peers
+		// in agent order, reproduces every per-thread sum exactly.
 		if wt.CommCost > 0 && nAct > 1 {
 			// Slowdowns are >= 1 by construction; safeDiv keeps a poisoned
 			// value from spreading NaN through every thread's penalty.
@@ -414,21 +348,23 @@ func (tb *Testbed) fixedPoint(agents []agent, coreOcc []int, freqScale []float64
 				}
 			}
 			if invSum > 0 {
-				for i := range agents {
-					a := &agents[i]
-					if !a.workload || !a.active {
-						continue
-					}
+				for sock := range s.commPen {
 					var pen float64
 					for j := range agents {
 						b := &agents[j]
-						if i == j || !b.workload || !b.active || b.ctx.Socket == a.ctx.Socket {
+						if !b.workload || !b.active || b.ctx.Socket == sock {
 							continue
 						}
 						w := safeDiv(1, b.sRes, 1) / invSum
 						pen += wt.CommCost * ((1 - wt.LoadBalance) + wt.LoadBalance*float64(nAct)*w)
 					}
-					a.sTot += pen * safeDiv(a.fInit, a.sRes, a.fInit)
+					s.commPen[sock] = pen
+				}
+				for i := range agents {
+					a := &agents[i]
+					if a.workload && a.active {
+						a.sTot += s.commPen[a.ctx.Socket] * safeDiv(a.fInit, a.sRes, a.fInit)
+					}
 				}
 			}
 		}
@@ -480,11 +416,11 @@ func (tb *Testbed) fixedPoint(agents []agent, coreOcc []int, freqScale []float64
 
 // assemble turns the converged agent state into a run result with noise and
 // counters.
-func (tb *Testbed) assemble(cfg RunConfig, agents []agent, memSockets []int, amdahl float64, nAct int) (RunResult, error) {
+func (tb *Testbed) assemble(s *runScratch, cfg *RunConfig, amdahl float64, nAct int) (RunResult, error) {
 	mt := &tb.truth
 	wt := &cfg.Workload
 	n := len(cfg.Placement)
-	if nAct <= 0 || len(memSockets) == 0 {
+	if nAct <= 0 || len(s.memSockets) == 0 {
 		return RunResult{}, fmt.Errorf("simhw: internal: workload %q with no active threads or memory sockets", wt.Name)
 	}
 
@@ -494,7 +430,7 @@ func (tb *Testbed) assemble(cfg RunConfig, agents []agent, memSockets []int, amd
 	var rateSum float64
 	rates := make([]float64, n)
 	for i := 0; i < n; i++ {
-		a := &agents[i]
+		a := &s.agents[i]
 		if !a.active {
 			continue
 		}
@@ -522,30 +458,23 @@ func (tb *Testbed) assemble(cfg RunConfig, agents []agent, memSockets []int, amd
 		sigma = wt.NoiseSigma
 	}
 	if sigma > 0 {
-		t *= math.Exp(sigma * tb.noiseZ(cfg))
+		t *= math.Exp(sigma * tb.noiseZ(s, cfg))
 	}
 
 	// Counter volumes: useful work is constant across placements; DRAM
 	// traffic additionally reflects cache spill, and interconnect traffic
 	// the remote share of memory accesses.
 	var dramBytes, icBytes float64
-	remote := float64(len(memSockets)-1) / float64(len(memSockets))
+	remote := float64(len(s.memSockets)-1) / float64(len(s.memSockets))
 	share := work / float64(nAct)
 	for i := 0; i < n; i++ {
-		a := &agents[i]
+		a := &s.agents[i]
 		if !a.active {
 			continue
 		}
 		b := wt.Demand.DRAM * share * a.dramMult
 		dramBytes += b
-		inSet := false
-		for _, u := range memSockets {
-			if u == a.ctx.Socket {
-				inSet = true
-				break
-			}
-		}
-		if inSet {
+		if s.memOn[a.ctx.Socket] {
 			icBytes += 2 * b * remote
 		} else {
 			icBytes += 2 * b
@@ -566,20 +495,12 @@ func (tb *Testbed) assemble(cfg RunConfig, agents []agent, memSockets []int, amd
 
 // noiseZ derives a deterministic standard-normal variate from the run
 // configuration, so identical runs measure identical times.
-func (tb *Testbed) noiseZ(cfg RunConfig) float64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%d|%d|", tb.truth.Topo.Name, cfg.Workload.Name, cfg.Power, cfg.Seed)
-	for _, c := range cfg.Placement {
-		fmt.Fprintf(h, "%d.%d.%d,", c.Socket, c.Core, c.Slot)
-	}
-	for _, s := range cfg.Stressors {
-		fmt.Fprintf(h, "S%d.%d.%d:%s,", s.Ctx.Socket, s.Ctx.Core, s.Ctx.Slot, s.Truth.Name)
-	}
-	for _, b := range cfg.Memory.BindSockets {
-		fmt.Fprintf(h, "M%d,", b)
-	}
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
-	return rng.NormFloat64()
+func (tb *Testbed) noiseZ(s *runScratch, cfg *RunConfig) float64 {
+	s.noiseKey = appendNoiseKey(s.noiseKey[:0], tb.truth.Topo.Name, cfg)
+	s.hash.Reset()
+	s.hash.Write(s.noiseKey)
+	s.rng.Seed(int64(s.hash.Sum64()))
+	return s.rng.NormFloat64()
 }
 
 // amdahlSpeedup is the classic Amdahl's-law speedup for parallel fraction p

@@ -2,6 +2,7 @@ package simhw
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -417,12 +418,35 @@ func TestTruthValidation(t *testing.T) {
 		"bad membound": func(w *WorkloadTruth) { w.MemBoundFrac = 2 },
 		"neg active":   func(w *WorkloadTruth) { w.ActiveThreads = -1 },
 		"neg demand":   func(w *WorkloadTruth) { w.Demand.DRAM = -1 },
+		"NaN time":     func(w *WorkloadTruth) { w.SeqTime = math.NaN() },
+		"Inf time":     func(w *WorkloadTruth) { w.SeqTime = math.Inf(1) },
+		"NaN p":        func(w *WorkloadTruth) { w.ParallelFrac = math.NaN() },
+		"NaN l":        func(w *WorkloadTruth) { w.LoadBalance = math.NaN() },
+		"Inf comm":     func(w *WorkloadTruth) { w.CommCost = math.Inf(1) },
+		"NaN burst":    func(w *WorkloadTruth) { w.Burstiness = math.NaN() },
+		"Inf growth":   func(w *WorkloadTruth) { w.WorkGrowth = math.Inf(1) },
+		"NaN membound": func(w *WorkloadTruth) { w.MemBoundFrac = math.NaN() },
+		"NaN ws":       func(w *WorkloadTruth) { w.WorkingSetMB = math.NaN() },
+		"Inf noise":    func(w *WorkloadTruth) { w.NoiseSigma = math.Inf(1) },
+		"NaN demand":   func(w *WorkloadTruth) { w.Demand.L2 = math.NaN() },
+		"Inf demand":   func(w *WorkloadTruth) { w.Demand.Instr = math.Inf(1) },
 	} {
 		w := toyWorkload()
 		mutate(&w)
 		if w.Validate() == nil {
 			t.Errorf("%s accepted", name)
 		}
+	}
+	// Non-finite fields are rejected by name.
+	w := toyWorkload()
+	w.ParallelFrac = math.NaN()
+	if err := w.Validate(); err == nil || !strings.Contains(err.Error(), "NaN ParallelFrac") {
+		t.Errorf("NaN parallel fraction: error %v does not name the field", err)
+	}
+	w = toyWorkload()
+	w.Demand.DRAM = math.Inf(-1)
+	if err := w.Validate(); err == nil || !strings.Contains(err.Error(), "infinite Demand.DRAM -Inf") {
+		t.Errorf("-Inf DRAM demand: error %v does not name the field", err)
 	}
 
 	for name, mt := range map[string]MachineTruth{
@@ -433,10 +457,28 @@ func TestTruthValidation(t *testing.T) {
 		"bad freq":   func() MachineTruth { m := X32Truth(); m.TurboAllGHz = m.TurboMaxGHz + 1; return m }(),
 		"neg queue":  func() MachineTruth { m := X32Truth(); m.QueueFactor = -1; return m }(),
 		"neg l1":     func() MachineTruth { m := X32Truth(); m.L1BW = -5; return m }(),
+		"NaN instr":  func() MachineTruth { m := X32Truth(); m.CoreInstrRate = math.NaN(); return m }(),
+		"NaN smt":    func() MachineTruth { m := X32Truth(); m.SMTAggFactor = math.NaN(); return m }(),
+		"NaN dram":   func() MachineTruth { m := X32Truth(); m.DRAMBW = math.NaN(); return m }(),
+		"Inf dram":   func() MachineTruth { m := X32Truth(); m.DRAMBW = math.Inf(1); return m }(),
+		"NaN ic":     func() MachineTruth { m := X32Truth(); m.InterconnectBW = math.NaN(); return m }(),
+		"NaN l1":     func() MachineTruth { m := X32Truth(); m.L1BW = math.NaN(); return m }(),
+		"Inf l3agg":  func() MachineTruth { m := X32Truth(); m.L3AggBW = math.Inf(1); return m }(),
+		"NaN nom":    func() MachineTruth { m := X32Truth(); m.NominalGHz = math.NaN(); return m }(),
+		"Inf turbo":  func() MachineTruth { m := X32Truth(); m.TurboMaxGHz = math.Inf(1); return m }(),
+		"NaN allcor": func() MachineTruth { m := X32Truth(); m.TurboAllGHz = math.NaN(); return m }(),
+		"NaN l3size": func() MachineTruth { m := X32Truth(); m.L3SizeMB = math.NaN(); return m }(),
+		"NaN queue":  func() MachineTruth { m := X32Truth(); m.QueueFactor = math.NaN(); return m }(),
+		"Inf noise":  func() MachineTruth { m := X32Truth(); m.NoiseSigma = math.Inf(1); return m }(),
 	} {
 		if _, err := NewTestbed(mt); err == nil {
 			t.Errorf("%s accepted", name)
 		}
+	}
+	m := X32Truth()
+	m.InterconnectBW = math.NaN()
+	if _, err := NewTestbed(m); err == nil || !strings.Contains(err.Error(), "NaN InterconnectBW") {
+		t.Errorf("NaN interconnect bandwidth: error %v does not name the field", err)
 	}
 }
 

@@ -19,6 +19,7 @@ package simhw
 
 import (
 	"fmt"
+	"math"
 
 	"pandia/internal/counters"
 	"pandia/internal/topology"
@@ -76,6 +77,24 @@ type MachineTruth struct {
 func (mt *MachineTruth) Validate() error {
 	if err := mt.Topo.Validate(); err != nil {
 		return err
+	}
+	if v, bad := firstNonFinite(
+		field{"NominalGHz", mt.NominalGHz},
+		field{"TurboMaxGHz", mt.TurboMaxGHz},
+		field{"TurboAllGHz", mt.TurboAllGHz},
+		field{"CoreInstrRate", mt.CoreInstrRate},
+		field{"SMTAggFactor", mt.SMTAggFactor},
+		field{"L1BW", mt.L1BW},
+		field{"L2BW", mt.L2BW},
+		field{"L3LinkBW", mt.L3LinkBW},
+		field{"L3AggBW", mt.L3AggBW},
+		field{"DRAMBW", mt.DRAMBW},
+		field{"InterconnectBW", mt.InterconnectBW},
+		field{"L3SizeMB", mt.L3SizeMB},
+		field{"QueueFactor", mt.QueueFactor},
+		field{"NoiseSigma", mt.NoiseSigma},
+	); bad {
+		return fmt.Errorf("simhw: %s: %v", mt.Topo.Name, v)
 	}
 	if mt.CoreInstrRate <= 0 {
 		return fmt.Errorf("simhw: %s: non-positive core instruction rate", mt.Topo.Name)
@@ -145,6 +164,25 @@ type WorkloadTruth struct {
 
 // Validate reports whether the workload truth is usable.
 func (wt *WorkloadTruth) Validate() error {
+	if v, bad := firstNonFinite(
+		field{"SeqTime", wt.SeqTime},
+		field{"ParallelFrac", wt.ParallelFrac},
+		field{"Demand.Instr", wt.Demand.Instr},
+		field{"Demand.L1", wt.Demand.L1},
+		field{"Demand.L2", wt.Demand.L2},
+		field{"Demand.L3", wt.Demand.L3},
+		field{"Demand.DRAM", wt.Demand.DRAM},
+		field{"Demand.Interconnect", wt.Demand.Interconnect},
+		field{"WorkingSetMB", wt.WorkingSetMB},
+		field{"CommCost", wt.CommCost},
+		field{"LoadBalance", wt.LoadBalance},
+		field{"Burstiness", wt.Burstiness},
+		field{"WorkGrowth", wt.WorkGrowth},
+		field{"MemBoundFrac", wt.MemBoundFrac},
+		field{"NoiseSigma", wt.NoiseSigma},
+	); bad {
+		return fmt.Errorf("simhw: workload %q: %v", wt.Name, v)
+	}
 	switch {
 	case wt.SeqTime <= 0:
 		return fmt.Errorf("simhw: workload %q: non-positive sequential time", wt.Name)
@@ -166,6 +204,32 @@ func (wt *WorkloadTruth) Validate() error {
 		return fmt.Errorf("simhw: workload %q: negative demand", wt.Name)
 	}
 	return nil
+}
+
+// field names one float field of a truth for the finiteness check.
+type field struct {
+	name string
+	val  float64
+}
+
+// String reports the field as invalid: "NaN name" or "infinite name ±Inf".
+func (f field) String() string {
+	if math.IsNaN(f.val) {
+		return "NaN " + f.name
+	}
+	return fmt.Sprintf("infinite %s %g", f.name, f.val)
+}
+
+// firstNonFinite returns the first NaN or ±Inf field. The range checks of
+// Validate cannot catch these: every comparison with NaN is false, and
+// +Inf passes any lower bound.
+func firstNonFinite(fields ...field) (field, bool) {
+	for _, f := range fields {
+		if math.IsNaN(f.val) || math.IsInf(f.val, 0) {
+			return f, true
+		}
+	}
+	return field{}, false
 }
 
 // activeCount returns how many of n placed threads do work.
