@@ -33,23 +33,24 @@ pandia-vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/pandia-vet ./...
 
-# alloccheck alone: the static zero-allocation proof of the annotated
-# //pandia:noalloc hot path (PredictTime, iterate, the obs updates, the
-# testbed's fixedPoint).
+# alloccheck alone, for the local edit loop: the static zero-allocation
+# proof of the annotated //pandia:noalloc hot path (PredictTime, iterate,
+# the obs updates, the testbed's fixedPoint). `make check` already runs it
+# as part of the full pandia-vet suite.
 alloccheck:
 	$(GO) run ./cmd/pandia-vet -only alloccheck ./...
 
-# lockcheck alone: the lock-discipline proof of the concurrency surface —
-# deadlockcheck (acquisition order, re-entry, blocking under a lock) and
-# guardcheck (//pandia:guardedby field accesses).
+# lockcheck alone, for the local edit loop: the lock-discipline proof of
+# the concurrency surface — deadlockcheck (acquisition order, re-entry,
+# wrong-flavour or missing unlocks, blocking under a lock) and guardcheck
+# (//pandia:guardedby field accesses). `make check` already runs both as
+# part of the full pandia-vet suite.
 lockcheck:
 	$(GO) run ./cmd/pandia-vet -only deadlockcheck,guardcheck ./...
 
 check: build
 	$(GO) vet ./...
 	$(GO) run ./cmd/pandia-vet ./...
-	$(GO) run ./cmd/pandia-vet -only alloccheck ./...
-	$(GO) run ./cmd/pandia-vet -only deadlockcheck,guardcheck ./...
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-gate

@@ -380,7 +380,7 @@ func noise(hc harnessCache, entries []bench.Entry) error {
 // (round 1 is all misses, later rounds all hits) and a pruned-sweep pass
 // reporting how much of the space the dominance bound skips. Timing lives
 // here rather than in internal/eval because wall-clock reads are confined
-// to cmd/ (detlint).
+// to cmd/ (detflow).
 func throughput(hc harnessCache, entries []bench.Entry) error {
 	h, err := hc.get("x5-2")
 	if err != nil {

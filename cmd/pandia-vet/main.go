@@ -1,8 +1,8 @@
 // Command pandia-vet is the repository's static-analysis multichecker. It
-// runs the custom passes under internal/analysis — unitcheck, unitflow,
-// lockcheck, leakcheck, detlint, detflow, nanguard, mutcheck, errlint,
-// alloccheck, deadlockcheck, guardcheck — over module packages and exits
-// non-zero if any finding is reported.
+// runs the nine custom passes under internal/analysis — unitflow,
+// leakcheck, detflow, nanguard, mutcheck, errlint, alloccheck,
+// deadlockcheck, guardcheck — over module packages and exits non-zero if
+// any finding is reported.
 //
 // Usage:
 //
@@ -10,7 +10,7 @@
 //
 // Packages may be import paths ("pandia/internal/core"), directories
 // ("./internal/core"), or the "./..." wildcard (the default). Each analyzer
-// may restrict itself to the packages it is meant for (e.g. detlint guards
+// may restrict itself to the packages it is meant for (e.g. detflow guards
 // only the prediction core); -all overrides the restrictions and runs every
 // analyzer everywhere.
 //
@@ -34,23 +34,17 @@ import (
 	"pandia/internal/analysis/alloccheck"
 	"pandia/internal/analysis/deadlockcheck"
 	"pandia/internal/analysis/detflow"
-	"pandia/internal/analysis/detlint"
 	"pandia/internal/analysis/errlint"
 	"pandia/internal/analysis/guardcheck"
 	"pandia/internal/analysis/leakcheck"
-	"pandia/internal/analysis/lockcheck"
 	"pandia/internal/analysis/mutcheck"
 	"pandia/internal/analysis/nanguard"
-	"pandia/internal/analysis/unitcheck"
 	"pandia/internal/analysis/unitflow"
 )
 
 var analyzers = []*analysis.Analyzer{
-	unitcheck.Analyzer,
 	unitflow.Analyzer,
-	lockcheck.Analyzer,
 	leakcheck.Analyzer,
-	detlint.Analyzer,
 	detflow.Analyzer,
 	nanguard.Analyzer,
 	mutcheck.Analyzer,

@@ -110,20 +110,11 @@ type checker struct {
 }
 
 // fileDirectives records which source lines of one file carry alloccheck
-// directives. Like analysis.LineComments, each directive comment marks its
-// own line and the following one, covering both the trailing and the
-// line-above placement.
+// directives, by analysis.DirectiveLines' coverage rule: a directive's own
+// line, plus the next one when it stands alone on its line.
 type fileDirectives struct {
 	noalloc map[int]bool
 	ok      map[int]bool
-}
-
-// isDirective reports whether the comment is the machine-readable form of
-// the named directive: the name directly follows the comment opener, as in
-// //pandia:noalloc or /*alloccheck:ok reason*/. Prose that merely quotes a
-// directive starts with other text and does not count.
-func isDirective(text, name string) bool {
-	return strings.HasPrefix(text, "//"+name) || strings.HasPrefix(text, "/*"+name)
 }
 
 // fileRef pairs a parsed file with its package for lazy comment lookup.
@@ -149,7 +140,7 @@ func run(pass *analysis.Pass) error {
 		reported:   map[string]bool{},
 	}
 	c.indexFiles()
-	c.checkSuppressionReasons()
+	analysis.CheckReasons(pass, "alloccheck:ok", "why this allocation is acceptable")
 
 	for _, n := range c.g.Nodes {
 		c.info[n] = c.collect(n)
@@ -186,7 +177,7 @@ func hasNoallocAnnotation(files []*ast.File) bool {
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, cm := range cg.List {
-				if isDirective(cm.Text, "pandia:noalloc") {
+				if analysis.IsDirective(cm.Text, "pandia:noalloc") {
 					return true
 				}
 			}
@@ -207,7 +198,7 @@ func (c *checker) indexFiles() {
 		for _, f := range pkg.Files {
 			c.files[c.pass.Fset.Position(f.Pos()).Filename] = &fileRef{pkg: pkg, file: f}
 		}
-		for _, dep := range pkg.Imports { //detlint:ignore indexing by filename; order cannot matter
+		for _, dep := range pkg.Imports { // indexing by filename; order cannot matter
 			add(dep)
 		}
 	}
@@ -222,21 +213,10 @@ func (c *checker) directivesFor(filename string) *fileDirectives {
 	if cached {
 		return d
 	}
-	d = &fileDirectives{noalloc: map[int]bool{}, ok: map[int]bool{}}
+	d = &fileDirectives{}
 	if ref := c.files[filename]; ref != nil {
-		for _, cg := range ref.file.Comments {
-			for _, cm := range cg.List {
-				line := c.pass.Fset.Position(cm.Pos()).Line
-				if isDirective(cm.Text, "pandia:noalloc") {
-					d.noalloc[line] = true
-					d.noalloc[line+1] = true
-				}
-				if isDirective(cm.Text, "alloccheck:ok") {
-					d.ok[line] = true
-					d.ok[line+1] = true
-				}
-			}
-		}
+		d.noalloc = analysis.DirectiveLines(c.pass.Fset, ref.file, "pandia:noalloc")
+		d.ok = analysis.DirectiveLines(c.pass.Fset, ref.file, "alloccheck:ok")
 	}
 	c.directives[filename] = d
 	return d
@@ -249,30 +229,12 @@ func (c *checker) suppressed(pos token.Pos) bool {
 	return c.directivesFor(p.Filename).ok[p.Line]
 }
 
-// checkSuppressionReasons enforces the annotation grammar: every
-// //alloccheck:ok in the package under analysis must carry a reason.
-func (c *checker) checkSuppressionReasons() {
-	for _, f := range c.pass.Files {
-		for _, cg := range f.Comments {
-			for _, cm := range cg.List {
-				if !isDirective(cm.Text, "alloccheck:ok") {
-					continue
-				}
-				reason := strings.TrimSpace(strings.TrimSuffix(cm.Text[2+len("alloccheck:ok"):], "*/"))
-				if reason == "" {
-					c.pass.Reportf(cm.Pos(), "//alloccheck:ok needs a reason (//alloccheck:ok <why this allocation is acceptable>)")
-				}
-			}
-		}
-	}
-}
-
 // isNoalloc reports whether the declared function carries //pandia:noalloc,
 // either in its doc comment or on the line directly above the declaration.
 func (c *checker) isNoalloc(n *callgraph.Node) bool {
 	if n.Decl.Doc != nil {
 		for _, cm := range n.Decl.Doc.List {
-			if isDirective(cm.Text, "pandia:noalloc") {
+			if analysis.IsDirective(cm.Text, "pandia:noalloc") {
 				return true
 			}
 		}

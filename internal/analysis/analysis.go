@@ -29,7 +29,7 @@ import (
 
 // Analyzer describes one static-analysis pass.
 type Analyzer struct {
-	// Name identifies the pass in diagnostics, e.g. "unitcheck".
+	// Name identifies the pass in diagnostics, e.g. "unitflow".
 	Name string
 	// Doc is a one-paragraph description shown by `pandia-vet help`.
 	Doc string
@@ -74,19 +74,132 @@ func (p *Pass) IsTestFile(pos token.Pos) bool {
 
 // LineComments maps every source line that carries a comment to the comment
 // text, so passes can honour line-level suppression directives such as
-// //nanguard:ok. Both the comment's own line and, for full-line comments,
-// the following line are mapped, matching how directives are written either
-// trailing the statement or on the line above it.
+// //nanguard:ok. A comment always covers its own line. A comment with
+// nothing but whitespace before it on its line also covers the following
+// line, matching how directives are written either trailing the statement
+// or on the line above it; a trailing comment never reaches the next line.
 func LineComments(fset *token.FileSet, f *ast.File) map[int]string {
 	out := make(map[int]string)
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			pos := fset.Position(c.Pos())
-			out[pos.Line] += c.Text
-			out[pos.Line+1] += c.Text
+	eachComment(fset, f, func(string) bool { return true }, func(line int, text string, alone bool) {
+		out[line] += text
+		if alone {
+			out[line+1] += text
+		}
+	})
+	return out
+}
+
+// IsDirective reports whether the comment is the machine-readable form of
+// the named directive: the name directly follows the comment opener, as in
+// //deadlockcheck:ok or /*alloccheck:ok reason*/. Prose that merely quotes a
+// directive starts with other text and does not count.
+func IsDirective(text, name string) bool {
+	return strings.HasPrefix(text, "//"+name) || strings.HasPrefix(text, "/*"+name)
+}
+
+// DirectiveLines returns the lines of f covered by the named directive,
+// under LineComments' rule: its own line, plus the next one when the
+// directive stands alone on its line.
+func DirectiveLines(fset *token.FileSet, f *ast.File, name string) map[int]bool {
+	out := make(map[int]bool)
+	eachComment(fset, f, func(text string) bool { return IsDirective(text, name) },
+		func(line int, _ string, alone bool) {
+			out[line] = true
+			if alone {
+				out[line+1] = true
+			}
+		})
+	return out
+}
+
+// SuppressedBy returns a predicate reporting whether a position in the
+// pass's files is covered by the named directive.
+func SuppressedBy(pass *Pass, name string) func(token.Pos) bool {
+	byFile := make(map[string]map[int]bool, len(pass.Files))
+	for _, f := range pass.Files {
+		byFile[pass.Fset.Position(f.Pos()).Filename] = DirectiveLines(pass.Fset, f, name)
+	}
+	return func(pos token.Pos) bool {
+		p := pass.Fset.Position(pos)
+		return byFile[p.Filename][p.Line]
+	}
+}
+
+// CheckReasons reports every use of the named suppression directive in the
+// pass's files that states no reason: a silent suppression hides intent
+// from the next reader. why describes the expected reason.
+func CheckReasons(pass *Pass, name, why string) {
+	for _, f := range pass.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if !IsDirective(c.Text, name) {
+					continue
+				}
+				if strings.TrimSpace(strings.TrimSuffix(c.Text[2+len(name):], "*/")) == "" {
+					pass.Reportf(c.Pos(), "//%s needs a reason (//%s <%s>)", name, name, why)
+				}
+			}
 		}
 	}
-	return out
+}
+
+// eachComment calls mark for every comment of f whose text keep accepts,
+// with its line and whether it stands alone on that line (nothing but
+// whitespace before it).
+func eachComment(fset *token.FileSet, f *ast.File, keep func(string) bool, mark func(line int, text string, alone bool)) {
+	tf := fset.File(f.Pos())
+	// firstCode holds, for each line with a kept comment, the position of
+	// the first code token on it. Node starts and node ends (closing
+	// brackets) both count.
+	firstCode := make(map[int]token.Pos)
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			if keep(c.Text) {
+				firstCode[tf.Line(c.Pos())] = token.NoPos
+			}
+		}
+	}
+	if len(firstCode) == 0 {
+		return
+	}
+	lines := make([]int, 0, len(firstCode))
+	for line := range firstCode {
+		lines = append(lines, line)
+	}
+	sort.Ints(lines)
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.CommentGroup, *ast.Comment:
+			return false
+		}
+		start, end := n.Pos(), n.End()-1
+		if !start.IsValid() || !end.IsValid() {
+			return true
+		}
+		// A node spanning no commented line has no token on one, and
+		// neither have its children.
+		first, last := tf.Line(start), tf.Line(end)
+		if i := sort.SearchInts(lines, first); i == len(lines) || lines[i] > last {
+			return false
+		}
+		for _, p := range [2]token.Pos{start, end} {
+			line := tf.Line(p)
+			if fc, ok := firstCode[line]; ok && (fc == token.NoPos || p < fc) {
+				firstCode[line] = p
+			}
+		}
+		return true
+	})
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			if !keep(c.Text) {
+				continue
+			}
+			line := tf.Line(c.Pos())
+			first := firstCode[line]
+			mark(line, c.Text, first == token.NoPos || first > c.Pos())
+		}
+	}
 }
 
 // SortDiagnostics orders findings by position for stable output.

@@ -11,8 +11,8 @@
 //   - A forward/backward fixed-point solver (solver.go) parameterised by a
 //     Lattice, iterating block transfer functions to convergence.
 //
-// Passes built on it (unitflow, lockcheck) analyse one function at a time;
-// function literals get their own graphs via Functions.
+// Passes built on it (unitflow, the locks engine) analyse one function at
+// a time; function literals get their own graphs via Functions.
 package dataflow
 
 import (

@@ -1,6 +1,6 @@
-// Package deadlockcheck detects potential deadlocks interprocedurally,
-// generalizing lockcheck's single-function rules across the module-local
-// call graph via the internal/analysis/locks engine:
+// Package deadlockcheck detects potential deadlocks and mutex misuse,
+// interprocedurally across the module-local call graph via the
+// internal/analysis/locks engine:
 //
 //   - lock-order inversions: every acquisition of lock B while lock A is
 //     held (in any function, through any call chain) contributes an edge
@@ -8,16 +8,22 @@
 //     graph means two goroutines can acquire the same locks in opposite
 //     orders and deadlock. Each cycle is reported once, with a call-chain
 //     witness per edge.
-//   - interprocedural double-locks: a helper that (re-)acquires a mutex
-//     some caller already holds, which self-deadlocks because sync
-//     mutexes are not re-entrant. The purely local case is lockcheck's.
+//   - double-locks: a helper that (re-)acquires a mutex some caller
+//     already holds, or a second Lock (or an RLock→Lock upgrade) of a
+//     mutex the same function already locked, which self-deadlocks
+//     because sync mutexes are not re-entrant.
+//   - in-frame misuse: Unlock of an RLock-ed mutex (and RUnlock of a
+//     Lock-ed one), and a return while a mutex the function locked is
+//     still held with no deferred unlock (a missing unlock on an
+//     early-return path).
 //   - blocking under a lock: a channel send/receive, WaitGroup/Cond Wait,
 //     time.Sleep, net/http or os/exec call reached (directly or through
 //     callees) while a lock is held, stalling every other goroutine that
 //     needs the lock.
 //
-// A finding that is intended behavior (e.g. a deliberately-held lock
-// around a bounded channel handoff) is suppressed with a trailing
+// Copies of lock-bearing values are go vet's copylocks check. A finding
+// that is intended behavior (e.g. a deliberately-held lock around a bounded
+// channel handoff) is suppressed with a trailing
 //
 //	//deadlockcheck:ok <reason>
 //
@@ -38,25 +44,30 @@ import (
 // Analyzer is the deadlockcheck pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "deadlockcheck",
-	Doc:  "detect lock-order inversions, interprocedural double-locks, and blocking calls under a lock",
-	Run:  run,
+	Doc: "detect lock-order inversions, double-locks, wrong-flavour or missing unlocks, " +
+		"and blocking calls under a lock",
+	Run: run,
+	// Every package outside the analysis tooling that imports sync.
 	Restrict: analysis.RestrictTo("internal/scheduler", "internal/obs", "internal/eval",
-		"internal/faults", "internal/scenario", "internal/core"),
+		"internal/faults", "internal/scenario", "internal/core", "internal/kernels",
+		"internal/placement", "internal/simhw"),
 }
 
 type checker struct {
-	pass *analysis.Pass
-	ok   map[string]map[int]bool // filename -> lines carrying //deadlockcheck:ok
+	pass       *analysis.Pass
+	suppressed func(token.Pos) bool // covered by //deadlockcheck:ok
 }
 
 func run(pass *analysis.Pass) error {
-	c := &checker{pass: pass, ok: map[string]map[int]bool{}}
-	c.collectDirectives()
-	c.checkSuppressionReasons()
+	c := &checker{pass: pass, suppressed: analysis.SuppressedBy(pass, "deadlockcheck:ok")}
+	analysis.CheckReasons(pass, "deadlockcheck:ok", "why this locking is safe")
 
 	res := locks.Analyze(pass)
 	c.reportCycles(res)
 	for _, f := range res.Doubles {
+		c.report(f.Pos, f.Message)
+	}
+	for _, f := range res.Misuse {
 		c.report(f.Pos, f.Message)
 	}
 	for _, f := range res.Blocking {
@@ -229,56 +240,4 @@ func (c *checker) report(pos token.Pos, msg string) {
 		return
 	}
 	c.pass.Report(analysis.Diagnostic{Pos: pos, Message: msg})
-}
-
-// isDirective reports whether the comment is the machine-readable form of
-// the directive (prefix match, so prose quoting it does not count).
-func isDirective(text, name string) bool {
-	return strings.HasPrefix(text, "//"+name) || strings.HasPrefix(text, "/*"+name)
-}
-
-// collectDirectives maps the lines carrying //deadlockcheck:ok in every
-// package file (the comment's own line and the line below, matching the
-// trailing and line-above placements).
-func (c *checker) collectDirectives() {
-	for _, f := range c.pass.Files {
-		for _, cg := range f.Comments {
-			for _, cm := range cg.List {
-				if !isDirective(cm.Text, "deadlockcheck:ok") {
-					continue
-				}
-				p := c.pass.Fset.Position(cm.Pos())
-				m := c.ok[p.Filename]
-				if m == nil {
-					m = map[int]bool{}
-					c.ok[p.Filename] = m
-				}
-				m[p.Line] = true
-				m[p.Line+1] = true
-			}
-		}
-	}
-}
-
-func (c *checker) suppressed(pos token.Pos) bool {
-	p := c.pass.Fset.Position(pos)
-	return c.ok[p.Filename][p.Line]
-}
-
-// checkSuppressionReasons enforces that every //deadlockcheck:ok carries a
-// reason: silent suppressions hide intent from the next reader.
-func (c *checker) checkSuppressionReasons() {
-	for _, f := range c.pass.Files {
-		for _, cg := range f.Comments {
-			for _, cm := range cg.List {
-				if !isDirective(cm.Text, "deadlockcheck:ok") {
-					continue
-				}
-				reason := strings.TrimSpace(strings.TrimSuffix(cm.Text[2+len("deadlockcheck:ok"):], "*/"))
-				if reason == "" {
-					c.pass.Reportf(cm.Pos(), "//deadlockcheck:ok needs a reason (//deadlockcheck:ok <why this locking is safe>)")
-				}
-			}
-		}
-	}
 }

@@ -138,3 +138,106 @@ func (s *S) badSuppression(ch chan int) {
 	ch <- 1 /*deadlockcheck:ok*/ // want `//deadlockcheck:ok needs a reason`
 	s.muA.Unlock()
 }
+
+// store carries the in-frame misuse cases: double and upgrade locks,
+// wrong-flavour and missing unlocks, channel operations under a held lock.
+type store struct {
+	mu   sync.Mutex
+	rw   sync.RWMutex
+	vals map[string]int
+}
+
+func okDefer(s *store) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.vals)
+}
+
+func okPaired(s *store) {
+	s.mu.Lock()
+	s.vals["x"] = 1
+	s.mu.Unlock()
+}
+
+func okConditional(s *store, c bool) {
+	if c {
+		s.mu.Lock()
+	}
+	// State is not definite after the join: nothing reported.
+	if c {
+		s.mu.Unlock()
+	}
+}
+
+// okTwoInstances locks two stores: one lock per type, but not the same
+// instance, so it is no double lock.
+func okTwoInstances(a, b *store) {
+	a.mu.Lock()
+	b.mu.Lock()
+	b.mu.Unlock()
+	a.mu.Unlock()
+}
+
+func doubleLock(s *store) {
+	s.mu.Lock()
+	s.mu.Lock() // want `second Lock of s\.mu \(already locked\)`
+	s.mu.Unlock()
+	s.mu.Unlock()
+}
+
+func upgrade(s *store) {
+	s.rw.RLock()
+	s.rw.Lock() // want `Lock of s\.rw while RLock-ed \(upgrade deadlock\)`
+	s.rw.Unlock()
+}
+
+func downgrade(s *store) {
+	s.rw.Lock()
+	s.rw.RLock() // want `RLock of s\.rw while Lock-ed \(self-deadlock\)`
+	s.rw.RUnlock()
+}
+
+func okSharedRead(s *store) {
+	s.rw.RLock()
+	s.rw.RLock()
+	s.rw.RUnlock()
+	s.rw.RUnlock()
+}
+
+func wrongFlavour(s *store) {
+	s.rw.RLock()
+	s.rw.Unlock() // want `Unlock of RLock-ed s\.rw \(want RUnlock\)`
+	s.rw.Lock()
+	s.rw.RUnlock() // want `RUnlock of Lock-ed s\.rw \(want Unlock\)`
+}
+
+func earlyReturn(s *store, bad bool) int {
+	s.mu.Lock()
+	if bad {
+		return 0 // want `return while s\.mu is locked \(no deferred unlock\)`
+	}
+	v := s.vals["x"]
+	s.mu.Unlock()
+	return v
+}
+
+func chanUnderLock(s *store, ch chan int) {
+	s.mu.Lock()
+	ch <- 1   // want `channel send while holding \(a\.store\)\.mu`
+	v := <-ch // want `channel receive while holding \(a\.store\)\.mu`
+	s.vals["x"] = v
+	s.mu.Unlock()
+}
+
+func chanAfterUnlock(s *store, ch chan int) {
+	s.mu.Lock()
+	s.vals["x"] = 1
+	s.mu.Unlock()
+	ch <- 1 // ok: lock released
+}
+
+func suppressedReturn(s *store) {
+	s.mu.Lock()
+	//deadlockcheck:ok the caller unlocks through release()
+	return
+}

@@ -1,28 +1,35 @@
-// Package detflow is the interprocedural companion of detlint.
+// Package detflow enforces determinism in the prediction core.
 //
-// detlint forbids the three nondeterministic constructs — map range
-// iteration, time.Now, the process-seeded global math/rand source — inside
-// the prediction packages themselves. That leaves a hole: a core function
-// can call a helper in an unrestricted package (kernels, placement, a
-// utility package) that hides the same construct one level down, and the
-// fixed-point loop silently stops being bit-identical run-to-run.
+// The fixed-point loop (§5) must produce bit-identical results run-to-run:
+// golden tests, the ablation tables, and cross-machine portability studies
+// all diff floating-point outputs exactly. Three Go constructs silently
+// break that: map range iteration (random order — and float accumulation is
+// not associative, so even "order-independent" sums drift), time.Now, and
+// the process-seeded global math/rand source. Seeded generators built with
+// rand.New(rand.NewSource(seed)) are fine, as is the key-collection prelude
+// `for k := range m { keys = append(keys, k) }`.
 //
-// detflow closes the hole. For each restricted package it builds the
-// module-local call graph (internal/analysis/callgraph), collects
-// nondeterminism sources in the unrestricted functions of the import
-// closure, and taints them through the graph. Every source reachable from a
-// function of the package under analysis is reported at the call site where
-// the flow leaves the package, with the full call chain and the true source
-// location in the message:
+// detflow forbids the three constructs inside the prediction packages
+// (internal/core, internal/simhw, internal/eval, internal/faults,
+// internal/obs) — in particular, observability timestamps must come from an
+// injected obs.Clock, never a bare time.Now, so recorded traces stay
+// reproducible. A source in the package under analysis is reported at its
+// own position. A core function can also call a helper in an unrestricted
+// package (kernels, placement, a utility package) that hides the same
+// construct one level down, so detflow builds the module-local call graph
+// (internal/analysis/callgraph), collects the sources in the unrestricted
+// functions of the import closure, and taints them through the graph.
+// Every source reachable from a function of the package under analysis is
+// reported at the call site where the flow leaves the package, with the
+// full call chain and the true source location in the message:
 //
 //	nondeterminism reaches the core: time.Now (at kernels/cpu.go:42);
 //	call path: kernels.stamp ← core.refresh; inject the clock
 //
-// Sources inside restricted packages are detlint's findings and are not
-// duplicated here; callees in other restricted packages are not traversed
-// (they are vetted when their own package is analysed). A deliberate,
-// order-independent escape carries //detflow:ignore with a justification on
-// the calling line.
+// Callees in other restricted packages are not traversed (they are vetted
+// when their own package is analysed). Test files are exempt. A deliberate,
+// order-independent use carries //detflow:ignore with a justification on
+// the source line or the calling line.
 package detflow
 
 import (
@@ -33,29 +40,36 @@ import (
 
 	"pandia/internal/analysis"
 	"pandia/internal/analysis/callgraph"
-	"pandia/internal/analysis/detlint"
 )
 
-// Analyzer is the detflow pass. It runs over the same restricted package
-// set as detlint: the two passes together cover the intraprocedural and
-// interprocedural halves of the determinism discipline.
+// Analyzer is the detflow pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "detflow",
-	Doc: "taint time.Now, global math/rand and map iteration through the module-local " +
-		"call graph and report nondeterminism flowing into the prediction core",
+	Doc: "forbid time.Now, global math/rand and map iteration in the prediction core, " +
+		"directly or through the module-local call graph",
 	Run:      run,
 	Restrict: restricted,
 }
 
-// restricted mirrors detlint's package set; a named function breaks the
-// initialization cycle Analyzer → run → Analyzer.Restrict.
-func restricted(pkgPath string) bool { return detlint.Analyzer.Restrict(pkgPath) }
+// restricted is the prediction-core package set; a separate variable breaks
+// the initialization cycle Analyzer → run → Analyzer.Restrict.
+var restricted = analysis.RestrictTo("internal/core", "internal/simhw", "internal/eval",
+	"internal/faults", "internal/obs")
 
-// source is one nondeterminism origin in an unrestricted function.
+// seededConstructors are the math/rand functions that build explicitly
+// seeded generators and are therefore allowed.
+var seededConstructors = map[string]bool{
+	"New":       true,
+	"NewSource": true,
+	"NewZipf":   true,
+}
+
+// source is one nondeterminism origin.
 type source struct {
 	pos    token.Pos
-	what   string // "time.Now", "global math/rand call rand.Intn", …
-	advice string // the fix, mirroring detlint's wording
+	what   string // in a flow: "time.Now", "global math/rand call rand.Intn", …
+	direct string // at the source itself: "time.Now breaks run-to-run determinism", …
+	advice string // the fix
 }
 
 type checker struct {
@@ -75,6 +89,7 @@ func run(pass *analysis.Pass) error {
 		comments: map[*ast.File]map[int]string{},
 		reported: map[string]bool{},
 	}
+	c.reportDirect()
 	for _, n := range c.g.Nodes {
 		if c.collectable(n) {
 			c.sources[n] = c.collect(n)
@@ -101,9 +116,10 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// collectable limits source collection to unrestricted, non-test functions
-// outside the package under analysis: sources inside restricted packages
-// are detlint findings, not flows.
+// collectable limits flow-source collection to unrestricted, non-test
+// functions outside the package under analysis: sources in the package
+// itself are reported directly, and other restricted packages report their
+// own.
 func (c *checker) collectable(n *callgraph.Node) bool {
 	if n.Pkg.Types == c.pass.Pkg || c.pass.IsTestFile(n.Pos()) {
 		return false
@@ -143,24 +159,96 @@ func (c *checker) collect(n *callgraph.Node) []source {
 		if _, ok := x.(*ast.FuncLit); ok {
 			return false // a literal is its own node
 		}
-		rs, ok := x.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		t := n.Pkg.Info.Types[rs.X].Type
-		if t == nil {
-			return true
-		}
-		if _, isMap := t.Underlying().(*types.Map); isMap && !detlint.IsKeyCollection(rs) {
-			out = append(out, source{
-				pos:    rs.Pos(),
-				what:   "nondeterministic iteration over map " + types.ExprString(rs.X),
-				advice: "iterate sorted keys instead",
-			})
+		if rs, ok := x.(*ast.RangeStmt); ok {
+			if s, ok := mapRange(n.Pkg.Info, rs); ok {
+				out = append(out, s)
+			}
 		}
 		return true
 	})
 	return out
+}
+
+// reportDirect reports every source in the non-test files of the package
+// under analysis at its own position.
+func (c *checker) reportDirect() {
+	for _, f := range c.pass.Files {
+		if c.pass.IsTestFile(f.Pos()) {
+			continue
+		}
+		ast.Inspect(f, func(x ast.Node) bool {
+			var s source
+			var ok bool
+			switch x := x.(type) {
+			case *ast.RangeStmt:
+				s, ok = mapRange(c.pass.TypesInfo, x)
+			case *ast.CallExpr:
+				if fn := calleeFunc(c.pass.TypesInfo, x.Fun); fn != nil {
+					s, ok = nondetCall(fn)
+					s.pos = x.Pos()
+				}
+			}
+			if ok && !c.ignored(s.pos) {
+				c.pass.Reportf(s.pos, "%s; %s", s.direct, s.advice)
+			}
+			return true
+		})
+	}
+}
+
+// calleeFunc resolves a called package-level function or method, or nil.
+func calleeFunc(info *types.Info, fun ast.Expr) *types.Func {
+	switch fun := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := info.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
+}
+
+// mapRange classifies a range statement as a source: iteration over a map,
+// minus the key-collection idiom.
+func mapRange(info *types.Info, rs *ast.RangeStmt) (source, bool) {
+	t := info.Types[rs.X].Type
+	if t == nil {
+		return source{}, false
+	}
+	if _, isMap := t.Underlying().(*types.Map); !isMap || isKeyCollection(rs) {
+		return source{}, false
+	}
+	what := "nondeterministic iteration over map " + types.ExprString(rs.X)
+	return source{pos: rs.Pos(), what: what, direct: what, advice: "iterate sorted keys instead"}, true
+}
+
+// isKeyCollection recognises the canonical deterministic-iteration prelude —
+// `for k := range m { keys = append(keys, k) }` — which is order-independent
+// by construction (the keys are sorted before use). The loop must bind only
+// the key and its body must be a single append of that key.
+func isKeyCollection(rs *ast.RangeStmt) bool {
+	if rs.Value != nil || rs.Key == nil || len(rs.Body.List) != 1 {
+		return false
+	}
+	key, ok := rs.Key.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	assign, ok := rs.Body.List[0].(*ast.AssignStmt)
+	if !ok || len(assign.Lhs) != 1 || len(assign.Rhs) != 1 {
+		return false
+	}
+	call, ok := assign.Rhs[0].(*ast.CallExpr)
+	if !ok || len(call.Args) != 2 {
+		return false
+	}
+	fun, ok := call.Fun.(*ast.Ident)
+	if !ok || fun.Name != "append" {
+		return false
+	}
+	arg, ok := call.Args[1].(*ast.Ident)
+	return ok && arg.Name == key.Name
 }
 
 // nondetCall classifies an external callee as a nondeterminism source.
@@ -172,13 +260,15 @@ func nondetCall(fn *types.Func) (source, bool) {
 	switch pkg.Path() {
 	case "time":
 		if fn.Name() == "Now" {
-			return source{what: "time.Now", advice: "inject the clock"}, true
+			return source{what: "time.Now", direct: "time.Now breaks run-to-run determinism",
+				advice: "inject the clock"}, true
 		}
 	case "math/rand", "math/rand/v2":
 		sig, _ := fn.Type().(*types.Signature)
-		if sig != nil && sig.Recv() == nil && !detlint.IsSeededRandConstructor(fn.Name()) {
+		if sig != nil && sig.Recv() == nil && !seededConstructors[fn.Name()] {
 			return source{
 				what:   "global math/rand call " + pkg.Name() + "." + fn.Name(),
+				direct: "global math/rand source is process-seeded",
 				advice: "use rand.New(rand.NewSource(seed))",
 			}, true
 		}
@@ -186,7 +276,7 @@ func nondetCall(fn *types.Func) (source, bool) {
 	return source{}, false
 }
 
-// ignored reports whether an in-package position's line carries a
+// ignored reports whether an in-package position's line is covered by a
 // //detflow:ignore directive.
 func (c *checker) ignored(pos token.Pos) bool {
 	p := c.pass.Fset.Position(pos)

@@ -55,14 +55,13 @@ const (
 )
 
 type checker struct {
-	pass *analysis.Pass
-	ok   map[string]map[int]bool
+	pass       *analysis.Pass
+	suppressed func(token.Pos) bool // covered by //guardcheck:ok
 }
 
 func run(pass *analysis.Pass) error {
-	c := &checker{pass: pass, ok: map[string]map[int]bool{}}
-	c.collectDirectives()
-	c.checkSuppressionReasons()
+	c := &checker{pass: pass, suppressed: analysis.SuppressedBy(pass, "guardcheck:ok")}
+	analysis.CheckReasons(pass, "guardcheck:ok", "why this bare access is safe")
 
 	res := locks.Analyze(pass)
 	for _, d := range res.GuardErrs {
@@ -212,55 +211,4 @@ func (c *checker) report(pos token.Pos, msg string) {
 		return
 	}
 	c.pass.Report(analysis.Diagnostic{Pos: pos, Message: msg})
-}
-
-// isDirective reports whether the comment is the machine-readable form of
-// the directive (prefix match, so prose quoting it does not count).
-func isDirective(text, name string) bool {
-	return strings.HasPrefix(text, "//"+name) || strings.HasPrefix(text, "/*"+name)
-}
-
-// collectDirectives maps the lines carrying //guardcheck:ok in every
-// package file (the comment's own line and the line below).
-func (c *checker) collectDirectives() {
-	for _, f := range c.pass.Files {
-		for _, cg := range f.Comments {
-			for _, cm := range cg.List {
-				if !isDirective(cm.Text, "guardcheck:ok") {
-					continue
-				}
-				p := c.pass.Fset.Position(cm.Pos())
-				m := c.ok[p.Filename]
-				if m == nil {
-					m = map[int]bool{}
-					c.ok[p.Filename] = m
-				}
-				m[p.Line] = true
-				m[p.Line+1] = true
-			}
-		}
-	}
-}
-
-func (c *checker) suppressed(pos token.Pos) bool {
-	p := c.pass.Fset.Position(pos)
-	return c.ok[p.Filename][p.Line]
-}
-
-// checkSuppressionReasons enforces that every //guardcheck:ok carries a
-// reason.
-func (c *checker) checkSuppressionReasons() {
-	for _, f := range c.pass.Files {
-		for _, cg := range f.Comments {
-			for _, cm := range cg.List {
-				if !isDirective(cm.Text, "guardcheck:ok") {
-					continue
-				}
-				reason := strings.TrimSpace(strings.TrimSuffix(cm.Text[2+len("guardcheck:ok"):], "*/"))
-				if reason == "" {
-					c.pass.Reportf(cm.Pos(), "//guardcheck:ok needs a reason (//guardcheck:ok <why this bare access is safe>)")
-				}
-			}
-		}
-	}
 }

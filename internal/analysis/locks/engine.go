@@ -90,6 +90,10 @@ type Result struct {
 	OrderEdges []OrderEdge
 	// Doubles are interprocedural re-acquisitions of an already-held lock.
 	Doubles []Finding
+	// Misuse are in-frame violations on locks a function acquired itself:
+	// a second Lock, an RLock→Lock upgrade, a wrong-flavour unlock, or a
+	// return with the lock still held and no deferred unlock.
+	Misuse []Finding
 	// Blocking are blocking operations performed while holding a lock.
 	Blocking []Finding
 	// Accesses are all tracked field accesses across the closure; report

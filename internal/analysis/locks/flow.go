@@ -12,12 +12,20 @@ import (
 )
 
 // fact is the lock-set dataflow fact: the locks definitely held, the entry
-// locks definitely released, and the pending deferred unlocks.
+// locks definitely released, the pending deferred unlocks, and which held
+// locks this frame acquired itself.
 type fact struct {
 	bottom   bool
 	held     map[LockID]Mode
 	released map[LockID]bool
 	deferred map[LockID]bool
+	// acq maps each held lock that a Lock/RLock statement of this frame
+	// acquired to the receiver expression it was locked through. Only these
+	// are subject to the in-frame checks (re-lock, wrong-flavour unlock,
+	// return while held): the same expression names the same instance,
+	// while a LockID alone conflates every instance of a type. Nil until
+	// the frame's first Lock, as most frames take none.
+	acq map[LockID]string
 }
 
 func newFact(entry map[LockID]Mode) *fact {
@@ -40,6 +48,12 @@ func (f *fact) clone() *fact {
 	for k, v := range f.held {
 		c.held[k] = v
 	}
+	if len(f.acq) > 0 {
+		c.acq = make(map[LockID]string, len(f.acq))
+		for k, v := range f.acq {
+			c.acq[k] = v
+		}
+	}
 	for k := range f.released {
 		c.released[k] = true
 	}
@@ -55,6 +69,7 @@ func (f *fact) applyDeferred() {
 	for id := range f.deferred {
 		if _, ok := f.held[id]; ok {
 			delete(f.held, id)
+			delete(f.acq, id)
 		} else {
 			f.released[id] = true
 		}
@@ -88,6 +103,14 @@ func (l *lockLattice) Join(a, b dataflow.Fact) dataflow.Fact {
 			out.held[id] = minMode(ma, mb)
 		}
 	}
+	for id, xa := range fa.acq {
+		if xb, ok := fb.acq[id]; ok && xa == xb && fa.held[id] == fb.held[id] {
+			if out.acq == nil {
+				out.acq = map[LockID]string{}
+			}
+			out.acq[id] = xa
+		}
+	}
 	for id := range fa.released {
 		if fb.released[id] {
 			out.released[id] = true
@@ -110,8 +133,13 @@ func (l *lockLattice) Equal(a, b dataflow.Fact) bool {
 		return true
 	}
 	if len(fa.held) != len(fb.held) || len(fa.released) != len(fb.released) ||
-		len(fa.deferred) != len(fb.deferred) {
+		len(fa.deferred) != len(fb.deferred) || len(fa.acq) != len(fb.acq) {
 		return false
+	}
+	for id, x := range fa.acq {
+		if fb.acq[id] != x {
+			return false
+		}
 	}
 	for id, m := range fa.held {
 		if fb.held[id] != m {
@@ -158,6 +186,10 @@ type sink struct {
 	onCall func(call *ast.CallExpr, ed *callgraph.Edge, f *fact)
 	// onAccess fires for every tracked struct-field access.
 	onAccess func(a *FieldAccess)
+	// onMisuse fires for in-frame discipline violations on locks this
+	// frame acquired: re-locks, wrong-flavour unlocks, and returns with
+	// the lock still held and no deferred unlock.
+	onMisuse func(pos token.Pos, msg string)
 }
 
 // exec interprets one CFG node, mutating the fact and reporting to the
@@ -187,6 +219,13 @@ func (e *engine) exec(fn *callgraph.Node, node ast.Node, f *fact, s *sink) {
 		case *ast.ReturnStmt:
 			for _, r := range x.Results {
 				e.exec(fn, r, f, s)
+			}
+			if s != nil && s.onMisuse != nil {
+				for _, id := range sortedIDs(f.acq) {
+					if !f.deferred[id] {
+						s.onMisuse(x.Pos(), fmt.Sprintf("return while %s is locked (no deferred unlock)", f.acq[id]))
+					}
+				}
 			}
 			f.applyDeferred()
 			return false
@@ -224,8 +263,14 @@ func (e *engine) exec(fn *callgraph.Node, node ast.Node, f *fact, s *sink) {
 	})
 }
 
-// syncEffect applies one mutex method call.
+// syncEffect applies one mutex method call. A call on the expression that
+// acquired the lock in this frame is checked against the held mode first.
 func (e *engine) syncEffect(call *ast.CallExpr, op syncOp, f *fact, s *sink) {
+	if expr, ok := f.acq[op.id]; ok && expr == op.expr && s != nil && s.onMisuse != nil {
+		if msg := misuse(op, f.held[op.id]); msg != "" {
+			s.onMisuse(call.Pos(), msg)
+		}
+	}
 	switch op.method {
 	case "Lock", "RLock":
 		mode := ModeWrite
@@ -236,15 +281,41 @@ func (e *engine) syncEffect(call *ast.CallExpr, op syncOp, f *fact, s *sink) {
 			s.onAcquire(op.id, mode, call.Pos(), call.Pos(), nil, f)
 		}
 		f.held[op.id] = mode
+		if f.acq == nil {
+			f.acq = map[LockID]string{}
+		}
+		f.acq[op.id] = op.expr
 	case "Unlock", "RUnlock":
+		delete(f.acq, op.id)
 		if _, ok := f.held[op.id]; ok {
 			delete(f.held, op.id)
 		} else {
 			f.released[op.id] = true
 		}
 	case "TryLock", "TryRLock":
-		// May or may not acquire: no definite effect either way.
+		// May or may not acquire: no definite effect on the held set, and
+		// the in-frame state is no longer known.
+		delete(f.acq, op.id)
 	}
+}
+
+// misuse renders the in-frame violation of calling op on a lock this frame
+// holds in mode held, or "" when the call is fine. A second RLock is
+// shareable and allowed.
+func misuse(op syncOp, held Mode) string {
+	switch {
+	case op.method == "Lock" && held == ModeWrite:
+		return fmt.Sprintf("second Lock of %s (already locked)", op.expr)
+	case op.method == "Lock" && held == ModeRead:
+		return fmt.Sprintf("Lock of %s while RLock-ed (upgrade deadlock)", op.expr)
+	case op.method == "RLock" && held == ModeWrite:
+		return fmt.Sprintf("RLock of %s while Lock-ed (self-deadlock)", op.expr)
+	case op.method == "Unlock" && held == ModeRead:
+		return fmt.Sprintf("Unlock of RLock-ed %s (want RUnlock)", op.expr)
+	case op.method == "RUnlock" && held == ModeWrite:
+		return fmt.Sprintf("RUnlock of Lock-ed %s (want Unlock)", op.expr)
+	}
+	return ""
 }
 
 // blockOp reports a local blocking operation (unless it sits in a select
@@ -330,6 +401,7 @@ func (e *engine) callEffect(fn *callgraph.Node, call *ast.CallExpr, ed *callgrap
 		s.onBlock(call.Pos(), blk.pos, blk.desc, blkVia, f)
 	}
 	for id := range rel {
+		delete(f.acq, id)
 		if _, ok := f.held[id]; ok {
 			delete(f.held, id)
 		} else {
@@ -337,6 +409,7 @@ func (e *engine) callEffect(fn *callgraph.Node, call *ast.CallExpr, ed *callgrap
 		}
 	}
 	for id, m := range exit {
+		delete(f.acq, id)
 		f.held[id] = m
 	}
 }

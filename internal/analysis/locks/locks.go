@@ -262,6 +262,7 @@ func isMutexType(t types.Type) bool {
 type syncOp struct {
 	id     LockID
 	method string // Lock, Unlock, RLock, RUnlock, TryLock, TryRLock
+	expr   string // the receiver as written, e.g. "s.mu"
 }
 
 var syncMethods = map[string]bool{
@@ -303,7 +304,7 @@ func syncCall(call *ast.CallExpr, info *types.Info) (syncOp, bool) {
 	if !ok {
 		return syncOp{}, false
 	}
-	return syncOp{id: lockIDOf(fun.X, implicit, info), method: fn.Name()}, true
+	return syncOp{id: lockIDOf(fun.X, implicit, info), method: fn.Name(), expr: types.ExprString(fun.X)}, true
 }
 
 // blockingExternal classifies a standard-library function the engine
@@ -357,7 +358,7 @@ func isChanType(t types.Type) bool {
 // iteration over held/acquired sets.
 func sortedIDs[V any](m map[LockID]V) []LockID {
 	ids := make([]LockID, 0, len(m))
-	for id := range m { //detlint:ignore sorted below
+	for id := range m { // sorted below
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool {

@@ -230,8 +230,8 @@ func heldEq(a, b map[LockID]Mode) bool {
 }
 
 // replayAll runs the final pass over every function with its inferred
-// entry set, collecting order edges, interprocedural double-locks,
-// blocking-under-lock findings, and guarded-field accesses.
+// entry set, collecting order edges, interprocedural double-locks, in-frame
+// misuse, blocking-under-lock findings, and guarded-field accesses.
 func (e *engine) replayAll() {
 	for _, n := range e.g.Nodes {
 		n := n
@@ -247,7 +247,11 @@ func (e *engine) replayAll() {
 							continue // RLock is shareable
 						}
 						if len(via) == 0 || !inRoot {
-							continue // local re-locks are lockcheck's domain
+							// A local re-lock is in-frame misuse (onMisuse) when
+							// this frame took the lock through the same
+							// expression; an entry-held lock is reported at the
+							// caller's call site instead.
+							continue
 						}
 						e.addFinding(&e.result.Doubles, anchor, fmt.Sprintf(
 							"%s is acquired again via %s (%s) while already %s-held; sync mutexes are not re-entrant",
@@ -278,6 +282,11 @@ func (e *engine) replayAll() {
 			onAccess: func(a *FieldAccess) {
 				e.result.Accesses = append(e.result.Accesses, a)
 			},
+		}
+		if inRoot {
+			s.onMisuse = func(pos token.Pos, msg string) {
+				e.addFinding(&e.result.Misuse, pos, msg)
+			}
 		}
 		e.replayNode(n, res, s)
 	}

@@ -18,9 +18,9 @@ import (
 //     function results ("//pandia:unit seconds") and parameters
 //     ("//pandia:unit t1 seconds", "//pandia:unit return seconds");
 //  2. built-in knowledge of standard types (time.Duration is seconds);
-//  3. the identifier-suffix families the old syntactic unitcheck policed
-//     (Bytes, Secs/Seconds, Hz/GHz/MHz, <dim>PerSec), demoted to a seeding
-//     strategy: they apply only where no annotation says otherwise.
+//  3. the identifier-suffix families (Bytes, Secs/Seconds, Hz/GHz/MHz,
+//     <dim>PerSec, bare PerSec), a seeding strategy that applies only
+//     where no annotation says otherwise.
 type seeds struct {
 	fields  map[*types.Var]Unit
 	vars    map[*types.Var]Unit
@@ -255,19 +255,19 @@ func (s *seeds) typeUnit(t types.Type) Unit {
 	}
 }
 
-// suffixUnit is the demoted unitcheck heuristic: derive a unit from the
-// identifier's suffix family when nothing is declared. Longer suffixes win
-// and the suffix must start a camel-case word.
+// suffixUnit derives a unit from the identifier's suffix family when
+// nothing is declared. Longer suffixes win and the suffix must start a
+// camel-case word.
 func suffixUnit(name string) Unit {
 	if rest, ok := cutSuffixWord(name, "PerSec"); ok {
 		// Resolve the numerator recursively: BytesPerSec, InstrPerSec. A
-		// bare PerSec suffix leaves the numerator unknown.
+		// bare PerSec suffix leaves the numerator unknown: a rate.
 		if rest != "" {
 			if n := suffixUnit(rest); n.Known() {
 				return n.Div(Seconds)
 			}
 		}
-		return Unknown
+		return Rate
 	}
 	for _, fam := range []struct {
 		suffix string

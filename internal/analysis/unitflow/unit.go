@@ -8,12 +8,15 @@ import (
 
 // Unit is one point of the unit lattice: a vector of exponents over the
 // three base dimensions the pandia model mixes — seconds, bytes, and
-// instructions — plus two distinguished states:
+// instructions — plus three distinguished states:
 //
 //   - unknown: no information (the lattice bottom for propagation; mixing
 //     with unknown is never reported).
 //   - poly: an untyped/constant value that adapts to any unit (2*x keeps
 //     x's unit; x+1 is fine whatever x is).
+//   - rate: a per-second rate whose numerator is unknown (a bare PerSec
+//     suffix). It adds to other rates — bytes/sec, instructions/sec, other
+//     bare rates — and mixes with everything else known, hertz included.
 //
 // Everything the paper's §3 discipline needs falls out of the exponents:
 // seconds is {sec:1}, bytes/sec is {bytes:1, sec:-1}, hertz is {sec:-1},
@@ -29,6 +32,7 @@ type Unit struct {
 const (
 	stateUnknown uint8 = iota
 	statePoly
+	stateRate
 	stateKnown
 )
 
@@ -43,6 +47,7 @@ var (
 	Hertz        = Unit{state: stateKnown, sec: -1}
 	BytesPerSec  = Unit{state: stateKnown, bytes: 1, sec: -1}
 	InstrPerSec  = Unit{state: stateKnown, instr: 1, sec: -1}
+	Rate         = Unit{state: stateRate}
 )
 
 // Known reports whether the unit carries definite dimension information.
@@ -60,18 +65,18 @@ func (u Unit) SameDim(v Unit) bool {
 }
 
 // AddLike combines operands of +, -, and comparisons: the result unit, and
-// whether the combination definitely mixes dimensions.
+// whether the combination is free of definite dimension mixing.
 func (u Unit) AddLike(v Unit) (Unit, bool) {
+	if u.Mixes(v) {
+		return Unknown, false // conflict: caller reports
+	}
 	switch {
-	case u.state == stateKnown && v.state == stateKnown:
-		if !u.SameDim(v) {
-			return Unknown, false // conflict: caller reports
-		}
-		return u, true
 	case u.state == stateKnown:
-		return u, true // poly/unknown adapts
+		return u, true // rate/poly/unknown adapts
 	case v.state == stateKnown:
 		return v, true
+	case u.state == stateRate || v.state == stateRate:
+		return Rate, true
 	case u.state == statePoly && v.state == statePoly:
 		return Poly, true
 	default:
@@ -79,23 +84,35 @@ func (u Unit) AddLike(v Unit) (Unit, bool) {
 	}
 }
 
-// Mixes reports whether u and v are both known with different dimensions —
-// the only case AddLike treats as a definite unit error.
+// Mixes reports whether u and v definitely have different dimensions: both
+// known and unequal, or a bare rate against a known unit that is no rate.
 func (u Unit) Mixes(v Unit) bool {
-	return u.state == stateKnown && v.state == stateKnown && !u.SameDim(v)
-}
-
-// Mul combines operands of *.
-func (u Unit) Mul(v Unit) Unit {
 	switch {
 	case u.state == stateKnown && v.state == stateKnown:
-		return Unit{state: stateKnown, sec: u.sec + v.sec, bytes: u.bytes + v.bytes, instr: u.instr + v.instr}
-	case u.state == stateKnown && v.state == statePoly:
+		return !u.SameDim(v)
+	case u.state == stateRate && v.state == stateKnown:
+		return !v.isRate()
+	case u.state == stateKnown && v.state == stateRate:
+		return !u.isRate()
+	}
+	return false
+}
+
+// isRate reports whether a known unit is a per-second rate of some
+// quantity (bytes/sec, instructions/sec), the dimensions a bare rate may
+// stand for. Hertz counts nothing per second and is no such rate.
+func (u Unit) isRate() bool { return u.sec == -1 && (u.bytes != 0 || u.instr != 0) }
+
+// Mul combines operands of *. A constant factor keeps the other operand's
+// unit; a bare rate times any dimension has an unknown numerator.
+func (u Unit) Mul(v Unit) Unit {
+	switch {
+	case v.state == statePoly:
 		return u
-	case u.state == statePoly && v.state == stateKnown:
+	case u.state == statePoly:
 		return v
-	case u.state == statePoly && v.state == statePoly:
-		return Poly
+	case u.state == stateKnown && v.state == stateKnown:
+		return Unit{state: stateKnown, sec: u.sec + v.sec, bytes: u.bytes + v.bytes, instr: u.instr + v.instr}
 	default:
 		return Unknown
 	}
@@ -109,7 +126,7 @@ func (u Unit) Inv() Unit {
 	case statePoly:
 		return Poly
 	default:
-		return Unknown
+		return Unknown // includes a bare rate: sec per unknown numerator
 	}
 }
 
@@ -123,6 +140,8 @@ func (u Unit) String() string {
 		return "unknown"
 	case statePoly:
 		return "constant"
+	case stateRate:
+		return "per-second rate"
 	}
 	switch {
 	case u == Ratio:

@@ -4,9 +4,9 @@
 // used ... the exact scale is not significant" (§3) — which makes unit
 // mixing the one numeric bug class the type system cannot catch: adding a
 // byte volume to a duration type-checks fine and silently corrupts every
-// downstream prediction. The older syntactic unitcheck pass polices only
-// identifier suffixes inside a single expression; any value that flows
-// through a local, a struct field, or a function boundary escapes it.
+// downstream prediction. A check of identifier suffixes inside a single
+// expression misses any value that flows through a local, a struct field,
+// or a function boundary.
 //
 // unitflow closes that gap with a dataflow analysis on the CFG of every
 // function: unit tags (seconds, bytes, bytes/sec, instructions, ratio,
@@ -14,8 +14,8 @@
 // assignments, arithmetic, composite literals, returns and calls. Declared
 // sources are //pandia:unit annotations on struct fields, package vars,
 // named types, function results and parameters; built-in knowledge of
-// time.Duration; and the old suffix families (Bytes, Secs, Hz, PerSec),
-// demoted to a seeding strategy. Per-function result summaries are inferred
+// time.Duration; and the identifier-suffix families (Bytes, Secs, Hz,
+// PerSec) as a seeding strategy. Per-function result summaries are inferred
 // on demand across the module-local import closure, giving a cheap
 // interprocedural lift without a whole-program analysis.
 //

@@ -208,13 +208,13 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, c := range r.counters { //detlint:ignore zeroing every entry; order cannot matter
+	for _, c := range r.counters { //detflow:ignore zeroing every entry; order cannot matter
 		c.v.Store(0)
 	}
-	for _, g := range r.gauges { //detlint:ignore zeroing every entry; order cannot matter
+	for _, g := range r.gauges { //detflow:ignore zeroing every entry; order cannot matter
 		g.bits.Store(0)
 	}
-	for _, h := range r.histograms { //detlint:ignore zeroing every entry; order cannot matter
+	for _, h := range r.histograms { //detflow:ignore zeroing every entry; order cannot matter
 		for i := range h.counts {
 			h.counts[i].Store(0)
 		}
@@ -320,13 +320,13 @@ func (r *Registry) Snapshot() *Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := &Snapshot{}
-	for name, c := range r.counters { //detlint:ignore collected then sorted by name below
+	for name, c := range r.counters { //detflow:ignore collected then sorted by name below
 		out.Counters = append(out.Counters, CounterValue{Name: name, Value: c.Value()})
 	}
-	for name, g := range r.gauges { //detlint:ignore collected then sorted by name below
+	for name, g := range r.gauges { //detflow:ignore collected then sorted by name below
 		out.Gauges = append(out.Gauges, GaugeValue{Name: name, Value: g.Value()})
 	}
-	for name, h := range r.histograms { //detlint:ignore collected then sorted by name below
+	for name, h := range r.histograms { //detflow:ignore collected then sorted by name below
 		hv := HistogramValue{
 			Name:   name,
 			Count:  h.Count(),

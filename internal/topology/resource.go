@@ -99,7 +99,7 @@ func (r ResourceID) String() string {
 
 // Less orders resource identifiers by (Kind, Index, Pair), giving map
 // iterations over per-resource tables a deterministic order — the predictor
-// core forbids raw map ranges (see internal/analysis/detlint) because float
+// core forbids raw map ranges (see internal/analysis/detflow) because float
 // accumulation is order-sensitive and golden tests diff outputs exactly.
 func (r ResourceID) Less(o ResourceID) bool {
 	if r.Kind != o.Kind {
