@@ -12,12 +12,10 @@
 
 GO ?= go
 
-# The benchmarks whose trajectory BENCH_core.json tracks. The unanchored
-# BenchmarkPredictSweep also matches BenchmarkPredictSweepWarm (the
-# cache-served sweep); BenchmarkPredictTimeWarm, BenchmarkCacheHit and
-# BenchmarkSweepPruned cover the incremental fast path of DESIGN.md §12;
+# The benchmarks whose trajectory BENCH_core.json tracks.
+# BenchmarkSweepPruned covers the dominance-pruned sweep of DESIGN.md §12;
 # BenchmarkTestbedRun and BenchmarkMeasureAll the simulated testbed (§8).
-BENCH_CORE = BenchmarkFig10Curves|BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkPredictSweep|BenchmarkTestbedRun|BenchmarkMeasureAll$$|BenchmarkEnumeratePlacements|BenchmarkPredictTimeWarm$$|BenchmarkCacheHit$$|BenchmarkSweepPruned$$
+BENCH_CORE = BenchmarkFig10Curves|BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkPredictSweep$$|BenchmarkTestbedRun|BenchmarkMeasureAll$$|BenchmarkEnumeratePlacements|BenchmarkSweepPruned$$
 
 .PHONY: check test vet pandia-vet alloccheck lockcheck fuzz fuzz-smoke scenario-smoke journal-smoke bench bench-smoke bench-gate bench-module build
 
@@ -92,11 +90,12 @@ bench:
 # sensitive micro-benchmarks, parsed but not recorded, so a broken bench or
 # parser fails the gate without paying for a full measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkPredictTimeWarm$$|BenchmarkCacheHit$$|BenchmarkSweepPruned$$|BenchmarkTestbedRun$$' -benchtime 5x -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkSweepPruned$$|BenchmarkTestbedRun$$' -benchtime 5x -benchmem . \
 	  | $(GO) run ./cmd/pandia-benchjson -label smoke -out ''
 
-# bench-gate is the perf/observability overhead gate: the fast paths must
-# stay at 0 allocs/op (exact, the primary regression teeth) and within
+# bench-gate is the perf/observability overhead gate: the PredictTime fast
+# path (BenchmarkPredictorReuse) must stay at 0 allocs/op (exact, the
+# primary regression teeth), and every gated benchmark within
 # BENCH_TOLERANCE ns/op of the recorded "current" run in BENCH_core.json.
 # Refresh the reference with `make bench` after intentional perf changes.
 #
@@ -109,10 +108,8 @@ bench-smoke:
 BENCH_TOLERANCE ?= 0.35
 bench-gate:
 	$(GO) build -o /tmp/pandia-benchjson ./cmd/pandia-benchjson
-	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse' -benchmem -count=5 . \
+	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkSweepPruned$$' -benchmem -count=5 . \
 	  | /tmp/pandia-benchjson -gate current -gate-tolerance $(BENCH_TOLERANCE) -zero-alloc BenchmarkPredictorReuse -out BENCH_core.json
-	$(GO) test -run '^$$' -bench 'BenchmarkPredictTimeWarm$$|BenchmarkCacheHit$$|BenchmarkSweepPruned$$' -benchmem -count=5 . \
-	  | /tmp/pandia-benchjson -gate current -gate-tolerance $(BENCH_TOLERANCE) -zero-alloc BenchmarkPredictTimeWarm,BenchmarkCacheHit -out BENCH_core.json
 
 # scenario-smoke is the replay-determinism gate: every bundled scenario in
 # scenarios/ must pass its assertions and two separate replay processes

@@ -61,13 +61,19 @@ func entriesNamed(b *testing.B, names ...string) []bench.Entry {
 }
 
 // BenchmarkFig01MDCurve regenerates Fig. 1: MD's measured-vs-predicted
-// placement curve on the X5-2.
+// placement curve on the X5-2. CurveWith re-predicts the curve every
+// iteration (CurveFor would serve the harness's memoized one); the profile
+// and the measurements are memoized.
 func BenchmarkFig01MDCurve(b *testing.B) {
 	h := harnessFor(b, "x5-2")
 	e := entriesNamed(b, "MD")[0]
+	prof, err := h.Profile(e)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var med float64
 	for i := 0; i < b.N; i++ {
-		c, err := h.CurveFor(e)
+		c, err := h.CurveWith(e, &prof.Workload, prof.Cost)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,15 +83,23 @@ func BenchmarkFig01MDCurve(b *testing.B) {
 }
 
 // BenchmarkFig10Curves regenerates a representative slice of Fig. 10 (one
-// workload per suite) on the X5-2.
+// workload per suite) on the X5-2, predicting each curve cold as
+// BenchmarkFig01MDCurve does.
 func BenchmarkFig10Curves(b *testing.B) {
 	h := harnessFor(b, "x5-2")
 	entries := entriesNamed(b, "CG", "Swim", "NPO", "PageRank")
+	profs := make([]*workload.Profile, len(entries))
+	for i, e := range entries {
+		var err error
+		if profs[i], err = h.Profile(e); err != nil {
+			b.Fatal(err)
+		}
+	}
 	var med float64
 	for i := 0; i < b.N; i++ {
 		var meds []float64
-		for _, e := range entries {
-			c, err := h.CurveFor(e)
+		for j, e := range entries {
+			c, err := h.CurveWith(e, &profs[j].Workload, profs[j].Cost)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -408,99 +422,6 @@ func BenchmarkPredictSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.PredictSweep(h.MD, &prof.Workload, places, core.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(places)), "placements")
-}
-
-// BenchmarkPredictTimeWarm measures the warm fast path: a pooled Predictor
-// with the canonical prediction cache attached re-predicting a placement it
-// has already solved, so every iteration is a cache hit (DESIGN.md §12).
-// The allocation report should read 0 allocs/op.
-func BenchmarkPredictTimeWarm(b *testing.B) {
-	h := harnessFor(b, "x5-2")
-	e := entriesNamed(b, "CG")[0]
-	prof, err := h.Profile(e)
-	if err != nil {
-		b.Fatal(err)
-	}
-	place, err := placement.Spread(h.TB.Machine(), h.TB.Machine().TotalContexts())
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := core.NewPredictor(h.MD, &prof.Workload, core.Options{Cache: core.NewPredictionCache(0)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := p.PredictTime(place); err != nil { // populate the cache
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.PredictTime(place); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCacheHit measures steady-state cache-hit throughput across a
-// whole placement set: the cache is populated by one cold sweep, then every
-// lookup hits. Key derivation (the canonical content hash) dominates, so
-// this bounds what a fully warmed sweep costs per placement.
-func BenchmarkCacheHit(b *testing.B) {
-	h := harnessFor(b, "x5-2")
-	e := entriesNamed(b, "CG")[0]
-	prof, err := h.Profile(e)
-	if err != nil {
-		b.Fatal(err)
-	}
-	places := h.Placements()
-	cache := core.NewPredictionCache(0)
-	p, err := core.NewPredictor(h.MD, &prof.Workload, core.Options{Cache: cache})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, place := range places { // populate the cache
-		if _, err := p.PredictTime(place); err != nil {
-			b.Fatal(err)
-		}
-	}
-	before := cache.Stats()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.PredictTime(places[i%len(places)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	after := cache.Stats()
-	timed := core.CacheStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}
-	b.ReportMetric(100*timed.HitRate(), "hit-rate-%")
-}
-
-// BenchmarkPredictSweepWarm measures a full fast-path sweep served from a
-// populated prediction cache — the steady state of repeated Recommend or
-// eval sweeps over the same workload. This is the sweep-throughput number
-// the cache layer buys (every hit bit-identical to the cold solve).
-func BenchmarkPredictSweepWarm(b *testing.B) {
-	h := harnessFor(b, "x5-2")
-	e := entriesNamed(b, "CG")[0]
-	prof, err := h.Profile(e)
-	if err != nil {
-		b.Fatal(err)
-	}
-	places := h.Placements()
-	opt := core.Options{Cache: core.NewPredictionCache(0)}
-	if _, err := core.PredictSweep(h.MD, &prof.Workload, places, opt); err != nil { // populate the cache
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.PredictSweep(h.MD, &prof.Workload, places, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,7 +14,7 @@
 //	best        §6.1 table: best-predicted vs best-measured placements
 //	sweep       §6.3 table: packed/spread sweep baseline comparison
 //	noise       robustness: fault-injected profiling, naive vs hardened
-//	throughput  prediction throughput: batched full-zoo sweeps, X5-2
+//	throughput  prediction throughput: a full-zoo sweep and a pruned sweep, X5-2
 //	convergence solver iterations-to-convergence histograms, X5-2
 //
 // With -trace <dir>, one representative solve per workload is additionally
@@ -374,52 +374,38 @@ func noise(hc harnessCache, entries []bench.Entry) error {
 	return f.Close()
 }
 
-// throughput measures batched prediction throughput on the X5-2: repeated
-// full-zoo PredictAll sweeps over every enumerated placement, reported as
-// placements predicted per second, with the prediction cache's hit rate
-// (round 1 is all misses, later rounds all hits) and a pruned-sweep pass
-// reporting how much of the space the dominance bound skips. Timing lives
-// here rather than in internal/eval because wall-clock reads are confined
-// to cmd/ (detflow).
+// throughput measures batched prediction throughput on the X5-2: one
+// full-zoo PredictAll sweep over every enumerated placement, reported as
+// placements predicted per second, and a pruned-sweep pass reporting how
+// much of the space the dominance bound skips. Timing lives here rather
+// than in internal/eval because wall-clock reads are confined to cmd/
+// (detflow).
 func throughput(hc harnessCache, entries []bench.Entry) error {
 	h, err := hc.get("x5-2")
 	if err != nil {
 		return err
 	}
-	const rounds = 3
 	var preds int
-	cacheBefore := h.Cache().Stats()
 	start := time.Now()
-	for r := 0; r < rounds; r++ {
-		for _, e := range entries {
-			prof, err := h.Profile(e)
-			if err != nil {
-				return err
-			}
-			ps, err := h.PredictAll(&prof.Workload)
-			if err != nil {
-				return err
-			}
-			preds += len(ps)
+	for _, e := range entries {
+		prof, err := h.Profile(e)
+		if err != nil {
+			return err
 		}
+		ps, err := h.PredictAll(&prof.Workload)
+		if err != nil {
+			return err
+		}
+		preds += len(ps)
 	}
 	elapsed := time.Since(start)
 	perSec := float64(preds) / elapsed.Seconds()
-	after := h.Cache().Stats()
-	delta := core.CacheStats{
-		Hits:      after.Hits - cacheBefore.Hits,
-		Misses:    after.Misses - cacheBefore.Misses,
-		Evictions: after.Evictions - cacheBefore.Evictions,
-	}
-	fmt.Printf("%d predictions (%d workloads x %d placements x %d rounds) in %v: %.0f placements/s\n",
-		preds, len(entries), len(h.Placements()), rounds,
+	fmt.Printf("%d predictions (%d workloads x %d placements) in %v: %.0f placements/s\n",
+		preds, len(entries), len(h.Placements()),
 		elapsed.Round(time.Millisecond), perSec)
-	fmt.Printf("cache: %d hits / %d misses (hit-rate %.1f%%), %d evictions\n",
-		delta.Hits, delta.Misses, 100*delta.HitRate(), delta.Evictions)
 
 	// Pruned sweep: the Recommend-style search (frac 0.95) over the same
-	// placement set, on a cold cache so pruning is measured rather than
-	// hidden behind hits.
+	// placement set.
 	var sweep core.SweepStats
 	prunedStart := time.Now()
 	for _, e := range entries {

@@ -10,7 +10,7 @@
 //   - Loader: parses and type-checks packages of this module (and GOPATH-style
 //     fixture trees for tests), resolving standard-library imports through
 //     go/importer's source importer.
-//   - LineComments / IsTestFile helpers shared by the individual passes.
+//   - SuppressedBy / IsTestFile helpers shared by the individual passes.
 //
 // The pandia predictor's correctness rests on properties the Go compiler
 // cannot see — consistent counter units (§3 of the paper), a deterministic
@@ -72,23 +72,6 @@ func (p *Pass) IsTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
-// LineComments maps every source line that carries a comment to the comment
-// text, so passes can honour line-level suppression directives such as
-// //nanguard:ok. A comment always covers its own line. A comment with
-// nothing but whitespace before it on its line also covers the following
-// line, matching how directives are written either trailing the statement
-// or on the line above it; a trailing comment never reaches the next line.
-func LineComments(fset *token.FileSet, f *ast.File) map[int]string {
-	out := make(map[int]string)
-	eachComment(fset, f, func(string) bool { return true }, func(line int, text string, alone bool) {
-		out[line] += text
-		if alone {
-			out[line+1] += text
-		}
-	})
-	return out
-}
-
 // IsDirective reports whether the comment is the machine-readable form of
 // the named directive: the name directly follows the comment opener, as in
 // //deadlockcheck:ok or /*alloccheck:ok reason*/. Prose that merely quotes a
@@ -97,18 +80,69 @@ func IsDirective(text, name string) bool {
 	return strings.HasPrefix(text, "//"+name) || strings.HasPrefix(text, "/*"+name)
 }
 
-// DirectiveLines returns the lines of f covered by the named directive,
-// under LineComments' rule: its own line, plus the next one when the
-// directive stands alone on its line.
+// DirectiveLines returns the lines of f covered by the named directive
+// (see IsDirective), so passes can honour line-level suppressions such as
+// //nanguard:ok. A directive always covers its own line. One with nothing
+// but whitespace before it on its line also covers the following line,
+// matching how directives are written either trailing the statement or on
+// the line above it; a trailing directive never reaches the next line.
 func DirectiveLines(fset *token.FileSet, f *ast.File, name string) map[int]bool {
+	tf := fset.File(f.Pos())
+	// firstCode holds, for each line with a directive, the position of the
+	// first code token on it. Node starts and node ends (closing brackets)
+	// both count.
+	firstCode := make(map[int]token.Pos)
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			if IsDirective(c.Text, name) {
+				firstCode[tf.Line(c.Pos())] = token.NoPos
+			}
+		}
+	}
 	out := make(map[int]bool)
-	eachComment(fset, f, func(text string) bool { return IsDirective(text, name) },
-		func(line int, _ string, alone bool) {
+	if len(firstCode) == 0 {
+		return out
+	}
+	lines := make([]int, 0, len(firstCode))
+	for line := range firstCode {
+		lines = append(lines, line)
+	}
+	sort.Ints(lines)
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.CommentGroup, *ast.Comment:
+			return false
+		}
+		start, end := n.Pos(), n.End()-1
+		if !start.IsValid() || !end.IsValid() {
+			return true
+		}
+		// A node spanning no directive line has no token on one, and
+		// neither have its children.
+		first, last := tf.Line(start), tf.Line(end)
+		if i := sort.SearchInts(lines, first); i == len(lines) || lines[i] > last {
+			return false
+		}
+		for _, p := range [2]token.Pos{start, end} {
+			line := tf.Line(p)
+			if fc, ok := firstCode[line]; ok && (fc == token.NoPos || p < fc) {
+				firstCode[line] = p
+			}
+		}
+		return true
+	})
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			if !IsDirective(c.Text, name) {
+				continue
+			}
+			line := tf.Line(c.Pos())
 			out[line] = true
-			if alone {
+			if first := firstCode[line]; first == token.NoPos || first > c.Pos() {
 				out[line+1] = true
 			}
-		})
+		}
+	}
 	return out
 }
 
@@ -139,65 +173,6 @@ func CheckReasons(pass *Pass, name, why string) {
 					pass.Reportf(c.Pos(), "//%s needs a reason (//%s <%s>)", name, name, why)
 				}
 			}
-		}
-	}
-}
-
-// eachComment calls mark for every comment of f whose text keep accepts,
-// with its line and whether it stands alone on that line (nothing but
-// whitespace before it).
-func eachComment(fset *token.FileSet, f *ast.File, keep func(string) bool, mark func(line int, text string, alone bool)) {
-	tf := fset.File(f.Pos())
-	// firstCode holds, for each line with a kept comment, the position of
-	// the first code token on it. Node starts and node ends (closing
-	// brackets) both count.
-	firstCode := make(map[int]token.Pos)
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if keep(c.Text) {
-				firstCode[tf.Line(c.Pos())] = token.NoPos
-			}
-		}
-	}
-	if len(firstCode) == 0 {
-		return
-	}
-	lines := make([]int, 0, len(firstCode))
-	for line := range firstCode {
-		lines = append(lines, line)
-	}
-	sort.Ints(lines)
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n.(type) {
-		case nil, *ast.CommentGroup, *ast.Comment:
-			return false
-		}
-		start, end := n.Pos(), n.End()-1
-		if !start.IsValid() || !end.IsValid() {
-			return true
-		}
-		// A node spanning no commented line has no token on one, and
-		// neither have its children.
-		first, last := tf.Line(start), tf.Line(end)
-		if i := sort.SearchInts(lines, first); i == len(lines) || lines[i] > last {
-			return false
-		}
-		for _, p := range [2]token.Pos{start, end} {
-			line := tf.Line(p)
-			if fc, ok := firstCode[line]; ok && (fc == token.NoPos || p < fc) {
-				firstCode[line] = p
-			}
-		}
-		return true
-	})
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if !keep(c.Text) {
-				continue
-			}
-			line := tf.Line(c.Pos())
-			first := firstCode[line]
-			mark(line, c.Text, first == token.NoPos || first > c.Pos())
 		}
 	}
 }

@@ -8,8 +8,9 @@ import (
 	"testing"
 )
 
-// TestLineComments pins which lines a comment covers: its own line always,
-// the next line only when nothing but whitespace precedes it.
+// TestLineComments pins which lines DirectiveLines reports a directive
+// comment as covering: its own line always, the next line only when nothing
+// but whitespace precedes it, and none for prose that quotes the directive.
 func TestLineComments(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -22,6 +23,7 @@ func TestLineComments(t *testing.T) {
 		{"trailing an opening brace", "package p\n\nfunc f(m map[int]int) {\n\tfor range m { //x\n\t\tfor range m {\n\t\t}\n\t}\n}\n", []int{4}},
 		{"trailing closing brackets", "package p\n\nvar v = []int{\n\t1,\n} //x\nvar w = 2\n", []int{5}},
 		{"block comment before code", "package p\n\n/*x*/ var a = 1\nvar b = 2\n", []int{3, 4}},
+		{"prose quoting the directive", "package p\n\nvar a = 1 // not an x directive\n// see //x\nvar b = 2\n", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fset := token.NewFileSet()
@@ -30,10 +32,8 @@ func TestLineComments(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got []int
-			for line, text := range LineComments(fset, f) {
-				if text != "" {
-					got = append(got, line)
-				}
+			for line := range DirectiveLines(fset, f, "x") {
+				got = append(got, line)
 			}
 			sort.Ints(got)
 			if !reflect.DeepEqual(got, tc.want) {

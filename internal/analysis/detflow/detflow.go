@@ -77,8 +77,10 @@ type checker struct {
 	g        *callgraph.Graph
 	sources  map[*callgraph.Node][]source
 	tainted  map[*callgraph.Node]bool
-	comments map[*ast.File]map[int]string
 	reported map[string]bool
+	// ignored reports whether an in-package position's line is covered by
+	// a //detflow:ignore directive.
+	ignored func(token.Pos) bool
 }
 
 func run(pass *analysis.Pass) error {
@@ -86,8 +88,8 @@ func run(pass *analysis.Pass) error {
 		pass:     pass,
 		g:        callgraph.Build(pass),
 		sources:  map[*callgraph.Node][]source{},
-		comments: map[*ast.File]map[int]string{},
 		reported: map[string]bool{},
+		ignored:  analysis.SuppressedBy(pass, "detflow:ignore"),
 	}
 	c.reportDirect()
 	for _, n := range c.g.Nodes {
@@ -274,25 +276,6 @@ func nondetCall(fn *types.Func) (source, bool) {
 		}
 	}
 	return source{}, false
-}
-
-// ignored reports whether an in-package position's line is covered by a
-// //detflow:ignore directive.
-func (c *checker) ignored(pos token.Pos) bool {
-	p := c.pass.Fset.Position(pos)
-	for _, f := range c.pass.Files {
-		fp := c.pass.Fset.Position(f.Pos())
-		if fp.Filename != p.Filename {
-			continue
-		}
-		m, ok := c.comments[f]
-		if !ok {
-			m = analysis.LineComments(c.pass.Fset, f)
-			c.comments[f] = m
-		}
-		return strings.Contains(m[p.Line], "detflow:ignore")
-	}
-	return false
 }
 
 // reportEntry walks the unrestricted closure reachable from one entry and

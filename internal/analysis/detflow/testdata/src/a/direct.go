@@ -69,3 +69,13 @@ func goodSeededRand(seed int64, xs []float64) float64 {
 	}
 	return sum
 }
+
+// proseSuppression: a comment that only quotes the directive suppresses
+// nothing.
+func proseSuppression(present map[int]bool) int {
+	n := 0
+	for range present { // not a detflow:ignore directive // want `nondeterministic iteration over map present`
+		n++
+	}
+	return n
+}

@@ -40,17 +40,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	c := &checker{pass: pass, suppress: make(map[string]map[int]bool)}
-	for _, f := range pass.Files {
-		lines := analysis.LineComments(pass.Fset, f)
-		m := make(map[int]bool)
-		for line, text := range lines {
-			if strings.Contains(text, "leakcheck:ok") {
-				m[line] = true
-			}
-		}
-		c.suppress[pass.Fset.Position(f.Pos()).Filename] = m
-	}
+	c := &checker{pass: pass, suppressed: analysis.SuppressedBy(pass, "leakcheck:ok")}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			gs, ok := n.(*ast.GoStmt)
@@ -69,16 +59,12 @@ func run(pass *analysis.Pass) error {
 }
 
 type checker struct {
-	pass     *analysis.Pass
-	suppress map[string]map[int]bool
+	pass       *analysis.Pass
+	suppressed func(token.Pos) bool
 }
 
 func (c *checker) report(pos token.Pos, format string, args ...any) {
-	p := c.pass.Fset.Position(pos)
-	if m, ok := c.suppress[p.Filename]; ok && m[p.Line] {
-		return
-	}
-	if c.pass.IsTestFile(pos) {
+	if c.suppressed(pos) || c.pass.IsTestFile(pos) {
 		return
 	}
 	c.pass.Reportf(pos, format, args...)

@@ -92,3 +92,13 @@ func suppressed(ch chan int) {
 func namedCallee(f func()) {
 	go f() // not analysed: body unknown, covered by the runtime leaktest helper
 }
+
+// proseSuppression: a comment that only quotes the directive suppresses
+// nothing.
+func proseSuppression(ch chan int) {
+	go func() {
+		for {
+			ch <- 1 // not a leakcheck:ok directive // want `goroutine may leak: channel send inside a loop`
+		}
+	}()
+}

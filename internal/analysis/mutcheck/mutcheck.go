@@ -59,8 +59,8 @@ func isProtected(obj *types.TypeName) bool {
 func run(pass *analysis.Pass) error {
 	// The defining package may mutate its own types.
 	ownPath := pass.Pkg.Path()
+	suppressed := analysis.SuppressedBy(pass, "mutcheck:ok")
 	for _, f := range pass.Files {
-		comments := analysis.LineComments(pass.Fset, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			var lhs []ast.Expr
 			switch n := n.(type) {
@@ -71,7 +71,7 @@ func run(pass *analysis.Pass) error {
 			default:
 				return true
 			}
-			if strings.Contains(comments[pass.Fset.Position(n.Pos()).Line], "mutcheck:ok") {
+			if suppressed(n.Pos()) {
 				return true
 			}
 			for _, e := range lhs {

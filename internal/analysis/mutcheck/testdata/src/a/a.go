@@ -56,3 +56,9 @@ func goodAnnotatedBuilder() placement.Placement {
 	p[1] = placement.Context{Socket: 1} //mutcheck:ok freshly allocated above
 	return p
 }
+
+// proseSuppression: a comment that only quotes the directive suppresses
+// nothing.
+func proseSuppression(p placement.Placement) {
+	p[0] = placement.Context{} // not a mutcheck:ok directive // want `write to p\[0\] mutates shared read-only placement\.Placement`
+}

@@ -19,7 +19,6 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"pandia/internal/analysis"
 )
@@ -73,16 +72,16 @@ func (g guards) invalidate(name string) {
 }
 
 type checker struct {
-	pass     *analysis.Pass
-	comments map[int]string
+	pass       *analysis.Pass
+	suppressed func(token.Pos) bool
 }
 
 func run(pass *analysis.Pass) error {
+	c := &checker{pass: pass, suppressed: analysis.SuppressedBy(pass, "nanguard:ok")}
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f.Pos()) {
 			continue
 		}
-		c := &checker{pass: pass, comments: analysis.LineComments(pass.Fset, f)}
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 				c.walkBlock(fd.Body.List, guards{})
@@ -90,10 +89,6 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	return nil
-}
-
-func (c *checker) suppressed(pos token.Pos) bool {
-	return strings.Contains(c.comments[c.pass.Fset.Position(pos).Line], "nanguard:ok")
 }
 
 // walkBlock processes statements in order, threading the guard set: guards

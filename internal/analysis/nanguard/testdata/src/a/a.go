@@ -80,3 +80,9 @@ func goodDoubleInversion(s []float64, n int) float64 {
 	}
 	return 1 / invSum
 }
+
+// proseSuppression: a comment that only quotes the directive suppresses
+// nothing.
+func proseSuppression(a, b float64) float64 {
+	return a / b // not a nanguard:ok directive // want `possibly zero denominator b`
+}

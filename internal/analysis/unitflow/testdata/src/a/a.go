@@ -148,3 +148,9 @@ func methodValue(s Sample) float64 {
 	f := s.Rate
 	return f()
 }
+
+// proseSuppression: a comment that only quotes the directive suppresses
+// nothing.
+func proseSuppression(s Sample) float64 {
+	return s.DRAM + s.Elapsed // not a unitflow:ok directive // want `unit mismatch: s\.DRAM \(bytes\) \+ s\.Elapsed \(seconds\)`
+}

@@ -36,7 +36,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"pandia/internal/analysis"
 	"pandia/internal/analysis/dataflow"
@@ -52,20 +51,10 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) error {
 	a := &analyzer{
-		pass:     pass,
-		seeds:    collect(pass),
-		sumMemo:  make(map[*types.Func]Unit),
-		suppress: make(map[string]map[int]bool),
-	}
-	for _, f := range pass.Files {
-		lines := analysis.LineComments(pass.Fset, f)
-		m := make(map[int]bool)
-		for line, text := range lines {
-			if strings.Contains(text, "unitflow:ok") {
-				m[line] = true
-			}
-		}
-		a.suppress[pass.Fset.Position(f.Pos()).Filename] = m
+		pass:       pass,
+		seeds:      collect(pass),
+		sumMemo:    make(map[*types.Func]Unit),
+		suppressed: analysis.SuppressedBy(pass, "unitflow:ok"),
 	}
 	for _, b := range a.seeds.badAnnots {
 		a.report(b.pos, "bad //pandia:unit annotation: %s", b.msg)
@@ -81,18 +70,14 @@ func run(pass *analysis.Pass) error {
 }
 
 type analyzer struct {
-	pass     *analysis.Pass
-	seeds    *seeds
-	sumMemo  map[*types.Func]Unit
-	suppress map[string]map[int]bool
+	pass       *analysis.Pass
+	seeds      *seeds
+	sumMemo    map[*types.Func]Unit
+	suppressed func(token.Pos) bool
 }
 
 func (a *analyzer) report(pos token.Pos, format string, args ...any) {
-	p := a.pass.Fset.Position(pos)
-	if m, ok := a.suppress[p.Filename]; ok && m[p.Line] {
-		return
-	}
-	if a.pass.IsTestFile(pos) {
+	if a.suppressed(pos) || a.pass.IsTestFile(pos) {
 		return
 	}
 	a.pass.Reportf(pos, format, args...)

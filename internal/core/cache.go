@@ -9,12 +9,12 @@ import (
 	"pandia/internal/placement"
 )
 
-// This file is the canonical prediction cache (DESIGN.md §12): an fnv64a
-// content hash over (machine description, workload identity, placement,
-// Options, cache epoch) mapping to previously computed predictions. A served
-// entry is the exact value an earlier solve produced, so cache hits are
-// bit-identical to cold solves by construction — the property the Fig10
-// goldens and the scenario-corpus byte-identity gate pin.
+// This file is the canonical joint-prediction cache (DESIGN.md §12): an
+// fnv64a content hash over (machine description, every job's workload and
+// placement, Options, cache epoch) mapping to previously computed joint
+// predictions. A served entry is the exact value an earlier solve produced,
+// so cache hits are bit-identical to cold solves by construction — the
+// property the scenario-corpus byte-identity gate pins.
 //
 // Invalidation is two-layered. Every key hashes the full *content* of the
 // machine description and the workload, so mutating either simply stops the
@@ -110,10 +110,10 @@ func (h *canonHash) machine(md *machine.Description) {
 }
 
 // options folds in every Options field that changes a prediction's value.
-// Tracer, Cache, and SpanID are deliberately excluded: none affects the
-// computed numbers, only how (and how fast) they are produced and how the
-// trace events are labelled — folding SpanID in would fragment the cache
-// per scheduler decision and destroy the hit rate.
+// Tracer and SpanID are deliberately excluded: neither affects the computed
+// numbers, only how the trace events are recorded and labelled — folding
+// SpanID in would fragment the cache per scheduler decision and destroy the
+// hit rate.
 func (h *canonHash) options(o Options) {
 	h.int(o.MaxIterations)
 	h.int(o.DampenAfter)
@@ -141,112 +141,6 @@ type CacheStats struct {
 	Hits, Misses, Evictions int64
 }
 
-// HitRate is Hits over lookups, 0 when nothing was looked up.
-func (s CacheStats) HitRate() float64 {
-	if total := s.Hits + s.Misses; total > 0 {
-		return float64(s.Hits) / float64(total)
-	}
-	return 0
-}
-
-// timeEntry is one cached fast-path prediction with its verifier digest.
-type timeEntry struct {
-	verify uint64
-	pred   TimePrediction
-}
-
-// PredictionCache memoizes fast-path TimePredictions under the canonical
-// hash. It is safe for concurrent use (sweep workers share one), and a
-// steady-state hit performs no heap allocation, so a Predictor with a cache
-// attached keeps the //pandia:noalloc property of PredictTime.
-//
-// Capacity is bounded: when the table reaches capacity the whole table is
-// dropped (counted in Stats().Evictions). Wholesale replacement instead of
-// per-entry LRU keeps the hot path free of bookkeeping and — deliberately —
-// free of map iteration, which detflow bans in this package.
-type PredictionCache struct {
-	mu       sync.RWMutex
-	m        map[uint64]timeEntry
-	capacity int
-
-	epoch                   atomic.Uint64
-	hits, misses, evictions atomic.Int64
-}
-
-// DefaultPredictionCacheSize bounds a PredictionCache built with capacity
-// <= 0: large enough for a full placement enumeration of every zoo workload
-// under two option sets, small enough to stay a few megabytes.
-const DefaultPredictionCacheSize = 1 << 17
-
-// NewPredictionCache builds an empty cache holding at most capacity entries
-// (<= 0 selects DefaultPredictionCacheSize).
-func NewPredictionCache(capacity int) *PredictionCache {
-	if capacity <= 0 {
-		capacity = DefaultPredictionCacheSize
-	}
-	return &PredictionCache{m: make(map[uint64]timeEntry), capacity: capacity}
-}
-
-// Invalidate bumps the cache epoch — every key derived before the call can
-// no longer match — and drops the stored entries.
-func (c *PredictionCache) Invalidate() {
-	c.epoch.Add(1)
-	c.mu.Lock()
-	n := int64(len(c.m))
-	c.m = make(map[uint64]timeEntry)
-	c.mu.Unlock()
-	c.evictions.Add(n)
-	metCacheEvictions.Add(n)
-}
-
-// Stats returns the cache's lifetime hit/miss/eviction counts.
-func (c *PredictionCache) Stats() CacheStats {
-	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-	}
-}
-
-// Len returns the current entry count (for tests and capacity tuning).
-func (c *PredictionCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
-}
-
-// lookup serves a stored prediction when both digests match.
-//
-//pandia:noalloc
-func (c *PredictionCache) lookup(key, verify uint64) (TimePrediction, bool) {
-	c.mu.RLock()
-	e, ok := c.m[key]
-	c.mu.RUnlock()
-	if !ok || e.verify != verify {
-		c.misses.Add(1)
-		metCacheMisses.Inc()
-		return TimePrediction{}, false
-	}
-	c.hits.Add(1)
-	metCacheHits.Inc()
-	return e.pred, true
-}
-
-// store records a freshly computed prediction. It runs only on the miss
-// path, which already paid for a full solve, so its allocations (map insert,
-// capacity reset) never touch the steady-state hit path.
-func (c *PredictionCache) store(key, verify uint64, pred TimePrediction) {
-	c.mu.Lock()
-	if len(c.m) >= c.capacity {
-		n := int64(len(c.m))
-		c.m = make(map[uint64]timeEntry, c.capacity/4) //alloccheck:ok capacity reset is the bounded-memory cold path
-		c.evictions.Add(n)
-		metCacheEvictions.Add(n)
-	}
-	c.m[key] = timeEntry{verify: verify, pred: pred} //alloccheck:ok map insert runs only on the miss path
-	c.mu.Unlock()
-}
-
 // coEntry is one cached joint prediction with its verifier digest.
 type coEntry struct {
 	verify uint64
@@ -262,8 +156,7 @@ type coEntry struct {
 // A hit returns the *same* *CoPrediction an earlier solve produced; callers
 // must treat it as immutable. (The scheduler already does: predictions are
 // only read after assembly.) Joint predictions carry per-thread vectors and
-// a load map, so the default capacity is much smaller than the fast-path
-// cache's.
+// a load map, so the default capacity is kept small.
 type CoCache struct {
 	mu       sync.RWMutex
 	m        map[uint64]coEntry

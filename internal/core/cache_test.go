@@ -4,170 +4,133 @@ import (
 	"testing"
 
 	"pandia/internal/placement"
+	"pandia/internal/topology"
 )
 
-// TestPredictTimeCachedBitIdentical checks the canonical cache is invisible
-// to results: a cached predictor's outputs — on misses and on hits — are
-// bit-for-bit the cold predictor's outputs.
-func TestPredictTimeCachedBitIdentical(t *testing.T) {
-	md := quickMachine()
-	w := quickWorkload(80, 120, 60, 200, 180, 90, 140)
-	cold, err := NewPredictor(md, w, Options{})
-	if err != nil {
-		t.Fatal(err)
+// quickMix is a two-job co-schedule on quickMachine: the first job on
+// socket 0, the second on socket 1.
+func quickMix() []PlacedWorkload {
+	var a, b placement.Placement
+	for core := 0; core < 4; core++ {
+		a = append(a, topology.Context{Socket: 0, Core: core})
+		b = append(b, topology.Context{Socket: 1, Core: core}, topology.Context{Socket: 1, Core: core, Slot: 1})
 	}
-	cache := NewPredictionCache(0)
-	warm, err := NewPredictor(md, w, Options{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := uint16(0); seed < 64; seed++ {
-		place := quickPlacement(md.Topo, seed, uint8(seed*7))
-		want, err := cold.PredictTime(place)
-		if err != nil {
-			t.Fatal(err)
-		}
-		miss, err := warm.PredictTime(place) // first call: miss, fresh solve
-		if err != nil {
-			t.Fatal(err)
-		}
-		hit, err := warm.PredictTime(place) // second call: served from cache
-		if err != nil {
-			t.Fatal(err)
-		}
-		if miss != want || hit != want {
-			t.Fatalf("seed %d: cold=%+v miss=%+v hit=%+v", seed, want, miss, hit)
-		}
-	}
-	st := cache.Stats()
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("cache never exercised both paths: %+v", st)
+	return []PlacedWorkload{
+		{Workload: quickWorkload(40, 90, 130, 255, 170, 60, 100), Placement: a},
+		{Workload: quickWorkload(120, 30, 200, 90, 250, 10, 60), Placement: b},
 	}
 }
 
-// TestPredictionCacheMachineMutation mutates the machine description in
-// place after populating the cache. The content hash covers the machine, so
-// the stale entry must not be served: the next prediction has to match a
-// fresh cold solve against the mutated description.
-func TestPredictionCacheMachineMutation(t *testing.T) {
+// TestCoCacheKeyMutation mutates the machine description and a workload in
+// place after storing an entry. The key hashes their full content, so the
+// stale entry can no longer be looked up, while re-deriving the key of the
+// unchanged inputs still hits.
+func TestCoCacheKeyMutation(t *testing.T) {
 	md := quickMachine()
-	w := quickWorkload(40, 90, 130, 255, 170, 60, 100)
-	cache := NewPredictionCache(0)
-	p, err := NewPredictor(md, w, Options{Cache: cache})
+	placed := quickMix()
+	c := NewCoCache(0)
+	co, err := PredictCoSchedule(md, placed, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	place := quickPlacement(md.Topo, 17, 11)
-	before, err := p.PredictTime(place)
-	if err != nil {
-		t.Fatal(err)
+	key, verify := c.Key(md, placed, Options{})
+	c.Store(key, verify, co)
+	if k, v := c.Key(md, placed, Options{}); k != key || v != verify {
+		t.Fatal("key of unchanged inputs is not stable")
+	}
+	if got, ok := c.Lookup(key, verify); !ok || got != co {
+		t.Fatalf("stored entry not served: ok=%v", ok)
 	}
 
-	md.DRAMBW /= 50 // in-place mutation, no Invalidate call; makes DRAM the binding resource
+	md.DRAMBW /= 50 // in-place mutation, no Invalidate call
+	mk, mv := c.Key(md, placed, Options{})
+	if mk == key || mv == verify {
+		t.Fatal("machine mutation left the key unchanged")
+	}
+	if _, ok := c.Lookup(mk, mv); ok {
+		t.Fatal("stale entry served after machine mutation")
+	}
+	md.DRAMBW *= 50
 
-	after, err := p.PredictTime(place)
-	if err != nil {
-		t.Fatal(err)
+	placed[1].Workload.ParallelFrac /= 2
+	wk, wv := c.Key(md, placed, Options{})
+	if wk == key || wv == verify {
+		t.Fatal("workload mutation left the key unchanged")
 	}
-	freshMD := quickMachine()
-	freshMD.DRAMBW /= 50
-	fresh, err := NewPredictor(freshMD, w, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.PredictTime(place)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after != want {
-		t.Fatalf("stale entry served after mutation: got %+v, want %+v", after, want)
-	}
-	if after == before {
-		t.Fatal("mutation had no effect; test is vacuous")
+	if _, ok := c.Lookup(wk, wv); ok {
+		t.Fatal("stale entry served after workload mutation")
 	}
 }
 
-// TestPredictionCacheInvalidate checks the epoch bump: entries stored before
-// Invalidate can never be served afterwards, even for identical inputs.
-func TestPredictionCacheInvalidate(t *testing.T) {
+// TestCoCacheInvalidate checks the epoch bump: an entry stored before
+// Invalidate can never be served afterwards, under its old key or under the
+// key of identical inputs, and the dropped entry counts as an eviction.
+func TestCoCacheInvalidate(t *testing.T) {
 	md := quickMachine()
-	w := quickWorkload(70, 70, 70, 70, 70, 70, 70)
-	cache := NewPredictionCache(0)
-	p, err := NewPredictor(md, w, Options{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	place := quickPlacement(md.Topo, 3, 9)
-	if _, err := p.PredictTime(place); err != nil {
-		t.Fatal(err)
-	}
-	if cache.Len() != 1 {
-		t.Fatalf("Len = %d after one store", cache.Len())
-	}
+	placed := quickMix()
+	c := NewCoCache(0)
+	key, verify := c.Key(md, placed, Options{})
+	c.Store(key, verify, &CoPrediction{})
 
-	cache.Invalidate()
+	c.Invalidate()
 
-	if cache.Len() != 0 {
-		t.Fatalf("Len = %d after Invalidate", cache.Len())
+	misses := c.Stats().Misses
+	if _, ok := c.Lookup(key, verify); ok {
+		t.Fatal("pre-invalidate key served after Invalidate")
 	}
-	misses := cache.Stats().Misses
-	if _, err := p.PredictTime(place); err != nil {
-		t.Fatal(err)
+	nk, nv := c.Key(md, placed, Options{})
+	if nk == key {
+		t.Fatal("Invalidate left the key of identical inputs unchanged")
 	}
-	if got := cache.Stats().Misses; got != misses+1 {
-		t.Fatalf("post-invalidate lookup was not a miss: misses %d -> %d", misses, got)
+	if _, ok := c.Lookup(nk, nv); ok {
+		t.Fatal("post-invalidate lookup hit")
 	}
-	if ev := cache.Stats().Evictions; ev != 1 {
-		t.Fatalf("Evictions = %d, want 1", ev)
+	st := c.Stats()
+	if st.Misses != misses+2 || st.Hits != 0 {
+		t.Fatalf("post-invalidate lookups were not misses: %+v (misses before %d)", st, misses)
+	}
+	if st.Evictions != 1 {
+		t.Fatalf("Evictions = %d, want 1", st.Evictions)
 	}
 }
 
-// TestPredictionCacheEviction drives a tiny-capacity cache past its bound
-// and checks the wholesale replacement fires and is counted.
-func TestPredictionCacheEviction(t *testing.T) {
+// TestCoCacheEviction fills a capacity-4 cache and stores one more entry:
+// the table is dropped wholesale, so only the newest entry is served and
+// all four older ones count as evictions.
+func TestCoCacheEviction(t *testing.T) {
 	md := quickMachine()
-	w := quickWorkload(120, 30, 200, 90, 250, 10, 60)
-	cache := NewPredictionCache(4)
-	p, err := NewPredictor(md, w, Options{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
+	c := NewCoCache(4)
+	type entry struct{ key, verify uint64 }
+	var stored []entry
+	for seed := uint16(0); seed < 5; seed++ {
+		placed := quickMix()
+		placed[1].Placement = placed[1].Placement[:1+seed]
+		k, v := c.Key(md, placed, Options{})
+		c.Store(k, v, &CoPrediction{})
+		stored = append(stored, entry{k, v})
 	}
-	for seed := uint16(0); seed < 32; seed++ {
-		if _, err := p.PredictTime(quickPlacement(md.Topo, seed, uint8(seed))); err != nil {
-			t.Fatal(err)
+	if st := c.Stats(); st.Evictions != 4 {
+		t.Fatalf("Evictions = %d after 5 stores into capacity 4, want 4", st.Evictions)
+	}
+	for i, e := range stored {
+		_, ok := c.Lookup(e.key, e.verify)
+		if want := i == len(stored)-1; ok != want {
+			t.Errorf("entry %d served = %v, want %v", i, ok, want)
 		}
 	}
-	if st := cache.Stats(); st.Evictions == 0 {
-		t.Fatalf("no evictions after 32 inserts into capacity 4: %+v", st)
-	}
-	if cache.Len() > 4 {
-		t.Fatalf("Len = %d exceeds capacity 4", cache.Len())
-	}
 }
 
-// TestPredictTimeWarmZeroAllocs pins the zero-allocation property of the
-// cached hit path at runtime (alloccheck proves it statically).
-func TestPredictTimeWarmZeroAllocs(t *testing.T) {
-	if invariantChecks.Load() {
-		t.Skip("invariant-check mode routes through the allocating full path")
-	}
+// TestCoCacheJobOrder checks that permuting the jobs of one mix gives a
+// distinct key: the joint solver's accumulation is order-sensitive, so the
+// two orders are different solves.
+func TestCoCacheJobOrder(t *testing.T) {
 	md := quickMachine()
-	w := quickWorkload(90, 140, 50, 180, 200, 40, 110)
-	p, err := NewPredictor(md, w, Options{Cache: NewPredictionCache(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	place := quickPlacement(md.Topo, 29, 13)
-	if _, err := p.PredictTime(place); err != nil { // populate
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := p.PredictTime(place); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm PredictTime allocates %.1f times per op, want 0", allocs)
+	placed := quickMix()
+	c := NewCoCache(0)
+	k1, v1 := c.Key(md, placed, Options{})
+	k2, v2 := c.Key(md, []PlacedWorkload{placed[1], placed[0]}, Options{})
+	if k1 == k2 || v1 == v2 {
+		t.Fatalf("permuted mix shares a digest: keys %x/%x, verifiers %x/%x", k1, k2, v1, v2)
 	}
 }
 

@@ -266,7 +266,7 @@ func TestSweepMetricsConcurrent(t *testing.T) {
 	}
 	reg := obs.Default()
 	base := reg.Snapshot()
-	got, err := predictSweepN(md, w, places, Options{}, 4)
+	got, _, err := predictSweepN(md, w, places, Options{}, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,15 +43,6 @@ type Options struct {
 	// converge. Degraded results carry Degraded=true plus the reasons.
 	AllowDegraded bool
 
-	// Cache, when non-nil, memoizes PredictTime results under the canonical
-	// content hash of (machine, workload, placement, options) — see
-	// DESIGN.md §12. A hit returns the exact value an earlier solve
-	// produced, so cached predictions are bit-identical to cold solves; the
-	// steady-state hit path performs no heap allocations. The cache is
-	// ignored while the runtime invariant checks are enabled (that mode
-	// deliberately re-runs the full pipeline every call).
-	Cache *PredictionCache
-
 	// SinglePass stops after the first iteration (ablation).
 	SinglePass bool
 	// DisableBurstiness drops the core-sharing term (ablation).

@@ -145,12 +145,6 @@ type TimePrediction struct {
 // allocations. When the runtime invariant checks are enabled it routes
 // through the full path so the checks see a complete prediction.
 //
-// With Options.Cache attached, the solve is memoized under the canonical
-// content hash (DESIGN.md §12): a hit returns the exact previously computed
-// value — bit-identical to the cold solve — without binding or iterating,
-// and still without allocating. The machine and workload content is hashed
-// on every call, so mutating either can never serve a stale entry.
-//
 // The zero-allocation property is proven statically by alloccheck (and
 // pinned at runtime by TestPredictTimeZeroAllocs and the bench-gate):
 //
@@ -169,42 +163,6 @@ func (p *Predictor) PredictTime(place placement.Placement) (TimePrediction, erro
 			Degraded:   pred.Degraded,
 		}, nil
 	}
-	c := p.opt.Cache
-	if c == nil {
-		return p.predictTimeCold(place)
-	}
-	key, verify := p.cacheKey(place)
-	if tp, ok := c.lookup(key, verify); ok {
-		return tp, nil
-	}
-	tp, err := p.predictTimeCold(place)
-	if err != nil {
-		return TimePrediction{}, err
-	}
-	c.store(key, verify, tp) //alloccheck:ok the store runs only on the miss path, which already paid for a full solve
-	return tp, nil
-}
-
-// cacheKey derives the canonical cache key and verifier digest for one
-// placement: cache epoch, full machine and workload content, the options
-// fingerprint, and the placement's contexts.
-//
-//pandia:noalloc
-func (p *Predictor) cacheKey(place placement.Placement) (uint64, uint64) {
-	h := newCanonHash()
-	h.word(p.opt.Cache.epoch.Load())
-	h.machine(p.md)
-	h.workload(p.w)
-	h.options(p.opt)
-	h.placement(place)
-	return h.key, h.verify
-}
-
-// predictTimeCold is the uncached fast path: bind, iterate, read the
-// speedup.
-//
-//pandia:noalloc
-func (p *Predictor) predictTimeCold(place placement.Placement) (TimePrediction, error) {
 	p.pw[0] = PlacedWorkload{Workload: p.w, Placement: place}
 	if err := p.e.bind(p.pw[:], false); err != nil {
 		return TimePrediction{}, err
@@ -258,113 +216,18 @@ func SweepWorkers(n int) int {
 // Each worker owns a pooled Predictor, claims chunks of the index space from
 // an atomic counter, and writes results into its own slots, so the output is
 // deterministic regardless of scheduling. The first error stops the sweep.
+// It runs the pruned sweep's loop with frac 0, under which no placement is
+// ever pruned.
 func PredictSweep(md *machine.Description, w *Workload, places []placement.Placement, opt Options) ([]TimePrediction, error) {
-	return predictSweepN(md, w, places, opt, SweepWorkers(len(places)))
-}
-
-// predictSweepN is PredictSweep with an explicit worker count, so tests can
-// force parallel execution on single-CPU machines.
-func predictSweepN(md *machine.Description, w *Workload, places []placement.Placement, opt Options, workers int) ([]TimePrediction, error) {
-	out := make([]TimePrediction, len(places))
-	if len(places) == 0 {
-		return out, nil
-	}
-	if workers <= 1 {
-		p, err := NewPredictor(md, w, opt)
-		if err != nil {
-			return nil, err
-		}
-		for i, place := range places {
-			tp, err := p.PredictTime(place)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = tp
-		}
-		metSweepPreds.Add(int64(len(places)))
-		metSweepPerWkr.Observe(float64(len(places)))
-		return out, nil
-	}
-
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	fail := func(err error) {
-		stop.Store(true)
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p, err := NewPredictor(md, w, opt)
-			if err != nil {
-				fail(err)
-				return
-			}
-			done, err := sweepChunks(p, places, out, &next, &stop)
-			// Sweep metrics accumulate in the worker-local counter and flush
-			// once at exit: one atomic per chunk claim, two per worker
-			// lifetime, nothing per prediction.
-			metSweepPreds.Add(done)
-			metSweepPerWkr.Observe(float64(done))
-			if err != nil {
-				fail(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
-// sweepChunks is one sweep worker's claim loop: it claims chunks of the
-// index space from the shared counter and predicts each placement with the
-// fast path, writing into the worker's own output slots. It returns the
-// number of predictions completed. Factored out of the goroutine literal so
-// the per-prediction loop is a named, statically provable function.
-//
-//pandia:noalloc
-func sweepChunks(p *Predictor, places []placement.Placement, out []TimePrediction, next *atomic.Int64, stop *atomic.Bool) (int64, error) {
-	var done int64
-	for !stop.Load() {
-		lo := int(next.Add(sweepChunk)) - sweepChunk
-		if lo >= len(places) {
-			break
-		}
-		metSweepChunks.Inc()
-		hi := lo + sweepChunk
-		if hi > len(places) {
-			hi = len(places)
-		}
-		for i := lo; i < hi; i++ {
-			tp, err := p.PredictTime(places[i])
-			if err != nil {
-				return done, err
-			}
-			out[i] = tp
-			done++
-		}
-	}
-	return done, nil
+	out, _, err := predictSweepN(md, w, places, opt, 0, SweepWorkers(len(places)))
+	return out, err
 }
 
 // SweepStats reports a pruned sweep's work split: Evaluated placements were
-// solved (or served from the cache), Pruned placements were skipped because
-// their Amdahl dominance bound could not reach the incumbent (DESIGN.md
-// §12). In a parallel sweep the split depends on how fast the incumbent
-// rises across workers, so the counts can vary run-to-run; the sweep's
-// selected results never do.
+// solved, Pruned placements were skipped because their Amdahl dominance
+// bound could not reach the incumbent (DESIGN.md §12). In a parallel sweep
+// the split depends on how fast the incumbent rises across workers, so the
+// counts can vary run-to-run; the sweep's selected results never do.
 type SweepStats struct {
 	Evaluated, Pruned int64
 }
@@ -387,64 +250,62 @@ func (s SweepStats) PruneRate() float64 {
 //
 // The sweep first solves the placement with the highest Amdahl bound (the
 // lowest index on ties) to seed the incumbent, then sweeps the rest in
-// parallel. frac outside (0, 1] is clamped to 1 — prune only what cannot
-// beat the incumbent at all.
+// parallel. frac outside (0, 1], NaN included, is clamped to 1 — prune only
+// what cannot beat the incumbent at all.
 func PredictSweepPruned(md *machine.Description, w *Workload, places []placement.Placement, opt Options, frac float64) ([]TimePrediction, SweepStats, error) {
-	out := make([]TimePrediction, len(places))
-	var stats SweepStats
-	if len(places) == 0 {
-		return out, stats, nil
-	}
-	if frac <= 0 || frac > 1 {
+	if !(frac > 0 && frac <= 1) {
 		frac = 1
 	}
 	if err := w.Validate(); err != nil {
-		return nil, stats, err
+		return nil, SweepStats{}, err
 	}
+	return predictSweepN(md, w, places, opt, frac, SweepWorkers(len(places)))
+}
 
-	// Seed: the highest-bound placement is never prunable, so solving it
-	// first gives every other placement a strong incumbent to beat.
-	seed := 0
-	seedBound := w.AmdahlSpeedup(len(places[0]))
-	for i := 1; i < len(places); i++ {
-		if b := w.AmdahlSpeedup(len(places[i])); b > seedBound {
-			seed, seedBound = i, b
-		}
+// predictSweepN is the sweep behind PredictSweep (frac 0) and
+// PredictSweepPruned, with an explicit worker count (at least 1) so tests
+// can force parallel execution on single-CPU machines. It solves the seed
+// placement on the calling goroutine, then runs that many claim loops, the
+// first on the seed's Predictor.
+func predictSweepN(md *machine.Description, w *Workload, places []placement.Placement, opt Options, frac float64, workers int) ([]TimePrediction, SweepStats, error) {
+	out := make([]TimePrediction, len(places))
+	if len(places) == 0 {
+		return out, SweepStats{}, nil
 	}
 	p, err := NewPredictor(md, w, opt)
 	if err != nil {
-		return nil, stats, err
+		return nil, SweepStats{}, err
+	}
+
+	// Seed: the highest-bound placement is never prunable, so solving it
+	// first gives every other placement a strong incumbent to beat. Bounds
+	// come from the predictor's workload, which is the repaired copy under
+	// AllowDegraded.
+	pw := p.Workload()
+	seed := 0
+	seedBound := pw.AmdahlSpeedup(len(places[0]))
+	for i := 1; i < len(places); i++ {
+		if b := pw.AmdahlSpeedup(len(places[i])); b > seedBound {
+			seed, seedBound = i, b
+		}
 	}
 	tp, err := p.PredictTime(places[seed])
 	if err != nil {
-		return nil, stats, err
+		return nil, SweepStats{}, err
 	}
 	out[seed] = tp
-	stats.Evaluated++
 	metSweepPreds.Inc()
 	var best atomic.Uint64
 	best.Store(math.Float64bits(tp.Speedup))
 
 	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-		eval     atomic.Int64
-		pruned   atomic.Int64
+		next              atomic.Int64
+		stop              atomic.Bool
+		evaluated, pruned atomic.Int64
+		mu                sync.Mutex
+		firstErr          error
+		wg                sync.WaitGroup
 	)
-	workers := SweepWorkers(len(places))
-	if workers <= 1 {
-		done, skipped, err := sweepChunksPruned(p, places, out, seed, frac, &best, &next, &stop)
-		stats.Evaluated += done
-		stats.Pruned += skipped
-		metSweepPreds.Add(done)
-		metSweepPruned.Add(skipped)
-		metSweepPerWkr.Observe(float64(done + 1))
-		return out, stats, err
-	}
-
 	fail := func(err error) {
 		stop.Store(true)
 		mu.Lock()
@@ -457,21 +318,24 @@ func PredictSweepPruned(md *machine.Description, w *Workload, places []placement
 		wg.Add(1)
 		go func(first bool) {
 			defer wg.Done()
-			wp := p
+			wp, seeded := p, int64(1)
 			if !first {
 				var err error
-				wp, err = NewPredictor(md, w, opt)
-				if err != nil {
+				if wp, err = NewPredictor(md, w, opt); err != nil {
 					fail(err)
 					return
 				}
+				seeded = 0
 			}
-			done, skipped, err := sweepChunksPruned(wp, places, out, seed, frac, &best, &next, &stop)
-			eval.Add(done)
+			done, skipped, err := sweepChunks(wp, places, out, seed, frac, &best, &next, &stop)
+			// Sweep metrics accumulate in the worker-local counters and
+			// flush once at exit: one atomic per chunk claim, a few per
+			// worker lifetime, nothing per prediction.
+			evaluated.Add(done)
 			pruned.Add(skipped)
 			metSweepPreds.Add(done)
 			metSweepPruned.Add(skipped)
-			metSweepPerWkr.Observe(float64(done))
+			metSweepPerWkr.Observe(float64(done + seeded))
 			if err != nil {
 				fail(err)
 			}
@@ -479,21 +343,20 @@ func PredictSweepPruned(md *machine.Description, w *Workload, places []placement
 	}
 	wg.Wait()
 	if firstErr != nil {
-		return nil, stats, firstErr
+		return nil, SweepStats{}, firstErr
 	}
-	stats.Evaluated += eval.Load()
-	stats.Pruned += pruned.Load()
-	return out, stats, nil
+	return out, SweepStats{Evaluated: evaluated.Load() + 1, Pruned: pruned.Load()}, nil
 }
 
-// sweepChunksPruned is one pruned-sweep worker's claim loop: each claimed
-// placement is either skipped under the dominance bound (Amdahl bound below
-// frac of the incumbent) or predicted on the fast path, raising the
-// incumbent. The seed index was solved before the workers started and is
-// skipped here.
+// sweepChunks is one sweep worker's claim loop: it claims chunks of the
+// index space from the shared counter, and each claimed placement is either
+// skipped under the dominance bound (Amdahl bound below frac of the
+// incumbent) or predicted on the fast path into the worker's own output
+// slot, raising the incumbent. The seed index was solved before the workers
+// started and is skipped here. With frac 0 the bound never prunes.
 //
 //pandia:noalloc
-func sweepChunksPruned(p *Predictor, places []placement.Placement, out []TimePrediction, seed int, frac float64, best *atomic.Uint64, next *atomic.Int64, stop *atomic.Bool) (done, pruned int64, err error) {
+func sweepChunks(p *Predictor, places []placement.Placement, out []TimePrediction, seed int, frac float64, best *atomic.Uint64, next *atomic.Int64, stop *atomic.Bool) (done, pruned int64, err error) {
 	for !stop.Load() {
 		lo := int(next.Add(sweepChunk)) - sweepChunk
 		if lo >= len(places) {

@@ -201,7 +201,7 @@ func TestPredictSweepMatchesSequential(t *testing.T) {
 	if len(places) < 8 {
 		t.Fatalf("toy machine enumerates only %d shapes", len(places))
 	}
-	got, err := predictSweepN(md, w, places, Options{}, 4)
+	got, _, err := predictSweepN(md, w, places, Options{}, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,13 +219,55 @@ func TestPredictSweepMatchesSequential(t *testing.T) {
 		}
 	}
 	// The exported entry point must agree regardless of worker count.
-	one, err := predictSweepN(md, w, places, Options{}, 1)
+	one, _, err := predictSweepN(md, w, places, Options{}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range one {
 		if one[i] != got[i] {
 			t.Fatalf("worker counts disagree at %d: %+v vs %+v", i, one[i], got[i])
+		}
+	}
+}
+
+// TestPredictSweepNeverPrunes checks that the full sweep, which runs the
+// pruned sweep's loop at frac 0, solves every slot — on a placement set where
+// the frac-1 bound does prune — and that its results do not depend on the
+// worker count.
+func TestPredictSweepNeverPrunes(t *testing.T) {
+	md := quickMachine()
+	w := quickWorkload(100, 80, 160, 120, 220, 70, 150)
+	var pls []placement.Placement
+	for seed := uint16(0); seed < 200; seed++ {
+		pls = append(pls, quickPlacement(md.Topo, seed, uint8(seed*3)))
+	}
+	if _, st, err := PredictSweepPruned(md, w, pls, Options{}, 1); err != nil {
+		t.Fatal(err)
+	} else if st.Pruned == 0 {
+		t.Fatal("frac-1 sweep pruned nothing; test is vacuous")
+	}
+	full, err := PredictSweep(md, w, pls, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, st1, err := predictSweepN(md, w, pls, Options{}, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, st4, err := predictSweepN(md, w, pls, Options{}, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := SweepStats{Evaluated: int64(len(pls))}
+	if st1 != want || st4 != want {
+		t.Fatalf("stats = %+v (1 worker), %+v (4 workers), want %+v", st1, st4, want)
+	}
+	for i := range pls {
+		if full[i].Pruned {
+			t.Fatalf("PredictSweep marked placement %d pruned", i)
+		}
+		if one[i] != four[i] || full[i] != one[i] {
+			t.Fatalf("placement %d: 1 worker %+v, 4 workers %+v, PredictSweep %+v", i, one[i], four[i], full[i])
 		}
 	}
 }
@@ -240,7 +282,7 @@ func TestPredictSweepError(t *testing.T) {
 		places[i] = workedExamplePlacement()
 	}
 	places[37] = placement.Placement{{Socket: 7, Core: 0, Slot: 0}}
-	if _, err := predictSweepN(md, w, places, Options{}, 4); err == nil {
+	if _, _, err := predictSweepN(md, w, places, Options{}, 0, 4); err == nil {
 		t.Fatal("expected an error from the invalid placement")
 	} else if want := "placement: context s7/c0/t0 not on machine " + md.Topo.Name; err.Error() != want {
 		t.Errorf("error = %q, want %q", err, want)

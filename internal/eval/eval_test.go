@@ -8,6 +8,7 @@ import (
 
 	"pandia/internal/analysis/leaktest"
 	"pandia/internal/bench"
+	"pandia/internal/obs"
 )
 
 func TestNormalize(t *testing.T) {
@@ -261,6 +262,43 @@ func TestFourSocketClasses(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "CG") {
 		t.Error("four-socket rendering incomplete")
+	}
+}
+
+// TestCurveForMemoized checks the per-workload curve memo: a second
+// CurveFor returns the first call's curve without sweeping, while CurveWith
+// with the same description still predicts every placement.
+func TestCurveForMemoized(t *testing.T) {
+	h := x32Harness(t)
+	e, _ := bench.ByName("EP")
+	sweeps := func() int64 { return obs.Default().Snapshot().Counter("core.sweep.predictions") }
+	first, err := h.CurveFor(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sweeps()
+	second, err := h.CurveFor(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := sweeps() - before; d != 0 {
+		t.Errorf("second CurveFor swept %d placements, want 0", d)
+	}
+	if second != first {
+		t.Error("second CurveFor returned a different curve")
+	}
+	before = sweeps()
+	with, err := h.CurveWith(e, &first.Description, first.ProfileCost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := sweeps() - before; d != int64(len(h.Shapes)) {
+		t.Errorf("CurveWith swept %d placements, want %d", d, len(h.Shapes))
+	}
+	for i := range with.Predicted {
+		if with.Predicted[i] != first.Predicted[i] {
+			t.Fatalf("placement %d: CurveWith %v, CurveFor %v", i, with.Predicted[i], first.Predicted[i])
+		}
 	}
 }
 

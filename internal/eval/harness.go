@@ -20,8 +20,8 @@ import (
 
 // Harness binds one simulated machine to everything the experiments need:
 // its measured description, the canonical placement set under evaluation,
-// and caches of profiles and measured run times. It is safe for concurrent
-// use.
+// and caches of profiles, measured run times and placement curves. It is
+// safe for concurrent use.
 type Harness struct {
 	// Key is the machine's model code ("x5-2", ...).
 	Key string
@@ -41,17 +41,13 @@ type Harness struct {
 	// and the ablation loops from re-deriving the same placements per sweep.
 	places []placement.Placement
 
-	// cache memoizes fast-path predictions across sweeps (DESIGN.md §12).
-	// Hits are bit-identical to cold solves, so every experiment's numbers
-	// are unchanged; repeated sweeps of the same description (throughput
-	// rounds, Fig10 re-evaluation) skip the solver.
-	cache *core.PredictionCache
-
 	mu sync.Mutex
 	//pandia:guardedby(mu)
 	profiles map[string]*workload.Profile
 	//pandia:guardedby(mu)
 	measured map[string][]float64 // workload name -> times aligned with Shapes
+	//pandia:guardedby(mu)
+	curves map[string]*Curve // workload name -> CurveFor's curve
 }
 
 // DefaultMaxPlacements mirrors the paper's coverage: exhaustive on the
@@ -105,15 +101,11 @@ func NewHarness(key string, maxPlacements int, seed int64) (*Harness, error) {
 	return &Harness{
 		Key: key, TB: tb, MD: md, Shapes: shapes, Seed: seed,
 		places:   places,
-		cache:    core.NewPredictionCache(0),
 		profiles: make(map[string]*workload.Profile),
 		measured: make(map[string][]float64),
+		curves:   make(map[string]*Curve),
 	}, nil
 }
-
-// Cache returns the harness's shared prediction cache (for stats reporting
-// and cache-sensitive experiments).
-func (h *Harness) Cache() *core.PredictionCache { return h.cache }
 
 // Placements returns the expanded placement of every evaluation shape,
 // aligned with Shapes. The slice and the placements it holds are shared and
@@ -194,7 +186,7 @@ func (h *Harness) storeMeasurement(name string, times []float64) {
 // experiments), returning times aligned with h.Shapes. The sweep runs on
 // the fast prediction path with per-worker pooled predictors.
 func (h *Harness) PredictAll(w *core.Workload) ([]float64, error) {
-	preds, err := core.PredictSweep(h.MD, w, h.places, core.Options{Cache: h.cache})
+	preds, err := core.PredictSweep(h.MD, w, h.places, core.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("eval: predicting %s on %s: %w", w.Name, h.Key, err)
 	}
@@ -210,7 +202,7 @@ func (h *Harness) PredictAll(w *core.Workload) ([]float64, error) {
 // back to the Amdahl-only model instead of failing the whole sweep. It
 // additionally returns how many of the predictions were degraded.
 func (h *Harness) PredictAllDegraded(w *core.Workload) ([]float64, int, error) {
-	preds, err := core.PredictSweep(h.MD, w, h.places, core.Options{AllowDegraded: true, Cache: h.cache})
+	preds, err := core.PredictSweep(h.MD, w, h.places, core.Options{AllowDegraded: true})
 	if err != nil {
 		return nil, 0, fmt.Errorf("eval: degraded prediction of %s on %s: %w", w.Name, h.Key, err)
 	}
@@ -240,17 +232,41 @@ type Curve struct {
 }
 
 // CurveFor profiles the workload on this machine and evaluates the full
-// placement curve.
+// placement curve. The curve is cached per workload and shared between
+// callers, which must not modify it.
 func (h *Harness) CurveFor(e bench.Entry) (*Curve, error) {
+	if c, ok := h.cachedCurve(e.Name); ok {
+		return c, nil
+	}
 	prof, err := h.Profile(e)
 	if err != nil {
 		return nil, err
 	}
-	return h.CurveWith(e, &prof.Workload, prof.Cost)
+	c, err := h.CurveWith(e, &prof.Workload, prof.Cost)
+	if err != nil {
+		return nil, err
+	}
+	h.storeCurve(e.Name, c)
+	return c, nil
+}
+
+// cachedCurve fetches a cached curve under the lock.
+func (h *Harness) cachedCurve(name string) (*Curve, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	c, ok := h.curves[name]
+	return c, ok
+}
+
+func (h *Harness) storeCurve(name string, c *Curve) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.curves[name] = c
 }
 
 // CurveWith evaluates the placement curve using an externally supplied
-// workload description (the portability experiments of Fig. 11c-d).
+// workload description (the portability experiments of Fig. 11c-d). Unlike
+// CurveFor it predicts afresh on every call.
 func (h *Harness) CurveWith(e bench.Entry, w *core.Workload, profileCost float64) (*Curve, error) {
 	meas, err := h.MeasureAll(e)
 	if err != nil {

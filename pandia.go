@@ -75,11 +75,6 @@ type (
 	// TimePrediction is the fast path's value-typed result: time and
 	// speedup without the per-thread detail vectors.
 	TimePrediction = core.TimePrediction
-	// PredictionCache memoizes fast-path predictions under a canonical
-	// content hash; hits are bit-identical to cold solves (DESIGN.md §12).
-	PredictionCache = core.PredictionCache
-	// CacheStats is a prediction cache's hit/miss/eviction traffic.
-	CacheStats = core.CacheStats
 	// SweepStats is a pruned sweep's evaluated/pruned split.
 	SweepStats = core.SweepStats
 )
@@ -111,10 +106,6 @@ func BenchmarkByName(name string) (Benchmark, error) { return bench.ByName(name)
 type System struct {
 	tb *simhw.Testbed
 	md *machine.Description
-	// cache memoizes fast-path predictions across Recommend calls (and any
-	// sweep the caller routes through it). Keys hash the full machine and
-	// workload content, so hits are always bit-identical to cold solves.
-	cache *core.PredictionCache
 }
 
 // NewSystem builds a system for one of the preset machine models
@@ -149,17 +140,8 @@ func NewSystemFromTruth(truth simhw.MachineTruth) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{tb: tb, md: md, cache: core.NewPredictionCache(0)}, nil
+	return &System{tb: tb, md: md}, nil
 }
-
-// PredictionCacheStats reports the system prediction cache's lifetime
-// traffic.
-func (s *System) PredictionCacheStats() CacheStats { return s.cache.Stats() }
-
-// InvalidatePredictions drops every cached prediction. It is never needed
-// for correctness — the canonical keys stop matching as soon as the machine
-// description or a workload is mutated — but reclaims the memory in bulk.
-func (s *System) InvalidatePredictions() { s.cache.Invalidate() }
 
 // Machine returns the system's topology.
 func (s *System) Machine() Machine { return s.tb.Machine() }
@@ -260,8 +242,11 @@ type Recommendation struct {
 // Recommend searches the canonical placement space (sampled to at most
 // 4000 shapes on large machines) for the fastest predicted placement and
 // the minimal placement achieving targetFraction of its performance.
-// targetFraction 0 defaults to 0.95.
+// targetFraction 0 defaults to 0.95; a non-finite one is an error.
 func (s *System) Recommend(w *WorkloadDescription, targetFraction float64) (*Recommendation, error) {
+	if math.IsNaN(targetFraction) || math.IsInf(targetFraction, 0) {
+		return nil, fmt.Errorf("pandia: target fraction %g is not finite", targetFraction)
+	}
 	if targetFraction <= 0 {
 		targetFraction = 0.95
 	}
@@ -271,17 +256,17 @@ func (s *System) Recommend(w *WorkloadDescription, targetFraction float64) (*Rec
 	shapes := s.Shapes(4000)
 	topo := s.tb.Machine()
 
-	// Sweep on the fast path (speedups only) through the system prediction
-	// cache, pruning placements whose Amdahl bound cannot reach
-	// targetFraction of the incumbent best, then run the full-detail
-	// prediction just for the two winning shapes. PredictTime's Speedup is
-	// bit-identical to Predict's and pruned placements provably miss both
-	// the argmax and the target cut, so the selection is unchanged.
+	// Sweep on the fast path (speedups only), pruning placements whose
+	// Amdahl bound cannot reach targetFraction of the incumbent best, then
+	// run the full-detail prediction just for the two winning shapes.
+	// PredictTime's Speedup is bit-identical to Predict's and pruned
+	// placements provably miss both the argmax and the target cut, so the
+	// selection is unchanged.
 	places := make([]Placement, len(shapes))
 	for i, shape := range shapes {
 		places[i] = shape.Expand(topo)
 	}
-	times, sweep, err := core.PredictSweepPruned(s.md, w, places, core.Options{Cache: s.cache}, targetFraction)
+	times, sweep, err := core.PredictSweepPruned(s.md, w, places, core.Options{}, targetFraction)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package pandia
 
 import (
+	"math"
 	"testing"
 )
 
@@ -123,8 +124,10 @@ func TestRecommend(t *testing.T) {
 	if rec.Minimal.Threads() > 24 {
 		t.Errorf("minimal placement uses %d threads; expected well under the full 32", rec.Minimal.Threads())
 	}
-	if _, err := sys.Recommend(&prof.Workload, 1.5); err == nil {
-		t.Error("target fraction above 1 accepted")
+	for _, frac := range []float64{1.5, math.NaN(), math.Inf(1)} {
+		if _, err := sys.Recommend(&prof.Workload, frac); err == nil {
+			t.Errorf("target fraction %g accepted", frac)
+		}
 	}
 }
 
