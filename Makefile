@@ -14,8 +14,10 @@ GO ?= go
 
 # The benchmarks whose trajectory BENCH_core.json tracks.
 # BenchmarkSweepPruned covers the dominance-pruned sweep of DESIGN.md §12;
-# BenchmarkTestbedRun and BenchmarkMeasureAll the simulated testbed (§8).
-BENCH_CORE = BenchmarkFig10Curves|BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkPredictSweep$$|BenchmarkTestbedRun|BenchmarkMeasureAll$$|BenchmarkEnumeratePlacements|BenchmarkSweepPruned$$
+# BenchmarkTestbedRun and BenchmarkMeasureAll the simulated testbed (§8);
+# BenchmarkCoScore, BenchmarkSubmit, BenchmarkRebalance and
+# BenchmarkDrainSocket the scheduler rung over the score-only joint solve.
+BENCH_CORE = BenchmarkFig10Curves|BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkPredictSweep$$|BenchmarkTestbedRun|BenchmarkMeasureAll$$|BenchmarkEnumeratePlacements|BenchmarkSweepPruned$$|BenchmarkCoScore$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$
 
 .PHONY: check test vet pandia-vet alloccheck lockcheck fuzz fuzz-smoke scenario-smoke journal-smoke bench bench-smoke bench-gate bench-module build
 
@@ -90,12 +92,13 @@ bench:
 # sensitive micro-benchmarks, parsed but not recorded, so a broken bench or
 # parser fails the gate without paying for a full measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkSweepPruned$$|BenchmarkTestbedRun$$' -benchtime 5x -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkSweepPruned$$|BenchmarkTestbedRun$$|BenchmarkCoScore$$' -benchtime 5x -benchmem . \
 	  | $(GO) run ./cmd/pandia-benchjson -label smoke -out ''
 
 # bench-gate is the perf/observability overhead gate: the PredictTime fast
-# path (BenchmarkPredictorReuse) must stay at 0 allocs/op (exact, the
-# primary regression teeth), and every gated benchmark within
+# path (BenchmarkPredictorReuse) and the score-only joint solve
+# (BenchmarkCoScore) must stay at 0 allocs/op (exact, the primary
+# regression teeth), and every gated benchmark within
 # BENCH_TOLERANCE ns/op of the recorded "current" run in BENCH_core.json.
 # Refresh the reference with `make bench` after intentional perf changes.
 #
@@ -108,8 +111,8 @@ bench-smoke:
 BENCH_TOLERANCE ?= 0.35
 bench-gate:
 	$(GO) build -o /tmp/pandia-benchjson ./cmd/pandia-benchjson
-	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkSweepPruned$$' -benchmem -count=5 . \
-	  | /tmp/pandia-benchjson -gate current -gate-tolerance $(BENCH_TOLERANCE) -zero-alloc BenchmarkPredictorReuse -out BENCH_core.json
+	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkSweepPruned$$|BenchmarkCoScore$$' -benchmem -count=5 . \
+	  | /tmp/pandia-benchjson -gate current -gate-tolerance $(BENCH_TOLERANCE) -zero-alloc BenchmarkPredictorReuse,BenchmarkCoScore -out BENCH_core.json
 
 # scenario-smoke is the replay-determinism gate: every bundled scenario in
 # scenarios/ must pass its assertions and two separate replay processes

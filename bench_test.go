@@ -10,6 +10,7 @@
 package pandia
 
 import (
+	"fmt"
 	"strconv"
 	"sync"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"pandia/internal/eval"
 	"pandia/internal/faults"
 	"pandia/internal/placement"
+	"pandia/internal/scheduler"
 	"pandia/internal/simhw"
 	"pandia/internal/workload"
 )
@@ -520,6 +522,134 @@ func BenchmarkEnumeratePlacements(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if got := placement.Enumerate(topo); len(got) != 18144 {
 			b.Fatalf("enumerated %d shapes", len(got))
+		}
+	}
+}
+
+// zooWorkloads profiles every zoo workload on the key harness (memoized
+// there), in zoo order.
+func zooWorkloads(b *testing.B, h *eval.Harness) []*core.Workload {
+	b.Helper()
+	var ws []*core.Workload
+	for _, e := range bench.Zoo() {
+		prof, err := h.Profile(e)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ws = append(ws, &prof.Workload)
+	}
+	return ws
+}
+
+// benchScheduler builds a scheduler on the X5-2 with running two-thread zoo
+// jobs already admitted, the scheduler rung of the benchmark ladder.
+func benchScheduler(b *testing.B, running int, cache bool) (*scheduler.Scheduler, []*core.Workload) {
+	b.Helper()
+	h := harnessFor(b, "x5-2")
+	ws := zooWorkloads(b, h)
+	s, err := scheduler.New(h.MD, scheduler.Config{DisablePredictionCache: !cache})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < running; i++ {
+		job := scheduler.Job{ID: fmt.Sprintf("bg%02d", i), Workload: ws[i%len(ws)], Threads: 2}
+		if _, err := s.Submit(job); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s, ws
+}
+
+// BenchmarkSubmit measures one admission, the scheduler's hot operation:
+// a job that lets the scheduler pick its thread count is submitted over 0,
+// 4 and 16 running jobs and removed again. With the cache on, the repeated
+// mixes hit CoCache after the first iteration; with it off, every
+// candidate is a score-only joint solve.
+func BenchmarkSubmit(b *testing.B) {
+	for _, running := range []int{0, 4, 16} {
+		for _, cache := range []bool{true, false} {
+			name := fmt.Sprintf("running=%d/cache=%v", running, cache)
+			b.Run(name, func(b *testing.B) {
+				s, ws := benchScheduler(b, running, cache)
+				job := scheduler.Job{ID: "new", Workload: ws[1]}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := s.Submit(job); err != nil {
+						b.Fatal(err)
+					}
+					if err := s.Remove(job.ID); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkRebalance measures rebalance advice over 16 running jobs with
+// the cache on: the base mix and every candidate move recur each iteration.
+func BenchmarkRebalance(b *testing.B) {
+	s, _ := benchScheduler(b, 16, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Rebalance(0.02); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDrainSocket measures a socket drain over 16 running jobs: each
+// iteration drains the socket the previous one filled, migrating its jobs
+// to the other socket, and returns the drained socket to service.
+func BenchmarkDrainSocket(b *testing.B) {
+	s, _ := benchScheduler(b, 16, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sock := i % 2
+		rep, err := s.DrainSocket(sock, scheduler.DrainOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rep.Evicted) > 0 {
+			b.Fatalf("drain of socket %d evicted %d jobs", sock, len(rep.Evicted))
+		}
+		if _, err := s.UncordonSocket(sock); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCoScore measures the score-only joint solve every scheduler
+// candidate runs: eight two-thread zoo jobs spread over the X5-2. The
+// allocation report must read 0 allocs/op.
+func BenchmarkCoScore(b *testing.B) {
+	h := harnessFor(b, "x5-2")
+	ws := zooWorkloads(b, h)
+	topo := h.TB.Machine()
+	all, err := placement.Spread(topo, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mix := make([]core.PlacedWorkload, 8)
+	for i := range mix {
+		mix[i] = core.PlacedWorkload{Workload: ws[i], Placement: all[2*i : 2*i+2]}
+	}
+	cp, err := core.NewCoPredictor(h.MD, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]float64, len(mix))
+	if _, err := cp.Score(mix, buf); err != nil { // warm the scratch
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cp.Score(mix, buf); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

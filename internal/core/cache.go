@@ -9,10 +9,10 @@ import (
 	"pandia/internal/placement"
 )
 
-// This file is the canonical joint-prediction cache (DESIGN.md §12): an
-// fnv64a content hash over (machine description, every job's workload and
+// This file is the canonical joint-prediction cache (DESIGN.md §12): a
+// content hash over (machine description, every job's workload and
 // placement, Options, cache epoch) mapping to previously computed joint
-// predictions. A served entry is the exact value an earlier solve produced,
+// results. A served entry holds the exact values an earlier solve produced,
 // so cache hits are bit-identical to cold solves by construction — the
 // property the scenario-corpus byte-identity gate pins.
 //
@@ -23,15 +23,12 @@ import (
 // drops the table, giving callers an O(1) "forget everything" for bulk
 // changes (a repaired description, a reloaded machine file).
 
-// Canonical fnv64a parameters, plus an independent second accumulator used
-// as a per-entry verifier: a lookup must match both 64-bit digests, so a
-// collision on the map key alone cannot serve a wrong prediction.
+// Bases and odd multipliers of the key stream and an independent verifier
+// stream: a lookup must match both 64-bit digests, so a collision on the
+// map key alone cannot serve a wrong prediction.
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-	// The verifier stream mixes with a different odd multiplier (the 64-bit
-	// golden-ratio constant) from a different basis, so the two digests are
-	// not correlated.
+	keyOffset64    = 14695981039346656037
+	keyPrime64     = 0xff51afd7ed558ccd
 	verifyOffset64 = 0x6c62272e07bb0142
 	verifyPrime64  = 0x9e3779b97f4a7c15
 )
@@ -41,18 +38,15 @@ const (
 // //pandia:noalloc fast path.
 type canonHash struct{ key, verify uint64 }
 
-func newCanonHash() canonHash { return canonHash{key: fnvOffset64, verify: verifyOffset64} }
+func newCanonHash() canonHash { return canonHash{key: keyOffset64, verify: verifyOffset64} }
 
-func (h *canonHash) byte(b byte) {
-	h.key = (h.key ^ uint64(b)) * fnvPrime64
-	h.verify = (h.verify ^ uint64(b)) * verifyPrime64
-}
-
+// word absorbs one word into each stream with one xor-multiply-xorshift
+// round; both steps are bijections, so inputs differing in one word differ.
 func (h *canonHash) word(v uint64) {
-	for i := 0; i < 8; i++ {
-		h.byte(byte(v))
-		v >>= 8
-	}
+	h.key = (h.key ^ v) * keyPrime64
+	h.key ^= h.key >> 32
+	h.verify = (h.verify ^ v) * verifyPrime64
+	h.verify ^= h.verify >> 29
 }
 
 func (h *canonHash) f64(v float64) { h.word(math.Float64bits(v)) }
@@ -60,16 +54,16 @@ func (h *canonHash) int(v int)     { h.word(uint64(int64(v))) }
 
 func (h *canonHash) bool(v bool) {
 	if v {
-		h.byte(1)
+		h.word(1)
 	} else {
-		h.byte(0)
+		h.word(0)
 	}
 }
 
 func (h *canonHash) str(s string) {
 	h.int(len(s))
 	for i := 0; i < len(s); i++ {
-		h.byte(s[i])
+		h.word(uint64(s[i]))
 	}
 }
 
@@ -141,22 +135,23 @@ type CacheStats struct {
 	Hits, Misses, Evictions int64
 }
 
-// coEntry is one cached joint prediction with its verifier digest.
+// coEntry is one cached joint result with its verifier digest: a full
+// prediction (co non-nil) or a compact copy of its score.
 type coEntry struct {
 	verify uint64
 	co     *CoPrediction
+	score  CoScore
 }
 
-// CoCache memoizes joint (co-schedule) predictions under the canonical hash
-// of (machine, every job's workload and placement in order, Options, epoch).
+// CoCache memoizes joint (co-schedule) results under the canonical hash of
+// (machine, every job's workload and placement in order, Options, epoch).
 // The scheduler shares one across Submit, Predict, Rebalance and the drain
 // migration search, so re-scoring an unchanged co-resident set is a map
 // lookup instead of a fixed-point solve.
 //
-// A hit returns the *same* *CoPrediction an earlier solve produced; callers
-// must treat it as immutable. (The scheduler already does: predictions are
-// only read after assembly.) Joint predictions carry per-thread vectors and
-// a load map, so the default capacity is kept small.
+// LookupScore and Lookup share one entry per key and one set of counters.
+// A served *CoPrediction is the same pointer an earlier solve produced;
+// callers must treat it as immutable.
 type CoCache struct {
 	mu       sync.RWMutex
 	m        map[uint64]coEntry
@@ -192,7 +187,7 @@ func (c *CoCache) Key(md *machine.Description, placed []PlacedWorkload, opt Opti
 		if pw.Workload == nil {
 			// Nil workloads never reach the solver (bind rejects them);
 			// fold a marker so the key is still well-defined.
-			h.byte(0xff)
+			h.word(math.MaxUint64)
 			continue
 		}
 		h.workload(pw.Workload)
@@ -201,27 +196,57 @@ func (c *CoCache) Key(md *machine.Description, placed []PlacedWorkload, opt Opti
 	return h.key, h.verify
 }
 
-// Lookup serves a stored joint prediction when both digests match. The
-// returned CoPrediction is shared and must not be mutated.
-func (c *CoCache) Lookup(key, verify uint64) (*CoPrediction, bool) {
+// get finds the entry under both digests and counts the lookup.
+func (c *CoCache) get(key, verify uint64) (coEntry, bool) {
 	c.mu.RLock()
 	e, ok := c.m[key]
 	c.mu.RUnlock()
 	if !ok || e.verify != verify {
 		c.misses.Add(1)
 		metCacheMisses.Inc()
-		return nil, false
+		return coEntry{}, false
 	}
 	c.hits.Add(1)
 	metCacheHits.Inc()
-	return e.co, true
+	return e, true
 }
 
-// Store records a freshly computed joint prediction.
+// Lookup serves a stored full joint prediction when both digests match. A
+// compact entry is a hit without a value, (nil, true): the caller solves the
+// mix and passes the result to Upgrade.
+func (c *CoCache) Lookup(key, verify uint64) (*CoPrediction, bool) {
+	e, ok := c.get(key, verify)
+	return e.co, ok
+}
+
+// LookupScore serves a stored entry's score, with its speedups written into
+// dst, when both digests match; co is the entry's full prediction, if any.
+func (c *CoCache) LookupScore(key, verify uint64, dst []float64) (sc CoScore, co *CoPrediction, ok bool) {
+	e, ok := c.get(key, verify)
+	if e.co != nil {
+		return e.co.Score(dst), e.co, true
+	}
+	sc = e.score // zero on a miss
+	sc.Speedups = append(dst[:0], sc.Speedups...)
+	return sc, nil, ok
+}
+
+// Store records a freshly computed full joint prediction.
 func (c *CoCache) Store(key, verify uint64, co *CoPrediction) {
 	if co == nil {
 		return
 	}
+	c.insert(key, coEntry{verify: verify, co: co})
+}
+
+// StoreScore records a copy of a freshly computed score as a compact entry.
+func (c *CoCache) StoreScore(key, verify uint64, sc CoScore) {
+	sc.Speedups = append([]float64(nil), sc.Speedups...)
+	c.insert(key, coEntry{verify: verify, score: sc})
+}
+
+// insert adds one entry, first dropping the whole table when it is full.
+func (c *CoCache) insert(key uint64, e coEntry) {
 	c.mu.Lock()
 	if len(c.m) >= c.capacity {
 		n := int64(len(c.m))
@@ -229,7 +254,21 @@ func (c *CoCache) Store(key, verify uint64, co *CoPrediction) {
 		c.evictions.Add(n)
 		metCacheEvictions.Add(n)
 	}
-	c.m[key] = coEntry{verify: verify, co: co}
+	c.m[key] = e
+	c.mu.Unlock()
+}
+
+// Upgrade replaces the entry under both digests with its mix's full
+// prediction in place, and does nothing once the entry is gone, so it never
+// changes the table's size or eviction count.
+func (c *CoCache) Upgrade(key, verify uint64, co *CoPrediction) {
+	if co == nil {
+		return
+	}
+	c.mu.Lock()
+	if e, ok := c.m[key]; ok && e.verify == verify {
+		c.m[key] = coEntry{verify: verify, co: co}
+	}
 	c.mu.Unlock()
 }
 

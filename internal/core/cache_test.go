@@ -134,6 +134,83 @@ func TestCoCacheJobOrder(t *testing.T) {
 	}
 }
 
+// TestCoCacheScoreFromFullEntry checks that a score lookup on a full entry
+// is a hit served from that entry: the speedups and worst resource are the
+// stored prediction's, and the prediction itself comes back with them.
+func TestCoCacheScoreFromFullEntry(t *testing.T) {
+	md := quickMachine()
+	placed := quickMix()
+	co, err := PredictCoSchedule(md, placed, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCoCache(0)
+	key, verify := c.Key(md, placed, Options{})
+	c.Store(key, verify, co)
+	sc, full, ok := c.LookupScore(key, verify, nil)
+	if !ok || full != co {
+		t.Fatalf("score lookup on a full entry: ok=%v, served %p, stored %p", ok, full, co)
+	}
+	for i, p := range co.Predictions {
+		if sc.Speedups[i] != p.Speedup {
+			t.Fatalf("job %d: served speedup %v, stored %v", i, sc.Speedups[i], p.Speedup)
+		}
+	}
+	if sc.WorstOversubscription != co.WorstOversubscription || sc.WorstResource != co.WorstResource {
+		t.Fatalf("served worst %v on %v, stored %v on %v", sc.WorstOversubscription, sc.WorstResource,
+			co.WorstOversubscription, co.WorstResource)
+	}
+	if st := c.Stats(); st != (CacheStats{Hits: 1}) {
+		t.Fatalf("stats %+v, want one hit", st)
+	}
+}
+
+// TestCoCacheUpgradeCompactEntry checks the full path over a compact entry:
+// a full lookup counts one hit and serves no value, Upgrade turns the entry
+// into the full prediction in place without touching the counters, and an
+// Upgrade of an entry that is gone stores nothing.
+func TestCoCacheUpgradeCompactEntry(t *testing.T) {
+	md := quickMachine()
+	placed := quickMix()
+	cp, err := NewCoPredictor(md, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := cp.Score(placed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCoCache(0)
+	key, verify := c.Key(md, placed, Options{})
+	c.StoreScore(key, verify, sc)
+	got, _, ok := c.LookupScore(key, verify, nil)
+	if !ok || got.Speedups[0] != sc.Speedups[0] || got.WorstResource != sc.WorstResource {
+		t.Fatalf("compact entry served %+v (ok=%v), stored %+v", got, ok, sc)
+	}
+
+	co, ok := c.Lookup(key, verify)
+	if !ok || co != nil {
+		t.Fatalf("full lookup on a compact entry = (%p, %v), want a hit with no value", co, ok)
+	}
+	co, err = cp.Predict(placed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Upgrade(key, verify, co)
+	if served, ok := c.Lookup(key, verify); !ok || served != co {
+		t.Fatalf("upgraded entry not served: ok=%v", ok)
+	}
+	if st := c.Stats(); st != (CacheStats{Hits: 3}) {
+		t.Fatalf("stats %+v, want three hits and nothing else", st)
+	}
+
+	c.Invalidate()
+	c.Upgrade(key, verify, co)
+	if n := len(c.m); n != 0 {
+		t.Fatalf("Upgrade of a dropped entry stored %d entries", n)
+	}
+}
+
 // TestPredictSweepPrunedMatchesFull checks dominance pruning is admissible:
 // every placement the pruned sweep does solve is bit-identical to the full
 // sweep, every pruned placement's Amdahl bound really is below the target

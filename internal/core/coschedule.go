@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"pandia/internal/machine"
+	"pandia/internal/obs"
 	"pandia/internal/topology"
 )
 
@@ -27,6 +27,27 @@ type CoPrediction struct {
 	// Iterations and Converged describe the joint refinement loop.
 	Iterations int
 	Converged  bool
+}
+
+// CoScore is the score-only result of a joint solve: the fields of a
+// CoPrediction a candidate ranking reads, bit-identical to them, without the
+// per-thread vectors and the load map.
+type CoScore struct {
+	// Speedups holds each input workload's predicted speedup, in order, in
+	// the dst slice handed to Score (reallocated only when too short).
+	Speedups              []float64
+	WorstOversubscription float64
+	WorstResource         topology.ResourceID
+}
+
+// Score derives the score-only view of a full joint prediction, writing
+// the speedups into dst.
+func (cp *CoPrediction) Score(dst []float64) CoScore {
+	dst = dst[:0]
+	for _, p := range cp.Predictions {
+		dst = append(dst, p.Speedup)
+	}
+	return CoScore{Speedups: dst, WorstOversubscription: cp.WorstOversubscription, WorstResource: cp.WorstResource}
 }
 
 // PredictCoSchedule jointly predicts several placed workloads (§8: "we
@@ -69,23 +90,9 @@ func coPrediction(md *machine.Description, e *engine, opt Options) (*CoPredictio
 		out.Predictions = append(out.Predictions, pred)
 	}
 
-	// Iterate the load table in resource order so ties in the
-	// oversubscription ratio resolve to the same resource on every run.
-	ids := make([]topology.ResourceID, 0, len(loads))
-	for id := range loads {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a].Less(ids[b]) })
-	worst, worstID := 0.0, topology.ResourceID{}
-	for _, id := range ids {
-		cap := capacityFor(md, e, id)
-		if cap <= 0 {
-			continue
-		}
-		if r := loads[id] / cap; r > worst {
-			worst, worstID = r, id
-		}
-	}
+	// The same dense scan as CoPredictor.Score, so the two paths agree.
+	var kinds [obs.MaxLoadKinds]float64
+	worstID, worst := e.loadSummary(&kinds)
 	out.WorstOversubscription = worst
 	out.WorstResource = worstID
 	// The loads are joint, so every constituent prediction reports the same
@@ -95,15 +102,6 @@ func coPrediction(md *machine.Description, e *engine, opt Options) (*CoPredictio
 		pred.WorstOversubscription = worst
 	}
 	return out, nil
-}
-
-// capacityFor resolves a resource's capacity, accounting for the SMT
-// aggregate limit on cores that the joint placement doubles up.
-func capacityFor(md *machine.Description, e *engine, id topology.ResourceID) float64 {
-	if id.Kind == topology.ResInstr {
-		return md.InstrCapacity(e.coreOcc[id.Index])
-	}
-	return md.Capacity(id.Kind)
 }
 
 // Slowdown reports how much slower workload i runs co-scheduled than the

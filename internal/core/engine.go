@@ -213,7 +213,7 @@ func (e *engine) bind(placed []PlacedWorkload, validateWorkloads bool) error {
 			return errNilWorkload
 		}
 		if validateWorkloads {
-			if err := pw.Workload.Validate(); err != nil { //alloccheck:ok construction-time validation; the per-prediction fast path passes validateWorkloads=false
+			if err := pw.Workload.Validate(); err != nil { //alloccheck:ok validation allocates only to report an invalid workload; the Predictor fast path skips it (validateWorkloads=false)
 				return err
 			}
 		}

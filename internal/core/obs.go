@@ -43,8 +43,9 @@ type loadScan struct {
 
 // note folds in one resource instance. Zero loads and unconstrained
 // capacities are skipped, and the running maximum uses strict >, so with
-// instances visited in (Kind, Index, Pair) order the dominant resource
-// matches the sorted-map computation in coPrediction exactly.
+// instances visited in (Kind, Index, Pair) order the dominant resource is
+// the first maximum of a scan over the load map sorted by ResourceID.Less
+// (TestCoScoreMatchesPredict keeps that scan as its reference).
 func (s *loadScan) note(id topology.ResourceID, load, cap float64) {
 	if load <= 0 || cap <= 0 {
 		return
@@ -62,8 +63,9 @@ func (s *loadScan) note(id topology.ResourceID, load, cap float64) {
 // filling worst[k] with the largest load/capacity ratio among instances of
 // resource kind k and returning the machine-wide most oversubscribed
 // resource with its ratio (zero ResourceID and 0 when nothing is loaded).
-// Instances are visited in ResourceID order, so ties resolve exactly as
-// coPrediction's sorted Loads-map scan does.
+// Instances are visited in ResourceID order, so ties resolve to the lowest
+// ResourceID. coPrediction, CoPredictor.Score and the tracer all take the
+// worst resource from here.
 //
 //pandia:noalloc
 func (e *engine) loadSummary(worst *[obs.MaxLoadKinds]float64) (topology.ResourceID, float64) {

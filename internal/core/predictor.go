@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -439,4 +440,39 @@ func (cp *CoPredictor) Predict(placed []PlacedWorkload) (*CoPrediction, error) {
 		return nil, err
 	}
 	return coPrediction(cp.md, cp.e, cp.opt)
+}
+
+// Score runs the identical joint solve as Predict but returns only the
+// CoScore, bit for bit equal to Predict's fields, with the speedups written
+// into dst. It assembles no per-thread vectors and no load map, so with a
+// dst of len(placed) capacity it allocates nothing. With the runtime
+// invariant checks enabled it routes through Predict so the checks see a
+// complete prediction.
+//
+//pandia:noalloc
+func (cp *CoPredictor) Score(placed []PlacedWorkload, dst []float64) (CoScore, error) {
+	if invariantChecks.Load() {
+		co, err := cp.Predict(placed) //alloccheck:ok invariant-check mode deliberately routes through the allocating full path
+		if err != nil {
+			return CoScore{}, err
+		}
+		return co.Score(dst), nil //alloccheck:ok invariant-check mode only; dst may grow like the full path's result
+	}
+	e := cp.e
+	if err := e.bind(placed, true); err != nil {
+		return CoScore{}, err
+	}
+	e.iterate(cp.opt)
+	e.accumulate() // refresh loads at the converged utilisations
+	//alloccheck:ok grows only a too-short caller buffer; a reused one stops growing
+	dst = slices.Grow(dst[:0], len(e.jobs))[:len(e.jobs)]
+	for i, j := range e.jobs {
+		var err error
+		if dst[i], err = j.speedup(); err != nil {
+			return CoScore{}, err
+		}
+	}
+	var kinds [obs.MaxLoadKinds]float64
+	id, worst := e.loadSummary(&kinds)
+	return CoScore{Speedups: dst, WorstOversubscription: worst, WorstResource: id}, nil
 }

@@ -3,17 +3,61 @@ package scheduler
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"pandia/internal/analysis/leaktest"
+	"pandia/internal/core"
+	"pandia/internal/obs"
 	"pandia/internal/placement"
 )
 
-// driveScheduler runs the same submit / degrade / rebalance / drain
-// sequence on a scheduler and returns the JSON-serialised rebalance and
-// drain reports plus the final assignment placements.
-func driveScheduler(t *testing.T, s *Scheduler) (rebalance, drain []byte, placements []placement.Placement) {
+// driveOutcome is everything a driveScheduler run decided: the serialised
+// rebalance and drain reports, the final assignments' placements and
+// admission-time predictions, and the decision journal.
+type driveOutcome struct {
+	rebalance, drain []byte
+	placements       []placement.Placement
+	predictions      [][]byte
+	journal          []obs.DecisionRecord
+}
+
+// newDriven builds a scheduler for driveScheduler with a journal on a manual
+// clock, so two runs' journals are comparable byte for byte.
+func newDriven(t *testing.T, cfg Config) *Scheduler {
 	t.Helper()
+	cfg.Journal = obs.NewJournal(256, obs.NewManualClock(0, 0))
+	cfg.Journal.SetEnabled(true)
+	s, err := New(testMD(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// predictionJSON serialises a prediction, with its load map keyed by the
+// resource names (encoding/json cannot key a map by ResourceID).
+func predictionJSON(t *testing.T, p *core.Prediction) []byte {
+	t.Helper()
+	loads := make(map[string]float64, len(p.Loads))
+	for id, v := range p.Loads {
+		loads[id.String()] = v
+	}
+	b, err := json.Marshal(struct {
+		*core.Prediction
+		Loads map[string]float64
+	}{p, loads})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// driveScheduler runs the same submit / degrade / rebalance / drain
+// sequence on a scheduler and returns what it decided.
+func driveScheduler(t *testing.T, s *Scheduler) driveOutcome {
+	t.Helper()
+	var out driveOutcome
 	a1, err := s.Submit(func() Job { j := computeJob("c1"); j.Threads = 8; return j }())
 	if err != nil {
 		t.Fatal(err)
@@ -42,8 +86,7 @@ func driveScheduler(t *testing.T, s *Scheduler) (rebalance, drain []byte, placem
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebalance, err = json.Marshal(rep)
-	if err != nil {
+	if out.rebalance, err = json.Marshal(rep); err != nil {
 		t.Fatal(err)
 	}
 
@@ -51,51 +94,71 @@ func driveScheduler(t *testing.T, s *Scheduler) (rebalance, drain []byte, placem
 	if err != nil {
 		t.Fatal(err)
 	}
-	drain, err = json.Marshal(drep)
-	if err != nil {
+	if out.drain, err = json.Marshal(drep); err != nil {
 		t.Fatal(err)
 	}
 
 	for _, a := range s.Assignments() {
-		placements = append(placements, a.Placement)
+		out.placements = append(out.placements, a.Placement)
+		out.predictions = append(out.predictions, predictionJSON(t, a.Prediction))
 	}
-	return rebalance, drain, placements
+	out.journal = s.Journal().Records()
+	return out
+}
+
+// journalBytes renders a journal as JSONL; withCache false clears each
+// record's cache-traffic counts, which an uncached scheduler never has.
+func journalBytes(t *testing.T, recs []obs.DecisionRecord, withCache bool) []byte {
+	t.Helper()
+	if !withCache {
+		recs = slices.Clone(recs)
+		for i := range recs {
+			recs[i].CacheHits, recs[i].CacheMisses = 0, 0
+		}
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteJournalJSONL(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// requireSameOutcome fails unless two runs decided identically.
+func requireSameOutcome(t *testing.T, what string, a, b driveOutcome, withCache bool) {
+	t.Helper()
+	if !bytes.Equal(a.rebalance, b.rebalance) {
+		t.Fatalf("%s: rebalance reports differ:\n%s\n%s", what, a.rebalance, b.rebalance)
+	}
+	if !bytes.Equal(a.drain, b.drain) {
+		t.Fatalf("%s: drain reports differ:\n%s\n%s", what, a.drain, b.drain)
+	}
+	if len(a.placements) != len(b.placements) {
+		t.Fatalf("%s: assignment counts differ: %d vs %d", what, len(a.placements), len(b.placements))
+	}
+	for i := range a.placements {
+		if !samePlacement(a.placements[i], b.placements[i]) {
+			t.Fatalf("%s: assignment %d placement differs: %v vs %v", what, i, a.placements[i], b.placements[i])
+		}
+		if !bytes.Equal(a.predictions[i], b.predictions[i]) {
+			t.Fatalf("%s: assignment %d prediction differs:\n%s\n%s", what, i, a.predictions[i], b.predictions[i])
+		}
+	}
+	if ja, jb := journalBytes(t, a.journal, withCache), journalBytes(t, b.journal, withCache); !bytes.Equal(ja, jb) {
+		t.Fatalf("%s: journals differ:\n%s\n%s", what, ja, jb)
+	}
 }
 
 // TestPredictionCacheDecisionInvariant runs an identical submit → degrade →
 // rebalance → drain sequence on a cached and an uncached scheduler and
-// requires byte-for-byte identical reports and identical final placements:
-// the shared prediction cache and the dominance pruning are pure
-// accelerations, never decision changes.
+// requires byte-for-byte identical reports, final placements, admission
+// predictions and journals (apart from the cache-traffic counts): the
+// shared prediction cache, its compact score entries and the dominance
+// pruning are pure accelerations, never decision changes.
 func TestPredictionCacheDecisionInvariant(t *testing.T) {
 	defer leaktest.Check(t)()
-	md := testMD(t)
-	cached, err := New(md, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uncached, err := New(testMD(t), Config{DisablePredictionCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cr, cd, cp := driveScheduler(t, cached)
-	ur, ud, up := driveScheduler(t, uncached)
-
-	if !bytes.Equal(cr, ur) {
-		t.Fatalf("rebalance reports differ:\ncached:   %s\nuncached: %s", cr, ur)
-	}
-	if !bytes.Equal(cd, ud) {
-		t.Fatalf("drain reports differ:\ncached:   %s\nuncached: %s", cd, ud)
-	}
-	if len(cp) != len(up) {
-		t.Fatalf("assignment counts differ: %d vs %d", len(cp), len(up))
-	}
-	for i := range cp {
-		if !samePlacement(cp[i], up[i]) {
-			t.Fatalf("assignment %d placement differs: %v vs %v", i, cp[i], up[i])
-		}
-	}
+	cached := newDriven(t, Config{})
+	uncached := newDriven(t, Config{DisablePredictionCache: true})
+	requireSameOutcome(t, "cached vs uncached", driveScheduler(t, cached), driveScheduler(t, uncached), false)
 
 	if st := cached.PredictionCacheStats(); st.Hits == 0 {
 		t.Fatalf("cached scheduler never hit its cache: %+v", st)
@@ -103,6 +166,18 @@ func TestPredictionCacheDecisionInvariant(t *testing.T) {
 	if st := uncached.PredictionCacheStats(); st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("uncached scheduler touched a cache: %+v", st)
 	}
+}
+
+// TestDecisionsUnderInvariantChecks is the twin run with the runtime
+// invariant checks on, under which every score-only solve routes through
+// the full joint prediction: the decisions, predictions, journal and cache
+// traffic must not change.
+func TestDecisionsUnderInvariantChecks(t *testing.T) {
+	defer leaktest.Check(t)()
+	plain := driveScheduler(t, newDriven(t, Config{}))
+	defer core.SetInvariantChecks(core.SetInvariantChecks(true))
+	checked := driveScheduler(t, newDriven(t, Config{}))
+	requireSameOutcome(t, "invariant checks on vs off", plain, checked, true)
 }
 
 // TestInvalidatePredictions checks the scheduler's bulk invalidation hook

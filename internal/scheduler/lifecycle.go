@@ -503,23 +503,21 @@ func (s *Scheduler) bestMigrationLocked(id string, a *Assignment, span int64) pl
 
 	bestScore := math.Inf(-1)
 	var best placement.Placement
-	seen := make(map[string]bool)
-	for _, cand := range s.candidatesLocked(s.availLocked(a), len(a.Placement)) {
-		key := cand.place.String()
-		if seen[key] {
+	candidates := s.candidatesLocked(s.availLocked(a), len(a.Placement))
+	for i, cand := range candidates {
+		if seenBefore(candidates[:i], cand.place) {
 			continue
 		}
-		seen[key] = true
 		if bestScore >= idealBound {
 			metCandidatesPruned.Inc()
 			continue
 		}
 		jobs[idx].Placement = cand.place
-		co, err := s.predictMixLocked(jobs, span)
+		ms, err := s.scoreMixLocked(jobs, span)
 		if err != nil {
 			continue
 		}
-		if score := aggregateThroughput(co); score > bestScore {
+		if score := aggregateThroughput(ms.CoScore); score > bestScore {
 			bestScore = score
 			best = cand.place
 		}

@@ -1,7 +1,9 @@
 package scheduler
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pandia/internal/obs"
@@ -59,8 +61,12 @@ type RebalanceReport struct {
 // aggregate speedup of the whole mix by at least minGain. Moves are
 // evaluated independently against the current state and returned sorted by
 // decreasing gain, each carrying the per-job before/after predicted times
-// it was justified by. A scheduler with nothing running returns (nil, nil).
+// it was justified by. minGain must be finite and non-negative. A scheduler
+// with nothing running returns (nil, nil).
 func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
+	if err := checkPolicyValue("minGain", minGain); err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.running) == 0 {
@@ -76,7 +82,7 @@ func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
 		sc.errored(err)
 		return nil, err
 	}
-	baseScore := aggregateThroughput(baseCo)
+	baseScore := aggregateThroughput(baseCo.Score(s.scoreBuf))
 	rep := &RebalanceReport{
 		JobIDs:    ids,
 		BaseTimes: make([]float64, len(ids)),
@@ -93,19 +99,20 @@ func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
 				continue
 			}
 			jobs[i].Placement = cand.place
-			co, err := s.predictMixLocked(jobs, sc.id)
+			ms, err := s.scoreMixLocked(jobs, sc.id)
 			if err != nil {
 				sc.errored(err)
 				return nil, err
 			}
-			gain := aggregateThroughput(co)/baseScore - 1
+			gain := aggregateThroughput(ms.CoScore)/baseScore - 1
 			if gain >= minGain {
 				deltas := make([]JobDelta, len(ids))
 				for k := range ids {
 					deltas[k] = JobDelta{
 						JobID:  ids[k],
 						Before: rep.BaseTimes[k],
-						After:  co.Predictions[k].Time,
+						// T1 over speedup is how a full Prediction derives its Time.
+						After: jobs[k].Workload.T1 / ms.Speedups[k], //nanguard:ok the solver errors unless every speedup is > 0
 					}
 				}
 				rep.Moves = append(rep.Moves, Move{
@@ -213,16 +220,16 @@ func (s *Scheduler) ApplyMove(m Move) error {
 	return nil
 }
 
+// samePlacement reports whether b holds exactly a's contexts, in any
+// order. a must not repeat a context (every running placement is
+// validated); then equal lengths plus every context of a in b make b a
+// permutation of a.
 func samePlacement(a, b placement.Placement) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	as := append(placement.Placement(nil), a...)
-	bs := append(placement.Placement(nil), b...)
-	sortContexts(as)
-	sortContexts(bs)
-	for i := range as {
-		if as[i] != bs[i] {
+	for _, c := range a {
+		if !slices.Contains(b, c) {
 			return false
 		}
 	}
@@ -230,13 +237,13 @@ func samePlacement(a, b placement.Placement) bool {
 }
 
 func sortContexts(p []topology.Context) {
-	sort.Slice(p, func(i, j int) bool {
-		if p[i].Socket != p[j].Socket {
-			return p[i].Socket < p[j].Socket
+	slices.SortFunc(p, func(x, y topology.Context) int {
+		if c := cmp.Compare(x.Socket, y.Socket); c != 0 {
+			return c
 		}
-		if p[i].Core != p[j].Core {
-			return p[i].Core < p[j].Core
+		if c := cmp.Compare(x.Core, y.Core); c != 0 {
+			return c
 		}
-		return p[i].Slot < p[j].Slot
+		return cmp.Compare(x.Slot, y.Slot)
 	})
 }

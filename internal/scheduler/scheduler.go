@@ -14,8 +14,11 @@
 package scheduler
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -154,16 +157,28 @@ type Scheduler struct {
 	// mutable engine scratch, so it is only used while mu is held.
 	//pandia:guardedby(mu)
 	co *core.CoPredictor
-	// coCache memoizes joint predictions across Submit, Predict, Rebalance,
-	// and drain candidate scoring; nil when Config.DisablePredictionCache.
+	// coCache memoizes joint scores and predictions across Submit, Predict,
+	// Rebalance, and drain candidate scoring; nil when
+	// Config.DisablePredictionCache.
 	// The cache itself is concurrency-safe, but it is only touched under mu
 	// alongside co.
 	//pandia:guardedby(mu)
 	coCache *core.CoCache
+	// scoreBuf is the scratch the score path writes candidate speedups into.
+	//pandia:guardedby(mu)
+	scoreBuf []float64
 }
 
-// New builds a scheduler for the described machine.
+// New builds a scheduler for the described machine. The policy values
+// AdmissionThreshold, SlowdownSLO, AdmissionRate and AdmissionBurst must be
+// finite and non-negative (0 disables each policy).
 func New(md *machine.Description, cfg Config) (*Scheduler, error) {
+	if err := errors.Join(
+		checkPolicyValue("AdmissionThreshold", cfg.AdmissionThreshold), checkPolicyValue("SlowdownSLO", cfg.SlowdownSLO),
+		checkPolicyValue("AdmissionRate", cfg.AdmissionRate), checkPolicyValue("AdmissionBurst", cfg.AdmissionBurst),
+	); err != nil {
+		return nil, err
+	}
 	co, err := core.NewCoPredictor(md, core.Options{Tracer: cfg.Tracer})
 	if err != nil {
 		return nil, err
@@ -190,6 +205,15 @@ func New(md *machine.Description, cfg Config) (*Scheduler, error) {
 		s.lastRefill = clock.Now()
 	}
 	return s, nil
+}
+
+// checkPolicyValue rejects a non-finite or negative policy value, the
+// scenario parser's rule for the same settings.
+func checkPolicyValue(name string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		return fmt.Errorf("scheduler: non-finite or negative %s %g", name, v)
+	}
+	return nil
 }
 
 // Machine returns the scheduler's machine shape.
@@ -299,8 +323,8 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		sc.rec.Candidates = len(candidates)
 	}
 
-	// Joint prediction of each candidate with the running mix; the new job
-	// rides in the mix's last slot.
+	// Joint score of each candidate with the running mix; the new job rides
+	// in the mix's last slot.
 	_, base := s.mixLocked()
 	// baseBound is the running mix's summed Amdahl speedups: with the new
 	// job's own Amdahl bound added it upper-bounds any candidate's aggregate
@@ -315,11 +339,11 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 	last := len(jobs) - 1
 
 	bestScore := -1.0
-	var best *Assignment
+	var best scoredCandidate
 	// bestAny is the best candidate ignoring the threshold/SLO policies —
 	// what AdmitDegraded falls back to when nothing passes.
 	bestAnyScore := -1.0
-	var bestAny *Assignment
+	var bestAny scoredCandidate
 	var policyViolations []string
 	sawSLO := false
 	// evals mirrors every solved candidate for the journal's top-k
@@ -331,13 +355,10 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 	}
 	var evals []candEval
 	var prunedHere int64
-	seen := make(map[string]bool)
-	for _, cand := range candidates {
-		key := cand.place.String()
-		if seen[key] {
+	for i, cand := range candidates {
+		if seenBefore(candidates[:i], cand.place) {
 			continue
 		}
-		seen[key] = true
 		// Dominance pruning: a candidate whose Amdahl upper bound cannot
 		// strictly beat both incumbents can change neither best nor bestAny
 		// (both require score > incumbent), so the solve is skipped. Both
@@ -349,34 +370,29 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 			continue
 		}
 		jobs[last].Placement = cand.place
-		co, err := s.predictMixLocked(jobs, sc.id)
+		ms, err := s.scoreMixLocked(jobs, sc.id)
 		if err != nil {
 			sc.phase(SpanPhaseSweep, false)
 			sc.errored(err)
 			return nil, err
 		}
-		score := aggregateThroughput(co)
+		score := aggregateThroughput(ms.CoScore)
 		// The SLO metric doubles as the journal's per-candidate slowdown, so
 		// compute it whenever either consumer wants it.
 		slow := 0.0
 		if s.cfg.SlowdownSLO > 0 || sc.journaling {
-			slow = worstSlowdown(co)
+			slow = worstSlowdown(ms.CoScore, jobs)
 		}
-		asgn := &Assignment{
-			Job:        job,
-			Placement:  cand.place,
-			Prediction: co.Predictions[last],
-			Strategy:   cand.strategy,
-		}
+		scored := scoredCandidate{candidate: cand, mixScore: ms}
 		if score > bestAnyScore {
 			bestAnyScore = score
-			bestAny = asgn
+			bestAny = scored
 		}
 		var reject string
-		if s.cfg.AdmissionThreshold > 0 && co.WorstOversubscription > s.cfg.AdmissionThreshold {
+		if s.cfg.AdmissionThreshold > 0 && ms.WorstOversubscription > s.cfg.AdmissionThreshold {
 			reject = fmt.Sprintf(
 				"%s: oversubscription %.2f > threshold %.2f", cand.strategy,
-				co.WorstOversubscription, s.cfg.AdmissionThreshold)
+				ms.WorstOversubscription, s.cfg.AdmissionThreshold)
 		} else if s.cfg.SlowdownSLO > 0 && slow > s.cfg.SlowdownSLO {
 			reject = fmt.Sprintf(
 				"%s: worst slowdown %.2f > SLO %.2f", cand.strategy, slow, s.cfg.SlowdownSLO)
@@ -384,7 +400,7 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		}
 		if sc.journaling {
 			evals = append(evals, candEval{
-				placement: key, strategy: cand.strategy,
+				placement: cand.place.String(), strategy: cand.strategy,
 				score: score, slowdown: slow, reject: reject,
 			})
 		}
@@ -394,15 +410,15 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		}
 		if score > bestScore {
 			bestScore = score
-			best = asgn
+			best = scored
 		}
 	}
 	sc.phase(SpanPhaseSweep, false)
 	if sc.journaling {
 		sc.rec.Pruned = prunedHere
 	}
-	if best == nil {
-		if !s.cfg.AdmitDegraded || bestAny == nil {
+	if best.place == nil {
+		if !s.cfg.AdmitDegraded || bestAny.place == nil {
 			kind := AdmitOversubscribed
 			if sawSLO {
 				kind = AdmitSLOExceeded
@@ -430,7 +446,7 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 	}
 
 	if s.cfg.PlacementCheck != nil {
-		if cerr := s.cfg.PlacementCheck(best.Placement); cerr != nil {
+		if cerr := s.cfg.PlacementCheck(best.place); cerr != nil {
 			metRejectCheck.Inc()
 			perr := &PlacementCheckError{JobID: job.ID, Err: cerr}
 			sc.rejected("placement-check", perr.Error())
@@ -438,21 +454,28 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		}
 	}
 
+	jobs[last].Placement = best.place
+	co, err := s.fullPredictionLocked(jobs, best.mixScore)
+	if err != nil {
+		sc.errored(err)
+		return nil, err
+	}
+	asgn = &Assignment{Job: job, Placement: best.place, Prediction: co.Predictions[last], Strategy: best.strategy}
 	if len(degradedReasons) > 0 {
-		best.Degraded = true
-		best.DegradedReasons = degradedReasons
+		asgn.Degraded = true
+		asgn.DegradedReasons = degradedReasons
 		metDegradedAdmits.Inc()
 	}
-	s.running[job.ID] = best
-	for _, c := range best.Placement {
+	s.running[job.ID] = asgn
+	for _, c := range asgn.Placement {
 		s.occupied[c] = job.ID
 	}
 	metRunningJobs.Set(float64(len(s.running)))
 	if sc.journaling {
-		chosen := best.Placement.String()
+		chosen := asgn.Placement.String()
 		matched := false
 		for _, ev := range evals {
-			if !matched && ev.placement == chosen && ev.strategy == best.Strategy {
+			if !matched && ev.placement == chosen && ev.strategy == asgn.Strategy {
 				matched = true
 				sc.rec.Score = ev.score
 				continue
@@ -463,18 +486,18 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 			})
 		}
 		sc.rec.Placement = chosen
-		sc.rec.Strategy = best.Strategy
+		sc.rec.Strategy = asgn.Strategy
 		sc.rec.Outcome = "admitted"
-		if best.Degraded {
+		if asgn.Degraded {
 			sc.rec.Outcome = "admitted-degraded"
-			sc.rec.Reason = strings.Join(best.DegradedReasons, "; ")
+			sc.rec.Reason = strings.Join(asgn.DegradedReasons, "; ")
 		}
 		sc.record()
-		if best.Degraded {
-			sc.incident("degraded-admission", job.ID, strings.Join(best.DegradedReasons, "; "))
+		if asgn.Degraded {
+			sc.incident("degraded-admission", job.ID, strings.Join(asgn.DegradedReasons, "; "))
 		}
 	}
-	return best, nil
+	return asgn, nil
 }
 
 // burst returns the token bucket capacity (at least one token).
@@ -506,14 +529,15 @@ func (s *Scheduler) takeTokenLocked() bool {
 
 // worstSlowdown is the SLO metric: the largest ratio of ideal Amdahl
 // speedup to predicted joint speedup across the co-schedule — how far the
-// worst-affected job is pushed from its contention-free scaling.
-func worstSlowdown(co *core.CoPrediction) float64 {
+// worst-affected job is pushed from its contention-free scaling (the value
+// a full Prediction carries as AmdahlSpeedup over its Speedup).
+func worstSlowdown(sc core.CoScore, jobs []core.PlacedWorkload) float64 {
 	worst := 0.0
-	for _, p := range co.Predictions {
-		if p.Speedup <= 0 {
+	for i, sp := range sc.Speedups {
+		if sp <= 0 {
 			return math.Inf(1)
 		}
-		if sl := p.AmdahlSpeedup / p.Speedup; sl > worst {
+		if sl := jobs[i].Workload.AmdahlSpeedup(len(jobs[i].Placement)) / sp; sl > worst {
 			worst = sl
 		}
 	}
@@ -556,43 +580,92 @@ func (s *Scheduler) Predict() (*core.CoPrediction, error) {
 	if sc.journaling {
 		sc.rec.Outcome = "predicted"
 		sc.rec.Candidates = len(jobs)
-		sc.rec.Score = aggregateThroughput(co)
+		sc.rec.Score = aggregateThroughput(co.Score(nil))
 		sc.record()
 	}
 	return co, nil
 }
 
-// predictMixLocked jointly predicts one mix through the shared prediction
-// cache: a canonical-hash hit returns the exact CoPrediction an earlier
-// solve produced (callers treat it as read-only), a miss solves on the
-// pooled CoPredictor and stores the result. span is the requesting
-// operation's decision id (0 outside one): it brackets the cache lookup in
-// a span and rides into the solver's trace events, but is excluded from the
-// cache key (DESIGN.md §12). The caller must hold mu.
+// predictMixLocked jointly predicts one mix on the full path, through the
+// shared prediction cache; callers treat the result as read-only. A miss
+// stores the full prediction. span is the requesting operation's decision
+// id (0 outside one): it brackets the cache lookup in a span and rides into
+// the solver's trace events, but is excluded from the cache key (DESIGN.md
+// §12). The caller must hold mu.
 func (s *Scheduler) predictMixLocked(jobs []core.PlacedWorkload, span int64) (*core.CoPrediction, error) {
+	ms := s.lookupLocked(jobs, span)
+	co, err := s.fullPredictionLocked(jobs, ms)
+	if err == nil && s.coCache != nil && !ms.hit {
+		s.coCache.Store(ms.key, ms.verify, co)
+	}
+	return co, err
+}
+
+// scoreMixLocked scores one candidate mix through the shared prediction
+// cache: a hit serves the stored score, a miss runs a score-only solve and
+// stores it as a compact entry. Speedups live in s.scoreBuf until the next
+// call; span is as for predictMixLocked. The caller must hold mu.
+func (s *Scheduler) scoreMixLocked(jobs []core.PlacedWorkload, span int64) (mixScore, error) {
+	ms := s.lookupLocked(jobs, span)
+	if !ms.hit {
+		var err error
+		if ms.CoScore, err = s.co.Score(jobs, s.scoreBuf); err != nil {
+			return ms, err
+		}
+		if s.coCache != nil {
+			s.coCache.StoreScore(ms.key, ms.verify, ms.CoScore)
+		}
+	}
+	s.scoreBuf = ms.Speedups
+	return ms, nil
+}
+
+// mixScore is one mix's cache lookup and score, plus what building its full
+// prediction later needs: the full entry that served the score (if any),
+// whether the lookup hit, and the cache key.
+type mixScore struct {
+	core.CoScore
+	full        *core.CoPrediction
+	hit         bool
+	key, verify uint64
+}
+
+// lookupLocked stamps span on the solver, then derives the mix's cache key
+// and makes the one counted lookup, bracketed in a cache-lookup span. With
+// the cache disabled it reports a miss. The caller must hold mu.
+func (s *Scheduler) lookupLocked(jobs []core.PlacedWorkload, span int64) mixScore {
 	s.co.SetSpan(span)
+	var ms mixScore
 	if s.coCache == nil {
-		return s.co.Predict(jobs)
+		return ms
 	}
 	tr := s.cfg.Tracer
 	tracing := span != 0 && tr != nil && tr.Enabled()
 	if tracing {
 		tr.Emit(obs.Event{Kind: obs.EvSpanBegin, Span: span, Arg: SpanPhaseCache, Job: spanRow})
 	}
-	key, verify := s.coCache.Key(s.md, jobs, s.co.Options())
-	cached, ok := s.coCache.Lookup(key, verify)
+	ms.key, ms.verify = s.coCache.Key(s.md, jobs, s.co.Options())
+	ms.CoScore, ms.full, ms.hit = s.coCache.LookupScore(ms.key, ms.verify, s.scoreBuf)
 	if tracing {
 		tr.Emit(obs.Event{Kind: obs.EvSpanEnd, Span: span, Arg: SpanPhaseCache, Job: spanRow})
 	}
-	if ok {
-		return cached, nil
+	return ms
+}
+
+// fullPredictionLocked builds a mix's full prediction from its lookup ms:
+// the full entry that served it, else one solve with no second counted
+// lookup. The solve upgrades the mix's compact entry only when the lookup
+// hit: for Submit's chosen candidate that means the mix recurred, so a mix
+// scored once keeps its compact entry. The caller must hold mu.
+func (s *Scheduler) fullPredictionLocked(jobs []core.PlacedWorkload, ms mixScore) (*core.CoPrediction, error) {
+	if ms.full != nil {
+		return ms.full, nil
 	}
 	co, err := s.co.Predict(jobs)
-	if err != nil {
-		return nil, err
+	if err == nil && ms.hit {
+		s.coCache.Upgrade(ms.key, ms.verify, co)
 	}
-	s.coCache.Store(key, verify, co)
-	return co, nil
+	return co, err
 }
 
 // InvalidatePredictions drops every cached joint prediction (the canonical
@@ -684,10 +757,10 @@ func (s *Scheduler) candidateCounts(job Job, free int) []int {
 // bottleneck saturates, and any interference it inflicts lowers the others'
 // terms, so the maximum balances the new job's progress against the damage
 // it does.
-func aggregateThroughput(co *core.CoPrediction) float64 {
+func aggregateThroughput(sc core.CoScore) float64 {
 	var sum float64
-	for _, p := range co.Predictions {
-		sum += p.Speedup
+	for _, sp := range sc.Speedups {
+		sum += sp
 	}
 	return sum
 }
@@ -696,6 +769,19 @@ func aggregateThroughput(co *core.CoPrediction) float64 {
 type candidate struct {
 	place    placement.Placement
 	strategy string
+}
+
+// scoredCandidate is a candidate with its score-path result (whose
+// Speedups go stale once the next candidate is scored).
+type scoredCandidate struct {
+	candidate
+	mixScore
+}
+
+// seenBefore reports whether an earlier candidate has placement p, in the
+// same context order.
+func seenBefore(earlier []candidate, p placement.Placement) bool {
+	return slices.ContainsFunc(earlier, func(c candidate) bool { return slices.Equal(c.place, p) })
 }
 
 // candidatesLocked is the scheduler's one candidate generator, shared by
@@ -735,16 +821,16 @@ func spreadFree(free []topology.Context, n int, m topology.Machine) placement.Pl
 	if n > len(free) {
 		return nil
 	}
-	freeSet := make(map[topology.Context]bool, len(free))
+	isFree := make([]bool, m.TotalContexts())
 	for _, c := range free {
-		freeSet[c] = true
+		isFree[m.ContextIndex(c)] = true
 	}
 	var first, second []topology.Context
 	for slot := 0; slot < m.ThreadsPerCore; slot++ {
 		for core := 0; core < m.CoresPerSocket; core++ {
 			for sock := 0; sock < m.Sockets; sock++ {
 				c := topology.Context{Socket: sock, Core: core, Slot: slot}
-				if !freeSet[c] {
+				if !isFree[m.ContextIndex(c)] {
 					continue
 				}
 				if slot == 0 {
@@ -788,7 +874,7 @@ func quietSocketFree(busy []int, free []topology.Context, n int, m topology.Mach
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return busy[order[a]] < busy[order[b]] })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(busy[a], busy[b]) })
 
 	bySocket := make([][]topology.Context, m.Sockets)
 	for _, c := range free {

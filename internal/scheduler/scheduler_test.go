@@ -3,6 +3,7 @@ package scheduler
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"pandia/internal/analysis/leaktest"
@@ -275,5 +276,51 @@ func TestPredictRunningMix(t *testing.T) {
 		if p.Speedup <= 0 {
 			t.Errorf("job %d degenerate speedup %g", i, p.Speedup)
 		}
+	}
+}
+
+// TestPolicyValuesRejected applies the scenario parser's rule to the API:
+// a non-finite or negative policy value is an error from New and from
+// Rebalance, not a silently disabled (or inverted) policy.
+func TestPolicyValuesRejected(t *testing.T) {
+	bad := []struct {
+		name string
+		v    float64
+	}{{"NaN", math.NaN()}, {"+Inf", math.Inf(1)}, {"-Inf", math.Inf(-1)}, {"-1", -1}}
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"AdmissionThreshold", func(c *Config, v float64) { c.AdmissionThreshold = v }},
+		{"SlowdownSLO", func(c *Config, v float64) { c.SlowdownSLO = v }},
+		{"AdmissionRate", func(c *Config, v float64) { c.AdmissionRate = v }},
+		{"AdmissionBurst", func(c *Config, v float64) { c.AdmissionBurst = v }},
+	}
+	md := testMD(t)
+	for _, f := range fields {
+		for _, b := range bad {
+			t.Run(f.name+"="+b.name, func(t *testing.T) {
+				var cfg Config
+				f.set(&cfg, b.v)
+				if _, err := New(md, cfg); err == nil || !strings.Contains(err.Error(), f.name) {
+					t.Fatalf("New with %s %g: error %v, want one naming %s", f.name, b.v, err, f.name)
+				}
+			})
+		}
+	}
+
+	s, err := New(md, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(func() Job { j := computeJob("c1"); j.Threads = 4; return j }()); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bad {
+		t.Run("minGain="+b.name, func(t *testing.T) {
+			if rep, err := s.Rebalance(b.v); err == nil || !strings.Contains(err.Error(), "minGain") {
+				t.Fatalf("Rebalance(%g) = %+v, %v; want an error naming minGain", b.v, rep, err)
+			}
+		})
 	}
 }
