@@ -16,8 +16,10 @@ GO ?= go
 # BenchmarkSweepPruned covers the dominance-pruned sweep of DESIGN.md §12;
 # BenchmarkTestbedRun and BenchmarkMeasureAll the simulated testbed (§8);
 # BenchmarkCoScore, BenchmarkSubmit, BenchmarkRebalance and
-# BenchmarkDrainSocket the scheduler rung over the score-only joint solve.
-BENCH_CORE = BenchmarkFig10Curves|BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkPredictSweep$$|BenchmarkTestbedRun|BenchmarkMeasureAll$$|BenchmarkEnumeratePlacements|BenchmarkSweepPruned$$|BenchmarkCoScore$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$
+# BenchmarkDrainSocket the scheduler rung over the score-only joint solve;
+# BenchmarkRecommend the placement-advice rung (pruned sweep + two full
+# predictions on the X5-2).
+BENCH_CORE = BenchmarkFig10Curves|BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkPredictSweep$$|BenchmarkTestbedRun|BenchmarkMeasureAll$$|BenchmarkEnumeratePlacements|BenchmarkSweepPruned$$|BenchmarkCoScore$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$|BenchmarkRecommend$$
 
 .PHONY: check test vet pandia-vet alloccheck lockcheck fuzz fuzz-smoke scenario-smoke journal-smoke bench bench-smoke bench-gate bench-module build
 
@@ -73,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzMachineJSON -fuzztime 5s -run '^$$' ./internal/topology/
 	$(GO) test -fuzz FuzzScenarioParse -fuzztime 5s -run '^$$' ./internal/scenario/
 	$(GO) test -fuzz FuzzGuardAnnotation -fuzztime 5s -run '^$$' ./internal/analysis/locks/
+	$(GO) test -fuzz FuzzPredictClasses -fuzztime 5s -run '^$$' ./internal/core/
 
 fuzz:
 	$(GO) test -fuzz FuzzParseShape -fuzztime 30s ./internal/placement/
@@ -80,6 +83,7 @@ fuzz:
 	$(GO) test -fuzz FuzzMachineJSON -fuzztime 30s ./internal/topology/
 	$(GO) test -fuzz FuzzScenarioParse -fuzztime 30s ./internal/scenario/
 	$(GO) test -fuzz FuzzGuardAnnotation -fuzztime 30s ./internal/analysis/locks/
+	$(GO) test -fuzz FuzzPredictClasses -fuzztime 30s ./internal/core/
 
 # -count=3 with benchjson's min-of-N collapsing: external load on a shared
 # host only ever inflates a sample, so the fastest repeat is the stable
@@ -92,7 +96,7 @@ bench:
 # sensitive micro-benchmarks, parsed but not recorded, so a broken bench or
 # parser fails the gate without paying for a full measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkSweepPruned$$|BenchmarkTestbedRun$$|BenchmarkCoScore$$' -benchtime 5x -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkSweepPruned$$|BenchmarkTestbedRun$$|BenchmarkCoScore$$|BenchmarkRecommend$$' -benchtime 5x -benchmem . \
 	  | $(GO) run ./cmd/pandia-benchjson -label smoke -out ''
 
 # bench-gate is the perf/observability overhead gate: the PredictTime fast

@@ -456,6 +456,36 @@ func BenchmarkSweepPruned(b *testing.B) {
 	b.ReportMetric(100*stats.PruneRate(), "prune-rate-%")
 }
 
+// BenchmarkRecommend measures the placement-advice rung end to end on the
+// X5-2: Recommend's pruned sweep over the canonical shapes at target
+// fraction 0.95, then the full predictions of the two chosen shapes. It
+// reports the swept placement count and the share the dominance bound
+// skipped.
+func BenchmarkRecommend(b *testing.B) {
+	sys, err := NewSystem("x5-2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cg, err := BenchmarkByName("CG")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof, err := sys.Profile(cg.Truth)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var rec *Recommendation
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec, err = sys.Recommend(&prof.Workload, 0.95); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(rec.Sweep.Evaluated+rec.Sweep.Pruned), "placements")
+	b.ReportMetric(100*rec.Sweep.PruneRate(), "prune-rate-%")
+}
+
 // BenchmarkTestbedRun measures one ground-truth simulation run.
 func BenchmarkTestbedRun(b *testing.B) {
 	h := harnessFor(b, "x5-2")

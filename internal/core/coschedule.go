@@ -66,7 +66,7 @@ func PredictCoSchedule(md *machine.Description, placed []PlacedWorkload, opt Opt
 // CoPrediction — the shared tail of PredictCoSchedule and CoPredictor.
 func coPrediction(md *machine.Description, e *engine, opt Options) (*CoPrediction, error) {
 	iters, converged := e.iterate(opt)
-	e.accumulate() // refresh loads at the converged utilisations
+	e.accumulate(true) // refresh every load at the converged utilisations
 	loads := e.loadsMap()
 
 	out := &CoPrediction{

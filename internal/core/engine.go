@@ -31,6 +31,11 @@ type PlacedWorkload struct {
 // job is the engine's per-workload state. All per-thread slices are scratch
 // owned by the engine: they grow to the placement size on bind and are
 // reused across predictions, so a bound engine predicts without allocating.
+//
+// The solver state lives in classes: the per-thread vectors f, sRes, sTot,
+// commPen, lbPen and bottleneck are outputs, expanded from the classes after
+// convergence (and on every iteration while tracing or checking
+// invariants).
 type job struct {
 	w     *Workload
 	place placement.Placement
@@ -42,42 +47,70 @@ type job struct {
 	amdahl float64
 	fInit  float64
 
+	// classes groups the job's interchangeable threads, classOf maps each
+	// thread to its class, and runs is the placement as maximal stretches of
+	// consecutive threads in one class (see thread classes in DESIGN.md §8).
+	classes []class
+	classOf []int32
+	runs    []run
+
 	f          []float64
-	prevF      []float64
 	sRes       []float64
 	sTot       []float64
 	commPen    []float64
 	lbPen      []float64
-	inv        []float64
 	bottleneck []topology.ResourceKind
 	// sockLock and sockInd hold the per-socket communication sums of §5.2
 	// (identical for every thread on one socket); sized to the machine's
-	// socket count.
+	// socket count. sockLock depends on the placement alone and is summed
+	// once per bind.
 	sockLock []float64
 	sockInd  []float64
 	sCap     float64
 
 	// buf is the slab backing all the job's float64 scratch above: carving
-	// one allocation keeps a cold bind to a single make instead of nine.
+	// one allocation keeps a cold bind to a single make instead of seven.
 	buf []float64
+}
+
+// class is one job's threads on one socket, on cores that hold the same
+// number of threads — or, for a core several jobs share, the job's threads
+// on that one core. Every thread of a class starts at fInit and sees the
+// same loads, so the whole class shares one solver state.
+type class struct {
+	// core is the representative core: the core of the class's first
+	// thread in placement order, the one whose loads the solver keeps.
+	core, sock int
+	// perCore counts the job's threads on each of the class's cores.
+	perCore int
+	// key is the class's slot in the engine's grouping table.
+	key int
+
+	f, prevF, sRes, sTot, commPen, lbPen, inv float64
+	bottleneck                                topology.ResourceKind
+}
+
+// run is n consecutive placement entries of one class. Replaying runs in
+// placement order adds each thread's value to an order-sensitive sum in
+// the same order the per-thread loop did.
+type run struct {
+	cls, n int32
 }
 
 // carve re-slices the job's float scratch out of one slab sized for n
 // threads on nSock sockets, growing the slab only when a larger placement
 // arrives. Contents are unspecified; bind and iterate write before reading.
 func (j *job) carve(n, nSock int) {
-	need := 7*n + 2*nSock
+	need := 5*n + 2*nSock
 	if cap(j.buf) < need {
 		j.buf = make([]float64, need) //alloccheck:ok slab grows once per larger placement; steady state reuses it
 	}
 	b := j.buf[:need]
 	j.f, b = b[:n:n], b[n:]
-	j.prevF, b = b[:n:n], b[n:]
 	j.sRes, b = b[:n:n], b[n:]
 	j.sTot, b = b[:n:n], b[n:]
 	j.commPen, b = b[:n:n], b[n:]
 	j.lbPen, b = b[:n:n], b[n:]
-	j.inv, b = b[:n:n], b[n:]
 	j.sockLock, b = b[:nSock:nSock], b[nSock:]
 	j.sockInd = b[:nSock:nSock]
 }
@@ -104,6 +137,19 @@ type engine struct {
 	// coreOcc counts all jobs' threads per core (SMT capacity and the
 	// burstiness trigger consider every co-located thread).
 	coreOcc []int
+
+	// coreJob records which bound job owns each core (noJob when none,
+	// sharedCore when several jobs' threads sit on it), and classKey maps
+	// a grouping key to the class index of the job being grouped (-1 when
+	// unused; restored after each job). Keys below nCores name a shared
+	// core; the rest encode (socket, core occupancy) in occSpan-wide rows.
+	coreJob  []int
+	classKey []int32
+	occSpan  int
+
+	// pairOf[a*nSock+b] is the dense interconnect index of sockets a != b
+	// (topology.Machine.PairIndex), tabulated once per engine.
+	pairOf []int
 
 	// occupied and mine are reusable bitsets over dense context indices:
 	// occupied accumulates every bound job's contexts to reject cross-job
@@ -140,14 +186,29 @@ func newEngineState(md *machine.Description) (*engine, error) {
 	topo := md.Topo
 	words := (topo.TotalContexts() + 63) / 64
 	cores, sock, pairs := topo.TotalCores(), topo.Sockets, topo.NumSocketPairs()
+	occSpan := topo.ThreadsPerCore + 1
 	e := &engine{
 		md:       md,
 		nCores:   cores,
 		nSock:    sock,
 		coreOcc:  make([]int, cores),
+		coreJob:  make([]int, cores),
+		classKey: make([]int32, cores+sock*occSpan),
+		occSpan:  occSpan,
 		occupied: make([]uint64, words),
 		mine:     make([]uint64, words),
 		sockSeen: make([]bool, sock),
+	}
+	for k := range e.classKey {
+		e.classKey[k] = -1
+	}
+	e.pairOf = make([]int, sock*sock)
+	for a := 0; a < sock; a++ {
+		for b := 0; b < sock; b++ {
+			if a != b {
+				e.pairOf[a*sock+b] = topo.PairIndex(a, b)
+			}
+		}
 	}
 	// One slab backs every load table.
 	b := make([]float64, 4*cores+2*sock+pairs)
@@ -182,6 +243,13 @@ func growInts(s []int, n int) []int {
 	return make([]int, n) //alloccheck:ok scratch grows once per larger placement; steady state reuses it
 }
 
+func growInt32s(s []int32, n int) []int32 {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]int32, n) //alloccheck:ok scratch grows once per larger placement; steady state reuses it
+}
+
 func growKinds(s []topology.ResourceKind, n int) []topology.ResourceKind {
 	if cap(s) >= n {
 		return s[:n]
@@ -203,6 +271,7 @@ func (e *engine) bind(placed []PlacedWorkload, validateWorkloads bool) error {
 	e.invErr = nil
 	for i := range e.coreOcc {
 		e.coreOcc[i] = 0
+		e.coreJob[i] = noJob
 	}
 	for i := range e.occupied {
 		e.occupied[i] = 0
@@ -228,7 +297,83 @@ func (e *engine) bind(placed []PlacedWorkload, validateWorkloads bool) error {
 		j.bind(e, topo, pw.Workload, pw.Placement)
 		e.jobs = append(e.jobs, j) //alloccheck:ok re-slices the pool; grows only with the job count
 	}
+	// Grouping needs every job's occupancy: a core is shared only once a
+	// later job lands on it.
+	for _, j := range e.jobs {
+		e.group(j)
+	}
 	return nil
+}
+
+// Sentinels of engine.coreJob.
+const (
+	noJob      = -1
+	sharedCore = -2
+)
+
+// group splits the job's threads into classes and its placement into runs,
+// and sums the §5.2 lockstep terms, which depend on the placement alone.
+//
+// A thread on a core only its own job uses is keyed by (socket, core
+// occupancy); a thread on a shared core by the core. By induction over the
+// iterations, threads with one key keep bit-identical state: they start at
+// fInit, and if their utilisations agree then so do their cores' loads (the
+// same number of equal additions from zero, or the same core), their
+// socket's L3, DRAM and interconnect loads, the job-wide sums and caps,
+// hence every step of the next iteration.
+func (e *engine) group(j *job) {
+	n := len(j.place)
+	j.classes = j.classes[:0]
+	j.runs = j.runs[:0]
+	j.classOf = growInt32s(j.classOf, n)
+	for i, c := range j.place {
+		core := j.coreOf[i]
+		shared := e.coreJob[core] == sharedCore
+		key := core
+		if !shared {
+			key = e.nCores + c.Socket*e.occSpan + e.coreOcc[core]
+		}
+		k := e.classKey[key]
+		if k < 0 {
+			k = int32(len(j.classes))
+			e.classKey[key] = k
+			perCore := e.coreOcc[core]
+			if shared {
+				perCore = 0 // counted below, thread by thread
+			}
+			j.classes = append(j.classes, class{core: core, sock: c.Socket, perCore: perCore, key: key, f: j.fInit}) //alloccheck:ok grows to the largest class count seen; steady state reuses it
+		}
+		if shared {
+			j.classes[k].perCore++
+		}
+		j.classOf[i] = k
+		if r := len(j.runs) - 1; r >= 0 && j.runs[r].cls == k {
+			j.runs[r].n++
+		} else {
+			j.runs = append(j.runs, run{cls: k, n: 1}) //alloccheck:ok grows to the largest run count seen; steady state reuses it
+		}
+	}
+	for k := range j.classes {
+		e.classKey[j.classes[k].key] = -1
+	}
+
+	// The lockstep sum of a socket adds the overhead once per thread on
+	// another socket, in thread order (§5.2).
+	if j.w.InterSocketOverhead <= 0 || n <= 1 {
+		return
+	}
+	for _, s := range j.memSockets {
+		var lockstep float64
+		for _, r := range j.runs {
+			if j.classes[r.cls].sock == s {
+				continue
+			}
+			for m := int32(0); m < r.n; m++ {
+				lockstep += j.w.InterSocketOverhead
+			}
+		}
+		j.sockLock[s] = lockstep
+	}
 }
 
 // nextJob hands out a pooled job struct, growing the pool on first use.
@@ -276,6 +421,7 @@ func (e *engine) claimPlacement(p placement.Placement) error {
 // bind fills the job's derived per-placement state and adds its threads to
 // the engine's core occupancy. The placement must already be validated.
 func (j *job) bind(e *engine, topo topology.Machine, w *Workload, place placement.Placement) {
+	jid := len(e.jobs)
 	n := len(place)
 	j.w = w
 	j.place = place
@@ -290,8 +436,14 @@ func (j *job) bind(e *engine, topo topology.Machine, w *Workload, place placemen
 		e.sockSeen[s] = false
 	}
 	for i, c := range place {
-		j.coreOf[i] = topo.GlobalCore(c)
-		e.coreOcc[j.coreOf[i]]++
+		core := topo.GlobalCore(c)
+		j.coreOf[i] = core
+		e.coreOcc[core]++
+		if owner := e.coreJob[core]; owner == noJob {
+			e.coreJob[core] = jid
+		} else if owner != jid {
+			e.coreJob[core] = sharedCore
+		}
 		e.sockSeen[c.Socket] = true
 	}
 	// Collect the sockets in use in increasing order (the original engine
@@ -306,16 +458,30 @@ func (j *job) bind(e *engine, topo topology.Machine, w *Workload, place placemen
 	// The placement is non-empty, so at least one socket is in use; the
 	// fallback share of 1 is only a belt for that unreachable case.
 	j.memShare = SafeDiv(1, float64(len(j.memSockets)), 1)
-	for i := range j.f {
-		j.f[i] = j.fInit
-	}
 }
 
-// accumulate recomputes every resource load from all jobs' demands at the
-// current utilisations (§5.1).
-func (e *engine) accumulate() {
-	for i := range e.instr {
-		e.instr[i], e.l1[i], e.l2[i], e.l3Link[i] = 0, 0, 0, 0
+// accumulate recomputes the resource loads from all jobs' demands at the
+// current utilisations (§5.1). Per-core loads are kept for each class's
+// representative core only, unless full is set, when every core's table
+// entry is written as the per-thread sums would have left it: callers that
+// read whole tables (loadSummary, loadsMap) accumulate in full.
+//
+// Every sum adds the same values in the same order as a per-thread sweep of
+// the placements in job order: a representative core receives its class's
+// value once per thread on it, and the socket, DRAM and interconnect sums
+// replay each job's runs.
+func (e *engine) accumulate(full bool) {
+	if full {
+		for i := range e.instr {
+			e.instr[i], e.l1[i], e.l2[i], e.l3Link[i] = 0, 0, 0, 0
+		}
+	} else {
+		for _, j := range e.jobs {
+			for k := range j.classes {
+				c := j.classes[k].core
+				e.instr[c], e.l1[c], e.l2[c], e.l3Link[c] = 0, 0, 0, 0
+			}
+		}
 	}
 	for s := range e.l3Agg {
 		e.l3Agg[s], e.dram[s] = 0, 0
@@ -323,37 +489,67 @@ func (e *engine) accumulate() {
 	for p := range e.ic {
 		e.ic[p] = 0
 	}
-	topo := e.md.Topo
 	for _, j := range e.jobs {
-		d := j.w.Demand
-		for i, c := range j.place {
-			core := j.coreOf[i]
-			fi := j.f[i]
-			e.instr[core] += d.Instr * fi
-			e.l1[core] += d.L1 * fi
-			e.l2[core] += d.L2 * fi
-			e.l3Link[core] += d.L3 * fi
-			e.l3Agg[c.Socket] += d.L3 * fi
-			if dd := d.DRAM * fi; dd > 0 {
-				for _, u := range j.memSockets {
-					e.dram[u] += dd * j.memShare
-					if u != c.Socket {
-						e.ic[topo.PairIndex(c.Socket, u)] += 2 * dd * j.memShare
-					}
+		d := &j.w.Demand
+		for k := range j.classes {
+			cl := &j.classes[k]
+			core, fi := cl.core, cl.f
+			for m := 0; m < cl.perCore; m++ {
+				e.instr[core] += d.Instr * fi
+				e.l1[core] += d.L1 * fi
+				e.l2[core] += d.L2 * fi
+				e.l3Link[core] += d.L3 * fi
+			}
+		}
+		share := j.memShare
+		for _, r := range j.runs {
+			cl := &j.classes[r.cls]
+			sock, fi := cl.sock, cl.f
+			acc := e.l3Agg[sock]
+			for m := int32(0); m < r.n; m++ {
+				acc += d.L3 * fi
+			}
+			e.l3Agg[sock] = acc
+			dd := d.DRAM * fi
+			if dd <= 0 {
+				continue
+			}
+			for _, u := range j.memSockets {
+				acc := e.dram[u]
+				for m := int32(0); m < r.n; m++ {
+					acc += dd * share
 				}
+				e.dram[u] = acc
+				if u != sock {
+					p := e.pairOf[sock*e.nSock+u]
+					acc := e.ic[p]
+					for m := int32(0); m < r.n; m++ {
+						acc += 2 * dd * share
+					}
+					e.ic[p] = acc
+				}
+			}
+		}
+	}
+	if !full {
+		return
+	}
+	for _, j := range e.jobs {
+		for i, core := range j.coreOf {
+			if rep := j.classes[j.classOf[i]].core; rep != core {
+				e.instr[core], e.l1[core], e.l2[core], e.l3Link[core] = e.instr[rep], e.l1[rep], e.l2[rep], e.l3Link[rep]
 			}
 		}
 	}
 }
 
-// worstOversubscription returns thread i of job j's largest load/capacity
-// factor (at least 1) and the bottleneck kind. The checks run in a fixed
-// resource order with no closures so the hot loop stays allocation-free.
-func (e *engine) worstOversubscription(j *job, i int) (float64, topology.ResourceKind) {
+// worstOversubscription returns the largest load/capacity factor (at least
+// 1) and the bottleneck kind seen by a thread of job j on the given core and
+// socket. The checks run in a fixed resource order with no closures so the
+// hot loop stays allocation-free.
+func (e *engine) worstOversubscription(j *job, core, sock int) (float64, topology.ResourceKind) {
 	md := e.md
-	core := j.coreOf[i]
-	sock := j.place[i].Socket
-	d := j.w.Demand
+	d := &j.w.Demand
 	best := 1.0
 	kind := topology.ResInstr
 
@@ -398,7 +594,7 @@ func (e *engine) worstOversubscription(j *job, i int) (float64, topology.Resourc
 				}
 			}
 			if u != sock {
-				if load := e.ic[md.Topo.PairIndex(sock, u)]; md.InterconnectBW > 0 && load > 0 {
+				if load := e.ic[e.pairOf[sock*e.nSock+u]]; md.InterconnectBW > 0 && load > 0 {
 					if r := load / md.InterconnectBW; r > best {
 						best, kind = r, topology.ResInterconnect
 					}
@@ -409,8 +605,9 @@ func (e *engine) worstOversubscription(j *job, i int) (float64, topology.Resourc
 	return best, kind
 }
 
-// iterate runs the refinement loop to convergence (§5.1-5.4) and reports
-// the iteration count and whether the utilisations stabilised.
+// iterate runs the refinement loop to convergence (§5.1-5.4) over thread
+// classes and reports the iteration count and whether the utilisations
+// stabilised. On return the per-thread vectors hold the final state.
 //
 //pandia:noalloc
 func (e *engine) iterate(opt Options) (int, bool) {
@@ -429,28 +626,30 @@ func (e *engine) iterate(opt Options) (int, bool) {
 			tr.Emit(obs.Event{Kind: obs.EvPredictStart, Job: int32(jid), Arg: int32(len(j.place)), Span: opt.SpanID})
 		}
 	}
+	// The per-thread vectors are expanded every iteration only when a
+	// check or the tracer reads them.
+	perIter := checks || tracing
 	iters := 0
 	converged := false
 	for iter := 0; iter < maxIters; iter++ {
 		iters = iter + 1
-		e.accumulate()
+		e.accumulate(tracing)
 
 		// (i) Resource contention plus burstiness (§5.1).
 		for _, j := range e.jobs {
-			copy(j.prevF, j.f)
-			for i := range j.place {
-				s, kind := e.worstOversubscription(j, i)
-				if !opt.DisableBurstiness && j.w.Burstiness > 0 && e.coreOcc[j.coreOf[i]] > 1 {
-					s += j.w.Burstiness * s * j.f[i]
+			for k := range j.classes {
+				cl := &j.classes[k]
+				cl.prevF = cl.f
+				s, kind := e.worstOversubscription(j, cl.core, cl.sock)
+				if !opt.DisableBurstiness && j.w.Burstiness > 0 && e.coreOcc[cl.core] > 1 {
+					s += j.w.Burstiness * s * cl.f
 				}
 				if s > j.sCap {
 					s = j.sCap
 				}
-				j.sRes[i] = s
-				j.sTot[i] = s
-				j.commPen[i] = 0
-				j.lbPen[i] = 0
-				j.bottleneck[i] = kind
+				cl.sRes, cl.sTot = s, s
+				cl.commPen, cl.lbPen = 0, 0
+				cl.bottleneck = kind
 			}
 		}
 
@@ -465,60 +664,64 @@ func (e *engine) iterate(opt Options) (int, bool) {
 			// slowdown from turning the whole sum into NaN (§5 convergence
 			// tests math.Abs(delta) < tol, which a NaN never satisfies).
 			var invSum float64
-			for i := 0; i < n; i++ {
-				j.inv[i] = SafeDiv(1, j.sRes[i], 1)
-				invSum += j.inv[i]
+			for _, r := range j.runs {
+				cl := &j.classes[r.cls]
+				inv := SafeDiv(1, cl.sRes, 1)
+				cl.inv = inv
+				for m := int32(0); m < r.n; m++ {
+					invSum += inv
+				}
 			}
 			if invSum <= 0 {
 				continue
 			}
-			l := j.w.LoadBalance
+			l, iso, fn := j.w.LoadBalance, j.w.InterSocketOverhead, float64(n)
 			// A thread's lockstep and independent sums range over every
-			// thread on a different socket (k == i is on the same socket and
-			// so always skipped), which makes them a function of the
-			// thread's socket alone. Computing each socket's sums once — in
-			// the same ascending thread order the per-thread double loop
-			// used — keeps every floating-point addition bit-identical while
-			// cutting the step from O(n²) to O(n · sockets).
+			// thread on a different socket, which makes them a function of
+			// the thread's socket alone. The lockstep sums were taken at
+			// bind; each socket's independent sum replays the runs on the
+			// other sockets, in thread order.
 			for _, s := range j.memSockets {
-				var lockstep, independent float64
-				for k := 0; k < n; k++ {
-					if j.place[k].Socket == s {
+				var independent float64
+				for _, r := range j.runs {
+					cl := &j.classes[r.cls]
+					if cl.sock == s {
 						continue
 					}
-					lockstep += j.w.InterSocketOverhead
-					wk := j.inv[k] / invSum
-					independent += float64(n) * wk * j.w.InterSocketOverhead
+					wk := cl.inv / invSum
+					for m := int32(0); m < r.n; m++ {
+						independent += fn * wk * iso
+					}
 				}
-				j.sockLock[s] = lockstep
 				j.sockInd[s] = independent
 			}
-			for i := 0; i < n; i++ {
-				s := j.place[i].Socket
+			for k := range j.classes {
+				cl := &j.classes[k]
+				s := cl.sock
 				comm := l*j.sockInd[s] + (1-l)*j.sockLock[s]
-				fMid := SafeDiv(j.fInit, j.sRes[i], j.fInit)
-				j.sTot[i] = math.Min(j.sRes[i]+comm*fMid, j.sCap)
-				j.commPen[i] = j.sTot[i] - j.sRes[i]
+				fMid := SafeDiv(j.fInit, cl.sRes, j.fInit)
+				cl.sTot = math.Min(cl.sRes+comm*fMid, j.sCap)
+				cl.commPen = cl.sTot - cl.sRes
 			}
 		}
 
 		// (iii) Load balancing, within each workload (§5.3).
 		for _, j := range e.jobs {
-			n := len(j.place)
-			if opt.DisableLoadBalance || n <= 1 {
+			if opt.DisableLoadBalance || len(j.place) <= 1 {
 				continue
 			}
 			sMax := 0.0
-			for i := 0; i < n; i++ {
-				if j.sTot[i] > sMax {
-					sMax = j.sTot[i]
+			for k := range j.classes {
+				if s := j.classes[k].sTot; s > sMax {
+					sMax = s
 				}
 			}
 			l := j.w.LoadBalance
-			for i := 0; i < n; i++ {
-				before := j.sTot[i]
-				j.sTot[i] = (1-l)*sMax + l*j.sTot[i]
-				j.lbPen[i] = j.sTot[i] - before
+			for k := range j.classes {
+				cl := &j.classes[k]
+				before := cl.sTot
+				cl.sTot = (1-l)*sMax + l*cl.sTot
+				cl.lbPen = cl.sTot - before
 			}
 		}
 
@@ -526,8 +729,8 @@ func (e *engine) iterate(opt Options) (int, bool) {
 		if iter == 0 {
 			for _, j := range e.jobs {
 				j.sCap = 1
-				for _, s := range j.sTot {
-					if s > j.sCap {
+				for k := range j.classes {
+					if s := j.classes[k].sTot; s > j.sCap {
 						j.sCap = s
 					}
 				}
@@ -537,16 +740,20 @@ func (e *engine) iterate(opt Options) (int, bool) {
 		// Feed forward (§5.4).
 		var maxDelta float64
 		for _, j := range e.jobs {
-			for i := range j.f {
-				next := j.fInit * SafeDiv(j.sRes[i], j.sTot[i], 1)
+			for k := range j.classes {
+				cl := &j.classes[k]
+				next := j.fInit * SafeDiv(cl.sRes, cl.sTot, 1)
 				if iter >= dampenAfter {
-					next = (next + j.prevF[i]) / 2
+					next = (next + cl.prevF) / 2
 				}
-				if d := math.Abs(next - j.prevF[i]); d > maxDelta {
+				if d := math.Abs(next - cl.prevF); d > maxDelta {
 					maxDelta = d
 				}
-				j.f[i] = next
+				cl.f = next
 			}
+		}
+		if perIter {
+			e.expand()
 		}
 		if checks && e.invErr == nil {
 			e.invErr = e.checkIteration(iter) //alloccheck:ok opt-in invariant checks trade allocations for diagnosis
@@ -559,6 +766,9 @@ func (e *engine) iterate(opt Options) (int, bool) {
 			break
 		}
 	}
+	if !perIter {
+		e.expand()
+	}
 	if tracing {
 		var conv int32
 		if converged {
@@ -569,6 +779,17 @@ func (e *engine) iterate(opt Options) (int, bool) {
 		}
 	}
 	return iters, converged
+}
+
+// expand writes every job's per-thread vectors from its classes.
+func (e *engine) expand() {
+	for _, j := range e.jobs {
+		for i, k := range j.classOf {
+			cl := &j.classes[k]
+			j.f[i], j.sRes[i], j.sTot[i] = cl.f, cl.sRes, cl.sTot
+			j.commPen[i], j.lbPen[i], j.bottleneck[i] = cl.commPen, cl.lbPen, cl.bottleneck
+		}
+	}
 }
 
 // prediction assembles one job's Prediction (§5.5).
@@ -600,12 +821,14 @@ func (j *job) prediction(iters int, converged bool, loads map[topology.ResourceI
 // speedup computes the job's converged overall speedup (§5.5) without
 // allocating — the shared core of the full and fast prediction paths.
 func (j *job) speedup() (float64, error) {
-	n := len(j.place)
 	var invSum float64
-	for i := 0; i < n; i++ {
-		invSum += SafeDiv(1, j.sTot[i], 1)
+	for _, r := range j.runs {
+		inv := SafeDiv(1, j.classes[r.cls].sTot, 1)
+		for m := int32(0); m < r.n; m++ {
+			invSum += inv
+		}
 	}
-	speedup := j.amdahl * invSum / float64(n) //nanguard:ok bind rejects empty placements, n >= 1
+	speedup := j.amdahl * invSum / float64(len(j.place)) //nanguard:ok bind rejects empty placements, n >= 1
 	if speedup <= 0 || math.IsNaN(speedup) {
 		return 0, fmt.Errorf("core: degenerate prediction for %q", j.w.Name) //alloccheck:ok degenerate-prediction error path is cold
 	}

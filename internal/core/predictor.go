@@ -98,7 +98,7 @@ func (p *Predictor) Predict(place placement.Placement) (*Prediction, error) {
 			"prediction for %q did not converge after %d iterations; Amdahl-only fallback", p.w.Name, iters))
 		pred = amdahlOnly(p.w, len(place), iters)
 	} else {
-		p.e.accumulate() // refresh loads at the converged utilisations
+		p.e.accumulate(true) // refresh every load at the converged utilisations
 		var err error
 		pred, err = p.e.jobs[0].prediction(iters, converged, p.e.loadsMap())
 		if err != nil {
@@ -463,7 +463,7 @@ func (cp *CoPredictor) Score(placed []PlacedWorkload, dst []float64) (CoScore, e
 		return CoScore{}, err
 	}
 	e.iterate(cp.opt)
-	e.accumulate() // refresh loads at the converged utilisations
+	e.accumulate(true) // refresh every load at the converged utilisations
 	//alloccheck:ok grows only a too-short caller buffer; a reused one stops growing
 	dst = slices.Grow(dst[:0], len(e.jobs))[:len(e.jobs)]
 	for i, j := range e.jobs {

@@ -200,7 +200,10 @@ func (s Shape) Validate(m topology.Machine) error {
 // doubled cores come first (cores 0..Twos-1 with both contexts), then
 // single-thread cores. Thread order is socket-major.
 func (s Shape) Expand(m topology.Machine) Placement {
-	var p Placement
+	var p Placement // an empty shape expands to nil
+	if n := s.Threads(); n > 0 {
+		p = make(Placement, 0, n)
+	}
 	for sIdx, sc := range s.PerSocket {
 		core := 0
 		for i := 0; i < sc.Twos; i++ {
