@@ -67,23 +67,29 @@ check: build
 bench-module:
 	cd cmd/pandia-bench && $(GO) vet ./... && $(GO) test ./...
 
+# FUZZ_TARGETS lists every fuzz target as name:package; fuzz-smoke and
+# fuzz both run each one in turn.
+FUZZ_TARGETS = \
+	FuzzParseShape:./internal/placement/ \
+	FuzzShapeExpand:./internal/placement/ \
+	FuzzMachineJSON:./internal/topology/ \
+	FuzzScenarioParse:./internal/scenario/ \
+	FuzzGuardAnnotation:./internal/analysis/locks/ \
+	FuzzPredictClasses:./internal/core/
+
 # fuzz-smoke is the gate-sized fuzzing pass: 5 seconds per target, enough
 # to catch parser/expander regressions on the corpus plus easy mutations.
 fuzz-smoke:
-	$(GO) test -fuzz FuzzParseShape -fuzztime 5s -run '^$$' ./internal/placement/
-	$(GO) test -fuzz FuzzShapeExpand -fuzztime 5s -run '^$$' ./internal/placement/
-	$(GO) test -fuzz FuzzMachineJSON -fuzztime 5s -run '^$$' ./internal/topology/
-	$(GO) test -fuzz FuzzScenarioParse -fuzztime 5s -run '^$$' ./internal/scenario/
-	$(GO) test -fuzz FuzzGuardAnnotation -fuzztime 5s -run '^$$' ./internal/analysis/locks/
-	$(GO) test -fuzz FuzzPredictClasses -fuzztime 5s -run '^$$' ./internal/core/
+	@set -e; for t in $(FUZZ_TARGETS); do \
+	  echo "fuzz-smoke: $$t"; \
+	  $(GO) test -fuzz $${t%%:*} -fuzztime 5s -run '^$$' $${t#*:}; \
+	done
 
 fuzz:
-	$(GO) test -fuzz FuzzParseShape -fuzztime 30s ./internal/placement/
-	$(GO) test -fuzz FuzzShapeExpand -fuzztime 30s ./internal/placement/
-	$(GO) test -fuzz FuzzMachineJSON -fuzztime 30s ./internal/topology/
-	$(GO) test -fuzz FuzzScenarioParse -fuzztime 30s ./internal/scenario/
-	$(GO) test -fuzz FuzzGuardAnnotation -fuzztime 30s ./internal/analysis/locks/
-	$(GO) test -fuzz FuzzPredictClasses -fuzztime 30s ./internal/core/
+	@set -e; for t in $(FUZZ_TARGETS); do \
+	  echo "fuzz: $$t"; \
+	  $(GO) test -fuzz $${t%%:*} -fuzztime 30s $${t#*:}; \
+	done
 
 # -count=3 with benchjson's min-of-N collapsing: external load on a shared
 # host only ever inflates a sample, so the fastest repeat is the stable

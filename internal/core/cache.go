@@ -149,9 +149,9 @@ type coEntry struct {
 // migration search, so re-scoring an unchanged co-resident set is a map
 // lookup instead of a fixed-point solve.
 //
-// LookupScore and Lookup share one entry per key and one set of counters.
-// A served *CoPrediction is the same pointer an earlier solve produced;
-// callers must treat it as immutable.
+// An entry holds a full prediction or a compact score; LookupScore serves
+// either and counts each lookup once. A served *CoPrediction is the same
+// pointer an earlier solve produced; callers must treat it as immutable.
 type CoCache struct {
 	mu       sync.RWMutex
 	m        map[uint64]coEntry
@@ -211,16 +211,10 @@ func (c *CoCache) get(key, verify uint64) (coEntry, bool) {
 	return e, true
 }
 
-// Lookup serves a stored full joint prediction when both digests match. A
-// compact entry is a hit without a value, (nil, true): the caller solves the
-// mix and passes the result to Upgrade.
-func (c *CoCache) Lookup(key, verify uint64) (*CoPrediction, bool) {
-	e, ok := c.get(key, verify)
-	return e.co, ok
-}
-
 // LookupScore serves a stored entry's score, with its speedups written into
-// dst, when both digests match; co is the entry's full prediction, if any.
+// dst, when both digests match; co is the entry's full prediction, nil for a
+// compact entry (a caller that needs it solves the mix and passes the result
+// to Upgrade).
 func (c *CoCache) LookupScore(key, verify uint64, dst []float64) (sc CoScore, co *CoPrediction, ok bool) {
 	e, ok := c.get(key, verify)
 	if e.co != nil {

@@ -38,7 +38,7 @@ func TestCoCacheKeyMutation(t *testing.T) {
 	if k, v := c.Key(md, placed, Options{}); k != key || v != verify {
 		t.Fatal("key of unchanged inputs is not stable")
 	}
-	if got, ok := c.Lookup(key, verify); !ok || got != co {
+	if _, got, ok := c.LookupScore(key, verify, nil); !ok || got != co {
 		t.Fatalf("stored entry not served: ok=%v", ok)
 	}
 
@@ -47,7 +47,7 @@ func TestCoCacheKeyMutation(t *testing.T) {
 	if mk == key || mv == verify {
 		t.Fatal("machine mutation left the key unchanged")
 	}
-	if _, ok := c.Lookup(mk, mv); ok {
+	if _, _, ok := c.LookupScore(mk, mv, nil); ok {
 		t.Fatal("stale entry served after machine mutation")
 	}
 	md.DRAMBW *= 50
@@ -57,7 +57,7 @@ func TestCoCacheKeyMutation(t *testing.T) {
 	if wk == key || wv == verify {
 		t.Fatal("workload mutation left the key unchanged")
 	}
-	if _, ok := c.Lookup(wk, wv); ok {
+	if _, _, ok := c.LookupScore(wk, wv, nil); ok {
 		t.Fatal("stale entry served after workload mutation")
 	}
 }
@@ -75,14 +75,14 @@ func TestCoCacheInvalidate(t *testing.T) {
 	c.Invalidate()
 
 	misses := c.Stats().Misses
-	if _, ok := c.Lookup(key, verify); ok {
+	if _, _, ok := c.LookupScore(key, verify, nil); ok {
 		t.Fatal("pre-invalidate key served after Invalidate")
 	}
 	nk, nv := c.Key(md, placed, Options{})
 	if nk == key {
 		t.Fatal("Invalidate left the key of identical inputs unchanged")
 	}
-	if _, ok := c.Lookup(nk, nv); ok {
+	if _, _, ok := c.LookupScore(nk, nv, nil); ok {
 		t.Fatal("post-invalidate lookup hit")
 	}
 	st := c.Stats()
@@ -113,7 +113,7 @@ func TestCoCacheEviction(t *testing.T) {
 		t.Fatalf("Evictions = %d after 5 stores into capacity 4, want 4", st.Evictions)
 	}
 	for i, e := range stored {
-		_, ok := c.Lookup(e.key, e.verify)
+		_, _, ok := c.LookupScore(e.key, e.verify, nil)
 		if want := i == len(stored)-1; ok != want {
 			t.Errorf("entry %d served = %v, want %v", i, ok, want)
 		}
@@ -166,9 +166,9 @@ func TestCoCacheScoreFromFullEntry(t *testing.T) {
 }
 
 // TestCoCacheUpgradeCompactEntry checks the full path over a compact entry:
-// a full lookup counts one hit and serves no value, Upgrade turns the entry
-// into the full prediction in place without touching the counters, and an
-// Upgrade of an entry that is gone stores nothing.
+// a lookup counts one hit and serves no full prediction, Upgrade turns the
+// entry into the full prediction in place without touching the counters,
+// and an Upgrade of an entry that is gone stores nothing.
 func TestCoCacheUpgradeCompactEntry(t *testing.T) {
 	md := quickMachine()
 	placed := quickMix()
@@ -188,16 +188,16 @@ func TestCoCacheUpgradeCompactEntry(t *testing.T) {
 		t.Fatalf("compact entry served %+v (ok=%v), stored %+v", got, ok, sc)
 	}
 
-	co, ok := c.Lookup(key, verify)
+	_, co, ok := c.LookupScore(key, verify, nil)
 	if !ok || co != nil {
-		t.Fatalf("full lookup on a compact entry = (%p, %v), want a hit with no value", co, ok)
+		t.Fatalf("lookup on a compact entry served prediction %p (ok=%v), want a hit with none", co, ok)
 	}
 	co, err = cp.Predict(placed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Upgrade(key, verify, co)
-	if served, ok := c.Lookup(key, verify); !ok || served != co {
+	if _, served, ok := c.LookupScore(key, verify, nil); !ok || served != co {
 		t.Fatalf("upgraded entry not served: ok=%v", ok)
 	}
 	if st := c.Stats(); st != (CacheStats{Hits: 3}) {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"pandia/internal/machine"
-	"pandia/internal/obs"
 	"pandia/internal/topology"
 )
 
@@ -55,58 +54,23 @@ func (cp *CoPrediction) Score(dst []float64) CoScore {
 // workload performance will let us handle cases with multiple workloads
 // sharing a machine"). Placements must not overlap.
 func PredictCoSchedule(md *machine.Description, placed []PlacedWorkload, opt Options) (*CoPrediction, error) {
-	e, err := newEngine(md, placed)
+	cp, err := NewCoPredictor(md, opt)
 	if err != nil {
 		return nil, err
 	}
-	return coPrediction(md, e, opt)
-}
-
-// coPrediction runs the joint iteration on a bound engine and assembles the
-// CoPrediction — the shared tail of PredictCoSchedule and CoPredictor.
-func coPrediction(md *machine.Description, e *engine, opt Options) (*CoPrediction, error) {
-	iters, converged := e.iterate(opt)
-	e.accumulate(true) // refresh every load at the converged utilisations
-	loads := e.loadsMap()
-
-	out := &CoPrediction{
-		Loads:      loads,
-		Iterations: iters,
-		Converged:  converged,
-	}
-	for _, j := range e.jobs {
-		pred, err := j.prediction(iters, converged, loads)
-		if err != nil {
-			return nil, err
-		}
-		if invariantChecks.Load() {
-			if e.invErr != nil {
-				return nil, e.invErr
-			}
-			if err := CheckInvariants(j.w, md, pred); err != nil {
-				return nil, fmt.Errorf("core: workload %q: %w", j.w.Name, err)
-			}
-		}
-		out.Predictions = append(out.Predictions, pred)
-	}
-
-	// The same dense scan as CoPredictor.Score, so the two paths agree.
-	var kinds [obs.MaxLoadKinds]float64
-	worstID, worst := e.loadSummary(&kinds)
-	out.WorstOversubscription = worst
-	out.WorstResource = worstID
-	// The loads are joint, so every constituent prediction reports the same
-	// machine-wide worst resource.
-	for _, pred := range out.Predictions {
-		pred.WorstResource = worstID
-		pred.WorstOversubscription = worst
-	}
-	return out, nil
+	return cp.Predict(placed)
 }
 
 // Slowdown reports how much slower workload i runs co-scheduled than the
-// baseline prediction alone on the same placement would be.
+// baseline prediction alone on the same placement would be. placed must be
+// the co-schedule cp predicts, one entry per prediction.
 func (cp *CoPrediction) Slowdown(md *machine.Description, placed []PlacedWorkload, i int, opt Options) (float64, error) {
+	if len(placed) != len(cp.Predictions) {
+		return 0, fmt.Errorf("core: slowdown over %d placed workloads, prediction has %d", len(placed), len(cp.Predictions))
+	}
+	if i < 0 || i >= len(placed) {
+		return 0, fmt.Errorf("core: slowdown of workload %d out of range [0, %d)", i, len(placed))
+	}
 	solo, err := Predict(md, placed[i].Workload, placed[i].Placement, opt)
 	if err != nil {
 		return 0, err

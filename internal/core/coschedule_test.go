@@ -101,6 +101,22 @@ func TestCoScheduleInterference(t *testing.T) {
 	if slow <= 1.2 {
 		t.Errorf("Slowdown() = %g, want > 1.2", slow)
 	}
+	// An index outside the mix, or a placed set that is not the predicted
+	// one, is an error rather than a panic.
+	for _, tc := range []struct {
+		placed []PlacedWorkload
+		i      int
+	}{
+		{heavy, -1},
+		{heavy, len(heavy)},
+		{heavy[:1], 1},
+		{heavy[:1], 0},
+		{append(heavy[:len(heavy):len(heavy)], heavy[0]), len(heavy)},
+	} {
+		if _, err := co.Slowdown(md, tc.placed, tc.i, Options{}); err == nil {
+			t.Errorf("Slowdown(%d of %d placed) over %d predictions: no error", tc.i, len(tc.placed), len(co.Predictions))
+		}
+	}
 
 	// The split placement keeps both at full speed.
 	if split.WorstOversubscription > 1 {

@@ -28,14 +28,12 @@ type PlacedWorkload struct {
 	Placement placement.Placement
 }
 
-// job is the engine's per-workload state. All per-thread slices are scratch
-// owned by the engine: they grow to the placement size on bind and are
-// reused across predictions, so a bound engine predicts without allocating.
+// job is the engine's per-workload state. All its slices are scratch owned
+// by the engine: they grow to the placement size on bind and are reused
+// across predictions, so a bound engine predicts without allocating.
 //
-// The solver state lives in classes: the per-thread vectors f, sRes, sTot,
-// commPen, lbPen and bottleneck are outputs, expanded from the classes after
-// convergence (and on every iteration while tracing or checking
-// invariants).
+// The solver state lives in classes alone; a Prediction's per-thread
+// vectors are written from them through classOf.
 type job struct {
 	w     *Workload
 	place placement.Placement
@@ -54,12 +52,6 @@ type job struct {
 	classOf []int32
 	runs    []run
 
-	f          []float64
-	sRes       []float64
-	sTot       []float64
-	commPen    []float64
-	lbPen      []float64
-	bottleneck []topology.ResourceKind
 	// sockLock and sockInd hold the per-socket communication sums of §5.2
 	// (identical for every thread on one socket); sized to the machine's
 	// socket count. sockLock depends on the placement alone and is summed
@@ -68,8 +60,7 @@ type job struct {
 	sockInd  []float64
 	sCap     float64
 
-	// buf is the slab backing all the job's float64 scratch above: carving
-	// one allocation keeps a cold bind to a single make instead of seven.
+	// buf is the slab backing sockLock and sockInd.
 	buf []float64
 }
 
@@ -97,22 +88,14 @@ type run struct {
 	cls, n int32
 }
 
-// carve re-slices the job's float scratch out of one slab sized for n
-// threads on nSock sockets, growing the slab only when a larger placement
-// arrives. Contents are unspecified; bind and iterate write before reading.
-func (j *job) carve(n, nSock int) {
-	need := 5*n + 2*nSock
-	if cap(j.buf) < need {
-		j.buf = make([]float64, need) //alloccheck:ok slab grows once per larger placement; steady state reuses it
+// carve re-slices sockLock and sockInd out of one slab sized for nSock
+// sockets, growing the slab only on a larger machine. Contents are
+// unspecified; group and iterate write before reading.
+func (j *job) carve(nSock int) {
+	if cap(j.buf) < 2*nSock {
+		j.buf = make([]float64, 2*nSock) //alloccheck:ok slab grows once per larger machine; steady state reuses it
 	}
-	b := j.buf[:need]
-	j.f, b = b[:n:n], b[n:]
-	j.sRes, b = b[:n:n], b[n:]
-	j.sTot, b = b[:n:n], b[n:]
-	j.commPen, b = b[:n:n], b[n:]
-	j.lbPen, b = b[:n:n], b[n:]
-	j.sockLock, b = b[:nSock:nSock], b[nSock:]
-	j.sockInd = b[:nSock:nSock]
+	j.sockLock, j.sockInd = j.buf[:nSock:nSock], j.buf[nSock:2*nSock:2*nSock]
 }
 
 // engine runs the iterative prediction of §5 for one or more workloads
@@ -222,17 +205,6 @@ func newEngineState(md *machine.Description) (*engine, error) {
 	return e, nil
 }
 
-func newEngine(md *machine.Description, placed []PlacedWorkload) (*engine, error) {
-	e, err := newEngineState(md)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.bind(placed, true); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
 // growInts returns s re-sliced to length n, reusing its backing array when
 // the capacity allows. Contents are unspecified; every element is written
 // before first read by the binding and iteration code.
@@ -248,13 +220,6 @@ func growInt32s(s []int32, n int) []int32 {
 		return s[:n]
 	}
 	return make([]int32, n) //alloccheck:ok scratch grows once per larger placement; steady state reuses it
-}
-
-func growKinds(s []topology.ResourceKind, n int) []topology.ResourceKind {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]topology.ResourceKind, n) //alloccheck:ok scratch grows once per larger placement; steady state reuses it
 }
 
 // bind attaches the placed workloads to the engine, resetting every table
@@ -426,8 +391,7 @@ func (j *job) bind(e *engine, topo topology.Machine, w *Workload, place placemen
 	j.w = w
 	j.place = place
 	j.coreOf = growInts(j.coreOf, n)
-	j.carve(n, topo.Sockets)
-	j.bottleneck = growKinds(j.bottleneck, n)
+	j.carve(topo.Sockets)
 	j.amdahl = w.AmdahlSpeedup(n)
 	j.fInit = j.amdahl / float64(n) //nanguard:ok bind rejects empty placements, n >= 1
 	j.sCap = math.Inf(1)
@@ -607,7 +571,7 @@ func (e *engine) worstOversubscription(j *job, core, sock int) (float64, topolog
 
 // iterate runs the refinement loop to convergence (§5.1-5.4) over thread
 // classes and reports the iteration count and whether the utilisations
-// stabilised. On return the per-thread vectors hold the final state.
+// stabilised. On return the classes hold the final state.
 //
 //pandia:noalloc
 func (e *engine) iterate(opt Options) (int, bool) {
@@ -626,9 +590,6 @@ func (e *engine) iterate(opt Options) (int, bool) {
 			tr.Emit(obs.Event{Kind: obs.EvPredictStart, Job: int32(jid), Arg: int32(len(j.place)), Span: opt.SpanID})
 		}
 	}
-	// The per-thread vectors are expanded every iteration only when a
-	// check or the tracer reads them.
-	perIter := checks || tracing
 	iters := 0
 	converged := false
 	for iter := 0; iter < maxIters; iter++ {
@@ -752,9 +713,6 @@ func (e *engine) iterate(opt Options) (int, bool) {
 				cl.f = next
 			}
 		}
-		if perIter {
-			e.expand()
-		}
 		if checks && e.invErr == nil {
 			e.invErr = e.checkIteration(iter) //alloccheck:ok opt-in invariant checks trade allocations for diagnosis
 		}
@@ -765,9 +723,6 @@ func (e *engine) iterate(opt Options) (int, bool) {
 			converged = true
 			break
 		}
-	}
-	if !perIter {
-		e.expand()
 	}
 	if tracing {
 		var conv int32
@@ -781,41 +736,60 @@ func (e *engine) iterate(opt Options) (int, bool) {
 	return iters, converged
 }
 
-// expand writes every job's per-thread vectors from its classes.
-func (e *engine) expand() {
-	for _, j := range e.jobs {
+// assemble is the shared tail of Predictor.Predict and CoPredictor.Predict.
+// After a solve of iters rounds it refreshes every load at the converged
+// utilisations and writes each bound job's Prediction (§5.5) into preds,
+// its per-thread vectors read from the classes and every one stamped with
+// the joint loads and the machine-wide worst resource. With the runtime
+// checks on, each prediction is checked as it is built; joint names the
+// workload in a failed check.
+func (e *engine) assemble(preds []*Prediction, iters int, converged, joint bool) error {
+	e.accumulate(true)
+	loads := e.loadsMap()
+	var kinds [obs.MaxLoadKinds]float64
+	worstID, worst := e.loadSummary(&kinds)
+	checks := invariantChecks.Load()
+	for jid, j := range e.jobs {
+		speedup, err := j.speedup()
+		if err != nil {
+			return err
+		}
+		n := len(j.place)
+		p := &Prediction{
+			Time:                  j.w.T1 / speedup, //nanguard:ok speedup() errors unless speedup > 0
+			Speedup:               speedup,
+			AmdahlSpeedup:         j.amdahl,
+			Slowdowns:             make([]float64, n),
+			ResourceSlowdowns:     make([]float64, n),
+			CommPenalties:         make([]float64, n),
+			LoadBalancePenalties:  make([]float64, n),
+			Utilizations:          make([]float64, n),
+			Bottlenecks:           make([]topology.ResourceKind, n),
+			Loads:                 loads,
+			WorstResource:         worstID,
+			WorstOversubscription: worst,
+			Iterations:            iters,
+			Converged:             converged,
+		}
 		for i, k := range j.classOf {
 			cl := &j.classes[k]
-			j.f[i], j.sRes[i], j.sTot[i] = cl.f, cl.sRes, cl.sTot
-			j.commPen[i], j.lbPen[i], j.bottleneck[i] = cl.commPen, cl.lbPen, cl.bottleneck
+			p.Slowdowns[i], p.ResourceSlowdowns[i], p.Utilizations[i] = cl.sTot, cl.sRes, cl.f
+			p.CommPenalties[i], p.LoadBalancePenalties[i], p.Bottlenecks[i] = cl.commPen, cl.lbPen, cl.bottleneck
 		}
+		if checks {
+			if e.invErr != nil {
+				return e.invErr
+			}
+			if err := CheckInvariants(j.w, e.md, p); err != nil {
+				if joint {
+					return fmt.Errorf("core: workload %q: %w", j.w.Name, err)
+				}
+				return err
+			}
+		}
+		preds[jid] = p
 	}
-}
-
-// prediction assembles one job's Prediction (§5.5).
-func (j *job) prediction(iters int, converged bool, loads map[topology.ResourceID]float64) (*Prediction, error) {
-	n := len(j.place)
-	if n == 0 {
-		return nil, fmt.Errorf("core: empty placement for %q", j.w.Name)
-	}
-	speedup, err := j.speedup()
-	if err != nil {
-		return nil, err
-	}
-	return &Prediction{
-		Time:                 j.w.T1 / speedup, //nanguard:ok speedup() errors unless speedup > 0
-		Speedup:              speedup,
-		AmdahlSpeedup:        j.amdahl,
-		Slowdowns:            append([]float64(nil), j.sTot...),
-		ResourceSlowdowns:    append([]float64(nil), j.sRes...),
-		CommPenalties:        append([]float64(nil), j.commPen...),
-		LoadBalancePenalties: append([]float64(nil), j.lbPen...),
-		Utilizations:         append([]float64(nil), j.f...),
-		Bottlenecks:          append([]topology.ResourceKind(nil), j.bottleneck...),
-		Loads:                loads,
-		Iterations:           iters,
-		Converged:            converged,
-	}, nil
+	return nil
 }
 
 // speedup computes the job's converged overall speedup (§5.5) without

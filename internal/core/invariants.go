@@ -154,24 +154,26 @@ func CheckInvariants(w *Workload, md *machine.Description, p *Prediction) error 
 	return nil
 }
 
-// checkIteration validates the engine's per-thread state after one
-// refinement round; the engine records the first violation so the
-// surrounding Predict call can name the iteration that went wrong rather
-// than just the converged wreckage.
+// checkIteration validates the engine's solver state after one refinement
+// round; the engine records the first violation so the surrounding Predict
+// call can name the iteration that went wrong rather than just the
+// converged wreckage. Threads are walked in placement order, so the error
+// names the first thread of the first failing class.
 func (e *engine) checkIteration(iter int) error {
 	for jIdx, j := range e.jobs {
-		for i := range j.place {
-			if !finitePositive(j.f[i]) {
+		for i, k := range j.classOf {
+			cl := &j.classes[k]
+			if !finitePositive(cl.f) {
 				return fmt.Errorf("core: invariant: iteration %d: workload %d (%s) thread %d utilisation %g",
-					iter, jIdx, j.w.Name, i, j.f[i])
+					iter, jIdx, j.w.Name, i, cl.f)
 			}
-			if !finitePositive(j.sRes[i]) || j.sRes[i] < 1-invariantSlack {
+			if !finitePositive(cl.sRes) || cl.sRes < 1-invariantSlack {
 				return fmt.Errorf("core: invariant: iteration %d: workload %d (%s) thread %d resource slowdown %g",
-					iter, jIdx, j.w.Name, i, j.sRes[i])
+					iter, jIdx, j.w.Name, i, cl.sRes)
 			}
-			if !finitePositive(j.sTot[i]) || j.sTot[i] < j.sRes[i]-invariantSlack*j.sRes[i] {
+			if !finitePositive(cl.sTot) || cl.sTot < cl.sRes-invariantSlack*cl.sRes {
 				return fmt.Errorf("core: invariant: iteration %d: workload %d (%s) thread %d slowdown %g below resource slowdown %g",
-					iter, jIdx, j.w.Name, i, j.sTot[i], j.sRes[i])
+					iter, jIdx, j.w.Name, i, cl.sTot, cl.sRes)
 			}
 		}
 	}

@@ -136,20 +136,40 @@ func TestCheckInvariantsRejectsCorruptedPredictions(t *testing.T) {
 	}
 }
 
+// TestCheckIterationCatchesPoisonedState poisons one class of the solver
+// state. The fixture alternates sockets, so threads 1 and 3 form one class
+// on socket 1; poisoning it through thread 3 must name thread 1, the class's
+// first thread in placement order.
 func TestCheckIterationCatchesPoisonedState(t *testing.T) {
 	md, w, place := invariantFixture(t)
-	e, err := newEngine(md, []PlacedWorkload{{Workload: w, Placement: place}})
+	e, err := newEngineState(md)
 	if err != nil {
-		t.Fatalf("newEngine: %v", err)
+		t.Fatalf("newEngineState: %v", err)
+	}
+	if err := e.bind([]PlacedWorkload{{Workload: w, Placement: place}}, true); err != nil {
+		t.Fatalf("bind: %v", err)
 	}
 	e.iterate(Options{})
 	if err := e.checkIteration(0); err != nil {
 		t.Fatalf("healthy engine state rejected: %v", err)
 	}
-	e.jobs[0].f[1] = math.NaN()
+	j := e.jobs[0]
+	k := j.classOf[3]
+	var members []int
+	for i, c := range j.classOf {
+		if c == k {
+			members = append(members, i)
+		}
+	}
+	if len(members) < 2 || members[0] != 1 {
+		t.Fatalf("thread 3's class holds threads %v, want several led by thread 1", members)
+	}
+	j.classes[k].f = math.NaN()
 	if err := e.checkIteration(7); err == nil {
 		t.Fatal("NaN utilisation not detected")
 	} else if !strings.Contains(err.Error(), "iteration 7") {
 		t.Fatalf("error %q does not name the iteration", err)
+	} else if !strings.Contains(err.Error(), "thread 1 utilisation NaN") {
+		t.Fatalf("error %q does not name the poisoned class's first thread", err)
 	}
 }

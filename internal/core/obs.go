@@ -64,7 +64,7 @@ func (s *loadScan) note(id topology.ResourceID, load, cap float64) {
 // resource kind k and returning the machine-wide most oversubscribed
 // resource with its ratio (zero ResourceID and 0 when nothing is loaded).
 // Instances are visited in ResourceID order, so ties resolve to the lowest
-// ResourceID. coPrediction, CoPredictor.Score and the tracer all take the
+// ResourceID. engine.assemble, CoPredictor.Score and the tracer all take the
 // worst resource from here.
 //
 //pandia:noalloc
@@ -112,16 +112,16 @@ func (e *engine) traceResIndex(id topology.ResourceID) int32 {
 }
 
 // emitIteration records one refinement round: the shared residual, load
-// summary, and dominant resource, plus each job's worst per-thread slowdown,
-// as one event per job (Chrome trace rows are per job). span is the
+// summary, and dominant resource, plus each job's worst slowdown over its
+// classes, as one event per job (Chrome trace rows are per job). span is the
 // requesting scheduler decision's id (Options.SpanID), 0 outside one.
 func (e *engine) emitIteration(tr obs.Tracer, span int64, iter int, residual float64) {
 	var worst [obs.MaxLoadKinds]float64
 	id, _ := e.loadSummary(&worst)
 	for jid, j := range e.jobs {
 		factor := 0.0
-		for _, s := range j.sTot {
-			if s > factor {
+		for k := range j.classes {
+			if s := j.classes[k].sTot; s > factor {
 				factor = s
 			}
 		}

@@ -97,27 +97,21 @@ func (p *Predictor) Predict(place placement.Placement) (*Prediction, error) {
 		reasons = append(reasons[:len(reasons):len(reasons)], fmt.Sprintf(
 			"prediction for %q did not converge after %d iterations; Amdahl-only fallback", p.w.Name, iters))
 		pred = amdahlOnly(p.w, len(place), iters)
+		if invariantChecks.Load() {
+			if err := CheckInvariants(p.w, p.md, pred); err != nil {
+				return nil, err
+			}
+		}
 	} else {
-		p.e.accumulate(true) // refresh every load at the converged utilisations
-		var err error
-		pred, err = p.e.jobs[0].prediction(iters, converged, p.e.loadsMap())
-		if err != nil {
+		var one [1]*Prediction
+		if err := p.e.assemble(one[:], iters, converged, false); err != nil {
 			return nil, err
 		}
-		var worst [obs.MaxLoadKinds]float64
-		pred.WorstResource, pred.WorstOversubscription = p.e.loadSummary(&worst)
-		if invariantChecks.Load() && p.e.invErr != nil {
-			return nil, p.e.invErr
-		}
+		pred = one[0]
 	}
 	if len(reasons) > 0 {
 		pred.Degraded = true
 		pred.DegradedReasons = reasons
-	}
-	if invariantChecks.Load() {
-		if err := CheckInvariants(p.w, p.md, pred); err != nil {
-			return nil, err
-		}
 	}
 	return pred, nil
 }
@@ -257,25 +251,24 @@ func PredictSweepPruned(md *machine.Description, w *Workload, places []placement
 	if !(frac > 0 && frac <= 1) {
 		frac = 1
 	}
-	if err := w.Validate(); err != nil {
-		return nil, SweepStats{}, err
-	}
 	return predictSweepN(md, w, places, opt, frac, SweepWorkers(len(places)))
 }
 
 // predictSweepN is the sweep behind PredictSweep (frac 0) and
 // PredictSweepPruned, with an explicit worker count (at least 1) so tests
-// can force parallel execution on single-CPU machines. It solves the seed
-// placement on the calling goroutine, then runs that many claim loops, the
-// first on the seed's Predictor.
+// can force parallel execution on single-CPU machines. The inputs are
+// validated, and under AllowDegraded repaired, by NewPredictor alone, even
+// for an empty placement list. It solves the seed placement on the calling
+// goroutine, then runs that many claim loops, the first on the seed's
+// Predictor.
 func predictSweepN(md *machine.Description, w *Workload, places []placement.Placement, opt Options, frac float64, workers int) ([]TimePrediction, SweepStats, error) {
-	out := make([]TimePrediction, len(places))
-	if len(places) == 0 {
-		return out, SweepStats{}, nil
-	}
 	p, err := NewPredictor(md, w, opt)
 	if err != nil {
 		return nil, SweepStats{}, err
+	}
+	out := make([]TimePrediction, len(places))
+	if len(places) == 0 {
+		return out, SweepStats{}, nil
 	}
 
 	// Seed: the highest-bound placement is never prunable, so solving it
@@ -406,7 +399,6 @@ func sweepChunks(p *Predictor, places []placement.Placement, out []TimePredictio
 //
 // A CoPredictor is not safe for concurrent use.
 type CoPredictor struct {
-	md  *machine.Description
 	e   *engine
 	opt Options
 }
@@ -418,7 +410,7 @@ func NewCoPredictor(md *machine.Description, opt Options) (*CoPredictor, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &CoPredictor{md: md, e: e, opt: opt}, nil
+	return &CoPredictor{e: e, opt: opt}, nil
 }
 
 // Options returns the options every Predict call of this CoPredictor uses.
@@ -431,15 +423,30 @@ func (cp *CoPredictor) Options() Options { return cp.opt }
 // from the canonical hash).
 func (cp *CoPredictor) SetSpan(id int64) { cp.opt.SpanID = id }
 
-// Predict jointly predicts the placed workloads. The result is identical to
-// core.PredictCoSchedule(md, placed, opt) — the package-level function is
-// implemented on the same bind-and-solve tail — but reuses the engine's
-// scratch instead of allocating it per call.
+// Predict jointly predicts the placed workloads, reusing the engine's
+// scratch; core.PredictCoSchedule(md, placed, opt) is a fresh CoPredictor's
+// Predict.
 func (cp *CoPredictor) Predict(placed []PlacedWorkload) (*CoPrediction, error) {
-	if err := cp.e.bind(placed, true); err != nil {
+	e := cp.e
+	if err := e.bind(placed, true); err != nil {
 		return nil, err
 	}
-	return coPrediction(cp.md, cp.e, cp.opt)
+	iters, converged := e.iterate(cp.opt)
+	preds := make([]*Prediction, len(e.jobs))
+	if err := e.assemble(preds, iters, converged, true); err != nil {
+		return nil, err
+	}
+	// Every prediction carries the joint loads and worst resource; bind
+	// rejects an empty mix, so preds[0] exists.
+	p := preds[0]
+	return &CoPrediction{
+		Predictions:           preds,
+		Loads:                 p.Loads,
+		WorstOversubscription: p.WorstOversubscription,
+		WorstResource:         p.WorstResource,
+		Iterations:            iters,
+		Converged:             converged,
+	}, nil
 }
 
 // Score runs the identical joint solve as Predict but returns only the

@@ -292,6 +292,56 @@ func TestPredictSweepError(t *testing.T) {
 	}
 }
 
+// TestPredictSweepPrunedRepairs checks that both sweeps validate and repair
+// only through NewPredictor: under AllowDegraded a repairable workload (a NaN
+// load balance) sweeps, and every slot the pruned sweep evaluates equals
+// PredictSweep's, marked Degraded. Without AllowDegraded both sweeps reject
+// it, and an empty placement list changes neither outcome.
+func TestPredictSweepPrunedRepairs(t *testing.T) {
+	md := quickMachine()
+	w := quickWorkload(100, 80, 160, 120, 220, 70, 150)
+	w.LoadBalance = math.NaN()
+	var pls []placement.Placement
+	for seed := uint16(0); seed < 64; seed++ {
+		pls = append(pls, quickPlacement(md.Topo, seed, uint8(seed*3)))
+	}
+	opt := Options{AllowDegraded: true}
+	full, err := PredictSweep(md, w, pls, opt)
+	if err != nil {
+		t.Fatalf("PredictSweep: %v", err)
+	}
+	pruned, st, err := PredictSweepPruned(md, w, pls, opt, 1)
+	if err != nil {
+		t.Fatalf("PredictSweepPruned: %v", err)
+	}
+	if st.Evaluated == 0 {
+		t.Fatal("pruned sweep evaluated nothing")
+	}
+	for i := range pls {
+		if pruned[i].Pruned {
+			continue
+		}
+		if !pruned[i].Degraded || pruned[i] != full[i] {
+			t.Fatalf("placement %d: pruned sweep %+v, PredictSweep %+v", i, pruned[i], full[i])
+		}
+	}
+
+	for _, places := range [][]placement.Placement{pls, nil} {
+		_, errFull := PredictSweep(md, w, places, Options{})
+		_, _, errPruned := PredictSweepPruned(md, w, places, Options{}, 1)
+		if errFull == nil || errPruned == nil || errFull.Error() != errPruned.Error() {
+			t.Errorf("%d placements without AllowDegraded: PredictSweep %v, PredictSweepPruned %v; want one error",
+				len(places), errFull, errPruned)
+		}
+		if _, err := PredictSweep(md, w, places, opt); err != nil {
+			t.Errorf("%d placements: PredictSweep with AllowDegraded: %v", len(places), err)
+		}
+		if _, _, err := PredictSweepPruned(md, w, places, opt, 1); err != nil {
+			t.Errorf("%d placements: PredictSweepPruned with AllowDegraded: %v", len(places), err)
+		}
+	}
+}
+
 // TestPredictorDegraded mirrors the degraded-mode golden path through the
 // reusable predictor: construction-time repairs surface on every
 // prediction, and the fast path agrees with the full path.

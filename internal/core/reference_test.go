@@ -11,7 +11,22 @@ import (
 // This file keeps the per-thread solver the class solver replaced, as the
 // reference the differential tests hold it to. refIterate and
 // refAccumulate are the engine's historical iterate and accumulate: every
-// thread carries its own state, and every sum adds thread by thread.
+// thread carries its own state, and every sum adds thread by thread. The
+// state lives in the engine's class storage, one class per thread (see
+// refGroup), so checkIteration, emitIteration, speedup and the output
+// extraction read both solvers alike.
+
+// refGroup regroups the job as one class per thread, in placement order, so
+// that every run is a single thread.
+func (j *job) refGroup() {
+	j.classes = j.classes[:0]
+	j.runs = j.runs[:0]
+	for i, c := range j.place {
+		j.classes = append(j.classes, class{core: j.coreOf[i], sock: c.Socket, perCore: 1, f: j.fInit})
+		j.classOf[i] = int32(i)
+		j.runs = append(j.runs, run{cls: int32(i), n: 1})
+	}
+}
 
 // refAccumulate recomputes every resource load from all jobs' demands at
 // the per-thread utilisations (§5.1).
@@ -30,7 +45,7 @@ func (e *engine) refAccumulate() {
 		d := j.w.Demand
 		for i, c := range j.place {
 			core := j.coreOf[i]
-			fi := j.f[i]
+			fi := j.classes[i].f
 			e.instr[core] += d.Instr * fi
 			e.l1[core] += d.L1 * fi
 			e.l2[core] += d.L2 * fi
@@ -48,7 +63,8 @@ func (e *engine) refAccumulate() {
 	}
 }
 
-// refIterate runs the per-thread refinement loop (§5.1-5.4).
+// refIterate runs the per-thread refinement loop (§5.1-5.4) on jobs
+// regrouped by refGroup: class i is thread i.
 func (e *engine) refIterate(opt Options) (int, bool) {
 	maxIters := opt.maxIters()
 	dampenAfter := opt.dampenAfter()
@@ -61,52 +77,40 @@ func (e *engine) refIterate(opt Options) (int, bool) {
 			tr.Emit(obs.Event{Kind: obs.EvPredictStart, Job: int32(jid), Arg: int32(len(j.place)), Span: opt.SpanID})
 		}
 	}
-	prevF := make([][]float64, len(e.jobs))
-	inv := make([][]float64, len(e.jobs))
-	sockLock := make([][]float64, len(e.jobs))
-	sockInd := make([][]float64, len(e.jobs))
-	for jid, j := range e.jobs {
-		prevF[jid] = make([]float64, len(j.place))
-		inv[jid] = make([]float64, len(j.place))
-		sockLock[jid] = make([]float64, e.nSock)
-		sockInd[jid] = make([]float64, e.nSock)
-		for i := range j.f {
-			j.f[i] = j.fInit
-		}
-	}
 	iters := 0
 	converged := false
 	for iter := 0; iter < maxIters; iter++ {
 		iters = iter + 1
 		e.refAccumulate()
 
-		for jid, j := range e.jobs {
-			copy(prevF[jid], j.f)
+		for _, j := range e.jobs {
 			for i := range j.place {
+				t := &j.classes[i]
+				t.prevF = t.f
 				s, kind := e.worstOversubscription(j, j.coreOf[i], j.place[i].Socket)
 				if !opt.DisableBurstiness && j.w.Burstiness > 0 && e.coreOcc[j.coreOf[i]] > 1 {
-					s += j.w.Burstiness * s * j.f[i]
+					s += j.w.Burstiness * s * t.f
 				}
 				if s > j.sCap {
 					s = j.sCap
 				}
-				j.sRes[i] = s
-				j.sTot[i] = s
-				j.commPen[i] = 0
-				j.lbPen[i] = 0
-				j.bottleneck[i] = kind
+				t.sRes = s
+				t.sTot = s
+				t.commPen = 0
+				t.lbPen = 0
+				t.bottleneck = kind
 			}
 		}
 
-		for jid, j := range e.jobs {
+		for _, j := range e.jobs {
 			n := len(j.place)
 			if opt.DisableComm || j.w.InterSocketOverhead <= 0 || n <= 1 {
 				continue
 			}
 			var invSum float64
 			for i := 0; i < n; i++ {
-				inv[jid][i] = SafeDiv(1, j.sRes[i], 1)
-				invSum += inv[jid][i]
+				j.classes[i].inv = SafeDiv(1, j.classes[i].sRes, 1)
+				invSum += j.classes[i].inv
 			}
 			if invSum <= 0 {
 				continue
@@ -119,18 +123,19 @@ func (e *engine) refIterate(opt Options) (int, bool) {
 						continue
 					}
 					lockstep += j.w.InterSocketOverhead
-					wk := inv[jid][k] / invSum
+					wk := j.classes[k].inv / invSum
 					independent += float64(n) * wk * j.w.InterSocketOverhead
 				}
-				sockLock[jid][s] = lockstep
-				sockInd[jid][s] = independent
+				j.sockLock[s] = lockstep
+				j.sockInd[s] = independent
 			}
 			for i := 0; i < n; i++ {
+				t := &j.classes[i]
 				s := j.place[i].Socket
-				comm := l*sockInd[jid][s] + (1-l)*sockLock[jid][s]
-				fMid := SafeDiv(j.fInit, j.sRes[i], j.fInit)
-				j.sTot[i] = math.Min(j.sRes[i]+comm*fMid, j.sCap)
-				j.commPen[i] = j.sTot[i] - j.sRes[i]
+				comm := l*j.sockInd[s] + (1-l)*j.sockLock[s]
+				fMid := SafeDiv(j.fInit, t.sRes, j.fInit)
+				t.sTot = math.Min(t.sRes+comm*fMid, j.sCap)
+				t.commPen = t.sTot - t.sRes
 			}
 		}
 
@@ -141,23 +146,24 @@ func (e *engine) refIterate(opt Options) (int, bool) {
 			}
 			sMax := 0.0
 			for i := 0; i < n; i++ {
-				if j.sTot[i] > sMax {
-					sMax = j.sTot[i]
+				if j.classes[i].sTot > sMax {
+					sMax = j.classes[i].sTot
 				}
 			}
 			l := j.w.LoadBalance
 			for i := 0; i < n; i++ {
-				before := j.sTot[i]
-				j.sTot[i] = (1-l)*sMax + l*j.sTot[i]
-				j.lbPen[i] = j.sTot[i] - before
+				t := &j.classes[i]
+				before := t.sTot
+				t.sTot = (1-l)*sMax + l*t.sTot
+				t.lbPen = t.sTot - before
 			}
 		}
 
 		if iter == 0 {
 			for _, j := range e.jobs {
 				j.sCap = 1
-				for _, s := range j.sTot {
-					if s > j.sCap {
+				for i := range j.classes {
+					if s := j.classes[i].sTot; s > j.sCap {
 						j.sCap = s
 					}
 				}
@@ -165,16 +171,17 @@ func (e *engine) refIterate(opt Options) (int, bool) {
 		}
 
 		var maxDelta float64
-		for jid, j := range e.jobs {
-			for i := range j.f {
-				next := j.fInit * SafeDiv(j.sRes[i], j.sTot[i], 1)
+		for _, j := range e.jobs {
+			for i := range j.classes {
+				t := &j.classes[i]
+				next := j.fInit * SafeDiv(t.sRes, t.sTot, 1)
 				if iter >= dampenAfter {
-					next = (next + prevF[jid][i]) / 2
+					next = (next + t.prevF) / 2
 				}
-				if d := math.Abs(next - prevF[jid][i]); d > maxDelta {
+				if d := math.Abs(next - t.prevF); d > maxDelta {
 					maxDelta = d
 				}
-				j.f[i] = next
+				t.f = next
 			}
 		}
 		if checks && e.invErr == nil {
@@ -198,16 +205,6 @@ func (e *engine) refIterate(opt Options) (int, bool) {
 		}
 	}
 	return iters, converged
-}
-
-// refSpeedup is the per-thread §5.5 speedup.
-func (j *job) refSpeedup() float64 {
-	n := len(j.place)
-	var invSum float64
-	for i := 0; i < n; i++ {
-		invSum += SafeDiv(1, j.sTot[i], 1)
-	}
-	return j.amdahl * invSum / float64(n)
 }
 
 // SolveState is the complete outcome of one engine solve, for comparing
@@ -253,8 +250,11 @@ func SolveReference(md *machine.Description, placed []PlacedWorkload, opt Option
 }
 
 func solveWith(md *machine.Description, placed []PlacedWorkload, opt Options, trace, reference bool) (*SolveState, error) {
-	e, err := newEngine(md, placed)
+	e, err := newEngineState(md)
 	if err != nil {
+		return nil, err
+	}
+	if err := e.bind(placed, true); err != nil {
 		return nil, err
 	}
 	var rec *recordingTracer
@@ -264,6 +264,9 @@ func solveWith(md *machine.Description, placed []PlacedWorkload, opt Options, tr
 	}
 	out := &SolveState{}
 	if reference {
+		for _, j := range e.jobs {
+			j.refGroup()
+		}
 		out.Iterations, out.Converged = e.refIterate(opt)
 		e.refAccumulate()
 	} else {
@@ -272,22 +275,24 @@ func solveWith(md *machine.Description, placed []PlacedWorkload, opt Options, tr
 	}
 	for _, j := range e.jobs {
 		// A degenerate speedup (an error from speedup()) is recorded as -1.
-		sp := j.refSpeedup()
-		if sp <= 0 || math.IsNaN(sp) {
+		sp, err := j.speedup()
+		if err != nil {
 			sp = -1
 		}
-		if !reference {
-			if sp, err = j.speedup(); err != nil {
-				sp = -1
-			}
-		}
 		out.Speedups = append(out.Speedups, sp)
-		out.Slowdowns = append(out.Slowdowns, append([]float64(nil), j.sTot...))
-		out.ResourceSlowdowns = append(out.ResourceSlowdowns, append([]float64(nil), j.sRes...))
-		out.CommPenalties = append(out.CommPenalties, append([]float64(nil), j.commPen...))
-		out.LoadBalancePenalties = append(out.LoadBalancePenalties, append([]float64(nil), j.lbPen...))
-		out.Utilizations = append(out.Utilizations, append([]float64(nil), j.f...))
-		out.Bottlenecks = append(out.Bottlenecks, append([]topology.ResourceKind(nil), j.bottleneck...))
+		n := len(j.place)
+		sTot, sRes, comm, lb, f := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+		kinds := make([]topology.ResourceKind, n)
+		for i, k := range j.classOf {
+			cl := &j.classes[k]
+			sTot[i], sRes[i], comm[i], lb[i], f[i], kinds[i] = cl.sTot, cl.sRes, cl.commPen, cl.lbPen, cl.f, cl.bottleneck
+		}
+		out.Slowdowns = append(out.Slowdowns, sTot)
+		out.ResourceSlowdowns = append(out.ResourceSlowdowns, sRes)
+		out.CommPenalties = append(out.CommPenalties, comm)
+		out.LoadBalancePenalties = append(out.LoadBalancePenalties, lb)
+		out.Utilizations = append(out.Utilizations, f)
+		out.Bottlenecks = append(out.Bottlenecks, kinds)
 	}
 	out.Loads = e.loadsMap()
 	var worst [obs.MaxLoadKinds]float64
