@@ -13,8 +13,8 @@ import (
 // refAccumulate are the engine's historical iterate and accumulate: every
 // thread carries its own state, and every sum adds thread by thread. The
 // state lives in the engine's class storage, one class per thread (see
-// refGroup), so checkIteration, emitIteration, speedup and the output
-// extraction read both solvers alike.
+// refGroup), so checkIteration, emitIteration and the output extraction
+// read both solvers alike.
 
 // refGroup regroups the job as one class per thread, in placement order, so
 // that every run is a single thread.
@@ -207,6 +207,17 @@ func (e *engine) refIterate(opt Options) (int, bool) {
 	return iters, converged
 }
 
+// refSpeedup is the per-thread §5.5 speedup of a job regrouped by
+// refGroup: class i is thread i.
+func (j *job) refSpeedup() float64 {
+	n := len(j.place)
+	var invSum float64
+	for i := 0; i < n; i++ {
+		invSum += SafeDiv(1, j.classes[i].sTot, 1)
+	}
+	return j.amdahl * invSum / float64(n)
+}
+
 // SolveState is the complete outcome of one engine solve, for comparing
 // the class solver with the per-thread reference from package core_test.
 type SolveState struct {
@@ -275,8 +286,12 @@ func solveWith(md *machine.Description, placed []PlacedWorkload, opt Options, tr
 	}
 	for _, j := range e.jobs {
 		// A degenerate speedup (an error from speedup()) is recorded as -1.
-		sp, err := j.speedup()
-		if err != nil {
+		var sp float64
+		if reference {
+			if sp = j.refSpeedup(); sp <= 0 || math.IsNaN(sp) {
+				sp = -1
+			}
+		} else if sp, err = j.speedup(); err != nil {
 			sp = -1
 		}
 		out.Speedups = append(out.Speedups, sp)
