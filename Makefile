@@ -102,7 +102,7 @@ bench:
 # sensitive micro-benchmarks, parsed but not recorded, so a broken bench or
 # parser fails the gate without paying for a full measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkSweepPruned$$|BenchmarkTestbedRun$$|BenchmarkCoScore$$|BenchmarkRecommend$$' -benchtime 5x -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkSweepPruned$$|BenchmarkTestbedRun$$|BenchmarkCoScore$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkRecommend$$' -benchtime 5x -benchmem . \
 	  | $(GO) run ./cmd/pandia-benchjson -label smoke -out ''
 
 # bench-gate is the perf/observability overhead gate: the PredictTime fast

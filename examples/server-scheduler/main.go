@@ -71,7 +71,7 @@ func main() {
 		}
 		fmt.Printf("%-5s (%-8s) -> %2d threads via %-12s predicted %6.2fs (%.1fx)\n",
 			a.id, a.kind, len(asg.Placement), asg.Strategy,
-			asg.Prediction.Time, asg.Prediction.Speedup)
+			asg.Time, asg.Speedup)
 	}
 
 	// Monitoring: the joint prediction of the running mix.

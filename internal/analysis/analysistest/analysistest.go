@@ -16,6 +16,7 @@ package analysistest
 import (
 	"fmt"
 	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -35,6 +36,66 @@ type expectation struct {
 	line int
 	re   *regexp.Regexp
 	hit  bool
+}
+
+// ModuleRoot walks up from the test's working directory to go.mod.
+func ModuleRoot(t *testing.T) string {
+	t.Helper()
+	dir, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			t.Fatal("no go.mod above test directory")
+		}
+		dir = parent
+	}
+}
+
+// CopyModule copies the module's go.mod and every non-test Go file under
+// internal/ (skipping analyzer fixture trees) into dst, preserving layout,
+// so a seeded-regression test can mutate the copy and analyse it.
+func CopyModule(t *testing.T, root, dst string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dst, "go.mod"), []byte("module pandia\n\ngo 1.21\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src := filepath.Join(root, "internal")
+	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		if info.IsDir() {
+			if info.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		out := filepath.Join(dst, rel)
+		if err := os.MkdirAll(filepath.Dir(out), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(out, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // Run loads each fixture package below testdata/src, applies the analyzer,

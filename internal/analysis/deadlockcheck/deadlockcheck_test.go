@@ -21,7 +21,7 @@ func TestDeadlockcheckFixtures(t *testing.T) {
 // outside the analysis tooling whose non-test files import sync must stay
 // under deadlockcheck's restriction, and the tooling itself stays outside.
 func TestDeadlockcheckCoversSyncPackages(t *testing.T) {
-	root := moduleRoot(t)
+	root := analysistest.ModuleRoot(t)
 	covered := 0
 	err := filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d os.DirEntry, err error) error {
 		if err != nil {

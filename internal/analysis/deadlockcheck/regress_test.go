@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pandia/internal/analysis"
+	"pandia/internal/analysis/analysistest"
 	"pandia/internal/analysis/deadlockcheck"
 	"pandia/internal/analysis/guardcheck"
 )
@@ -29,25 +30,6 @@ var deadlockPackages = append(append([]string{}, concurrencyPackages...),
 	"pandia/internal/placement",
 	"pandia/internal/simhw",
 )
-
-// moduleRoot walks up from the test's working directory to go.mod.
-func moduleRoot(t *testing.T) string {
-	t.Helper()
-	dir, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatal("no go.mod above test directory")
-		}
-		dir = parent
-	}
-}
 
 // newLoader builds one loader for the module rooted at moduleDir. Sharing
 // it across packages shares type-checked dependencies and the lock engine's
@@ -80,7 +62,7 @@ func runOn(t *testing.T, a *analysis.Analyzer, l *analysis.Loader, path string) 
 // nesting, and the fault injectors are provably inversion- and
 // blocking-free, so deadlockcheck must stay silent.
 func TestRealConcurrencySurfaceClean(t *testing.T) {
-	l := newLoader(t, moduleRoot(t))
+	l := newLoader(t, analysistest.ModuleRoot(t))
 	for _, path := range deadlockPackages {
 		diags, pkg := runOn(t, deadlockcheck.Analyzer, l, path)
 		for _, d := range diags {
@@ -96,7 +78,7 @@ func TestRealConcurrencySurfaceClean(t *testing.T) {
 // loads it, must finish well inside a gate-sized budget. Measured cost is
 // a few seconds; the budget absorbs slow CI.
 func TestLockPassesBudget(t *testing.T) {
-	root := moduleRoot(t)
+	root := analysistest.ModuleRoot(t)
 	start := time.Now()
 	l := newLoader(t, root)
 	for _, path := range concurrencyPackages {
@@ -106,46 +88,6 @@ func TestLockPassesBudget(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Errorf("deadlockcheck+guardcheck over %d packages took %v (budget 30s)",
 			len(concurrencyPackages), elapsed)
-	}
-}
-
-// copyModule copies the module's go.mod and every non-test Go file under
-// internal/ (skipping analyzer fixture trees) into dst, preserving layout.
-func copyModule(t *testing.T, root, dst string) {
-	t.Helper()
-	if err := os.WriteFile(filepath.Join(dst, "go.mod"), []byte("module pandia\n\ngo 1.21\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	src := filepath.Join(root, "internal")
-	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		if info.IsDir() {
-			if info.Name() == "testdata" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		out := filepath.Join(dst, rel)
-		if err := os.MkdirAll(filepath.Dir(out), 0o755); err != nil {
-			return err
-		}
-		return os.WriteFile(out, data, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -192,9 +134,9 @@ func (p *regressionPair) reset() {
 // deadlockcheck to report the cycle with the interprocedural witness chain
 // through the helper.
 func TestSeededInversionRegression(t *testing.T) {
-	root := moduleRoot(t)
+	root := analysistest.ModuleRoot(t)
 	tmp := t.TempDir()
-	copyModule(t, root, tmp)
+	analysistest.CopyModule(t, root, tmp)
 	inj := filepath.Join(tmp, "internal", "scheduler", "zz_regression.go")
 	if err := os.WriteFile(inj, []byte(seededInversion), 0o644); err != nil {
 		t.Fatal(err)

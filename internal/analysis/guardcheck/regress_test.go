@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pandia/internal/analysis"
+	"pandia/internal/analysis/analysistest"
 	"pandia/internal/analysis/guardcheck"
 )
 
@@ -18,25 +19,6 @@ var concurrencyPackages = []string{
 	"pandia/internal/faults",
 	"pandia/internal/scenario",
 	"pandia/internal/core",
-}
-
-// moduleRoot walks up from the test's working directory to go.mod.
-func moduleRoot(t *testing.T) string {
-	t.Helper()
-	dir, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatal("no go.mod above test directory")
-		}
-		dir = parent
-	}
 }
 
 // newLoader builds one loader for the module rooted at moduleDir. Sharing
@@ -70,7 +52,7 @@ func runOn(t *testing.T, l *analysis.Loader, path string) ([]analysis.Diagnostic
 // scheduler, obs, eval, faults, and scenario packages is provably under its
 // lock, so guardcheck must stay silent.
 func TestRealGuardedFieldsClean(t *testing.T) {
-	l := newLoader(t, moduleRoot(t))
+	l := newLoader(t, analysistest.ModuleRoot(t))
 	for _, path := range concurrencyPackages {
 		diags, pkg := runOn(t, l, path)
 		for _, d := range diags {
@@ -78,46 +60,6 @@ func TestRealGuardedFieldsClean(t *testing.T) {
 			t.Errorf("unexpected diagnostic in %s: %s:%d: %s",
 				path, filepath.Base(pos.Filename), pos.Line, d.Message)
 		}
-	}
-}
-
-// copyModule copies the module's go.mod and every non-test Go file under
-// internal/ (skipping analyzer fixture trees) into dst, preserving layout.
-func copyModule(t *testing.T, root, dst string) {
-	t.Helper()
-	if err := os.WriteFile(filepath.Join(dst, "go.mod"), []byte("module pandia\n\ngo 1.21\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	src := filepath.Join(root, "internal")
-	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		if info.IsDir() {
-			if info.Name() == "testdata" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		out := filepath.Join(dst, rel)
-		if err := os.MkdirAll(filepath.Dir(out), 0o755); err != nil {
-			return err
-		}
-		return os.WriteFile(out, data, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -162,9 +104,9 @@ func (s *Scheduler) regressionQuietSocket(free []topology.Context, n int, m topo
 // TestSeededMethodValueRegression injects the pre-fix strategy shape and
 // requires guardcheck to flag the unguarded read of the occupancy map.
 func TestSeededMethodValueRegression(t *testing.T) {
-	root := moduleRoot(t)
+	root := analysistest.ModuleRoot(t)
 	tmp := t.TempDir()
-	copyModule(t, root, tmp)
+	analysistest.CopyModule(t, root, tmp)
 	inj := filepath.Join(tmp, "internal", "scheduler", "zz_regression.go")
 	if err := os.WriteFile(inj, []byte(seededEscape), 0o644); err != nil {
 		t.Fatal(err)

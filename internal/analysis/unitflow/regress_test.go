@@ -7,27 +7,9 @@ import (
 	"testing"
 
 	"pandia/internal/analysis"
+	"pandia/internal/analysis/analysistest"
 	"pandia/internal/analysis/unitflow"
 )
-
-// moduleRoot walks up from the test's working directory to go.mod.
-func moduleRoot(t *testing.T) string {
-	t.Helper()
-	dir, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatal("no go.mod above test directory")
-		}
-		dir = parent
-	}
-}
 
 func runOnCounters(t *testing.T, moduleDir string) ([]analysis.Diagnostic, *analysis.Package) {
 	t.Helper()
@@ -49,7 +31,7 @@ func runOnCounters(t *testing.T, moduleDir string) ([]analysis.Diagnostic, *anal
 // TestRealCountersClean pins the annotated production package as a negative
 // case: the real units are consistent, so unitflow must stay silent.
 func TestRealCountersClean(t *testing.T) {
-	diags, _ := runOnCounters(t, moduleRoot(t))
+	diags, _ := runOnCounters(t, analysistest.ModuleRoot(t))
 	for _, d := range diags {
 		t.Errorf("unexpected diagnostic on real counters package: %s", d.Message)
 	}
@@ -60,7 +42,7 @@ func TestRealCountersClean(t *testing.T) {
 // prevent — and requires unitflow to report the exact propagation site: the
 // DRAM field of the rate vector built in Rates().
 func TestSeededUnitBug(t *testing.T) {
-	root := moduleRoot(t)
+	root := analysistest.ModuleRoot(t)
 	src, err := os.ReadFile(filepath.Join(root, "internal", "counters", "counters.go"))
 	if err != nil {
 		t.Fatal(err)

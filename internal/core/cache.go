@@ -11,17 +11,14 @@ import (
 
 // This file is the canonical joint-prediction cache (DESIGN.md §12): a
 // content hash over (machine description, every job's workload and
-// placement, Options, cache epoch) mapping to previously computed joint
-// results. A served entry holds the exact values an earlier solve produced,
-// so cache hits are bit-identical to cold solves by construction — the
-// property the scenario-corpus byte-identity gate pins.
+// placement, Options) mapping to previously computed joint results. A served
+// entry holds the exact values an earlier solve produced, so cache hits are
+// bit-identical to cold solves by construction — the property the
+// scenario-corpus byte-identity gate pins.
 //
-// Invalidation is two-layered. Every key hashes the full *content* of the
-// machine description and the workload, so mutating either simply stops the
-// stale keys from ever being looked up again. On top of that, each cache
-// carries an epoch that participates in every key: Invalidate bumps it and
-// drops the table, giving callers an O(1) "forget everything" for bulk
-// changes (a repaired description, a reloaded machine file).
+// Every key hashes the full *content* of the machine description and the
+// workload, so mutating either simply stops the stale keys from ever being
+// looked up again; the capacity reset bounds the memory they hold.
 
 // Bases and odd multipliers of the key stream and an independent verifier
 // stream: a lookup must match both 64-bit digests, so a collision on the
@@ -129,8 +126,7 @@ func (h *canonHash) placement(p placement.Placement) {
 }
 
 // CacheStats is a cache's lifetime traffic. Hits plus Misses is the lookup
-// count; Evictions counts entries dropped by capacity resets and explicit
-// invalidation.
+// count; Evictions counts entries dropped by capacity resets.
 type CacheStats struct {
 	Hits, Misses, Evictions int64
 }
@@ -144,7 +140,7 @@ type coEntry struct {
 }
 
 // CoCache memoizes joint (co-schedule) results under the canonical hash of
-// (machine, every job's workload and placement in order, Options, epoch).
+// (machine, every job's workload and placement in order, Options).
 // The scheduler shares one across Submit, Predict, Rebalance and the drain
 // migration search, so re-scoring an unchanged co-resident set is a map
 // lookup instead of a fixed-point solve.
@@ -157,7 +153,6 @@ type CoCache struct {
 	m        map[uint64]coEntry
 	capacity int
 
-	epoch                   atomic.Uint64
 	hits, misses, evictions atomic.Int64
 }
 
@@ -179,7 +174,6 @@ func NewCoCache(capacity int) *CoCache {
 // permutations of one mix are distinct solves and distinct keys.
 func (c *CoCache) Key(md *machine.Description, placed []PlacedWorkload, opt Options) (uint64, uint64) {
 	h := newCanonHash()
-	h.word(c.epoch.Load())
 	h.machine(md)
 	h.options(opt)
 	h.int(len(placed))
@@ -213,8 +207,8 @@ func (c *CoCache) get(key, verify uint64) (coEntry, bool) {
 
 // LookupScore serves a stored entry's score, with its speedups written into
 // dst, when both digests match; co is the entry's full prediction, nil for a
-// compact entry (a caller that needs it solves the mix and passes the result
-// to Upgrade).
+// compact entry (a caller that needs it solves the mix and Stores the
+// result, which replaces the compact entry).
 func (c *CoCache) LookupScore(key, verify uint64, dst []float64) (sc CoScore, co *CoPrediction, ok bool) {
 	e, ok := c.get(key, verify)
 	if e.co != nil {
@@ -225,7 +219,8 @@ func (c *CoCache) LookupScore(key, verify uint64, dst []float64) (sc CoScore, co
 	return sc, nil, ok
 }
 
-// Store records a freshly computed full joint prediction.
+// Store records a freshly computed full joint prediction, replacing any
+// compact entry under the same key.
 func (c *CoCache) Store(key, verify uint64, co *CoPrediction) {
 	if co == nil {
 		return
@@ -239,10 +234,13 @@ func (c *CoCache) StoreScore(key, verify uint64, sc CoScore) {
 	c.insert(key, coEntry{verify: verify, score: sc})
 }
 
-// insert adds one entry, first dropping the whole table when it is full.
+// insert adds or replaces one entry. A new key that finds the table full
+// first drops the whole table; replacing an entry in place never does, so
+// storing a mix's full prediction over its compact score changes neither the
+// table's size nor the eviction count.
 func (c *CoCache) insert(key uint64, e coEntry) {
 	c.mu.Lock()
-	if len(c.m) >= c.capacity {
+	if _, ok := c.m[key]; !ok && len(c.m) >= c.capacity {
 		n := int64(len(c.m))
 		c.m = make(map[uint64]coEntry, c.capacity/4)
 		c.evictions.Add(n)
@@ -250,31 +248,6 @@ func (c *CoCache) insert(key uint64, e coEntry) {
 	}
 	c.m[key] = e
 	c.mu.Unlock()
-}
-
-// Upgrade replaces the entry under both digests with its mix's full
-// prediction in place, and does nothing once the entry is gone, so it never
-// changes the table's size or eviction count.
-func (c *CoCache) Upgrade(key, verify uint64, co *CoPrediction) {
-	if co == nil {
-		return
-	}
-	c.mu.Lock()
-	if e, ok := c.m[key]; ok && e.verify == verify {
-		c.m[key] = coEntry{verify: verify, co: co}
-	}
-	c.mu.Unlock()
-}
-
-// Invalidate bumps the epoch and drops the stored entries.
-func (c *CoCache) Invalidate() {
-	c.epoch.Add(1)
-	c.mu.Lock()
-	n := int64(len(c.m))
-	c.m = make(map[uint64]coEntry)
-	c.mu.Unlock()
-	c.evictions.Add(n)
-	metCacheEvictions.Add(n)
 }
 
 // Stats returns the cache's lifetime hit/miss/eviction counts.

@@ -42,7 +42,7 @@ func TestCoCacheKeyMutation(t *testing.T) {
 		t.Fatalf("stored entry not served: ok=%v", ok)
 	}
 
-	md.DRAMBW /= 50 // in-place mutation, no Invalidate call
+	md.DRAMBW /= 50 // in-place mutation
 	mk, mv := c.Key(md, placed, Options{})
 	if mk == key || mv == verify {
 		t.Fatal("machine mutation left the key unchanged")
@@ -59,38 +59,6 @@ func TestCoCacheKeyMutation(t *testing.T) {
 	}
 	if _, _, ok := c.LookupScore(wk, wv, nil); ok {
 		t.Fatal("stale entry served after workload mutation")
-	}
-}
-
-// TestCoCacheInvalidate checks the epoch bump: an entry stored before
-// Invalidate can never be served afterwards, under its old key or under the
-// key of identical inputs, and the dropped entry counts as an eviction.
-func TestCoCacheInvalidate(t *testing.T) {
-	md := quickMachine()
-	placed := quickMix()
-	c := NewCoCache(0)
-	key, verify := c.Key(md, placed, Options{})
-	c.Store(key, verify, &CoPrediction{})
-
-	c.Invalidate()
-
-	misses := c.Stats().Misses
-	if _, _, ok := c.LookupScore(key, verify, nil); ok {
-		t.Fatal("pre-invalidate key served after Invalidate")
-	}
-	nk, nv := c.Key(md, placed, Options{})
-	if nk == key {
-		t.Fatal("Invalidate left the key of identical inputs unchanged")
-	}
-	if _, _, ok := c.LookupScore(nk, nv, nil); ok {
-		t.Fatal("post-invalidate lookup hit")
-	}
-	st := c.Stats()
-	if st.Misses != misses+2 || st.Hits != 0 {
-		t.Fatalf("post-invalidate lookups were not misses: %+v (misses before %d)", st, misses)
-	}
-	if st.Evictions != 1 {
-		t.Fatalf("Evictions = %d, want 1", st.Evictions)
 	}
 }
 
@@ -166,9 +134,9 @@ func TestCoCacheScoreFromFullEntry(t *testing.T) {
 }
 
 // TestCoCacheUpgradeCompactEntry checks the full path over a compact entry:
-// a lookup counts one hit and serves no full prediction, Upgrade turns the
-// entry into the full prediction in place without touching the counters,
-// and an Upgrade of an entry that is gone stores nothing.
+// a lookup counts one hit and serves no full prediction, and Store replaces
+// the entry with the full prediction in place. Even in a full table the
+// replacement drops nothing, so the counters move only by the lookups.
 func TestCoCacheUpgradeCompactEntry(t *testing.T) {
 	md := quickMachine()
 	placed := quickMix()
@@ -180,7 +148,7 @@ func TestCoCacheUpgradeCompactEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCoCache(0)
+	c := NewCoCache(1)
 	key, verify := c.Key(md, placed, Options{})
 	c.StoreScore(key, verify, sc)
 	got, _, ok := c.LookupScore(key, verify, nil)
@@ -196,18 +164,15 @@ func TestCoCacheUpgradeCompactEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Upgrade(key, verify, co)
+	c.Store(key, verify, co)
 	if _, served, ok := c.LookupScore(key, verify, nil); !ok || served != co {
 		t.Fatalf("upgraded entry not served: ok=%v", ok)
 	}
 	if st := c.Stats(); st != (CacheStats{Hits: 3}) {
 		t.Fatalf("stats %+v, want three hits and nothing else", st)
 	}
-
-	c.Invalidate()
-	c.Upgrade(key, verify, co)
-	if n := len(c.m); n != 0 {
-		t.Fatalf("Upgrade of a dropped entry stored %d entries", n)
+	if n := len(c.m); n != 1 {
+		t.Fatalf("table holds %d entries after the in-place upgrade, want 1", n)
 	}
 }
 

@@ -3,6 +3,7 @@ package scheduler
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"slices"
 	"testing"
 
@@ -14,11 +15,13 @@ import (
 
 // driveOutcome is everything a driveScheduler run decided: the serialised
 // rebalance and drain reports, the final assignments' placements and
-// admission-time predictions, and the decision journal.
+// admission-time speedups and times, the final mix's full joint prediction,
+// and the decision journal.
 type driveOutcome struct {
 	rebalance, drain []byte
 	placements       []placement.Placement
-	predictions      [][]byte
+	admitted         [][2]uint64
+	final            []byte
 	journal          []obs.DecisionRecord
 }
 
@@ -35,18 +38,27 @@ func newDriven(t *testing.T, cfg Config) *Scheduler {
 	return s
 }
 
-// predictionJSON serialises a prediction, with its load map keyed by the
-// resource names (encoding/json cannot key a map by ResourceID).
-func predictionJSON(t *testing.T, p *core.Prediction) []byte {
+// predictionJSON serialises a joint prediction, with each load map keyed by
+// the resource names (encoding/json cannot key a map by ResourceID).
+func predictionJSON(t *testing.T, co *core.CoPrediction) []byte {
 	t.Helper()
-	loads := make(map[string]float64, len(p.Loads))
-	for id, v := range p.Loads {
-		loads[id.String()] = v
-	}
-	b, err := json.Marshal(struct {
+	type withLoads struct {
 		*core.Prediction
 		Loads map[string]float64
-	}{p, loads})
+	}
+	preds := make([]withLoads, len(co.Predictions))
+	for i, p := range co.Predictions {
+		loads := make(map[string]float64, len(p.Loads))
+		for id, v := range p.Loads {
+			loads[id.String()] = v
+		}
+		preds[i] = withLoads{p, loads}
+	}
+	b, err := json.Marshal(struct {
+		Predictions           []withLoads
+		WorstOversubscription float64
+		WorstResource         string
+	}{preds, co.WorstOversubscription, co.WorstResource.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,6 +101,7 @@ func driveScheduler(t *testing.T, s *Scheduler) driveOutcome {
 	if out.rebalance, err = json.Marshal(rep); err != nil {
 		t.Fatal(err)
 	}
+	requireBaseMatchesPredict(t, s, rep)
 
 	drep, err := s.DrainSocket(0, DrainOptions{})
 	if err != nil {
@@ -100,8 +113,13 @@ func driveScheduler(t *testing.T, s *Scheduler) driveOutcome {
 
 	for _, a := range s.Assignments() {
 		out.placements = append(out.placements, a.Placement)
-		out.predictions = append(out.predictions, predictionJSON(t, a.Prediction))
+		out.admitted = append(out.admitted, [2]uint64{math.Float64bits(a.Speedup), math.Float64bits(a.Time)})
 	}
+	co, err := s.Predict()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.final = predictionJSON(t, co)
 	out.journal = s.Journal().Records()
 	return out
 }
@@ -139,9 +157,12 @@ func requireSameOutcome(t *testing.T, what string, a, b driveOutcome, withCache 
 		if !samePlacement(a.placements[i], b.placements[i]) {
 			t.Fatalf("%s: assignment %d placement differs: %v vs %v", what, i, a.placements[i], b.placements[i])
 		}
-		if !bytes.Equal(a.predictions[i], b.predictions[i]) {
-			t.Fatalf("%s: assignment %d prediction differs:\n%s\n%s", what, i, a.predictions[i], b.predictions[i])
+		if a.admitted[i] != b.admitted[i] {
+			t.Fatalf("%s: assignment %d admission speedup/time bits differ: %x vs %x", what, i, a.admitted[i], b.admitted[i])
 		}
+	}
+	if !bytes.Equal(a.final, b.final) {
+		t.Fatalf("%s: final joint predictions differ:\n%s\n%s", what, a.final, b.final)
 	}
 	if ja, jb := journalBytes(t, a.journal, withCache), journalBytes(t, b.journal, withCache); !bytes.Equal(ja, jb) {
 		t.Fatalf("%s: journals differ:\n%s\n%s", what, ja, jb)
@@ -151,9 +172,10 @@ func requireSameOutcome(t *testing.T, what string, a, b driveOutcome, withCache 
 // TestPredictionCacheDecisionInvariant runs an identical submit → degrade →
 // rebalance → drain sequence on a cached and an uncached scheduler and
 // requires byte-for-byte identical reports, final placements, admission
-// predictions and journals (apart from the cache-traffic counts): the
-// shared prediction cache, its compact score entries and the dominance
-// pruning are pure accelerations, never decision changes.
+// predictions, final joint predictions and journals (apart from the
+// cache-traffic counts): the shared prediction cache, its compact score
+// entries and the dominance pruning are pure accelerations, never decision
+// changes.
 func TestPredictionCacheDecisionInvariant(t *testing.T) {
 	defer leaktest.Check(t)()
 	cached := newDriven(t, Config{})
@@ -178,35 +200,4 @@ func TestDecisionsUnderInvariantChecks(t *testing.T) {
 	defer core.SetInvariantChecks(core.SetInvariantChecks(true))
 	checked := driveScheduler(t, newDriven(t, Config{}))
 	requireSameOutcome(t, "invariant checks on vs off", plain, checked, true)
-}
-
-// TestInvalidatePredictions checks the scheduler's bulk invalidation hook
-// drops the cache without changing subsequent decisions.
-func TestInvalidatePredictions(t *testing.T) {
-	defer leaktest.Check(t)()
-	s, err := New(testMD(t), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Submit(func() Job { j := computeJob("c1"); j.Threads = 4; return j }()); err != nil {
-		t.Fatal(err)
-	}
-	before, err := s.Predict()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.InvalidatePredictions()
-	misses := s.PredictionCacheStats().Misses
-	after, err := s.Predict()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.PredictionCacheStats().Misses; got != misses+1 {
-		t.Fatalf("post-invalidate Predict was not a miss: %d -> %d", misses, got)
-	}
-	bj, _ := json.Marshal(before)
-	aj, _ := json.Marshal(after)
-	if !bytes.Equal(bj, aj) {
-		t.Fatal("prediction changed across InvalidatePredictions")
-	}
 }

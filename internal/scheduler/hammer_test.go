@@ -84,13 +84,17 @@ func TestLifecycleHammer(t *testing.T) {
 		}
 	}()
 
-	// Readers: health, free contexts, consistency.
+	// Readers: health, free contexts, every returned assignment's placement
+	// (read without the scheduler lock, as /debug/health does), consistency.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters*2; i++ {
 			_ = s.HealthCounts()
 			_ = s.FreeContexts()
+			for _, a := range s.Assignments() {
+				_ = a.Placement.String()
+			}
 			if err := s.CheckConsistency(); err != nil {
 				t.Error(err)
 			}

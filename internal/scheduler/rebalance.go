@@ -77,19 +77,20 @@ func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
 	defer sc.end()
 
 	ids, jobs := s.mixLocked()
-	baseCo, err := s.predictMixLocked(jobs, sc.id)
+	base, err := s.scoreMixLocked(jobs, sc.id)
 	if err != nil {
 		sc.errored(err)
 		return nil, err
 	}
-	baseScore := aggregateThroughput(baseCo.Score(s.scoreBuf))
+	baseScore := aggregateThroughput(base.CoScore)
 	rep := &RebalanceReport{
 		JobIDs:    ids,
 		BaseTimes: make([]float64, len(ids)),
 		BaseScore: baseScore,
 	}
-	for i := range ids {
-		rep.BaseTimes[i] = baseCo.Predictions[i].Time
+	for i, sp := range base.Speedups {
+		// T1 over speedup is how a full Prediction derives its Time.
+		rep.BaseTimes[i] = jobs[i].Workload.T1 / sp //nanguard:ok the solver errors unless every speedup is > 0
 	}
 
 	for i, id := range ids {

@@ -123,6 +123,7 @@ func TestRebalanceReport(t *testing.T) {
 	if rep.BaseScore <= 0 || rep.BaseTimes[0] <= 0 {
 		t.Fatalf("degenerate base: %+v", rep)
 	}
+	requireBaseMatchesPredict(t, s, rep)
 	for _, m := range rep.Moves {
 		if len(m.Deltas) != len(rep.JobIDs) {
 			t.Fatalf("move %+v: %d deltas for %d jobs", m, len(m.Deltas), len(rep.JobIDs))
@@ -206,5 +207,30 @@ func TestSamePlacement(t *testing.T) {
 	c := placement.Placement{{Socket: 0, Core: 1, Slot: 0}}
 	if samePlacement(a, c) {
 		t.Error("different sizes compared equal")
+	}
+}
+
+// requireBaseMatchesPredict checks that a Rebalance report's base, taken on
+// the score path, is bit-equal to the full joint prediction of the same mix:
+// each BaseTimes entry to its job's predicted Time, and BaseScore to the
+// predicted speedups summed in job-ID order.
+func requireBaseMatchesPredict(t *testing.T, s *Scheduler, rep *RebalanceReport) {
+	t.Helper()
+	co, err := s.Predict()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(co.Predictions) != len(rep.BaseTimes) {
+		t.Fatalf("Predict covers %d jobs, report %d", len(co.Predictions), len(rep.BaseTimes))
+	}
+	sum := 0.0
+	for i, p := range co.Predictions {
+		if rep.BaseTimes[i] != p.Time {
+			t.Errorf("job %s: base time %v, Predict time %v", rep.JobIDs[i], rep.BaseTimes[i], p.Time)
+		}
+		sum += p.Speedup
+	}
+	if rep.BaseScore != sum {
+		t.Errorf("base score %v, Predict's summed speedup %v", rep.BaseScore, sum)
 	}
 }

@@ -59,14 +59,17 @@ type Job struct {
 	Threads int
 }
 
-// Assignment records a running job's placement and the joint prediction at
+// Assignment records a running job's placement and its joint prediction at
 // admission time.
 type Assignment struct {
 	Job       Job
 	Placement placement.Placement
-	// Prediction is the job's own prediction under the joint model at the
-	// moment of admission (later arrivals can change actual behaviour).
-	Prediction *core.Prediction
+	// Speedup and Time are the job's predicted speedup and execution time
+	// under the joint model at the moment of admission (later arrivals can
+	// change actual behaviour).
+	Speedup float64
+	//pandia:unit seconds
+	Time float64
 	// Strategy names the candidate generator that produced the placement.
 	Strategy string
 	// Degraded marks an admission that violated an admission policy but
@@ -240,20 +243,21 @@ func (s *Scheduler) freeLocked() []topology.Context {
 	return out
 }
 
-// Assignments returns the running assignments sorted by job ID.
+// Assignments returns copies of the running assignments sorted by job ID.
 func (s *Scheduler) Assignments() []*Assignment {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]*Assignment, 0, len(s.running))
 	for _, a := range s.running {
-		out = append(out, a)
+		out = append(out, a.clone())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Job.ID < out[j].Job.ID })
 	return out
 }
 
 // Submit admits a job: it evaluates candidate placements over the free
-// contexts jointly with everything running and commits the best one.
+// contexts jointly with everything running and commits the best one. The
+// returned assignment is a copy; later moves do not change it.
 // Every admission bumps scheduler.submissions, every failure (validation,
 // no feasible placement, admission threshold) scheduler.rejections.
 func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
@@ -383,10 +387,9 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		if s.cfg.SlowdownSLO > 0 || sc.journaling {
 			slow = worstSlowdown(ms.CoScore, jobs)
 		}
-		scored := scoredCandidate{candidate: cand, mixScore: ms}
 		if score > bestAnyScore {
 			bestAnyScore = score
-			bestAny = scored
+			bestAny = scoredCandidate{cand, ms.Speedups[last]}
 		}
 		var reject string
 		if s.cfg.AdmissionThreshold > 0 && ms.WorstOversubscription > s.cfg.AdmissionThreshold {
@@ -410,7 +413,7 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		}
 		if score > bestScore {
 			bestScore = score
-			best = scored
+			best = scoredCandidate{cand, ms.Speedups[last]}
 		}
 	}
 	sc.phase(SpanPhaseSweep, false)
@@ -454,13 +457,11 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		}
 	}
 
-	jobs[last].Placement = best.place
-	co, err := s.fullPredictionLocked(jobs, best.mixScore)
-	if err != nil {
-		sc.errored(err)
-		return nil, err
+	asgn = &Assignment{
+		Job: job, Placement: best.place, Strategy: best.strategy, Speedup: best.speedup,
+		// T1 over speedup is how a full Prediction derives its Time.
+		Time: job.Workload.T1 / best.speedup, //nanguard:ok the solver errors unless every speedup is > 0
 	}
-	asgn = &Assignment{Job: job, Placement: best.place, Prediction: co.Predictions[last], Strategy: best.strategy}
 	if len(degradedReasons) > 0 {
 		asgn.Degraded = true
 		asgn.DegradedReasons = degradedReasons
@@ -497,7 +498,15 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 			sc.incident("degraded-admission", job.ID, strings.Join(asgn.DegradedReasons, "; "))
 		}
 	}
-	return asgn, nil
+	return asgn.clone(), nil
+}
+
+// clone returns a shallow copy of a, which callers may read without the
+// scheduler lock: moves replace a running assignment's Placement, never
+// write into it.
+func (a *Assignment) clone() *Assignment {
+	c := *a
+	return &c
 }
 
 // burst returns the token bucket capacity (at least one token).
@@ -587,15 +596,19 @@ func (s *Scheduler) Predict() (*core.CoPrediction, error) {
 }
 
 // predictMixLocked jointly predicts one mix on the full path, through the
-// shared prediction cache; callers treat the result as read-only. A miss
-// stores the full prediction. span is the requesting operation's decision
-// id (0 outside one): it brackets the cache lookup in a span and rides into
-// the solver's trace events, but is excluded from the cache key (DESIGN.md
-// §12). The caller must hold mu.
+// shared prediction cache; callers treat the result as read-only. A full
+// entry is served as is; otherwise the mix is solved and its full prediction
+// stored, replacing a compact entry. span is the requesting operation's
+// decision id (0 outside one): it brackets the cache lookup in a span and
+// rides into the solver's trace events, but is excluded from the cache key
+// (DESIGN.md §12). The caller must hold mu.
 func (s *Scheduler) predictMixLocked(jobs []core.PlacedWorkload, span int64) (*core.CoPrediction, error) {
-	ms := s.lookupLocked(jobs, span)
-	co, err := s.fullPredictionLocked(jobs, ms)
-	if err == nil && s.coCache != nil && !ms.hit {
+	ms, co := s.lookupLocked(jobs, span)
+	if co != nil {
+		return co, nil
+	}
+	co, err := s.co.Predict(jobs)
+	if err == nil && s.coCache != nil {
 		s.coCache.Store(ms.key, ms.verify, co)
 	}
 	return co, err
@@ -606,7 +619,7 @@ func (s *Scheduler) predictMixLocked(jobs []core.PlacedWorkload, span int64) (*c
 // stores it as a compact entry. Speedups live in s.scoreBuf until the next
 // call; span is as for predictMixLocked. The caller must hold mu.
 func (s *Scheduler) scoreMixLocked(jobs []core.PlacedWorkload, span int64) (mixScore, error) {
-	ms := s.lookupLocked(jobs, span)
+	ms, _ := s.lookupLocked(jobs, span)
 	if !ms.hit {
 		var err error
 		if ms.CoScore, err = s.co.Score(jobs, s.scoreBuf); err != nil {
@@ -620,24 +633,23 @@ func (s *Scheduler) scoreMixLocked(jobs []core.PlacedWorkload, span int64) (mixS
 	return ms, nil
 }
 
-// mixScore is one mix's cache lookup and score, plus what building its full
-// prediction later needs: the full entry that served the score (if any),
-// whether the lookup hit, and the cache key.
+// mixScore is one mix's cache lookup and score: whether the lookup hit, and
+// the cache key a solve stores its result under.
 type mixScore struct {
 	core.CoScore
-	full        *core.CoPrediction
 	hit         bool
 	key, verify uint64
 }
 
 // lookupLocked stamps span on the solver, then derives the mix's cache key
-// and makes the one counted lookup, bracketed in a cache-lookup span. With
-// the cache disabled it reports a miss. The caller must hold mu.
-func (s *Scheduler) lookupLocked(jobs []core.PlacedWorkload, span int64) mixScore {
+// and makes the one counted lookup, bracketed in a cache-lookup span. It
+// returns the score and, beside it, the full prediction when a full entry
+// served it. With the cache disabled it reports a miss. The caller must
+// hold mu.
+func (s *Scheduler) lookupLocked(jobs []core.PlacedWorkload, span int64) (ms mixScore, full *core.CoPrediction) {
 	s.co.SetSpan(span)
-	var ms mixScore
 	if s.coCache == nil {
-		return ms
+		return ms, nil
 	}
 	tr := s.cfg.Tracer
 	tracing := span != 0 && tr != nil && tr.Enabled()
@@ -645,39 +657,11 @@ func (s *Scheduler) lookupLocked(jobs []core.PlacedWorkload, span int64) mixScor
 		tr.Emit(obs.Event{Kind: obs.EvSpanBegin, Span: span, Arg: SpanPhaseCache, Job: spanRow})
 	}
 	ms.key, ms.verify = s.coCache.Key(s.md, jobs, s.co.Options())
-	ms.CoScore, ms.full, ms.hit = s.coCache.LookupScore(ms.key, ms.verify, s.scoreBuf)
+	ms.CoScore, full, ms.hit = s.coCache.LookupScore(ms.key, ms.verify, s.scoreBuf)
 	if tracing {
 		tr.Emit(obs.Event{Kind: obs.EvSpanEnd, Span: span, Arg: SpanPhaseCache, Job: spanRow})
 	}
-	return ms
-}
-
-// fullPredictionLocked builds a mix's full prediction from its lookup ms:
-// the full entry that served it, else one solve with no second counted
-// lookup. The solve upgrades the mix's compact entry only when the lookup
-// hit: for Submit's chosen candidate that means the mix recurred, so a mix
-// scored once keeps its compact entry. The caller must hold mu.
-func (s *Scheduler) fullPredictionLocked(jobs []core.PlacedWorkload, ms mixScore) (*core.CoPrediction, error) {
-	if ms.full != nil {
-		return ms.full, nil
-	}
-	co, err := s.co.Predict(jobs)
-	if err == nil && ms.hit {
-		s.coCache.Upgrade(ms.key, ms.verify, co)
-	}
-	return co, err
-}
-
-// InvalidatePredictions drops every cached joint prediction (the canonical
-// keys already stop matching when the machine description or a workload is
-// mutated in place; this is the O(1) bulk epoch bump for callers that want
-// the memory back too).
-func (s *Scheduler) InvalidatePredictions() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.coCache != nil {
-		s.coCache.Invalidate()
-	}
+	return ms, full
 }
 
 // PredictionCacheStats reports the shared joint-prediction cache's lifetime
@@ -771,11 +755,11 @@ type candidate struct {
 	strategy string
 }
 
-// scoredCandidate is a candidate with its score-path result (whose
-// Speedups go stale once the next candidate is scored).
+// scoredCandidate is a candidate with the new job's predicted speedup in
+// its mix.
 type scoredCandidate struct {
 	candidate
-	mixScore
+	speedup float64
 }
 
 // seenBefore reports whether an earlier candidate has placement p, in the

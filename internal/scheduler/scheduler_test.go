@@ -72,8 +72,8 @@ func TestSubmitAndRemove(t *testing.T) {
 	if len(a.Placement) != 8 {
 		t.Fatalf("assignment has %d threads, want 8", len(a.Placement))
 	}
-	if a.Prediction == nil || a.Prediction.Speedup <= 1 {
-		t.Fatalf("assignment prediction missing or degenerate: %+v", a.Prediction)
+	if a.Speedup <= 1 || a.Time <= 0 {
+		t.Fatalf("assignment prediction degenerate: speedup %g, time %g", a.Speedup, a.Time)
 	}
 	if got := len(s.FreeContexts()); got != total-8 {
 		t.Fatalf("free contexts = %d, want %d", got, total-8)
@@ -275,6 +275,48 @@ func TestPredictRunningMix(t *testing.T) {
 	for i, p := range co.Predictions {
 		if p.Speedup <= 0 {
 			t.Errorf("job %d degenerate speedup %g", i, p.Speedup)
+		}
+	}
+}
+
+// TestAssignmentMatchesJointPrediction checks that Submit's admission-time
+// Speedup and Time, taken from the winning candidate's score, are bit-equal
+// to the full joint prediction of the admission mix: the running jobs in
+// job-ID order, then the new job on its chosen placement.
+func TestAssignmentMatchesJointPrediction(t *testing.T) {
+	defer leaktest.Check(t)()
+	for _, cfg := range []Config{{}, {DisablePredictionCache: true}} {
+		md := testMD(t)
+		s, err := New(md, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// IDs out of order, so the admission mix is not arrival order; the
+		// last job picks its own thread count.
+		jobs := []Job{computeJob("c2"), memoryJob("m1"), computeJob("a0"), memoryJob("b3")}
+		for i := range jobs[:3] {
+			jobs[i].Threads = 2 + 2*i
+		}
+		for _, job := range jobs {
+			var mix []core.PlacedWorkload
+			for _, r := range s.Assignments() {
+				mix = append(mix, core.PlacedWorkload{Workload: r.Job.Workload, Placement: r.Placement})
+			}
+			a, err := s.Submit(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mix = append(mix, core.PlacedWorkload{Workload: job.Workload, Placement: a.Placement})
+			co, err := core.PredictCoSchedule(md, mix, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := co.Predictions[len(mix)-1]
+			if math.Float64bits(a.Speedup) != math.Float64bits(want.Speedup) ||
+				math.Float64bits(a.Time) != math.Float64bits(want.Time) {
+				t.Errorf("cache off=%v, job %s: assignment speedup %v time %v, joint prediction %v %v",
+					cfg.DisablePredictionCache, job.ID, a.Speedup, a.Time, want.Speedup, want.Time)
+			}
 		}
 	}
 }
