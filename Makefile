@@ -75,7 +75,8 @@ FUZZ_TARGETS = \
 	FuzzMachineJSON:./internal/topology/ \
 	FuzzScenarioParse:./internal/scenario/ \
 	FuzzGuardAnnotation:./internal/analysis/locks/ \
-	FuzzPredictClasses:./internal/core/
+	FuzzPredictClasses:./internal/core/ \
+	FuzzSweepBound:./internal/core/
 
 # fuzz-smoke is the gate-sized fuzzing pass: 5 seconds per target, enough
 # to catch parser/expander regressions on the corpus plus easy mutations.

@@ -178,8 +178,9 @@ func TestCoCacheUpgradeCompactEntry(t *testing.T) {
 
 // TestPredictSweepPrunedMatchesFull checks dominance pruning is admissible:
 // every placement the pruned sweep does solve is bit-identical to the full
-// sweep, every pruned placement's Amdahl bound really is below the target
-// fraction of the returned best, and the best placement itself survives.
+// sweep, every pruned placement's lockstep bound, and its speedup in the
+// full sweep, really are below the target fraction of the returned best,
+// and the best placement itself survives.
 func TestPredictSweepPrunedMatchesFull(t *testing.T) {
 	md := quickMachine()
 	w := quickWorkload(100, 80, 160, 120, 220, 70, 150)
@@ -216,10 +217,17 @@ func TestPredictSweepPrunedMatchesFull(t *testing.T) {
 	if pruned[bestIdx].Pruned {
 		t.Fatalf("best placement %d was pruned", bestIdx)
 	}
+	p, err := NewPredictor(md, w, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range pruned {
 		if pruned[i].Pruned {
-			if bound := w.AmdahlSpeedup(len(pls[i])); bound >= frac*best {
+			if bound := p.speedupBound(pls[i]); bound >= frac*best {
 				t.Fatalf("placement %d pruned with bound %.6f >= %.6f", i, bound, frac*best)
+			}
+			if sweep[i].Speedup >= frac*best {
+				t.Fatalf("placement %d pruned with speedup %.6f >= %.6f", i, sweep[i].Speedup, frac*best)
 			}
 			continue
 		}

@@ -414,6 +414,67 @@ func (r *fuzzReader) next() byte {
 // unit maps a byte to [0, 1].
 func (r *fuzzReader) unit() float64 { return float64(r.next()) / 255 }
 
+// machine decodes a topology of at most 4 sockets of 4 cores of 3 contexts,
+// a flags byte (see fuzzOptions; bit 32 and up are the caller's), and a
+// machine description, which may be invalid.
+func (r *fuzzReader) machine() (*machine.Description, byte) {
+	topo := topology.Machine{
+		Name:           "fuzz",
+		Sockets:        1 + int(r.next())%4,
+		CoresPerSocket: 1 + int(r.next())%4,
+		ThreadsPerCore: 1 + int(r.next())%3,
+	}
+	flags := r.next()
+	// A zero cache capacity leaves that level unconstrained.
+	capacity := func(scale float64) float64 {
+		if v := r.next(); v%8 != 0 {
+			return scale * float64(v) / 64
+		}
+		return 0
+	}
+	return &machine.Description{
+		Topo:          topo,
+		CorePeakInstr: 0.5 + 10*r.unit(),
+		SMTFactor:     1 + r.unit(),
+		L1BW:          capacity(200), L2BW: capacity(90), L3LinkBW: capacity(60),
+		L3AggBW: capacity(300), DRAMBW: 0.5 + 50*r.unit(), InterconnectBW: 0.5 + 60*r.unit(),
+	}, flags
+}
+
+// workload decodes a workload whose inter-socket overhead is at most
+// maxOverhead; it may be invalid.
+func (r *fuzzReader) workload(name string, maxOverhead float64) *core.Workload {
+	return &core.Workload{
+		Name: name,
+		T1:   1 + 100*r.unit(),
+		Demand: counters.Rates{
+			Instr: 12 * r.unit(), L1: 300 * r.unit(), L2: 120 * r.unit(),
+			L3: 60 * r.unit(), DRAM: 40 * r.unit(),
+		},
+		ParallelFrac:        r.unit(),
+		InterSocketOverhead: maxOverhead * r.unit(),
+		LoadBalance:         r.unit(),
+		Burstiness:          r.unit(),
+	}
+}
+
+// fuzzOptions maps the low five flag bits to the ablation switches and a
+// short, dampened iteration cap.
+func fuzzOptions(flags byte) core.Options {
+	opt := core.Options{
+		DisableComm:        flags&1 != 0,
+		DisableBurstiness:  flags&2 != 0,
+		DisableLoadBalance: flags&4 != 0,
+		SinglePass:         flags&8 != 0,
+	}
+	if flags&16 != 0 {
+		// Few iterations before dampening, and a cap, so dampened and
+		// unconverged solves are covered too.
+		opt.DampenAfter, opt.MaxIterations = 2, 6
+	}
+	return opt
+}
+
 // FuzzPredictClasses decodes a small topology and machine description,
 // one to three random workloads on disjoint random placements (sharing
 // cores when the contexts fall that way) and an option set, then checks
@@ -426,48 +487,18 @@ func FuzzPredictClasses(f *testing.F) {
 	f.Add([]byte{2, 1, 3, 7, 128, 128, 128, 128, 128, 128, 128, 128, 77, 200, 180, 160, 140, 120, 100, 80, 60, 40, 20})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{b: data}
-		topo := topology.Machine{
-			Name:           "fuzz",
-			Sockets:        1 + int(r.next())%4,
-			CoresPerSocket: 1 + int(r.next())%4,
-			ThreadsPerCore: 1 + int(r.next())%3,
-		}
-		flags := r.next()
-		// A zero cache capacity leaves that level unconstrained.
-		capacity := func(scale float64) float64 {
-			if v := r.next(); v%8 != 0 {
-				return scale * float64(v) / 64
-			}
-			return 0
-		}
-		md := &machine.Description{
-			Topo:          topo,
-			CorePeakInstr: 0.5 + 10*r.unit(),
-			SMTFactor:     1 + r.unit(),
-			L1BW:          capacity(200), L2BW: capacity(90), L3LinkBW: capacity(60),
-			L3AggBW: capacity(300), DRAMBW: 0.5 + 50*r.unit(), InterconnectBW: 0.5 + 60*r.unit(),
-		}
+		md, flags := r.machine()
 		if md.Validate() != nil {
 			return
 		}
+		topo := md.Topo
 		ctxs := topo.Contexts()
 		rng := rand.New(rand.NewSource(int64(r.next())<<8 | int64(r.next())))
 		rng.Shuffle(len(ctxs), func(a, b int) { ctxs[a], ctxs[b] = ctxs[b], ctxs[a] })
 		jobs := 1 + int(r.next())%3
 		var placed []core.PlacedWorkload
 		for k := 0; k < jobs && len(ctxs) > 0; k++ {
-			w := &core.Workload{
-				Name: fmt.Sprintf("w%d", k),
-				T1:   1 + 100*r.unit(),
-				Demand: counters.Rates{
-					Instr: 12 * r.unit(), L1: 300 * r.unit(), L2: 120 * r.unit(),
-					L3: 60 * r.unit(), DRAM: 40 * r.unit(),
-				},
-				ParallelFrac:        r.unit(),
-				InterSocketOverhead: 0.1 * r.unit(),
-				LoadBalance:         r.unit(),
-				Burstiness:          r.unit(),
-			}
+			w := r.workload(fmt.Sprintf("w%d", k), 0.1)
 			if w.Validate() != nil {
 				return
 			}
@@ -475,17 +506,7 @@ func FuzzPredictClasses(f *testing.F) {
 			placed = append(placed, core.PlacedWorkload{Workload: w, Placement: placement.Placement(ctxs[:n:n])})
 			ctxs = ctxs[n:]
 		}
-		opt := core.Options{
-			DisableComm:        flags&1 != 0,
-			DisableBurstiness:  flags&2 != 0,
-			DisableLoadBalance: flags&4 != 0,
-			SinglePass:         flags&8 != 0,
-		}
-		if flags&16 != 0 {
-			// Few iterations before dampening, and a cap, so dampened and
-			// unconverged solves are covered too.
-			opt.DampenAfter, opt.MaxIterations = 2, 6
-		}
+		opt := fuzzOptions(flags)
 		if _, d := solvePair(md, placed, opt, flags&32 != 0); d != "" {
 			t.Fatalf("topology %+v, %d jobs, options %+v: %s", topo, len(placed), opt, d)
 		}

@@ -35,6 +35,10 @@ type Predictor struct {
 	// pw is the engine's one-element workload binding, kept inline so
 	// Predict/PredictTime never allocate a slice per call.
 	pw [1]PlacedWorkload
+
+	// boundScratch is speedupBound's per-socket scratch, allocated by its
+	// first call: threads per socket (zero between calls), then h_s.
+	boundScratch []float64
 }
 
 // NewPredictor validates the inputs once and allocates the engine state for
@@ -128,7 +132,7 @@ type TimePrediction struct {
 	Converged  bool
 	// Degraded marks a best-effort prediction under Options.AllowDegraded.
 	Degraded bool
-	// Pruned marks a placement PredictSweepPruned skipped under the Amdahl
+	// Pruned marks a placement PredictSweepPruned skipped under the lockstep
 	// dominance bound instead of solving; the other fields are zero.
 	Pruned bool
 }
@@ -189,6 +193,82 @@ func (p *Predictor) PredictTime(place placement.Placement) (TimePrediction, erro
 	}, nil
 }
 
+// boundSlack widens the dominance bound by far more than the rounding of
+// the solver's sums, so the bound stays above the speedup it dominates. It
+// is needed even for Amdahl's term: an uncontended solve computes
+// amdahl·n/n, which rounds one ulp above amdahl for some n.
+const boundSlack = 1e-12
+
+// speedupBound returns the lockstep dominance bound on the speedup
+// PredictTime reports for place (DESIGN.md §12): the lower of Amdahl's
+// speedup and fInit·Σ_s n_s/L_s, where n_s threads sit on socket s, widened
+// by boundSlack.
+//
+// It holds on every iteration's values, converged or not. Resource
+// slowdowns are at least 1 and a socket's communication cost is at least
+// its lockstep share c_s = (1−l)·os·(n−n_s)·fInit over the resource
+// slowdown (§5.2), so a thread's pre-balance slowdown is at least
+// min over x ≥ 1 of x + c_s/x, which is h_s. The cap sCap is the first
+// iteration's largest slowdown, at least max h, so it cuts nothing below
+// h_s, and load balancing (§5.3) lifts each slowdown to at least
+// L_s = (1−l)·max h + l·h_s. Speedup is fInit·Σ 1/slowdown.
+//
+// Without the lockstep term (communication disabled, no inter-socket
+// overhead, one thread) the bound is Amdahl's. Under AllowDegraded it is
+// Amdahl's too: a non-converged solve then reports the Amdahl speedup.
+//
+//pandia:noalloc
+func (p *Predictor) speedupBound(place placement.Placement) float64 {
+	n := len(place)
+	amdahl := p.w.AmdahlSpeedup(n) * (1 + boundSlack)
+	os, l := p.w.InterSocketOverhead, p.w.LoadBalance
+	if p.opt.AllowDegraded || p.opt.DisableComm || os <= 0 || n <= 1 {
+		return amdahl
+	}
+	nSock := p.e.nSock
+	if p.boundScratch == nil {
+		p.boundScratch = make([]float64, 2*nSock) //alloccheck:ok once per predictor; only pruned sweeps pay for it
+	}
+	counts, hs := p.boundScratch[:nSock], p.boundScratch[nSock:]
+	for _, c := range place {
+		if c.Socket < 0 || c.Socket >= len(counts) {
+			// Not on the machine: PredictTime reports the error.
+			clear(counts)
+			return amdahl
+		}
+		counts[c.Socket]++
+	}
+	fn := float64(n)
+	fInit := p.w.AmdahlSpeedup(n) / fn //nanguard:ok n > 1 past the early return
+	hMax := 0.0
+	for s, ns := range counts {
+		if ns == 0 {
+			continue
+		}
+		c := (1 - l) * os * (fn - ns) * fInit
+		h := 1 + c
+		if c > 1 {
+			h = 2 * math.Sqrt(c)
+		}
+		h *= 1 - boundSlack
+		hs[s] = h
+		hMax = math.Max(hMax, h)
+	}
+	var sum float64
+	for s, ns := range counts {
+		if ns == 0 {
+			continue
+		}
+		ls := (1-l)*hMax + l*hs[s]
+		if p.opt.DisableLoadBalance {
+			ls = hs[s]
+		}
+		sum += ns / ls //nanguard:ok every h is at least 1−boundSlack, so ls > 0
+		counts[s] = 0
+	}
+	return math.Min(amdahl, fInit*sum*(1+boundSlack))
+}
+
 // sweepChunk is the number of consecutive placements a sweep worker claims
 // per counter increment. Chunking amortises the atomic traffic while staying
 // fine-grained enough to balance uneven placement sizes.
@@ -219,7 +299,7 @@ func PredictSweep(md *machine.Description, w *Workload, places []placement.Place
 }
 
 // SweepStats reports a pruned sweep's work split: Evaluated placements were
-// solved, Pruned placements were skipped because their Amdahl dominance
+// solved, Pruned placements were skipped because their lockstep dominance
 // bound could not reach the incumbent (DESIGN.md §12). In a parallel sweep
 // the split depends on how fast the incumbent rises across workers, so the
 // counts can vary run-to-run; the sweep's selected results never do.
@@ -236,17 +316,19 @@ func (s SweepStats) PruneRate() float64 {
 }
 
 // PredictSweepPruned is PredictSweep with the best-so-far dominance bound:
-// a placement whose Amdahl-only speedup bound is strictly below frac times
-// the incumbent best speedup is skipped without solving, because the model
-// guarantees Speedup <= AmdahlSpeedup (slowdowns are >= 1), so it can
-// neither become the best placement nor reach a frac-of-best target.
-// Skipped slots are returned as zero TimePredictions with Pruned set; every
-// evaluated slot is bit-identical to the full sweep's.
+// a placement whose speedup bound is strictly below frac times the
+// incumbent best speedup is skipped without solving, because it can neither
+// become the best placement nor reach a frac-of-best target. The bound is
+// Amdahl's speedup tightened by the lockstep communication cost and the
+// load-balancing spread (speedupBound); it dominates the speedup of every
+// solve, converged or not. Skipped slots are returned as zero
+// TimePredictions with Pruned set; every evaluated slot is bit-identical to
+// the full sweep's.
 //
-// The sweep first solves the placement with the highest Amdahl bound (the
-// lowest index on ties) to seed the incumbent, then sweeps the rest in
-// parallel. frac outside (0, 1], NaN included, is clamped to 1 — prune only
-// what cannot beat the incumbent at all.
+// The sweep first solves the placement with the highest bound (the lowest
+// index on ties) to seed the incumbent, then sweeps the rest in parallel.
+// frac outside (0, 1], NaN included, is clamped to 1 — prune only what
+// cannot beat the incumbent at all.
 func PredictSweepPruned(md *machine.Description, w *Workload, places []placement.Placement, opt Options, frac float64) ([]TimePrediction, SweepStats, error) {
 	if !(frac > 0 && frac <= 1) {
 		frac = 1
@@ -274,13 +356,17 @@ func predictSweepN(md *machine.Description, w *Workload, places []placement.Plac
 	// Seed: the highest-bound placement is never prunable, so solving it
 	// first gives every other placement a strong incumbent to beat. Bounds
 	// come from the predictor's workload, which is the repaired copy under
-	// AllowDegraded.
-	pw := p.Workload()
-	seed := 0
-	seedBound := pw.AmdahlSpeedup(len(places[0]))
-	for i := 1; i < len(places); i++ {
-		if b := pw.AmdahlSpeedup(len(places[i])); b > seedBound {
-			seed, seedBound = i, b
+	// AllowDegraded. A sweep that never prunes (frac 0) computes no bound
+	// and seeds with the largest placement, which grows the predictor's
+	// scratch once instead of step by step.
+	seed, seedKey := 0, math.Inf(-1)
+	for i, place := range places {
+		k := float64(len(place))
+		if frac > 0 {
+			k = p.speedupBound(place)
+		}
+		if k > seedKey {
+			seed, seedKey = i, k
 		}
 	}
 	tp, err := p.PredictTime(places[seed])
@@ -344,10 +430,10 @@ func predictSweepN(md *machine.Description, w *Workload, places []placement.Plac
 
 // sweepChunks is one sweep worker's claim loop: it claims chunks of the
 // index space from the shared counter, and each claimed placement is either
-// skipped under the dominance bound (Amdahl bound below frac of the
+// skipped under the dominance bound (speedupBound below frac of the
 // incumbent) or predicted on the fast path into the worker's own output
 // slot, raising the incumbent. The seed index was solved before the workers
-// started and is skipped here. With frac 0 the bound never prunes.
+// started and is skipped here. With frac 0 no bound is computed.
 //
 //pandia:noalloc
 func sweepChunks(p *Predictor, places []placement.Placement, out []TimePrediction, seed int, frac float64, best *atomic.Uint64, next *atomic.Int64, stop *atomic.Bool) (done, pruned int64, err error) {
@@ -365,8 +451,7 @@ func sweepChunks(p *Predictor, places []placement.Placement, out []TimePredictio
 			if i == seed {
 				continue
 			}
-			bound := p.w.AmdahlSpeedup(len(places[i]))
-			if bound < frac*math.Float64frombits(best.Load()) {
+			if frac > 0 && p.speedupBound(places[i]) < frac*math.Float64frombits(best.Load()) {
 				out[i] = TimePrediction{Pruned: true}
 				pruned++
 				continue

@@ -94,13 +94,9 @@ func NewHarness(key string, maxPlacements int, seed int64) (*Harness, error) {
 		}
 	}
 	placement.SortShapes(shapes)
-	places := make([]placement.Placement, len(shapes))
-	for i, s := range shapes {
-		places[i] = s.Expand(topo)
-	}
 	return &Harness{
 		Key: key, TB: tb, MD: md, Shapes: shapes, Seed: seed,
-		places:   places,
+		places:   placement.ExpandAll(shapes),
 		profiles: make(map[string]*workload.Profile),
 		measured: make(map[string][]float64),
 		curves:   make(map[string]*Curve),

@@ -10,10 +10,8 @@ import (
 
 // enumCache memoises Enumerate per machine shape. Machine is a small
 // comparable struct, so it keys the map directly. The cached slice is
-// canonical and never handed out: Enumerate returns a fresh top-level copy,
-// because callers sort, append, and sample the result in place. The Shape
-// values inside (and their PerSocket slices) are shared — they are immutable
-// by convention throughout the codebase (enforced by the mutcheck pass).
+// canonical and never handed out: Enumerate returns a deep copy, because
+// callers sort, append, sample, and may edit the result in place.
 var enumCache sync.Map // topology.Machine -> []Shape
 
 // Enumerate generates every canonical shape on the machine: all multisets of
@@ -27,14 +25,14 @@ var enumCache sync.Map // topology.Machine -> []Shape
 // EnumerateSampled.
 //
 // Results are memoised per machine: repeated calls copy a cached slice
-// instead of re-running the recursion.
+// instead of re-running the recursion. The copy shares no memory with the
+// cache, so a caller's edits never leak into later calls.
 func Enumerate(m topology.Machine) []Shape {
-	if v, ok := enumCache.Load(m); ok {
-		return append([]Shape(nil), v.([]Shape)...)
+	v, ok := enumCache.Load(m)
+	if !ok {
+		v, _ = enumCache.LoadOrStore(m, CloneShapes(enumerate(m)))
 	}
-	shapes := enumerate(m)
-	enumCache.Store(m, shapes)
-	return append([]Shape(nil), shapes...)
+	return CloneShapes(v.([]Shape))
 }
 
 // enumerate is the uncached enumeration.

@@ -196,6 +196,28 @@ func (s Shape) Validate(m topology.Machine) error {
 	return nil
 }
 
+// Clone returns a copy of the shape with its own PerSocket slice.
+func (s Shape) Clone() Shape {
+	return Shape{PerSocket: append([]SocketCount(nil), s.PerSocket...)}
+}
+
+// CloneShapes copies shapes so that they share no memory with the input:
+// every PerSocket slice is a capped window of one fresh slab.
+func CloneShapes(shapes []Shape) []Shape {
+	n := 0
+	for _, s := range shapes {
+		n += len(s.PerSocket)
+	}
+	slab := make([]SocketCount, 0, n)
+	out := make([]Shape, len(shapes))
+	for i, s := range shapes {
+		lo := len(slab)
+		slab = append(slab, s.PerSocket...)
+		out[i].PerSocket = slab[lo:len(slab):len(slab)]
+	}
+	return out
+}
+
 // Expand materialises the shape into a concrete placement: on each socket,
 // doubled cores come first (cores 0..Twos-1 with both contexts), then
 // single-thread cores. Thread order is socket-major.
@@ -204,6 +226,29 @@ func (s Shape) Expand(m topology.Machine) Placement {
 	if n := s.Threads(); n > 0 {
 		p = make(Placement, 0, n)
 	}
+	return s.appendTo(p)
+}
+
+// ExpandAll expands every shape as Expand does, into capped windows of one
+// contiguous context slab, so a large placement space costs two
+// allocations. Empty shapes expand to empty placements.
+func ExpandAll(shapes []Shape) []Placement {
+	n := 0
+	for _, s := range shapes {
+		n += s.Threads()
+	}
+	slab := make(Placement, 0, n)
+	out := make([]Placement, len(shapes))
+	for i, s := range shapes {
+		lo := len(slab)
+		slab = s.appendTo(slab)
+		out[i] = slab[lo:len(slab):len(slab)]
+	}
+	return out
+}
+
+// appendTo appends the shape's expansion to p.
+func (s Shape) appendTo(p Placement) Placement {
 	for sIdx, sc := range s.PerSocket {
 		core := 0
 		for i := 0; i < sc.Twos; i++ {

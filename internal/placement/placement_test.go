@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -57,10 +58,18 @@ func TestEnumerateSorted(t *testing.T) {
 	}
 }
 
+// TestExpandRoundTrip also checks that ExpandAll's slab windows equal
+// Expand's placements and are capped, so appending to one cannot clobber
+// the next.
 func TestExpandRoundTrip(t *testing.T) {
 	m := topology.X32()
-	for _, s := range Enumerate(m) {
+	shapes := Enumerate(m)
+	all := ExpandAll(shapes)
+	for i, s := range shapes {
 		p := s.Expand(m)
+		if !slices.Equal(all[i], p) || cap(all[i]) != len(p) {
+			t.Fatalf("shape %v: ExpandAll %v (cap %d), Expand %v", s, all[i], cap(all[i]), p)
+		}
 		if err := p.Validate(m); err != nil {
 			t.Fatalf("shape %v expanded invalid: %v", s, err)
 		}

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"pandia/internal/bench"
 	"pandia/internal/core"
@@ -106,6 +107,14 @@ func BenchmarkByName(name string) (Benchmark, error) { return bench.ByName(name)
 type System struct {
 	tb *simhw.Testbed
 	md *machine.Description
+
+	// space is Recommend's placement space, built by its first call. The
+	// shapes and placements are never handed out, so they stay immutable.
+	space struct {
+		once   sync.Once
+		shapes []Shape
+		places []Placement
+	}
 }
 
 // NewSystem builds a system for one of the preset machine models
@@ -215,6 +224,21 @@ func (s *System) Shapes(maxShapes int) []Shape {
 	return shapes
 }
 
+// recommendShapes caps Recommend's placement space on large machines.
+const recommendShapes = 4000
+
+// recommendSpace returns Recommend's placement space, Shapes(4000) and its
+// expansions, building it on the first call. The shapes are copied out of
+// the full enumeration so that the space holds no more than it uses, and
+// the placements are windows of one context slab.
+func (s *System) recommendSpace() ([]Shape, []Placement) {
+	s.space.once.Do(func() {
+		s.space.shapes = placement.CloneShapes(s.Shapes(recommendShapes))
+		s.space.places = placement.ExpandAll(s.space.shapes)
+	})
+	return s.space.shapes, s.space.places
+}
+
 // Recommendation is the output of Recommend: the placement predicted
 // fastest, and the smallest placement predicted to reach the target
 // fraction of that performance — the paper's resource-saving use case
@@ -242,7 +266,8 @@ type Recommendation struct {
 // Recommend searches the canonical placement space (sampled to at most
 // 4000 shapes on large machines) for the fastest predicted placement and
 // the minimal placement achieving targetFraction of its performance.
-// targetFraction 0 defaults to 0.95; a non-finite one is an error.
+// targetFraction 0 defaults to 0.95; a non-finite one is an error. The
+// space is built once per System; the returned shapes are the caller's own.
 func (s *System) Recommend(w *WorkloadDescription, targetFraction float64) (*Recommendation, error) {
 	if math.IsNaN(targetFraction) || math.IsInf(targetFraction, 0) {
 		return nil, fmt.Errorf("pandia: target fraction %g is not finite", targetFraction)
@@ -253,19 +278,14 @@ func (s *System) Recommend(w *WorkloadDescription, targetFraction float64) (*Rec
 	if targetFraction > 1 {
 		return nil, fmt.Errorf("pandia: target fraction %g above 1", targetFraction)
 	}
-	shapes := s.Shapes(4000)
-	topo := s.tb.Machine()
+	shapes, places := s.recommendSpace()
 
 	// Sweep on the fast path (speedups only), pruning placements whose
-	// Amdahl bound cannot reach targetFraction of the incumbent best, then
-	// run the full-detail prediction just for the two winning shapes.
+	// dominance bound cannot reach targetFraction of the incumbent best,
+	// then run the full-detail prediction just for the two winning shapes.
 	// PredictTime's Speedup is bit-identical to Predict's and pruned
 	// placements provably miss both the argmax and the target cut, so the
 	// selection is unchanged.
-	places := make([]Placement, len(shapes))
-	for i, shape := range shapes {
-		places[i] = shape.Expand(topo)
-	}
 	times, sweep, err := core.PredictSweepPruned(s.md, w, places, core.Options{}, targetFraction)
 	if err != nil {
 		return nil, err
@@ -294,13 +314,13 @@ func (s *System) Recommend(w *WorkloadDescription, targetFraction float64) (*Rec
 		}
 	}
 	if bestIdx >= 0 {
-		rec.Best = shapes[bestIdx]
+		rec.Best = shapes[bestIdx].Clone()
 		if rec.BestPrediction, err = core.Predict(s.md, w, places[bestIdx], core.Options{}); err != nil {
 			return nil, err
 		}
 	}
 	if minIdx >= 0 {
-		rec.Minimal = shapes[minIdx]
+		rec.Minimal = shapes[minIdx].Clone()
 		if rec.MinimalPrediction, err = core.Predict(s.md, w, places[minIdx], core.Options{}); err != nil {
 			return nil, err
 		}

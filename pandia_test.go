@@ -2,7 +2,10 @@ package pandia
 
 import (
 	"math"
+	"slices"
 	"testing"
+
+	"pandia/internal/placement"
 )
 
 func TestModels(t *testing.T) {
@@ -128,6 +131,58 @@ func TestRecommend(t *testing.T) {
 		if _, err := sys.Recommend(&prof.Workload, frac); err == nil {
 			t.Errorf("target fraction %g accepted", frac)
 		}
+	}
+}
+
+// TestRecommendShapesOwnMemory edits the shapes Recommend and Shapes hand
+// out and checks that neither the enumeration cache nor Recommend's cached
+// placement space sees the edits.
+func TestRecommendShapesOwnMemory(t *testing.T) {
+	sys, err := NewSystem("x3-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := BenchmarkByName("Swim")
+	prof, err := sys.Profile(b.Truth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := func(shapes []Shape) []string {
+		out := make([]string, len(shapes))
+		for i, s := range shapes {
+			out[i] = s.Key()
+		}
+		return out
+	}
+	enumerated := keys(placement.Enumerate(sys.Machine()))
+	first, err := sys.Recommend(&prof.Workload, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, minimal := first.Best.Key(), first.Minimal.Key()
+
+	first.Best.PerSocket[0].Ones += 100    //mutcheck:ok the test edits its own copy on purpose
+	first.Minimal.PerSocket[0].Twos += 100 //mutcheck:ok the test edits its own copy on purpose
+	for _, s := range sys.Shapes(0) {
+		s.PerSocket[0].Ones += 100 //mutcheck:ok the test edits its own copy on purpose
+	}
+
+	if got := keys(placement.Enumerate(sys.Machine())); !slices.Equal(got, enumerated) {
+		t.Fatal("editing returned shapes changed later enumerations")
+	}
+	if !slices.Contains(enumerated, best) || !slices.Contains(enumerated, minimal) {
+		t.Fatalf("enumeration lacks the recommended shapes %q and %q", best, minimal)
+	}
+	second, err := sys.Recommend(&prof.Workload, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Best.Key() != best || second.Minimal.Key() != minimal {
+		t.Fatalf("second recommendation %v / %v, want %q / %q", second.Best, second.Minimal, best, minimal)
+	}
+	if second.BestPrediction.Speedup != first.BestPrediction.Speedup ||
+		second.MinimalPrediction.Speedup != first.MinimalPrediction.Speedup {
+		t.Fatal("second recommendation predicts different speedups")
 	}
 }
 
