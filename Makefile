@@ -76,7 +76,8 @@ FUZZ_TARGETS = \
 	FuzzScenarioParse:./internal/scenario/ \
 	FuzzGuardAnnotation:./internal/analysis/locks/ \
 	FuzzPredictClasses:./internal/core/ \
-	FuzzSweepBound:./internal/core/
+	FuzzSweepBound:./internal/core/ \
+	FuzzSchedulerOps:./internal/scheduler/
 
 # fuzz-smoke is the gate-sized fuzzing pass: 5 seconds per target, enough
 # to catch parser/expander regressions on the corpus plus easy mutations.
@@ -108,10 +109,12 @@ bench-smoke:
 
 # bench-gate is the perf/observability overhead gate: the PredictTime fast
 # path (BenchmarkPredictorReuse) and the score-only joint solve
-# (BenchmarkCoScore) must stay at 0 allocs/op (exact, the primary
-# regression teeth), and every gated benchmark within
-# BENCH_TOLERANCE ns/op of the recorded "current" run in BENCH_core.json.
-# Refresh the reference with `make bench` after intentional perf changes.
+# (BenchmarkCoScore) must stay at 0 allocs/op, the scheduler's decision
+# loop (BenchmarkSubmit, BenchmarkRebalance) at or below its recorded
+# allocs/op (both exact, the primary regression teeth), and every gated
+# benchmark within BENCH_TOLERANCE ns/op of the recorded "current" run in
+# BENCH_core.json. Refresh the reference with `make bench` after
+# intentional perf changes.
 #
 # The ns/op tolerance is wide because gate hosts are shared single-core
 # containers where neighbour load swings measurements by double-digit
@@ -122,8 +125,9 @@ bench-smoke:
 BENCH_TOLERANCE ?= 0.35
 bench-gate:
 	$(GO) build -o /tmp/pandia-benchjson ./cmd/pandia-benchjson
-	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkSweepPruned$$|BenchmarkCoScore$$' -benchmem -count=5 . \
-	  | /tmp/pandia-benchjson -gate current -gate-tolerance $(BENCH_TOLERANCE) -zero-alloc BenchmarkPredictorReuse,BenchmarkCoScore -out BENCH_core.json
+	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkSweepPruned$$|BenchmarkCoScore$$|BenchmarkSubmit|BenchmarkRebalance$$' -benchmem -count=5 . \
+	  | /tmp/pandia-benchjson -gate current -gate-tolerance $(BENCH_TOLERANCE) -zero-alloc BenchmarkPredictorReuse,BenchmarkCoScore \
+	      -max-allocs 'BenchmarkSubmit|BenchmarkRebalance$$' -out BENCH_core.json
 
 # scenario-smoke is the replay-determinism gate: every bundled scenario in
 # scenarios/ must pass its assertions and two separate replay processes

@@ -594,7 +594,9 @@ func benchScheduler(b *testing.B, running int, cache bool) (*scheduler.Scheduler
 // a job that lets the scheduler pick its thread count is submitted over 0,
 // 4 and 16 running jobs and removed again. With the cache on, the repeated
 // mixes hit CoCache after the first iteration; with it off, every
-// candidate is a score-only joint solve.
+// candidate is a score-only joint solve. One untimed admission first fills
+// the cache and the scheduler's scratch, so allocs/op is the steady state
+// whatever b.N is, and make bench-gate can hold it to the recorded value.
 func BenchmarkSubmit(b *testing.B) {
 	for _, running := range []int{0, 4, 16} {
 		for _, cache := range []bool{true, false} {
@@ -602,15 +604,19 @@ func BenchmarkSubmit(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				s, ws := benchScheduler(b, running, cache)
 				job := scheduler.Job{ID: "new", Workload: ws[1]}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+				submit := func() {
 					if _, err := s.Submit(job); err != nil {
 						b.Fatal(err)
 					}
 					if err := s.Remove(job.ID); err != nil {
 						b.Fatal(err)
 					}
+				}
+				submit()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					submit()
 				}
 			})
 		}
@@ -619,14 +625,20 @@ func BenchmarkSubmit(b *testing.B) {
 
 // BenchmarkRebalance measures rebalance advice over 16 running jobs with
 // the cache on: the base mix and every candidate move recur each iteration.
+// One untimed call first fills the cache and the scratch, as in
+// BenchmarkSubmit.
 func BenchmarkRebalance(b *testing.B) {
 	s, _ := benchScheduler(b, 16, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	rebalance := func() {
 		if _, err := s.Rebalance(0.02); err != nil {
 			b.Fatal(err)
 		}
+	}
+	rebalance()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rebalance()
 	}
 }
 

@@ -15,10 +15,13 @@
 //
 // With -gate <label>, nothing is recorded: the parsed run is compared
 // against the labelled run in -out and the command fails when a benchmark
-// regresses by more than -gate-tolerance in ns/op, or when a benchmark
-// named in -zero-alloc reports any allocations. This is the observability
-// overhead gate: the instrumented predictor hot path must stay
-// allocation-free and within tolerance of its recorded cost.
+// regresses by more than -gate-tolerance in ns/op, when a benchmark named
+// in -zero-alloc reports any allocations, or when a benchmark matching the
+// -max-allocs regexp reports more allocs/op than the labelled run recorded.
+// This is the observability overhead gate: the instrumented predictor hot
+// path must stay allocation-free, the scheduler's decision loop must not
+// regain allocations, and everything must stay within tolerance of its
+// recorded cost.
 package main
 
 import (
@@ -27,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"time"
@@ -65,7 +69,16 @@ func main() {
 	gate := flag.String("gate", "", "compare against this labelled run in -out instead of recording; fail on regression")
 	gateTol := flag.Float64("gate-tolerance", 0.05, "allowed fractional ns/op regression in gate mode")
 	zeroAlloc := flag.String("zero-alloc", "", "comma-separated benchmarks that must report 0 allocs/op in gate mode")
+	maxAllocs := flag.String("max-allocs", "", "regexp of benchmarks that may not exceed the reference run's allocs/op in gate mode")
 	flag.Parse()
+	var allocRe *regexp.Regexp
+	if *maxAllocs != "" {
+		var err error
+		if allocRe, err = regexp.Compile(*maxAllocs); err != nil {
+			fmt.Fprintf(os.Stderr, "pandia-benchjson: bad -max-allocs: %v\n", err)
+			os.Exit(2)
+		}
+	}
 
 	run, err := parse(os.Stdin)
 	if err != nil {
@@ -89,7 +102,7 @@ func main() {
 	}
 
 	if *gate != "" {
-		if err := runGate(run, *out, *gate, *gateTol, *zeroAlloc); err != nil {
+		if err := runGate(run, *out, *gate, *gateTol, *zeroAlloc, allocRe); err != nil {
 			fmt.Fprintf(os.Stderr, "pandia-benchjson: gate FAILED: %v\n", err)
 			os.Exit(1)
 		}
@@ -132,11 +145,12 @@ func main() {
 
 // runGate compares the parsed run against the labelled reference in file.
 // Every parsed benchmark also present in the reference must stay within
-// tol fractional ns/op of it, and every benchmark named in zeroAlloc must
-// report exactly 0 allocs/op. Parsed benchmarks absent from the reference
-// pass the timing check (there is nothing to regress from) but not the
-// zero-alloc one.
-func runGate(run *Run, file, label string, tol float64, zeroAlloc string) error {
+// tol fractional ns/op of it, every benchmark named in zeroAlloc must
+// report exactly 0 allocs/op, and every benchmark allocRe (nil: none)
+// matches must report at most the reference's allocs/op. Parsed benchmarks
+// absent from the reference pass the timing check (there is nothing to
+// regress from) but neither allocation check.
+func runGate(run *Run, file, label string, tol float64, zeroAlloc string, allocRe *regexp.Regexp) error {
 	data, err := os.ReadFile(file)
 	if err != nil {
 		return fmt.Errorf("reading reference %s: %w", file, err)
@@ -167,7 +181,14 @@ func runGate(run *Run, file, label string, tol float64, zeroAlloc string) error 
 	}
 
 	var problems []string
+	allocMatched := false
 	for _, b := range run.Benchmarks {
+		if allocRe != nil && allocRe.MatchString(b.Name) {
+			allocMatched = true
+			if p := allocCeiling(b, ref[b.Name], label); p != "" {
+				problems = append(problems, p)
+			}
+		}
 		if mustZero[b.Name] {
 			delete(mustZero, b.Name)
 			switch {
@@ -191,10 +212,28 @@ func runGate(run *Run, file, label string, tol float64, zeroAlloc string) error 
 	for name := range mustZero {
 		problems = append(problems, fmt.Sprintf("%s: required zero-alloc benchmark missing from the run", name))
 	}
+	if allocRe != nil && !allocMatched {
+		problems = append(problems, fmt.Sprintf("no benchmark in the run matches -max-allocs %q", allocRe))
+	}
 	if len(problems) > 0 {
 		return fmt.Errorf("%s", strings.Join(problems, "; "))
 	}
 	return nil
+}
+
+// allocCeiling checks one benchmark's allocs/op against its reference
+// entry (zero Name when the reference lacks it) and describes a violation,
+// or returns "".
+func allocCeiling(b, ref Benchmark, label string) string {
+	switch {
+	case b.AllocsPerOp == nil:
+		return fmt.Sprintf("%s: no allocs/op reported (run with -benchmem)", b.Name)
+	case ref.Name == "" || ref.AllocsPerOp == nil:
+		return fmt.Sprintf("%s: no allocs/op recorded in the %q run to hold it to", b.Name, label)
+	case *b.AllocsPerOp > *ref.AllocsPerOp:
+		return fmt.Sprintf("%s: %g allocs/op, above the %q run's %g", b.Name, *b.AllocsPerOp, label, *ref.AllocsPerOp)
+	}
+	return ""
 }
 
 // parse reads `go test -bench` output and extracts benchmark lines plus the

@@ -67,7 +67,7 @@ func TestRealGuardedFieldsClean(t *testing.T) {
 // scheduler (and this PR fixed): a placement strategy implemented as a
 // method value stored in a strategy table. The escape pins the method's
 // entry lock set to ∅ — the analysis cannot assume callers hold s.mu — so
-// its bare read of the guarded occupancy map must be reported. The fix in
+// its bare read of the guarded occupancy table must be reported. The fix in
 // the real code snapshots the occupancy under the lock and passes it to a
 // pure function; this fixture keeps the pre-fix shape from coming back.
 const seededEscape = `package scheduler
@@ -91,8 +91,10 @@ func (s *Scheduler) regressionRegister() {
 
 func (s *Scheduler) regressionQuietSocket(free []topology.Context, n int, m topology.Machine) placement.Placement {
 	busy := make([]int, m.Sockets)
-	for c := range s.occupied {
-		busy[c.Socket]++
+	for i, owner := range s.owner {
+		if owner != "" {
+			busy[m.ContextAt(i).Socket]++
+		}
 	}
 	if len(free) < n || len(busy) == 0 {
 		return nil
@@ -102,7 +104,7 @@ func (s *Scheduler) regressionQuietSocket(free []topology.Context, n int, m topo
 `
 
 // TestSeededMethodValueRegression injects the pre-fix strategy shape and
-// requires guardcheck to flag the unguarded read of the occupancy map.
+// requires guardcheck to flag the unguarded read of the occupancy table.
 func TestSeededMethodValueRegression(t *testing.T) {
 	root := analysistest.ModuleRoot(t)
 	tmp := t.TempDir()
@@ -120,7 +122,7 @@ func TestSeededMethodValueRegression(t *testing.T) {
 	for _, d := range diags {
 		pos := pkg.Fset.Position(d.Pos)
 		t.Logf("diagnostic: %s:%d: %s", filepath.Base(pos.Filename), pos.Line, d.Message)
-		if strings.Contains(d.Message, "guarded field scheduler.Scheduler.occupied is read in (*scheduler.Scheduler).regressionQuietSocket without holding (scheduler.Scheduler).mu") {
+		if strings.Contains(d.Message, "guarded field scheduler.Scheduler.owner is read in (*scheduler.Scheduler).regressionQuietSocket without holding (scheduler.Scheduler).mu") {
 			found = true
 			if filepath.Base(pos.Filename) != "zz_regression.go" {
 				t.Errorf("diagnostic anchored at %s, want zz_regression.go", pos.Filename)
@@ -128,6 +130,6 @@ func TestSeededMethodValueRegression(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Error("no diagnostic names the bare read of Scheduler.occupied in the escaped method value")
+		t.Error("no diagnostic names the bare read of Scheduler.owner in the escaped method value")
 	}
 }

@@ -16,9 +16,13 @@ import (
 // bit-identical to cold solves by construction — the property the
 // scenario-corpus byte-identity gate pins.
 //
-// Every key hashes the full *content* of the machine description and the
-// workload, so mutating either simply stops the stale keys from ever being
-// looked up again; the capacity reset bounds the memory they hold.
+// The content is digested once, not per lookup: DigestMachine covers the
+// machine and the options, DigestWorkload one workload, and Key folds those
+// digests with the placements. A digest describes the values it was taken
+// from, so its owner must keep those values fixed — the scheduler digests
+// private snapshots it never writes. Mutated content re-digests to a
+// different key, so a stale entry is never looked up again; the capacity
+// reset bounds the memory such entries hold.
 
 // Bases and odd multipliers of the key stream and an independent verifier
 // stream: a lookup must match both 64-bit digests, so a collision on the
@@ -37,12 +41,46 @@ type canonHash struct{ key, verify uint64 }
 
 func newCanonHash() canonHash { return canonHash{key: keyOffset64, verify: verifyOffset64} }
 
-// word absorbs one word into each stream with one xor-multiply-xorshift
-// round; both steps are bijections, so inputs differing in one word differ.
-func (h *canonHash) word(v uint64) {
-	h.key = (h.key ^ v) * keyPrime64
+// Digest is precomputed key content: the key-stream and verifier-stream
+// digests of a machine and options (DigestMachine) or of one workload
+// (DigestWorkload), which Key folds instead of rehashing the content.
+type Digest struct{ key, verify uint64 }
+
+// DigestMachine digests the machine description and the options, the
+// prefix every key of one predictor shares.
+func DigestMachine(md *machine.Description, opt Options) Digest {
+	h := newCanonHash()
+	h.machine(md)
+	h.options(opt)
+	return Digest(h)
+}
+
+// DigestWorkload digests every workload field the model reads; a nil
+// workload digests to a fixed marker.
+func DigestWorkload(w *Workload) Digest {
+	h := newCanonHash()
+	if w == nil {
+		// Nil workloads never reach the solver (bind rejects them); the
+		// marker keeps the key well-defined.
+		h.word(math.MaxUint64)
+	} else {
+		h.workload(w)
+	}
+	return Digest(h)
+}
+
+// word absorbs one word into each stream.
+func (h *canonHash) word(v uint64) { h.digest(Digest{v, v}) }
+
+// digest absorbs one word per stream, d.key into the key stream and
+// d.verify into the verifier, with one xor-multiply-xorshift round each;
+// both steps are bijections, so inputs differing in one word differ. A
+// precomputed Digest folds in this way, so each stream sees only its own
+// half and the verifier stays independent of the key hash.
+func (h *canonHash) digest(d Digest) {
+	h.key = (h.key ^ d.key) * keyPrime64
 	h.key ^= h.key >> 32
-	h.verify = (h.verify ^ v) * verifyPrime64
+	h.verify = (h.verify ^ d.verify) * verifyPrime64
 	h.verify ^= h.verify >> 29
 }
 
@@ -116,9 +154,22 @@ func (h *canonHash) options(o Options) {
 	h.bool(o.DisableLoadBalance)
 }
 
+// ctxBits is the width of one context component in a packed context word.
+const ctxBits = 21
+
+// placement folds in the thread count and each context as one packed word,
+// socket<<42 | core<<21 | slot. A context with a component outside
+// [0, 2^21) folds a marker and then its three components; a packed word is
+// below 2^63 and the marker is not, so the word sequence stays decodable
+// and distinct placements stay distinct inputs.
 func (h *canonHash) placement(p placement.Placement) {
 	h.int(len(p))
 	for _, c := range p {
+		if uint(c.Socket)|uint(c.Core)|uint(c.Slot) < 1<<ctxBits {
+			h.word(uint64(c.Socket)<<(2*ctxBits) | uint64(c.Core)<<ctxBits | uint64(c.Slot))
+			continue
+		}
+		h.word(math.MaxUint64)
 		h.int(c.Socket)
 		h.int(c.Core)
 		h.int(c.Slot)
@@ -169,22 +220,19 @@ func NewCoCache(capacity int) *CoCache {
 }
 
 // Key derives the canonical key and verifier for a joint prediction of the
-// placed workloads on md under opt. The jobs are hashed in slice order —
-// floating-point accumulation in the joint solver is order-sensitive, so
-// permutations of one mix are distinct solves and distinct keys.
-func (c *CoCache) Key(md *machine.Description, placed []PlacedWorkload, opt Options) (uint64, uint64) {
-	h := newCanonHash()
-	h.machine(md)
-	h.options(opt)
+// placed workloads, from base = DigestMachine of the machine and options and
+// digests[i] = DigestWorkload of placed[i].Workload. It costs one word per
+// job and per context, whatever the content. The jobs are folded in slice
+// order — floating-point accumulation in the joint solver is
+// order-sensitive, so permutations of one mix are distinct solves and
+// distinct keys.
+//
+//pandia:noalloc
+func (c *CoCache) Key(base Digest, placed []PlacedWorkload, digests []Digest) (uint64, uint64) {
+	h := canonHash(base)
 	h.int(len(placed))
-	for _, pw := range placed {
-		if pw.Workload == nil {
-			// Nil workloads never reach the solver (bind rejects them);
-			// fold a marker so the key is still well-defined.
-			h.word(math.MaxUint64)
-			continue
-		}
-		h.workload(pw.Workload)
+	for i, pw := range placed {
+		h.digest(digests[i])
 		h.placement(pw.Placement)
 	}
 	return h.key, h.verify

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"pandia/internal/machine"
 	"pandia/internal/placement"
 	"pandia/internal/topology"
 )
@@ -21,10 +22,20 @@ func quickMix() []PlacedWorkload {
 	}
 }
 
+// mixKey derives placed's key from digests taken now, as a caller that
+// keeps no digests would.
+func mixKey(c *CoCache, md *machine.Description, placed []PlacedWorkload, opt Options) (uint64, uint64) {
+	digests := make([]Digest, len(placed))
+	for i, pw := range placed {
+		digests[i] = DigestWorkload(pw.Workload)
+	}
+	return c.Key(DigestMachine(md, opt), placed, digests)
+}
+
 // TestCoCacheKeyMutation mutates the machine description and a workload in
-// place after storing an entry. The key hashes their full content, so the
-// stale entry can no longer be looked up, while re-deriving the key of the
-// unchanged inputs still hits.
+// place after storing an entry. Re-digesting the mutated content gives a
+// different key and verifier, so the stale entry is never served, while
+// re-deriving the key of the unchanged inputs still hits.
 func TestCoCacheKeyMutation(t *testing.T) {
 	md := quickMachine()
 	placed := quickMix()
@@ -33,9 +44,9 @@ func TestCoCacheKeyMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, verify := c.Key(md, placed, Options{})
+	key, verify := mixKey(c, md, placed, Options{})
 	c.Store(key, verify, co)
-	if k, v := c.Key(md, placed, Options{}); k != key || v != verify {
+	if k, v := mixKey(c, md, placed, Options{}); k != key || v != verify {
 		t.Fatal("key of unchanged inputs is not stable")
 	}
 	if _, got, ok := c.LookupScore(key, verify, nil); !ok || got != co {
@@ -43,7 +54,7 @@ func TestCoCacheKeyMutation(t *testing.T) {
 	}
 
 	md.DRAMBW /= 50 // in-place mutation
-	mk, mv := c.Key(md, placed, Options{})
+	mk, mv := mixKey(c, md, placed, Options{})
 	if mk == key || mv == verify {
 		t.Fatal("machine mutation left the key unchanged")
 	}
@@ -53,12 +64,37 @@ func TestCoCacheKeyMutation(t *testing.T) {
 	md.DRAMBW *= 50
 
 	placed[1].Workload.ParallelFrac /= 2
-	wk, wv := c.Key(md, placed, Options{})
+	wk, wv := mixKey(c, md, placed, Options{})
 	if wk == key || wv == verify {
 		t.Fatal("workload mutation left the key unchanged")
 	}
 	if _, _, ok := c.LookupScore(wk, wv, nil); ok {
 		t.Fatal("stale entry served after workload mutation")
+	}
+}
+
+// TestCoCacheKeyContexts checks the packed context words: placements that
+// differ in one context get distinct digests, also when a component is
+// negative or too wide to pack and so would alias a neighbouring field.
+func TestCoCacheKeyContexts(t *testing.T) {
+	md := quickMachine()
+	c := NewCoCache(0)
+	ctxs := []topology.Context{
+		{}, {Slot: 1}, {Core: 1}, {Socket: 1},
+		{Core: 1 << 21}, {Slot: 1 << 21}, {Socket: 1 << 21}, {Slot: 1<<21 - 1},
+		{Socket: -1}, {Core: -1}, {Slot: -1}, {Socket: -1, Core: -1, Slot: -1},
+	}
+	w := quickMix()[0].Workload
+	type digest struct{ key, verify uint64 }
+	seen := map[digest]topology.Context{}
+	for _, ctx := range ctxs {
+		k, v := mixKey(c, md, []PlacedWorkload{{Workload: w, Placement: placement.Placement{ctx}}}, Options{})
+		for d, other := range seen {
+			if d.key == k || d.verify == v {
+				t.Fatalf("contexts %v and %v share a digest", ctx, other)
+			}
+		}
+		seen[digest{k, v}] = ctx
 	}
 }
 
@@ -73,7 +109,7 @@ func TestCoCacheEviction(t *testing.T) {
 	for seed := uint16(0); seed < 5; seed++ {
 		placed := quickMix()
 		placed[1].Placement = placed[1].Placement[:1+seed]
-		k, v := c.Key(md, placed, Options{})
+		k, v := mixKey(c, md, placed, Options{})
 		c.Store(k, v, &CoPrediction{})
 		stored = append(stored, entry{k, v})
 	}
@@ -95,8 +131,8 @@ func TestCoCacheJobOrder(t *testing.T) {
 	md := quickMachine()
 	placed := quickMix()
 	c := NewCoCache(0)
-	k1, v1 := c.Key(md, placed, Options{})
-	k2, v2 := c.Key(md, []PlacedWorkload{placed[1], placed[0]}, Options{})
+	k1, v1 := mixKey(c, md, placed, Options{})
+	k2, v2 := mixKey(c, md, []PlacedWorkload{placed[1], placed[0]}, Options{})
 	if k1 == k2 || v1 == v2 {
 		t.Fatalf("permuted mix shares a digest: keys %x/%x, verifiers %x/%x", k1, k2, v1, v2)
 	}
@@ -113,7 +149,7 @@ func TestCoCacheScoreFromFullEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCoCache(0)
-	key, verify := c.Key(md, placed, Options{})
+	key, verify := mixKey(c, md, placed, Options{})
 	c.Store(key, verify, co)
 	sc, full, ok := c.LookupScore(key, verify, nil)
 	if !ok || full != co {
@@ -149,7 +185,7 @@ func TestCoCacheUpgradeCompactEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCoCache(1)
-	key, verify := c.Key(md, placed, Options{})
+	key, verify := mixKey(c, md, placed, Options{})
 	c.StoreScore(key, verify, sc)
 	got, _, ok := c.LookupScore(key, verify, nil)
 	if !ok || got.Speedups[0] != sc.Speedups[0] || got.WorstResource != sc.WorstResource {

@@ -62,13 +62,22 @@ func (p Placement) CoresUsed(m topology.Machine) int {
 	return len(seen)
 }
 
-// String renders the placement compactly.
+// String renders the placement compactly, as its contexts' String forms
+// separated by spaces in brackets. It builds the text in one buffer sized
+// for small machines, so it allocates once there.
 func (p Placement) String() string {
-	parts := make([]string, len(p))
+	var sb strings.Builder
+	sb.Grow(2 + 12*len(p))
+	var buf [3 * 24]byte
+	sb.WriteByte('[')
 	for i, c := range p {
-		parts[i] = c.String()
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		sb.Write(c.Append(buf[:0]))
 	}
-	return "[" + strings.Join(parts, " ") + "]"
+	sb.WriteByte(']')
+	return sb.String()
 }
 
 // SocketCount is the occupancy of one socket in a canonical shape: Ones

@@ -1,7 +1,11 @@
 package placement
 
 import (
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -342,5 +346,42 @@ func TestParseFormatRoundTrip(t *testing.T) {
 		if back.Key() != s.Key() {
 			t.Fatalf("round trip %v -> %v", s, back)
 		}
+	}
+}
+
+// TestStringMatchesSprintf holds Placement.String and Context.String byte
+// for byte to the fmt form they replaced, over random contexts that include
+// negative and extreme components: journals and decision digests embed
+// these strings, so any drift would move them.
+func TestStringMatchesSprintf(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	component := func() int {
+		switch rng.IntN(4) {
+		case 0:
+			return rng.IntN(64)
+		case 1:
+			return -rng.IntN(1 << 20)
+		case 2:
+			return int(rng.Int64())
+		}
+		return []int{math.MinInt, math.MaxInt, 0, -1}[rng.IntN(4)]
+	}
+	for trial := 0; trial < 500; trial++ {
+		p := make(Placement, rng.IntN(40))
+		parts := make([]string, len(p))
+		for i := range p {
+			p[i] = topology.Context{Socket: component(), Core: component(), Slot: component()}
+			parts[i] = fmt.Sprintf("s%d/c%d/t%d", p[i].Socket, p[i].Core, p[i].Slot)
+			if got := p[i].String(); got != parts[i] {
+				t.Fatalf("Context.String() = %q, want %q", got, parts[i])
+			}
+		}
+		if got, want := p.String(), "["+strings.Join(parts, " ")+"]"; got != want {
+			t.Fatalf("Placement.String() = %q, want %q", got, want)
+		}
+	}
+	small := Placement{{Socket: 0, Core: 17, Slot: 1}, {Socket: 1, Core: 3, Slot: 0}}
+	if n := testing.AllocsPerRun(100, func() { _ = small.String() }); n != 1 {
+		t.Errorf("Placement.String allocates %v times on a small placement, want 1", n)
 	}
 }

@@ -201,3 +201,84 @@ func TestDecisionsUnderInvariantChecks(t *testing.T) {
 	checked := driveScheduler(t, newDriven(t, Config{}))
 	requireSameOutcome(t, "invariant checks on vs off", plain, checked, true)
 }
+
+// TestSnapshotsIgnoreCallerMutation pins the snapshot semantics: the
+// scheduler copies the machine description at New and each job's workload
+// at Submit, and digests the copies once. Mutating the caller's description
+// and workloads after they were handed over must change no later score or
+// decision, and must not serve a cache entry computed for other content:
+// the mutated run's decisions, predictions and cache traffic equal the
+// pristine run's, and an uncached mutated run decides the same.
+func TestSnapshotsIgnoreCallerMutation(t *testing.T) {
+	type outcome struct {
+		decisions []byte
+		stats     core.CacheStats
+	}
+	run := func(mutate bool, cfg Config) outcome {
+		md := testMD(t)
+		s, err := New(md, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c1, m1 := computeJob("c1"), memoryJob("m1")
+		c1.Threads, m1.Threads = 4, 6
+		for _, job := range []Job{c1, m1} {
+			a, err := s.Submit(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Job.Workload != job.Workload {
+				t.Fatalf("Assignment.Job.Workload of %s is not the caller's pointer", job.ID)
+			}
+		}
+		if mutate {
+			md.DRAMBW /= 50
+			md.CorePeakInstr *= 3
+			c1.Workload.ParallelFrac = 0.5
+			m1.Workload.Demand.DRAM *= 10
+			m1.Workload.Name = "renamed"
+		}
+		if _, err := s.Submit(computeJob("c2")); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Rebalance(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Moves) > 0 {
+			if err := s.ApplyMove(rep.Moves[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		co, err := s.Predict()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var placed []string
+		for _, a := range s.Assignments() {
+			placed = append(placed, a.Job.ID+" "+a.Placement.String())
+		}
+		decisions, err := json.Marshal(struct {
+			Rebalance *RebalanceReport
+			Placed    []string
+			Final     json.RawMessage
+		}{rep, placed, predictionJSON(t, co)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{decisions, s.PredictionCacheStats()}
+	}
+	pristine := run(false, Config{})
+	mutated := run(true, Config{})
+	uncached := run(true, Config{DisablePredictionCache: true})
+	if !bytes.Equal(pristine.decisions, mutated.decisions) {
+		t.Fatalf("caller mutation changed decisions:\n%s\n%s", pristine.decisions, mutated.decisions)
+	}
+	if pristine.stats != mutated.stats {
+		t.Fatalf("caller mutation changed cache traffic: %+v vs %+v", pristine.stats, mutated.stats)
+	}
+	if !bytes.Equal(mutated.decisions, uncached.decisions) {
+		t.Fatalf("cached and uncached runs decided differently after caller mutation:\n%s\n%s",
+			mutated.decisions, uncached.decisions)
+	}
+}

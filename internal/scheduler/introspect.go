@@ -126,7 +126,7 @@ func (s *Scheduler) explainJob(id string, asText bool) (*explainResponse, string
 	if !ok {
 		return nil, "", fmt.Errorf("scheduler: job %q not running", id)
 	}
-	ids, jobs := s.mixLocked()
+	ids, jobs, digests := s.mixLocked()
 	idx := -1
 	mix := make([]string, 0, len(jobs))
 	for i, pw := range jobs {
@@ -138,7 +138,7 @@ func (s *Scheduler) explainJob(id string, asText bool) (*explainResponse, string
 	if idx < 0 {
 		return nil, "", fmt.Errorf("scheduler: job %q not in the running mix", id)
 	}
-	co, err := s.predictMixLocked(jobs, 0)
+	co, err := s.predictMixLocked(jobs, digests, 0)
 	if err != nil {
 		return nil, "", err
 	}

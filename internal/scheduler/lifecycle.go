@@ -3,6 +3,7 @@ package scheduler
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -132,20 +133,27 @@ type DrainReport struct {
 	DeadlineExceeded bool
 }
 
-// healthLocked returns a context's health. The caller must hold mu.
+// healthLocked returns a context's health; a context not on the machine
+// reads Healthy. The caller must hold mu.
 func (s *Scheduler) healthLocked(c topology.Context) Health {
-	return s.health[c]
+	if !s.md.Topo.ValidContext(c) {
+		return Healthy
+	}
+	return s.health[s.md.Topo.ContextIndex(c)]
 }
 
-// setHealthLocked transitions one context and keeps the unhealthy gauge
-// current. The caller must hold mu.
+// setHealthLocked transitions one on-machine context and keeps the
+// unhealthy count and gauge current. The caller must hold mu.
 func (s *Scheduler) setHealthLocked(c topology.Context, h Health) {
-	if h == Healthy {
-		delete(s.health, c)
-	} else {
-		s.health[c] = h
+	i := s.md.Topo.ContextIndex(c)
+	if s.health[i] != Healthy {
+		s.unhealthy--
 	}
-	metUnhealthy.Set(float64(len(s.health)))
+	if h != Healthy {
+		s.unhealthy++
+	}
+	s.health[i] = h
+	metUnhealthy.Set(float64(s.unhealthy))
 }
 
 // Health returns one context's operational state.
@@ -159,7 +167,7 @@ func (s *Scheduler) Health(c topology.Context) Health {
 func (s *Scheduler) HealthCounts() HealthCounts {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	hc := HealthCounts{Healthy: s.md.Topo.TotalContexts() - len(s.health)}
+	hc := HealthCounts{Healthy: len(s.health) - s.unhealthy}
 	for _, h := range s.health {
 		switch h {
 		case Cordoned:
@@ -267,7 +275,7 @@ func (s *Scheduler) socketContexts(sock int) ([]topology.Context, error) {
 			sock, s.md.Topo.Name, s.md.Topo.Sockets)
 	}
 	var out []topology.Context
-	for _, c := range s.md.Topo.Contexts() {
+	for _, c := range s.ctxs {
 		if c.Socket == sock {
 			out = append(out, c)
 		}
@@ -296,11 +304,7 @@ func (s *Scheduler) Fail(ctxs ...topology.Context) (*EvictionReport, error) {
 		}
 	}
 	sortContexts(rep.Failed)
-	failed := make(map[topology.Context]bool, len(ctxs))
-	for _, c := range ctxs {
-		failed[c] = true
-	}
-	for _, id := range s.affectedLocked(failed) {
+	for _, id := range s.affectedLocked(ctxs) {
 		rep.Evicted = append(rep.Evicted, s.evictLocked(&sc, id, "context failed"))
 	}
 	if sc.journaling {
@@ -334,23 +338,17 @@ func (s *Scheduler) FailSocket(sock int) (*EvictionReport, error) {
 }
 
 // affectedLocked returns, in sorted order, the IDs of running jobs with at
-// least one thread on a context of the set. The caller must hold mu.
-func (s *Scheduler) affectedLocked(set map[topology.Context]bool) []string {
+// least one thread on one of the on-machine contexts ctxs. The caller must
+// hold mu.
+func (s *Scheduler) affectedLocked(ctxs []topology.Context) []string {
 	var ids []string
-	for id := range s.running {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	var out []string
-	for _, id := range ids {
-		for _, c := range s.running[id].Placement {
-			if set[c] {
-				out = append(out, id)
-				break
-			}
+	for _, c := range ctxs {
+		if id := s.owner[s.md.Topo.ContextIndex(c)]; id != "" && !slices.Contains(ids, id) {
+			ids = append(ids, id)
 		}
 	}
-	return out
+	slices.Sort(ids)
+	return ids
 }
 
 // evictLocked removes one job, records the eviction, and journals it as a
@@ -363,9 +361,7 @@ func (s *Scheduler) evictLocked(sc *opScope, id, reason string) Eviction {
 		Placement: append(placement.Placement(nil), a.Placement...),
 		Reason:    reason,
 	}
-	for _, c := range a.Placement {
-		delete(s.occupied, c)
-	}
+	s.setOwnerLocked(a.Placement, "")
 	delete(s.running, id)
 	metRunningJobs.Set(float64(len(s.running)))
 	metEvictions.Inc()
@@ -393,16 +389,11 @@ func (s *Scheduler) Drain(ctxs []topology.Context, opt DrainOptions) (*DrainRepo
 	sc := s.beginOpLocked("drain", "")
 	defer sc.end()
 
-	rep := &DrainReport{}
+	rep := &DrainReport{Drained: append([]topology.Context(nil), ctxs...)}
 	s.cordonLocked(ctxs)
-	target := make(map[topology.Context]bool, len(ctxs))
-	for _, c := range ctxs {
-		target[c] = true
-		rep.Drained = append(rep.Drained, c)
-	}
 	sortContexts(rep.Drained)
 
-	for _, id := range s.affectedLocked(target) {
+	for _, id := range s.affectedLocked(ctxs) {
 		if rep.DeadlineExceeded {
 			rep.Evicted = append(rep.Evicted, s.evictLocked(&sc, id, "drain deadline exceeded"))
 			continue
@@ -448,13 +439,9 @@ func (s *Scheduler) drainJobLocked(sc *opScope, id string, opt DrainOptions, rep
 		}
 		if err == nil {
 			from := append(placement.Placement(nil), a.Placement...)
-			for _, c := range a.Placement {
-				delete(s.occupied, c)
-			}
-			for _, c := range cand {
-				s.occupied[c] = id
-			}
+			s.setOwnerLocked(a.Placement, "")
 			a.Placement = append(placement.Placement(nil), cand...)
+			s.setOwnerLocked(a.Placement, id)
 			rep.Migrated = append(rep.Migrated, Migration{JobID: id, From: from, To: cand, Attempts: attempts})
 			metMigrations.Inc()
 			sc.child(obs.DecisionRecord{
@@ -482,10 +469,11 @@ func (s *Scheduler) drainJobLocked(sc *opScope, id string, opt DrainOptions, rep
 // bestMigrationLocked picks the best re-placement for one job over the free
 // healthy contexts plus the job's own healthy, non-cordoned contexts,
 // scored by joint predicted aggregate throughput with everything else
-// fixed. nil means no feasible placement. span is the requesting decision's
-// id for trace attribution. The caller must hold mu.
+// fixed. It returns a copy the caller owns; nil means no feasible
+// placement. span is the requesting decision's id for trace attribution.
+// The caller must hold mu.
 func (s *Scheduler) bestMigrationLocked(id string, a *Assignment, span int64) placement.Placement {
-	ids, jobs := s.mixLocked()
+	ids, jobs, digests := s.mixLocked()
 	idx := sort.SearchStrings(ids, id)
 	if idx == len(ids) || ids[idx] != id {
 		return nil
@@ -503,7 +491,7 @@ func (s *Scheduler) bestMigrationLocked(id string, a *Assignment, span int64) pl
 
 	bestScore := math.Inf(-1)
 	var best placement.Placement
-	candidates := s.candidatesLocked(s.availLocked(a), len(a.Placement))
+	candidates := s.candidatesLocked(s.availLocked(id), len(a.Placement))
 	for i, cand := range candidates {
 		if seenBefore(candidates[:i], cand.place) {
 			continue
@@ -513,7 +501,7 @@ func (s *Scheduler) bestMigrationLocked(id string, a *Assignment, span int64) pl
 			continue
 		}
 		jobs[idx].Placement = cand.place
-		ms, err := s.scoreMixLocked(jobs, span)
+		ms, err := s.scoreMixLocked(jobs, digests, span)
 		if err != nil {
 			continue
 		}
@@ -522,13 +510,17 @@ func (s *Scheduler) bestMigrationLocked(id string, a *Assignment, span int64) pl
 			best = cand.place
 		}
 	}
-	return best
+	if best == nil {
+		return nil
+	}
+	return append(placement.Placement(nil), best...)
 }
 
 // CheckConsistency verifies the scheduler's structural invariants: the
-// occupancy map and the running placements are a bijection, no two jobs
-// share a context, and no thread sits on a failed context. The scenario
-// engine calls it after every event; a non-nil error is a scheduler bug.
+// occupancy table and the running placements are a bijection, no two jobs
+// share a context, no thread sits on a failed context, and the unhealthy
+// count matches the health table. The scenario engine calls it after every
+// event; a non-nil error is a scheduler bug.
 func (s *Scheduler) CheckConsistency() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -546,7 +538,10 @@ func (s *Scheduler) CheckConsistency() error {
 				return fmt.Errorf("scheduler: job %q placed twice on context %v", id, c)
 			}
 			seen[c] = true
-			if owner, ok := s.occupied[c]; !ok || owner != id {
+			if !s.md.Topo.ValidContext(c) {
+				return fmt.Errorf("scheduler: job %q holds context %v, which is not on the machine", id, c)
+			}
+			if owner := s.owner[s.md.Topo.ContextIndex(c)]; owner != id {
 				return fmt.Errorf("scheduler: job %q holds context %v but occupancy says %q", id, c, owner)
 			}
 			if s.healthLocked(c) == Failed {
@@ -555,9 +550,22 @@ func (s *Scheduler) CheckConsistency() error {
 		}
 		want += len(a.Placement)
 	}
-	if len(s.occupied) != want {
-		return fmt.Errorf("scheduler: occupancy map has %d contexts, running placements hold %d",
-			len(s.occupied), want)
+	occupied, unhealthy := 0, 0
+	for i, owner := range s.owner {
+		if owner != "" {
+			occupied++
+		}
+		if s.health[i] != Healthy {
+			unhealthy++
+		}
+	}
+	if occupied != want {
+		return fmt.Errorf("scheduler: occupancy has %d contexts, running placements hold %d",
+			occupied, want)
+	}
+	if unhealthy != s.unhealthy {
+		return fmt.Errorf("scheduler: health table has %d unhealthy contexts, count says %d",
+			unhealthy, s.unhealthy)
 	}
 	return nil
 }

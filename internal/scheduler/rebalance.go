@@ -76,15 +76,15 @@ func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
 	sc := s.beginOpLocked("rebalance", "")
 	defer sc.end()
 
-	ids, jobs := s.mixLocked()
-	base, err := s.scoreMixLocked(jobs, sc.id)
+	ids, jobs, digests := s.mixLocked()
+	base, err := s.scoreMixLocked(jobs, digests, sc.id)
 	if err != nil {
 		sc.errored(err)
 		return nil, err
 	}
 	baseScore := aggregateThroughput(base.CoScore)
 	rep := &RebalanceReport{
-		JobIDs:    ids,
+		JobIDs:    slices.Clone(ids),
 		BaseTimes: make([]float64, len(ids)),
 		BaseScore: baseScore,
 	}
@@ -95,12 +95,12 @@ func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
 
 	for i, id := range ids {
 		a := s.running[id]
-		for _, cand := range s.candidatesLocked(s.availLocked(a), len(a.Placement)) {
+		for _, cand := range s.candidatesLocked(s.availLocked(id), len(a.Placement)) {
 			if samePlacement(cand.place, a.Placement) {
 				continue
 			}
 			jobs[i].Placement = cand.place
-			ms, err := s.scoreMixLocked(jobs, sc.id)
+			ms, err := s.scoreMixLocked(jobs, digests, sc.id)
 			if err != nil {
 				sc.errored(err)
 				return nil, err
@@ -117,7 +117,8 @@ func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
 					}
 				}
 				rep.Moves = append(rep.Moves, Move{
-					JobID: id, From: a.Placement, To: cand.place,
+					// cand.place is candidate scratch; the advice keeps a copy.
+					JobID: id, From: a.Placement, To: append(placement.Placement(nil), cand.place...),
 					Strategy: cand.strategy, Gain: gain, Deltas: deltas,
 				})
 			}
@@ -181,16 +182,12 @@ func (s *Scheduler) ApplyMove(m Move) error {
 	}
 	// ...using only contexts that are still healthy and still free (or the
 	// job's own).
-	own := make(map[topology.Context]bool, len(a.Placement))
-	for _, c := range a.Placement {
-		own[c] = true
-	}
 	for _, c := range m.To {
 		if h := s.healthLocked(c); h != Healthy {
 			return conflict(&MoveConflictError{JobID: m.JobID, Context: c, Health: h,
 				Reason: fmt.Sprintf("target context %v is %s", c, h)})
 		}
-		if owner, used := s.occupied[c]; used && !own[c] {
+		if owner := s.owner[s.md.Topo.ContextIndex(c)]; owner != "" && owner != m.JobID {
 			return conflict(&MoveConflictError{JobID: m.JobID, Context: c, Owner: owner,
 				Reason: fmt.Sprintf("target context %v now belongs to %q", c, owner)})
 		}
@@ -202,13 +199,9 @@ func (s *Scheduler) ApplyMove(m Move) error {
 			return perr
 		}
 	}
-	for _, c := range a.Placement {
-		delete(s.occupied, c)
-	}
-	for _, c := range m.To {
-		s.occupied[c] = m.JobID
-	}
+	s.setOwnerLocked(a.Placement, "")
 	a.Placement = append(placement.Placement(nil), m.To...)
+	s.setOwnerLocked(a.Placement, m.JobID)
 	metRebalanceApplied.Inc()
 	if sc.journaling {
 		sc.rec.Outcome = "applied"

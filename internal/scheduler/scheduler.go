@@ -14,7 +14,6 @@
 package scheduler
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -78,6 +77,12 @@ type Assignment struct {
 	// policies.
 	Degraded        bool
 	DegradedReasons []string
+
+	// work is the snapshot of *Job.Workload taken at Submit, and digest its
+	// cache digest. Every later score and cache key reads these, never the
+	// caller's workload, so mutating that afterwards changes nothing here.
+	work   *core.Workload
+	digest core.Digest
 }
 
 // Config tunes the scheduler.
@@ -137,19 +142,43 @@ type Config struct {
 }
 
 // Scheduler places jobs on one machine. It is safe for concurrent use.
+//
+// Its state is dense: occupancy and health are slices indexed by
+// topology.Machine.ContextIndex, and the decision loop writes its context
+// lists, candidates and mix into per-scheduler scratch guarded by mu
+// (DESIGN.md §9). Scratch results stay valid only until the next call that
+// writes the same scratch; a placement that outlives the operation — a
+// committed placement, a Move's To, a Migration's To — is copied out.
 type Scheduler struct {
+	// md is the scheduler's own copy of the machine description, taken at
+	// New; the predictor and every cache key read it, never the caller's.
 	md    *machine.Description
 	cfg   Config
 	clock obs.Clock
+	// ctxs lists the machine's contexts in dense order, built once at New;
+	// owner and health are indexed alike. Dense order is sortContexts
+	// order, so a scan over ctxs yields sorted context lists.
+	ctxs []topology.Context
+	// spreadOrder lists dense context indices in spread order: slot, then
+	// core, then socket, so whole idle cores come first, round-robin across
+	// sockets.
+	spreadOrder []int
+	// digest is the machine-and-options prefix of every cache key, taken
+	// once at New from md and the predictor's options.
+	digest core.Digest
 
 	mu sync.Mutex
 	//pandia:guardedby(mu)
 	running map[string]*Assignment
+	// owner[i] is the ID of the job holding ctxs[i], "" when it is free.
 	//pandia:guardedby(mu)
-	occupied map[topology.Context]string
-	// health records non-healthy contexts; absence means Healthy.
+	owner []string
+	// health[i] is ctxs[i]'s state; unhealthy counts the entries that are
+	// not Healthy.
 	//pandia:guardedby(mu)
-	health map[topology.Context]Health
+	health []Health
+	//pandia:guardedby(mu)
+	unhealthy int
 	// tokens / lastRefill implement the admission token bucket.
 	//pandia:guardedby(mu)
 	tokens float64
@@ -170,18 +199,52 @@ type Scheduler struct {
 	// scoreBuf is the scratch the score path writes candidate speedups into.
 	//pandia:guardedby(mu)
 	scoreBuf []float64
+
+	// Decision-loop scratch. avail is availLocked's result; cands and slab
+	// are candidatesLocked's candidates and the contexts their placements
+	// share, valid until its next call; busy, order and isFree are the
+	// generator's per-socket and per-context tables; counts is the
+	// thread-count ladder; mixIDs, mixJobs and mixDigests are mixLocked's
+	// running mix, valid until its next call.
+	//pandia:guardedby(mu)
+	avail []topology.Context
+	//pandia:guardedby(mu)
+	cands []candidate
+	//pandia:guardedby(mu)
+	slab []topology.Context
+	//pandia:guardedby(mu)
+	busy []int
+	//pandia:guardedby(mu)
+	order []int
+	//pandia:guardedby(mu)
+	isFree []bool
+	//pandia:guardedby(mu)
+	counts []int
+	//pandia:guardedby(mu)
+	mixIDs []string
+	//pandia:guardedby(mu)
+	mixJobs []core.PlacedWorkload
+	//pandia:guardedby(mu)
+	mixDigests []core.Digest
 }
 
-// New builds a scheduler for the described machine. The policy values
-// AdmissionThreshold, SlowdownSLO, AdmissionRate and AdmissionBurst must be
-// finite and non-negative (0 disables each policy).
-func New(md *machine.Description, cfg Config) (*Scheduler, error) {
+// New builds a scheduler for the described machine. The scheduler keeps its
+// own copy of *md, so later changes to the caller's description affect no
+// score or decision. The policy values AdmissionThreshold, SlowdownSLO,
+// AdmissionRate and AdmissionBurst must be finite and non-negative (0
+// disables each policy).
+func New(desc *machine.Description, cfg Config) (*Scheduler, error) {
 	if err := errors.Join(
 		checkPolicyValue("AdmissionThreshold", cfg.AdmissionThreshold), checkPolicyValue("SlowdownSLO", cfg.SlowdownSLO),
 		checkPolicyValue("AdmissionRate", cfg.AdmissionRate), checkPolicyValue("AdmissionBurst", cfg.AdmissionBurst),
 	); err != nil {
 		return nil, err
 	}
+	if desc == nil {
+		return nil, fmt.Errorf("scheduler: nil machine description")
+	}
+	snapshot := *desc // all values: a complete copy
+	md := &snapshot
 	co, err := core.NewCoPredictor(md, core.Options{Tracer: cfg.Tracer})
 	if err != nil {
 		return nil, err
@@ -190,14 +253,29 @@ func New(md *machine.Description, cfg Config) (*Scheduler, error) {
 	if clock == nil {
 		clock = obs.WallClock()
 	}
+	m := md.Topo
 	s := &Scheduler{
-		md:       md,
-		cfg:      cfg,
-		clock:    clock,
-		running:  make(map[string]*Assignment),
-		occupied: make(map[topology.Context]string),
-		health:   make(map[topology.Context]Health),
-		co:       co,
+		md:      md,
+		cfg:     cfg,
+		clock:   clock,
+		ctxs:    m.Contexts(),
+		digest:  core.DigestMachine(md, co.Options()),
+		running: make(map[string]*Assignment),
+		owner:   make([]string, m.TotalContexts()),
+		health:  make([]Health, m.TotalContexts()),
+		co:      co,
+		avail:   make([]topology.Context, m.TotalContexts()),
+		busy:    make([]int, m.Sockets),
+		order:   make([]int, m.Sockets),
+		isFree:  make([]bool, m.TotalContexts()),
+	}
+	s.spreadOrder = make([]int, 0, m.TotalContexts())
+	for slot := 0; slot < m.ThreadsPerCore; slot++ {
+		for core := 0; core < m.CoresPerSocket; core++ {
+			for sock := 0; sock < m.Sockets; sock++ {
+				s.spreadOrder = append(s.spreadOrder, m.ContextIndex(topology.Context{Socket: sock, Core: core, Slot: slot}))
+			}
+		}
 	}
 	if !cfg.DisablePredictionCache {
 		s.coCache = core.NewCoCache(0)
@@ -222,25 +300,37 @@ func checkPolicyValue(name string, v float64) error {
 // Machine returns the scheduler's machine shape.
 func (s *Scheduler) Machine() topology.Machine { return s.md.Topo }
 
-// FreeContexts returns the unoccupied hardware contexts in dense order.
+// FreeContexts returns the unoccupied healthy hardware contexts in dense
+// order.
 func (s *Scheduler) FreeContexts() []topology.Context {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.freeLocked()
+	return append([]topology.Context(nil), s.availLocked("")...)
 }
 
-func (s *Scheduler) freeLocked() []topology.Context {
-	var out []topology.Context
-	for _, c := range s.md.Topo.Contexts() {
-		if _, used := s.occupied[c]; used {
-			continue
+// availLocked lists, in dense order, the healthy contexts that are free or
+// held by job id: where id may be placed, or re-placed with its own
+// contexts counted as free. Cordoned contexts the job occupies are left
+// out, so re-placement migrates it off a cordon. id "" lists the free
+// contexts. The result is scratch, valid until the next call. The caller
+// must hold mu.
+func (s *Scheduler) availLocked(id string) []topology.Context {
+	out, k := s.avail, 0
+	for i, c := range s.ctxs {
+		if o := s.owner[i]; (o == "" || o == id) && s.health[i] == Healthy {
+			out[k] = c
+			k++
 		}
-		if s.healthLocked(c) != Healthy {
-			continue
-		}
-		out = append(out, c)
 	}
-	return out
+	return out[:k]
+}
+
+// setOwnerLocked records id as the holder of p's contexts; id "" frees
+// them. The caller must hold mu.
+func (s *Scheduler) setOwnerLocked(p placement.Placement, id string) {
+	for _, c := range p {
+		s.owner[s.md.Topo.ContextIndex(c)] = id
+	}
 }
 
 // Assignments returns copies of the running assignments sorted by job ID.
@@ -274,10 +364,15 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 	if job.Workload == nil {
 		return nil, fmt.Errorf("scheduler: job %q has no workload description", job.ID)
 	}
-	if err := job.Workload.Validate(); err != nil {
+	// The job is scored and committed from a snapshot of its workload (all
+	// values), digested once: a caller mutating *job.Workload afterwards
+	// changes no later score and cannot make a cache key stale.
+	snapshot := *job.Workload
+	work := &snapshot
+	if err := work.Validate(); err != nil {
 		return nil, err
 	}
-	if job.Workload.Demand == (counters.Rates{}) {
+	if work.Demand == (counters.Rates{}) {
 		return nil, fmt.Errorf("scheduler: job %q has an empty demand vector; profile the workload before submission", job.ID)
 	}
 	if job.Threads < 0 {
@@ -307,7 +402,7 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		}
 	}
 
-	free := s.freeLocked()
+	free := s.availLocked("")
 	if len(free) == 0 {
 		aerr := &AdmissionError{JobID: job.ID, Kind: AdmitNoCapacity,
 			Reason: "no free healthy hardware contexts"}
@@ -315,7 +410,7 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		return nil, aerr
 	}
 	sc.phase(SpanPhaseSweep, true)
-	candidates := s.candidatesLocked(free, s.candidateCounts(job, len(free))...)
+	candidates := s.candidatesLocked(free, s.candidateCountsLocked(job, len(free))...)
 	if len(candidates) == 0 {
 		sc.phase(SpanPhaseSweep, false)
 		aerr := &AdmissionError{JobID: job.ID, Kind: AdmitNoCapacity,
@@ -329,7 +424,7 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 
 	// Joint score of each candidate with the running mix; the new job rides
 	// in the mix's last slot.
-	_, base := s.mixLocked()
+	_, base, baseDigests := s.mixLocked()
 	// baseBound is the running mix's summed Amdahl speedups: with the new
 	// job's own Amdahl bound added it upper-bounds any candidate's aggregate
 	// throughput (Speedup <= AmdahlSpeedup per job, pinned by the model
@@ -339,7 +434,9 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 	for _, pw := range base {
 		baseBound += pw.Workload.AmdahlSpeedup(len(pw.Placement))
 	}
-	jobs := append(base, core.PlacedWorkload{Workload: job.Workload})
+	digest := core.DigestWorkload(work)
+	jobs := append(base, core.PlacedWorkload{Workload: work})
+	digests := append(baseDigests, digest)
 	last := len(jobs) - 1
 
 	bestScore := -1.0
@@ -368,13 +465,13 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		// (both require score > incumbent), so the solve is skipped. Both
 		// incumbents start at -1, so nothing prunes before one candidate has
 		// been scored — rejection reasons are unaffected.
-		if bound := baseBound + job.Workload.AmdahlSpeedup(len(cand.place)); bound <= bestScore && bound <= bestAnyScore {
+		if bound := baseBound + work.AmdahlSpeedup(len(cand.place)); bound <= bestScore && bound <= bestAnyScore {
 			metCandidatesPruned.Inc()
 			prunedHere++
 			continue
 		}
 		jobs[last].Placement = cand.place
-		ms, err := s.scoreMixLocked(jobs, sc.id)
+		ms, err := s.scoreMixLocked(jobs, digests, sc.id)
 		if err != nil {
 			sc.phase(SpanPhaseSweep, false)
 			sc.errored(err)
@@ -448,8 +545,10 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 			"admission: every candidate violates admission policy, admitted degraded")
 	}
 
+	// The winner's placement lives in candidate scratch; commit a copy.
+	place := append(placement.Placement(nil), best.place...)
 	if s.cfg.PlacementCheck != nil {
-		if cerr := s.cfg.PlacementCheck(best.place); cerr != nil {
+		if cerr := s.cfg.PlacementCheck(place); cerr != nil {
 			metRejectCheck.Inc()
 			perr := &PlacementCheckError{JobID: job.ID, Err: cerr}
 			sc.rejected("placement-check", perr.Error())
@@ -458,9 +557,10 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 	}
 
 	asgn = &Assignment{
-		Job: job, Placement: best.place, Strategy: best.strategy, Speedup: best.speedup,
+		Job: job, Placement: place, Strategy: best.strategy, Speedup: best.speedup,
 		// T1 over speedup is how a full Prediction derives its Time.
-		Time: job.Workload.T1 / best.speedup, //nanguard:ok the solver errors unless every speedup is > 0
+		Time: work.T1 / best.speedup, //nanguard:ok the solver errors unless every speedup is > 0
+		work: work, digest: digest,
 	}
 	if len(degradedReasons) > 0 {
 		asgn.Degraded = true
@@ -468,9 +568,7 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		metDegradedAdmits.Inc()
 	}
 	s.running[job.ID] = asgn
-	for _, c := range asgn.Placement {
-		s.occupied[c] = job.ID
-	}
+	s.setOwnerLocked(asgn.Placement, job.ID)
 	metRunningJobs.Set(float64(len(s.running)))
 	if sc.journaling {
 		chosen := asgn.Placement.String()
@@ -561,9 +659,7 @@ func (s *Scheduler) Remove(jobID string) error {
 	if !ok {
 		return fmt.Errorf("scheduler: job %q not running", jobID)
 	}
-	for _, c := range a.Placement {
-		delete(s.occupied, c)
-	}
+	s.setOwnerLocked(a.Placement, "")
 	delete(s.running, jobID)
 	metRunningJobs.Set(float64(len(s.running)))
 	return nil
@@ -575,13 +671,13 @@ func (s *Scheduler) Remove(jobID string) error {
 func (s *Scheduler) Predict() (*core.CoPrediction, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, jobs := s.mixLocked()
+	_, jobs, digests := s.mixLocked()
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("scheduler: nothing running")
 	}
 	sc := s.beginOpLocked("predict", "")
 	defer sc.end()
-	co, err := s.predictMixLocked(jobs, sc.id)
+	co, err := s.predictMixLocked(jobs, digests, sc.id)
 	if err != nil {
 		sc.errored(err)
 		return nil, err
@@ -598,12 +694,13 @@ func (s *Scheduler) Predict() (*core.CoPrediction, error) {
 // predictMixLocked jointly predicts one mix on the full path, through the
 // shared prediction cache; callers treat the result as read-only. A full
 // entry is served as is; otherwise the mix is solved and its full prediction
-// stored, replacing a compact entry. span is the requesting operation's
-// decision id (0 outside one): it brackets the cache lookup in a span and
-// rides into the solver's trace events, but is excluded from the cache key
-// (DESIGN.md §12). The caller must hold mu.
-func (s *Scheduler) predictMixLocked(jobs []core.PlacedWorkload, span int64) (*core.CoPrediction, error) {
-	ms, co := s.lookupLocked(jobs, span)
+// stored, replacing a compact entry. digests[i] is jobs[i]'s workload
+// digest. span is the requesting operation's decision id (0 outside one):
+// it brackets the cache lookup in a span and rides into the solver's trace
+// events, but is excluded from the cache key (DESIGN.md §12). The caller
+// must hold mu.
+func (s *Scheduler) predictMixLocked(jobs []core.PlacedWorkload, digests []core.Digest, span int64) (*core.CoPrediction, error) {
+	ms, co := s.lookupLocked(jobs, digests, span)
 	if co != nil {
 		return co, nil
 	}
@@ -617,9 +714,10 @@ func (s *Scheduler) predictMixLocked(jobs []core.PlacedWorkload, span int64) (*c
 // scoreMixLocked scores one candidate mix through the shared prediction
 // cache: a hit serves the stored score, a miss runs a score-only solve and
 // stores it as a compact entry. Speedups live in s.scoreBuf until the next
-// call; span is as for predictMixLocked. The caller must hold mu.
-func (s *Scheduler) scoreMixLocked(jobs []core.PlacedWorkload, span int64) (mixScore, error) {
-	ms, _ := s.lookupLocked(jobs, span)
+// call; digests and span are as for predictMixLocked. The caller must hold
+// mu.
+func (s *Scheduler) scoreMixLocked(jobs []core.PlacedWorkload, digests []core.Digest, span int64) (mixScore, error) {
+	ms, _ := s.lookupLocked(jobs, digests, span)
 	if !ms.hit {
 		var err error
 		if ms.CoScore, err = s.co.Score(jobs, s.scoreBuf); err != nil {
@@ -642,11 +740,11 @@ type mixScore struct {
 }
 
 // lookupLocked stamps span on the solver, then derives the mix's cache key
-// and makes the one counted lookup, bracketed in a cache-lookup span. It
-// returns the score and, beside it, the full prediction when a full entry
-// served it. With the cache disabled it reports a miss. The caller must
-// hold mu.
-func (s *Scheduler) lookupLocked(jobs []core.PlacedWorkload, span int64) (ms mixScore, full *core.CoPrediction) {
+// from the precomputed digests and makes the one counted lookup, bracketed
+// in a cache-lookup span. It returns the score and, beside it, the full
+// prediction when a full entry served it. With the cache disabled it
+// reports a miss. The caller must hold mu.
+func (s *Scheduler) lookupLocked(jobs []core.PlacedWorkload, digests []core.Digest, span int64) (ms mixScore, full *core.CoPrediction) {
 	s.co.SetSpan(span)
 	if s.coCache == nil {
 		return ms, nil
@@ -656,7 +754,7 @@ func (s *Scheduler) lookupLocked(jobs []core.PlacedWorkload, span int64) (ms mix
 	if tracing {
 		tr.Emit(obs.Event{Kind: obs.EvSpanBegin, Span: span, Arg: SpanPhaseCache, Job: spanRow})
 	}
-	ms.key, ms.verify = s.coCache.Key(s.md, jobs, s.co.Options())
+	ms.key, ms.verify = s.coCache.Key(s.digest, jobs, digests)
 	ms.CoScore, full, ms.hit = s.coCache.LookupScore(ms.key, ms.verify, s.scoreBuf)
 	if tracing {
 		tr.Emit(obs.Event{Kind: obs.EvSpanEnd, Span: span, Arg: SpanPhaseCache, Job: spanRow})
@@ -675,64 +773,58 @@ func (s *Scheduler) PredictionCacheStats() core.CacheStats {
 	return s.coCache.Stats()
 }
 
-// mixLocked returns the running jobs' IDs and placed workloads, both in
-// sorted job-ID order. Floating-point accumulation in the joint solver is
-// order-sensitive and scenario replays diff outcomes byte-for-byte, so
-// iterating the running map directly would leak map order into the
-// predictions. The caller must hold mu.
-func (s *Scheduler) mixLocked() ([]string, []core.PlacedWorkload) {
-	ids := make([]string, 0, len(s.running))
+// mixLocked returns the running jobs' IDs, placed workload snapshots and
+// workload digests, all in sorted job-ID order. Floating-point accumulation
+// in the joint solver is order-sensitive and scenario replays diff outcomes
+// byte-for-byte, so iterating the running map directly would leak map order
+// into the predictions. All three are scratch, valid until the next call;
+// the job and digest slices keep one spare slot of capacity, so Submit
+// appends the arriving job without growing them. The caller must hold mu.
+func (s *Scheduler) mixLocked() ([]string, []core.PlacedWorkload, []core.Digest) {
+	ids := s.mixIDs[:0]
 	for id := range s.running {
 		ids = append(ids, id)
 	}
-	sort.Strings(ids)
-	jobs := make([]core.PlacedWorkload, len(ids))
+	slices.Sort(ids)
+	s.mixIDs = ids
+	n := len(ids)
+	if cap(s.mixJobs) <= n {
+		s.mixJobs = make([]core.PlacedWorkload, 2*n+1)
+		s.mixDigests = make([]core.Digest, 2*n+1)
+	}
+	jobs, digests := s.mixJobs[:n], s.mixDigests[:n]
 	for i, id := range ids {
 		a := s.running[id]
-		jobs[i] = core.PlacedWorkload{Workload: a.Job.Workload, Placement: a.Placement}
+		jobs[i] = core.PlacedWorkload{Workload: a.work, Placement: a.Placement}
+		digests[i] = a.digest
 	}
-	return ids, jobs
+	return ids, jobs, digests
 }
 
-// availLocked lists the contexts a running job may be re-placed onto: the
-// free healthy contexts plus the job's own healthy ones, in dense order.
-// Cordoned contexts the job occupies are excluded, so re-placement
-// naturally migrates it off a cordon. The caller must hold mu.
-func (s *Scheduler) availLocked(a *Assignment) []topology.Context {
-	avail := s.freeLocked()
-	for _, c := range a.Placement {
-		if s.healthLocked(c) == Healthy {
-			avail = append(avail, c)
+// candidateCountsLocked resolves the thread-count ladder for a job into
+// scratch, valid until the next call. The caller must hold mu.
+func (s *Scheduler) candidateCountsLocked(job Job, free int) []int {
+	out := s.counts[:0]
+	switch {
+	case job.Threads > 0:
+		if job.Threads <= free {
+			out = append(out, job.Threads)
 		}
-	}
-	sortContexts(avail)
-	return avail
-}
-
-// candidateCounts resolves the thread-count ladder for a job.
-func (s *Scheduler) candidateCounts(job Job, free int) []int {
-	if job.Threads > 0 {
-		if job.Threads > free {
-			return nil
-		}
-		return []int{job.Threads}
-	}
-	if len(s.cfg.CandidateThreadCounts) > 0 {
-		var out []int
+	case len(s.cfg.CandidateThreadCounts) > 0:
 		for _, n := range s.cfg.CandidateThreadCounts {
 			if n >= 1 && n <= free {
 				out = append(out, n)
 			}
 		}
-		return out
+	default:
+		for n := 1; n <= free; n *= 2 {
+			out = append(out, n)
+		}
+		if out[len(out)-1] != free {
+			out = append(out, free)
+		}
 	}
-	var out []int
-	for n := 1; n <= free; n *= 2 {
-		out = append(out, n)
-	}
-	if out[len(out)-1] != free {
-		out = append(out, free)
-	}
+	s.counts = out
 	return out
 }
 
@@ -773,108 +865,133 @@ func seenBefore(earlier []candidate, p placement.Placement) bool {
 // turn it tries pack, spread, and quiet-socket over avail, keeping every
 // placement a strategy can fill; duplicates are kept, since callers count
 // and skip them differently. Quiet-socket ranks sockets by an occupancy
-// snapshot taken here. The caller must hold mu.
+// snapshot taken here. avail must be in dense order, as availLocked
+// returns it. The candidates and their placements are scratch, valid until
+// the next call; a caller keeping a placement copies it. The caller must
+// hold mu.
+//
+//pandia:noalloc
 func (s *Scheduler) candidatesLocked(avail []topology.Context, counts ...int) []candidate {
-	busy := s.socketOccupancyLocked()
-	out := make([]candidate, 0, 3*len(counts))
+	need := 0
+	for _, n := range counts {
+		need += 3 * n
+	}
+	if cap(s.slab) < need {
+		s.slab = make([]topology.Context, need) //alloccheck:ok scratch grows to the largest request, then is reused
+	}
+	if cap(s.cands) < 3*len(counts) {
+		s.cands = make([]candidate, 3*len(counts)) //alloccheck:ok scratch grows to the largest request, then is reused
+	}
+	slab, out, k := s.slab[:need], s.cands[:3*len(counts)], 0
+	order := s.quietOrderLocked()
 	for _, n := range counts {
 		for _, c := range [...]candidate{
-			{packFree(avail, n), "pack"},
-			{spreadFree(avail, n, s.md.Topo), "spread"},
-			{quietSocketFree(busy, avail, n, s.md.Topo), "quiet-socket"},
+			{packFree(avail, slab[:n:n]), "pack"},
+			{s.spreadFreeLocked(avail, slab[n:2*n:2*n]), "spread"},
+			{quietSocketFree(order, avail, slab[2*n:3*n:3*n]), "quiet-socket"},
 		} {
 			if c.place != nil {
-				out = append(out, c)
+				out[k] = c
+				k++
 			}
 		}
+		slab = slab[3*n:]
 	}
-	return out
+	return out[:k]
 }
 
-// packFree takes the first n free contexts in dense order.
-func packFree(free []topology.Context, n int) placement.Placement {
+// packFree fills dst with the first len(dst) free contexts in dense order.
+func packFree(free, dst []topology.Context) placement.Placement {
+	if len(dst) > len(free) {
+		return nil
+	}
+	copy(dst, free)
+	return dst
+}
+
+// spreadFreeLocked prefers whole idle cores round-robin across sockets,
+// then second contexts: it fills dst with the free contexts met first in
+// spreadOrder, marking them in the isFree table and clearing it again. The
+// caller must hold mu.
+func (s *Scheduler) spreadFreeLocked(free, dst []topology.Context) placement.Placement {
+	n, m, isFree := len(dst), s.md.Topo, s.isFree
 	if n > len(free) {
 		return nil
 	}
-	return placement.Placement(append([]topology.Context(nil), free[:n]...))
-}
-
-// spreadFree prefers whole idle cores round-robin across sockets, then
-// second contexts.
-func spreadFree(free []topology.Context, n int, m topology.Machine) placement.Placement {
-	if n > len(free) {
-		return nil
-	}
-	isFree := make([]bool, m.TotalContexts())
 	for _, c := range free {
 		isFree[m.ContextIndex(c)] = true
 	}
-	var first, second []topology.Context
-	for slot := 0; slot < m.ThreadsPerCore; slot++ {
-		for core := 0; core < m.CoresPerSocket; core++ {
-			for sock := 0; sock < m.Sockets; sock++ {
-				c := topology.Context{Socket: sock, Core: core, Slot: slot}
-				if !isFree[m.ContextIndex(c)] {
-					continue
-				}
-				if slot == 0 {
-					first = append(first, c)
-				} else {
-					second = append(second, c)
-				}
-			}
+	k := 0
+	for _, i := range s.spreadOrder {
+		if k == n {
+			break
+		}
+		if isFree[i] {
+			dst[k] = s.ctxs[i]
+			k++
 		}
 	}
-	ordered := append(first, second...)
-	if n > len(ordered) {
+	for _, c := range free {
+		isFree[m.ContextIndex(c)] = false
+	}
+	if k < n {
 		return nil
 	}
-	return placement.Placement(ordered[:n])
+	return dst
 }
 
-// socketOccupancyLocked counts occupied contexts per socket — the foreign-
-// occupancy snapshot quiet-socket placement ranks sockets by. It walks the
-// running placements, which hold exactly the occupied contexts, rather than
-// the occupancy map: the generator snapshots once per call (once per job in
-// Rebalance), and a few slices iterate faster than a map of every context.
+// socketOccupancyLocked counts occupied contexts per socket into scratch —
+// the foreign-occupancy snapshot quiet-socket placement ranks sockets by.
+// The caller must hold mu.
 func (s *Scheduler) socketOccupancyLocked() []int {
-	busy := make([]int, s.md.Topo.Sockets)
-	for _, a := range s.running {
-		for _, c := range a.Placement {
-			busy[c.Socket]++
+	busy := s.busy
+	clear(busy)
+	for i, id := range s.owner {
+		if id != "" {
+			busy[s.ctxs[i].Socket]++
 		}
 	}
 	return busy
 }
 
-// quietSocketFree fills sockets in increasing order of foreign occupancy
-// (busy[socket] = occupied contexts, snapshotted under the scheduler lock),
-// isolating the new job from running ones where possible.
-func quietSocketFree(busy []int, free []topology.Context, n int, m topology.Machine) placement.Placement {
-	if n > len(free) {
-		return nil
-	}
-	order := make([]int, m.Sockets)
+// quietOrderLocked orders the sockets by increasing occupancy, ties by
+// socket number, into scratch. The caller must hold mu.
+func (s *Scheduler) quietOrderLocked() []int {
+	busy, order := s.socketOccupancyLocked(), s.order
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(busy[a], busy[b]) })
-
-	bySocket := make([][]topology.Context, m.Sockets)
-	for _, c := range free {
-		bySocket[c.Socket] = append(bySocket[c.Socket], c)
-	}
-	var out placement.Placement
-	for _, sock := range order {
-		for _, c := range bySocket[sock] {
-			if len(out) == n {
-				return out
-			}
-			out = append(out, c)
+	// Stable insertion sort: a machine has a handful of sockets.
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && busy[order[j]] < busy[order[j-1]]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
-	if len(out) == n {
-		return out
+	return order
+}
+
+// quietSocketFree fills sockets in order (increasing foreign occupancy,
+// snapshotted under the scheduler lock), isolating the new job from running
+// ones where possible: dst takes the free contexts socket by socket.
+func quietSocketFree(order []int, free, dst []topology.Context) placement.Placement {
+	n := len(dst)
+	if n > len(free) {
+		return nil
+	}
+	k := 0
+	for _, sock := range order {
+		for _, c := range free {
+			if k == n {
+				return dst
+			}
+			if c.Socket == sock {
+				dst[k] = c
+				k++
+			}
+		}
+	}
+	if k == n {
+		return dst
 	}
 	return nil
 }

@@ -14,7 +14,7 @@ import (
 	"pandia/internal/topology"
 )
 
-func testMD(t *testing.T) *machine.Description {
+func testMD(t testing.TB) *machine.Description {
 	t.Helper()
 	truth := simhw.X32Truth()
 	truth.NoiseSigma = 0

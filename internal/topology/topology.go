@@ -12,6 +12,7 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // Machine describes the shape of a homogeneous multi-socket machine.
@@ -57,7 +58,19 @@ type Context struct {
 
 // String renders the context as "sS/cC/tT".
 func (c Context) String() string {
-	return fmt.Sprintf("s%d/c%d/t%d", c.Socket, c.Core, c.Slot)
+	var buf [3 * 24]byte
+	return string(c.Append(buf[:0]))
+}
+
+// Append appends the context's String form to b and returns the extended
+// buffer, so a caller rendering many contexts fills one buffer.
+func (c Context) Append(b []byte) []byte {
+	b = append(b, 's')
+	b = strconv.AppendInt(b, int64(c.Socket), 10)
+	b = append(b, "/c"...)
+	b = strconv.AppendInt(b, int64(c.Core), 10)
+	b = append(b, "/t"...)
+	return strconv.AppendInt(b, int64(c.Slot), 10)
 }
 
 // GlobalCore returns the machine-wide core index of the context.
