@@ -326,7 +326,7 @@ func ablationMedian(b *testing.B, h *eval.Harness, e bench.Entry, opt core.Optio
 // BenchmarkAblationIterations compares the full iterative prediction with a
 // single-pass prediction (DESIGN.md ablation 1).
 func BenchmarkAblationIterations(b *testing.B) {
-	benchAblation(b, core.Options{SinglePass: true}, "single-pass-median-err-%")
+	benchAblation(b, core.Options{MaxIterations: 1}, "single-pass-median-err-%")
 }
 
 // BenchmarkAblationLoadBalance drops the load-balancing penalty.

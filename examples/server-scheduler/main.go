@@ -47,24 +47,26 @@ func main() {
 	}
 
 	sched, err := scheduler.New(sys.Description(), scheduler.Config{
-		AdmissionThreshold:    1.5,
-		CandidateThreadCounts: []int{4, 8, 12, 18, 24, 36},
+		AdmissionThreshold: 1.5,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// Online: jobs arrive; the scheduler sizes and places each one.
-	arrivals := []struct{ id, kind string }{
-		{"q1", "NPO"},
-		{"g1", "PageRank"},
-		{"sim1", "MD"},
-		{"q2", "NPO"},
-		{"s1", "CG"},
+	// Online: jobs arrive and the scheduler places each one. Most ask for a
+	// thread count; s1 asks for none, so the scheduler sizes it too, trying
+	// 1, 2, 4, ... threads up to what is free. (A lone job sized that way
+	// would take the whole machine, since nothing else competes for it.)
+	arrivals := []arrival{
+		{"q1", "NPO", 36},
+		{"g1", "PageRank", 12},
+		{"sim1", "MD", 18},
+		{"q2", "NPO", 4},
+		{"s1", "CG", 0},
 	}
 	fmt.Printf("machine: %s (%d contexts)\n\n", sys.Machine().Name, sys.Machine().TotalContexts())
 	for _, a := range arrivals {
-		asg, err := sched.Submit(scheduler.Job{ID: a.id, Workload: profiles[a.kind]})
+		asg, err := sched.Submit(scheduler.Job{ID: a.id, Workload: profiles[a.kind], Threads: a.threads})
 		if err != nil {
 			fmt.Printf("%-5s (%-8s) REJECTED: %v\n", a.id, a.kind, err)
 			continue
@@ -118,7 +120,14 @@ func main() {
 	fmt.Printf("\nafter q1 completes: %d contexts free\n", len(sched.FreeContexts()))
 }
 
-func kindOf(id string, arrivals []struct{ id, kind string }) string {
+// arrival is one job of the stream: its ID, its job type, and the thread
+// count it asks for (0 lets the scheduler choose).
+type arrival struct {
+	id, kind string
+	threads  int
+}
+
+func kindOf(id string, arrivals []arrival) string {
 	for _, a := range arrivals {
 		if a.id == id {
 			return a.kind

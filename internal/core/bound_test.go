@@ -10,8 +10,8 @@ import (
 	"pandia/internal/placement"
 )
 
-// boundOptionSets are the option sets the bound is checked under. SinglePass
-// and MaxIterations 3 stop most solves before they converge, so the bound is
+// boundOptionSets are the option sets the bound is checked under.
+// MaxIterations 1 and 3 stop most solves before they converge, so the bound is
 // held to mid-iteration values too.
 var boundOptionSets = []struct {
 	name string
@@ -20,7 +20,7 @@ var boundOptionSets = []struct {
 	{"default", core.Options{}},
 	{"no-comm", core.Options{DisableComm: true}},
 	{"no-lb", core.Options{DisableLoadBalance: true}},
-	{"single-pass", core.Options{SinglePass: true}},
+	{"single-pass", core.Options{MaxIterations: 1}},
 	{"max-3", core.Options{MaxIterations: 3}},
 }
 

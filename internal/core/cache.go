@@ -148,7 +148,6 @@ func (h *canonHash) options(o Options) {
 	h.int(o.DampenAfter)
 	h.f64(o.Tolerance)
 	h.bool(o.AllowDegraded)
-	h.bool(o.SinglePass)
 	h.bool(o.DisableBurstiness)
 	h.bool(o.DisableComm)
 	h.bool(o.DisableLoadBalance)

@@ -465,12 +465,14 @@ func fuzzOptions(flags byte) core.Options {
 		DisableComm:        flags&1 != 0,
 		DisableBurstiness:  flags&2 != 0,
 		DisableLoadBalance: flags&4 != 0,
-		SinglePass:         flags&8 != 0,
 	}
 	if flags&16 != 0 {
 		// Few iterations before dampening, and a cap, so dampened and
 		// unconverged solves are covered too.
 		opt.DampenAfter, opt.MaxIterations = 2, 6
+	}
+	if flags&8 != 0 {
+		opt.MaxIterations = 1 // a single pass
 	}
 	return opt
 }

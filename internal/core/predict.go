@@ -43,8 +43,6 @@ type Options struct {
 	// converge. Degraded results carry Degraded=true plus the reasons.
 	AllowDegraded bool
 
-	// SinglePass stops after the first iteration (ablation).
-	SinglePass bool
 	// DisableBurstiness drops the core-sharing term (ablation).
 	DisableBurstiness bool
 	// DisableComm drops the inter-socket communication penalty (ablation).
@@ -54,9 +52,6 @@ type Options struct {
 }
 
 func (o Options) maxIters() int {
-	if o.SinglePass {
-		return 1
-	}
 	if o.MaxIterations > 0 {
 		return o.MaxIterations
 	}

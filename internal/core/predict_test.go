@@ -63,7 +63,7 @@ func TestWorkedExampleFirstIteration(t *testing.T) {
 	w := exampleWorkload()
 	place := workedExamplePlacement()
 
-	pred, err := Predict(md, w, place, Options{SinglePass: true})
+	pred, err := Predict(md, w, place, Options{MaxIterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestDampeningTerminates(t *testing.T) {
 func TestPenaltyBreakdownMatchesWorkedExample(t *testing.T) {
 	// The Fig. 7 first-iteration rows: communication penalties 0.03, 0.03,
 	// 0.08 and load-balance penalty 0.40 on W.
-	pred, err := Predict(toyMachine(), exampleWorkload(), workedExamplePlacement(), Options{SinglePass: true})
+	pred, err := Predict(toyMachine(), exampleWorkload(), workedExamplePlacement(), Options{MaxIterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func Ablations(h *Harness, entries []bench.Entry) ([]AblationRow, error) {
 		set  func(*AblationRow, float64)
 	}{
 		{"full", core.Options{}, func(r *AblationRow, v float64) { r.Full = v }},
-		{"single-pass", core.Options{SinglePass: true}, func(r *AblationRow, v float64) { r.SinglePass = v }},
+		{"single-pass", core.Options{MaxIterations: 1}, func(r *AblationRow, v float64) { r.SinglePass = v }},
 		{"no-burstiness", core.Options{DisableBurstiness: true}, func(r *AblationRow, v float64) { r.NoBurst = v }},
 		{"no-comm", core.Options{DisableComm: true}, func(r *AblationRow, v float64) { r.NoComm = v }},
 		{"no-load-balance", core.Options{DisableLoadBalance: true}, func(r *AblationRow, v float64) { r.NoLB = v }},

@@ -86,9 +86,7 @@ type DecisionRecord struct {
 	Score float64 `json:"score,omitempty"`
 	// Candidates is the candidate-set size the decision evaluated.
 	Candidates int `json:"candidates,omitempty"`
-	// Pruned counts candidates skipped under the dominance bound;
-	// CacheHits/CacheMisses the decision's prediction-cache traffic.
-	Pruned      int64 `json:"pruned,omitempty"`
+	// CacheHits/CacheMisses are the decision's prediction-cache traffic.
 	CacheHits   int64 `json:"cacheHits,omitempty"`
 	CacheMisses int64 `json:"cacheMisses,omitempty"`
 	// AltCount is how many of Alternatives are set (top-scoring first).

@@ -134,7 +134,7 @@ func TestJournalJSONLByteStable(t *testing.T) {
 		j.SetEnabled(true)
 		rec := DecisionRecord{ID: j.NextID(), Op: "submit", Job: "a",
 			Outcome: "admitted", Placement: "[s0/c0/t0]", Strategy: "pack",
-			Score: 1.5, Candidates: 3, Pruned: 1, CacheHits: 2, CacheMisses: 1}
+			Score: 1.5, Candidates: 3, CacheHits: 2, CacheMisses: 1}
 		rec.AddAlternative(Alternative{Placement: "[s0/c1/t0]", Strategy: "spread", Score: 1.25})
 		j.Record(rec)
 		j.Record(DecisionRecord{ID: j.NextID(), Parent: 1, Op: "evict", Job: "b",

@@ -250,6 +250,9 @@ func FuzzSchedulerOps(f *testing.F) {
 					break
 				}
 				advice = rep.Moves
+				if err := distinctMovesErr(advice); err != nil {
+					t.Fatalf("op %d: %v", op, err)
+				}
 				for _, mv := range advice {
 					if r.applyMoveErr(mv) {
 						t.Fatalf("op %d: Rebalance advised an inapplicable move %+v", op, mv)

@@ -425,7 +425,11 @@ func (s *Scheduler) DrainSocket(sock int, opt DrainOptions) (*DrainReport, error
 // rep. The caller must hold mu.
 func (s *Scheduler) drainJobLocked(sc *opScope, id string, opt DrainOptions, rep *DrainReport) {
 	a := s.running[id]
-	cand := s.bestMigrationLocked(id, a, sc.id)
+	cand, err := s.bestMigrationLocked(id, a, sc.id)
+	if err != nil {
+		rep.Evicted = append(rep.Evicted, s.evictLocked(sc, id, "scoring migration candidates: "+err.Error()))
+		return
+	}
 	if cand == nil {
 		rep.Evicted = append(rep.Evicted, s.evictLocked(sc, id, "no feasible placement off drained contexts"))
 		return
@@ -433,7 +437,6 @@ func (s *Scheduler) drainJobLocked(sc *opScope, id string, opt DrainOptions, rep
 	attempts := 0
 	for {
 		attempts++
-		var err error
 		if s.cfg.PlacementCheck != nil {
 			err = s.cfg.PlacementCheck(cand)
 		}
@@ -466,54 +469,26 @@ func (s *Scheduler) drainJobLocked(sc *opScope, id string, opt DrainOptions, rep
 	}
 }
 
-// bestMigrationLocked picks the best re-placement for one job over the free
-// healthy contexts plus the job's own healthy, non-cordoned contexts,
-// scored by joint predicted aggregate throughput with everything else
-// fixed. It returns a copy the caller owns; nil means no feasible
-// placement. span is the requesting decision's id for trace attribution.
-// The caller must hold mu.
-func (s *Scheduler) bestMigrationLocked(id string, a *Assignment, span int64) placement.Placement {
+// bestMigrationLocked picks the best re-placement for one running job over
+// the free healthy contexts plus the job's own healthy, non-cordoned
+// contexts, scored by joint predicted aggregate throughput with everything
+// else fixed; ties keep the first. It returns a copy the caller owns; nil
+// with a nil error means no feasible placement, and an error is the first
+// scoring error. span is the requesting decision's id for trace
+// attribution. The caller must hold mu.
+func (s *Scheduler) bestMigrationLocked(id string, a *Assignment, span int64) (placement.Placement, error) {
 	ids, jobs, digests := s.mixLocked()
-	idx := sort.SearchStrings(ids, id)
-	if idx == len(ids) || ids[idx] != id {
-		return nil
+	results, err := s.searchLocked(jobs, digests, sort.SearchStrings(ids, id), s.candidatesLocked(s.availLocked(id), len(a.Placement)), span)
+	if err != nil || len(results) == 0 {
+		return nil, err
 	}
-
-	// Every candidate keeps the other jobs' placements and the moved job's
-	// thread count fixed, so all candidates share one Amdahl upper bound on
-	// the aggregate score. Once a candidate reaches it, the rest cannot
-	// strictly beat it and are skipped (ties keep the first, exactly as the
-	// strict > below would).
-	idealBound := 0.0
-	for _, pw := range jobs {
-		idealBound += pw.Workload.AmdahlSpeedup(len(pw.Placement))
-	}
-
-	bestScore := math.Inf(-1)
-	var best placement.Placement
-	candidates := s.candidatesLocked(s.availLocked(id), len(a.Placement))
-	for i, cand := range candidates {
-		if seenBefore(candidates[:i], cand.place) {
-			continue
-		}
-		if bestScore >= idealBound {
-			metCandidatesPruned.Inc()
-			continue
-		}
-		jobs[idx].Placement = cand.place
-		ms, err := s.scoreMixLocked(jobs, digests, span)
-		if err != nil {
-			continue
-		}
-		if score := aggregateThroughput(ms.CoScore); score > bestScore {
-			bestScore = score
-			best = cand.place
+	best := 0
+	for i, r := range results {
+		if r.score > results[best].score {
+			best = i
 		}
 	}
-	if best == nil {
-		return nil
-	}
-	return append(placement.Placement(nil), best...)
+	return append(placement.Placement(nil), results[best].place...), nil
 }
 
 // CheckConsistency verifies the scheduler's structural invariants: the

@@ -3,6 +3,7 @@ package scheduler
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"pandia/internal/analysis/leaktest"
@@ -304,6 +305,49 @@ func TestDrainRetriesExhaustedEvicts(t *testing.T) {
 	}
 	if rep.Retries != 2 {
 		t.Fatalf("retries %d, want 2", rep.Retries)
+	}
+	if err := s.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDrainScoringErrorEvicts corrupts a running job's workload snapshot so
+// every migration candidate fails to score: the drain must evict the job,
+// name the scoring error as the reason, and leave the drained socket free.
+func TestDrainScoringErrorEvicts(t *testing.T) {
+	defer leaktest.Check(t)()
+	s, err := New(testMD(t), Config{DisablePredictionCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := computeJob("a")
+	job.Threads = 2
+	a, err := s.Submit(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.running["a"].work.T1 = -1
+	s.mu.Unlock()
+
+	sock := a.Placement[0].Socket
+	rep, err := s.DrainSocket(sock, DrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Evicted) != 1 || len(rep.Migrated) != 0 {
+		t.Fatalf("report %+v, want one eviction", rep)
+	}
+	if r := rep.Evicted[0].Reason; !strings.HasPrefix(r, "scoring migration candidates: ") || !strings.Contains(r, "non-positive T1") {
+		t.Fatalf("eviction reason %q does not name the scoring error", r)
+	}
+	for _, c := range s.FreeContexts() {
+		if c.Socket == sock {
+			t.Fatalf("drained context %v listed free", c)
+		}
+	}
+	if len(s.Assignments()) != 0 {
+		t.Fatalf("job still running: %+v", s.Assignments())
 	}
 	if err := s.CheckConsistency(); err != nil {
 		t.Fatal(err)

@@ -95,35 +95,32 @@ func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
 
 	for i, id := range ids {
 		a := s.running[id]
-		for _, cand := range s.candidatesLocked(s.availLocked(id), len(a.Placement)) {
-			if samePlacement(cand.place, a.Placement) {
+		// Each job's moves are scored against the current state of the rest.
+		results, err := s.searchLocked(jobs, digests, i, s.candidatesLocked(s.availLocked(id), len(a.Placement)), sc.id)
+		if err != nil {
+			sc.errored(err)
+			return nil, err
+		}
+		for _, r := range results {
+			gain := r.score/baseScore - 1
+			if gain < minGain {
 				continue
 			}
-			jobs[i].Placement = cand.place
-			ms, err := s.scoreMixLocked(jobs, digests, sc.id)
-			if err != nil {
-				sc.errored(err)
-				return nil, err
-			}
-			gain := aggregateThroughput(ms.CoScore)/baseScore - 1
-			if gain >= minGain {
-				deltas := make([]JobDelta, len(ids))
-				for k := range ids {
-					deltas[k] = JobDelta{
-						JobID:  ids[k],
-						Before: rep.BaseTimes[k],
-						// T1 over speedup is how a full Prediction derives its Time.
-						After: jobs[k].Workload.T1 / ms.Speedups[k], //nanguard:ok the solver errors unless every speedup is > 0
-					}
+			deltas := make([]JobDelta, len(ids))
+			for k := range ids {
+				deltas[k] = JobDelta{
+					JobID:  ids[k],
+					Before: rep.BaseTimes[k],
+					// T1 over speedup is how a full Prediction derives its Time.
+					After: jobs[k].Workload.T1 / r.speedups[k], //nanguard:ok the solver errors unless every speedup is > 0
 				}
-				rep.Moves = append(rep.Moves, Move{
-					// cand.place is candidate scratch; the advice keeps a copy.
-					JobID: id, From: a.Placement, To: append(placement.Placement(nil), cand.place...),
-					Strategy: cand.strategy, Gain: gain, Deltas: deltas,
-				})
 			}
+			rep.Moves = append(rep.Moves, Move{
+				// r.place is candidate scratch; the advice keeps a copy.
+				JobID: id, From: a.Placement, To: append(placement.Placement(nil), r.place...),
+				Strategy: r.strategy, Gain: gain, Deltas: deltas,
+			})
 		}
-		jobs[i].Placement = a.Placement // later jobs' moves are scored against the current state
 	}
 	sort.Slice(rep.Moves, func(a, b int) bool { return rep.Moves[a].Gain > rep.Moves[b].Gain })
 	metRebalanceMoves.Add(int64(len(rep.Moves)))

@@ -1,6 +1,8 @@
 package scheduler
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"pandia/internal/analysis/leaktest"
@@ -158,6 +160,59 @@ func TestRebalanceReport(t *testing.T) {
 	if d := snap.Counter("scheduler.submissions") - base.Counter("scheduler.submissions"); d != 1 {
 		t.Errorf("submissions grew by %d, want 1", d)
 	}
+}
+
+// TestRebalanceAdvisesEachMoveOnce crowds two memory jobs onto socket 1
+// and leaves socket 0 empty. Re-placing either job, pack and quiet-socket
+// then generate the same placement on socket 0; it must be advised once.
+func TestRebalanceAdvisesEachMoveOnce(t *testing.T) {
+	defer leaktest.Check(t)()
+	s, err := New(testMD(t), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range []string{"m1", "m2"} {
+		j := memoryJob(id)
+		j.Threads = 4
+		a, err := s.Submit(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var to placement.Placement
+		for core := 2 * i; core < 2*i+2; core++ {
+			to = append(to, pandiaCtx(1, core, 0), pandiaCtx(1, core, 1))
+		}
+		if err := s.ApplyMove(Move{JobID: id, From: a.Placement, To: to}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := s.Rebalance(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed := placement.Placement{pandiaCtx(0, 0, 0), pandiaCtx(0, 0, 1), pandiaCtx(0, 1, 0), pandiaCtx(0, 1, 1)}
+	if !slices.ContainsFunc(rep.Moves, func(m Move) bool { return m.JobID == "m1" && slices.Equal(m.To, packed) }) {
+		t.Fatalf("no move of m1 to %v among %+v", packed, rep.Moves)
+	}
+	if err := distinctMovesErr(rep.Moves); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// distinctMovesErr reports an advised move that repeats an earlier move's
+// job and target, or whose target holds exactly its source's contexts.
+func distinctMovesErr(moves []Move) error {
+	for i, m := range moves {
+		if samePlacement(m.To, m.From) {
+			return fmt.Errorf("move %+v does not move job %s", m, m.JobID)
+		}
+		for _, e := range moves[:i] {
+			if e.JobID == m.JobID && slices.Equal(e.To, m.To) {
+				return fmt.Errorf("job %s advised to %v twice, as %s and as %s", m.JobID, m.To, e.Strategy, m.Strategy)
+			}
+		}
+	}
+	return nil
 }
 
 func TestRebalanceEmpty(t *testing.T) {

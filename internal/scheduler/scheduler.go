@@ -10,7 +10,11 @@
 // candidate against everything already running with the co-scheduling
 // predictor, and picks the candidate that maximises aggregate predicted
 // throughput. An optional admission threshold rejects placements that
-// would over-subscribe a resource beyond a configured factor.
+// would over-subscribe a resource beyond a configured factor. Rebalance
+// advice and drain migration re-place a running job with the same
+// generator and the same search (searchLocked), which scores each distinct
+// candidate once against the rest of the mix; only their selection rules
+// differ.
 package scheduler
 
 import (
@@ -42,9 +46,6 @@ var (
 	metRebalanceRuns    = obs.Default().Counter("scheduler.rebalance.runs")
 	metRebalanceMoves   = obs.Default().Counter("scheduler.rebalance.moves_advised")
 	metRebalanceApplied = obs.Default().Counter("scheduler.rebalance.moves_applied")
-	// metCandidatesPruned counts candidate placements skipped under the
-	// Amdahl dominance bound (DESIGN.md §12) instead of jointly predicted.
-	metCandidatesPruned = obs.Default().Counter("scheduler.candidates.pruned")
 )
 
 // Job is a unit of admission: a profiled workload wanting threads.
@@ -91,9 +92,6 @@ type Config struct {
 	// over-subscription exceeds this factor on any resource; 0 disables
 	// admission control.
 	AdmissionThreshold float64
-	// CandidateThreadCounts lists the thread counts tried when a job does
-	// not request one; nil uses a built-in ladder (1, 2, 4, ... machine).
-	CandidateThreadCounts []int
 	// SlowdownSLO rejects candidates under which any job's predicted
 	// contention slowdown — its ideal Amdahl speedup over its predicted
 	// joint speedup — would exceed this bound; 0 disables the SLO.
@@ -128,7 +126,7 @@ type Config struct {
 	DisablePredictionCache bool
 	// Journal, when non-nil and enabled, receives one typed DecisionRecord
 	// per scheduler operation — decision id, cause chain, candidate-set
-	// size, top-k alternative placements, prune/cache statistics, typed
+	// size, top-k alternative placements, cache statistics, typed
 	// rejection reason — and auto-snapshots its window on incidents (SLO
 	// rejection, eviction, degraded admission). A nil or disabled journal
 	// costs one branch per operation.
@@ -226,6 +224,12 @@ type Scheduler struct {
 	mixJobs []core.PlacedWorkload
 	//pandia:guardedby(mu)
 	mixDigests []core.Digest
+	// results and speedups are searchLocked's results and the slab their
+	// per-job speedups share, valid until its next call.
+	//pandia:guardedby(mu)
+	results []searchResult
+	//pandia:guardedby(mu)
+	speedups []float64
 }
 
 // New builds a scheduler for the described machine. The scheduler keeps its
@@ -425,100 +429,62 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 	// Joint score of each candidate with the running mix; the new job rides
 	// in the mix's last slot.
 	_, base, baseDigests := s.mixLocked()
-	// baseBound is the running mix's summed Amdahl speedups: with the new
-	// job's own Amdahl bound added it upper-bounds any candidate's aggregate
-	// throughput (Speedup <= AmdahlSpeedup per job, pinned by the model
-	// invariants), which lets clearly dominated candidates skip the joint
-	// solve below.
-	baseBound := 0.0
-	for _, pw := range base {
-		baseBound += pw.Workload.AmdahlSpeedup(len(pw.Placement))
-	}
 	digest := core.DigestWorkload(work)
 	jobs := append(base, core.PlacedWorkload{Workload: work})
 	digests := append(baseDigests, digest)
 	last := len(jobs) - 1
+	results, err := s.searchLocked(jobs, digests, last, candidates, sc.id)
+	sc.phase(SpanPhaseSweep, false)
+	if err != nil {
+		sc.errored(err)
+		return nil, err
+	}
 
-	bestScore := -1.0
-	var best scoredCandidate
-	// bestAny is the best candidate ignoring the threshold/SLO policies —
-	// what AdmitDegraded falls back to when nothing passes.
-	bestAnyScore := -1.0
-	var bestAny scoredCandidate
+	// best is the highest-scoring result that passes the threshold and SLO
+	// policies; bestAny ignores them and is what AdmitDegraded falls back to
+	// when nothing passes. Ties keep the first.
+	best, bestAny := -1, -1
 	var policyViolations []string
 	sawSLO := false
-	// evals mirrors every solved candidate for the journal's top-k
-	// alternatives; nil (nothing collected) unless journaling.
-	type candEval struct {
-		placement, strategy string
-		score, slowdown     float64
-		reject              string
-	}
-	var evals []candEval
-	var prunedHere int64
-	for i, cand := range candidates {
-		if seenBefore(candidates[:i], cand.place) {
-			continue
-		}
-		// Dominance pruning: a candidate whose Amdahl upper bound cannot
-		// strictly beat both incumbents can change neither best nor bestAny
-		// (both require score > incumbent), so the solve is skipped. Both
-		// incumbents start at -1, so nothing prunes before one candidate has
-		// been scored — rejection reasons are unaffected.
-		if bound := baseBound + work.AmdahlSpeedup(len(cand.place)); bound <= bestScore && bound <= bestAnyScore {
-			metCandidatesPruned.Inc()
-			prunedHere++
-			continue
-		}
-		jobs[last].Placement = cand.place
-		ms, err := s.scoreMixLocked(jobs, digests, sc.id)
-		if err != nil {
-			sc.phase(SpanPhaseSweep, false)
-			sc.errored(err)
-			return nil, err
-		}
-		score := aggregateThroughput(ms.CoScore)
+	// alts holds every result's journal entry, nil unless journaling.
+	var alts []obs.Alternative
+	for i, r := range results {
 		// The SLO metric doubles as the journal's per-candidate slowdown, so
 		// compute it whenever either consumer wants it.
 		slow := 0.0
 		if s.cfg.SlowdownSLO > 0 || sc.journaling {
-			slow = worstSlowdown(ms.CoScore, jobs)
+			jobs[last].Placement = r.place
+			slow = worstSlowdown(r.speedups, jobs)
 		}
-		if score > bestAnyScore {
-			bestAnyScore = score
-			bestAny = scoredCandidate{cand, ms.Speedups[last]}
+		if bestAny < 0 || r.score > results[bestAny].score {
+			bestAny = i
 		}
 		var reject string
-		if s.cfg.AdmissionThreshold > 0 && ms.WorstOversubscription > s.cfg.AdmissionThreshold {
+		if s.cfg.AdmissionThreshold > 0 && r.worst > s.cfg.AdmissionThreshold {
 			reject = fmt.Sprintf(
-				"%s: oversubscription %.2f > threshold %.2f", cand.strategy,
-				ms.WorstOversubscription, s.cfg.AdmissionThreshold)
+				"%s: oversubscription %.2f > threshold %.2f", r.strategy,
+				r.worst, s.cfg.AdmissionThreshold)
 		} else if s.cfg.SlowdownSLO > 0 && slow > s.cfg.SlowdownSLO {
 			reject = fmt.Sprintf(
-				"%s: worst slowdown %.2f > SLO %.2f", cand.strategy, slow, s.cfg.SlowdownSLO)
+				"%s: worst slowdown %.2f > SLO %.2f", r.strategy, slow, s.cfg.SlowdownSLO)
 			sawSLO = true
 		}
 		if sc.journaling {
-			evals = append(evals, candEval{
-				placement: cand.place.String(), strategy: cand.strategy,
-				score: score, slowdown: slow, reject: reject,
+			alts = append(alts, obs.Alternative{
+				Placement: r.place.String(), Strategy: r.strategy,
+				Score: r.score, Slowdown: slow, Reject: reject,
 			})
 		}
 		if reject != "" {
 			policyViolations = append(policyViolations, reject)
 			continue
 		}
-		if score > bestScore {
-			bestScore = score
-			best = scoredCandidate{cand, ms.Speedups[last]}
+		if best < 0 || r.score > results[best].score {
+			best = i
 		}
 	}
-	sc.phase(SpanPhaseSweep, false)
-	if sc.journaling {
-		sc.rec.Pruned = prunedHere
-	}
-	if best.place == nil {
-		if !s.cfg.AdmitDegraded || bestAny.place == nil {
+	if best < 0 {
+		if !s.cfg.AdmitDegraded || bestAny < 0 {
 			kind := AdmitOversubscribed
 			if sawSLO {
 				kind = AdmitSLOExceeded
@@ -527,11 +493,8 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 			aerr := &AdmissionError{JobID: job.ID, Kind: kind,
 				Reason: "every candidate violates admission policy: " + strings.Join(policyViolations, "; ")}
 			if sc.journaling {
-				for _, ev := range evals {
-					sc.rec.AddAlternative(obs.Alternative{
-						Placement: ev.placement, Strategy: ev.strategy,
-						Score: ev.score, Slowdown: ev.slowdown, Reject: ev.reject,
-					})
+				for _, alt := range alts {
+					sc.rec.AddAlternative(alt)
 				}
 				sc.rejected(aerr.Kind.String(), aerr.Reason)
 				if kind == AdmitSLOExceeded {
@@ -544,9 +507,10 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		degradedReasons = append(degradedReasons,
 			"admission: every candidate violates admission policy, admitted degraded")
 	}
+	won := results[best]
 
 	// The winner's placement lives in candidate scratch; commit a copy.
-	place := append(placement.Placement(nil), best.place...)
+	place := append(placement.Placement(nil), won.place...)
 	if s.cfg.PlacementCheck != nil {
 		if cerr := s.cfg.PlacementCheck(place); cerr != nil {
 			metRejectCheck.Inc()
@@ -557,9 +521,9 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 	}
 
 	asgn = &Assignment{
-		Job: job, Placement: place, Strategy: best.strategy, Speedup: best.speedup,
+		Job: job, Placement: place, Strategy: won.strategy, Speedup: won.speedups[last],
 		// T1 over speedup is how a full Prediction derives its Time.
-		Time: work.T1 / best.speedup, //nanguard:ok the solver errors unless every speedup is > 0
+		Time: work.T1 / won.speedups[last], //nanguard:ok the solver errors unless every speedup is > 0
 		work: work, digest: digest,
 	}
 	if len(degradedReasons) > 0 {
@@ -571,20 +535,14 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 	s.setOwnerLocked(asgn.Placement, job.ID)
 	metRunningJobs.Set(float64(len(s.running)))
 	if sc.journaling {
-		chosen := asgn.Placement.String()
-		matched := false
-		for _, ev := range evals {
-			if !matched && ev.placement == chosen && ev.strategy == asgn.Strategy {
-				matched = true
-				sc.rec.Score = ev.score
+		for i, alt := range alts {
+			if i == best {
+				sc.rec.Score = alt.Score
 				continue
 			}
-			sc.rec.AddAlternative(obs.Alternative{
-				Placement: ev.placement, Strategy: ev.strategy,
-				Score: ev.score, Slowdown: ev.slowdown, Reject: ev.reject,
-			})
+			sc.rec.AddAlternative(alt)
 		}
-		sc.rec.Placement = chosen
+		sc.rec.Placement = alts[best].Placement
 		sc.rec.Strategy = asgn.Strategy
 		sc.rec.Outcome = "admitted"
 		if asgn.Degraded {
@@ -638,9 +596,10 @@ func (s *Scheduler) takeTokenLocked() bool {
 // speedup to predicted joint speedup across the co-schedule — how far the
 // worst-affected job is pushed from its contention-free scaling (the value
 // a full Prediction carries as AmdahlSpeedup over its Speedup).
-func worstSlowdown(sc core.CoScore, jobs []core.PlacedWorkload) float64 {
+// speedups[i] is jobs[i]'s predicted joint speedup.
+func worstSlowdown(speedups []float64, jobs []core.PlacedWorkload) float64 {
 	worst := 0.0
-	for i, sp := range sc.Speedups {
+	for i, sp := range speedups {
 		if sp <= 0 {
 			return math.Inf(1)
 		}
@@ -802,21 +761,16 @@ func (s *Scheduler) mixLocked() ([]string, []core.PlacedWorkload, []core.Digest)
 }
 
 // candidateCountsLocked resolves the thread-count ladder for a job into
-// scratch, valid until the next call. The caller must hold mu.
+// scratch, valid until the next call: Job.Threads when the job requests a
+// count (nothing when it does not fit), else 1, 2, 4, ... up to free, and
+// free itself. The caller must hold mu.
 func (s *Scheduler) candidateCountsLocked(job Job, free int) []int {
 	out := s.counts[:0]
-	switch {
-	case job.Threads > 0:
+	if job.Threads > 0 {
 		if job.Threads <= free {
 			out = append(out, job.Threads)
 		}
-	case len(s.cfg.CandidateThreadCounts) > 0:
-		for _, n := range s.cfg.CandidateThreadCounts {
-			if n >= 1 && n <= free {
-				out = append(out, n)
-			}
-		}
-	default:
+	} else {
 		for n := 1; n <= free; n *= 2 {
 			out = append(out, n)
 		}
@@ -847,24 +801,63 @@ type candidate struct {
 	strategy string
 }
 
-// scoredCandidate is a candidate with the new job's predicted speedup in
-// its mix.
-type scoredCandidate struct {
-	candidate
-	speedup float64
-}
-
 // seenBefore reports whether an earlier candidate has placement p, in the
 // same context order.
 func seenBefore(earlier []candidate, p placement.Placement) bool {
 	return slices.ContainsFunc(earlier, func(c candidate) bool { return slices.Equal(c.place, p) })
 }
 
+// searchResult is one scored candidate: the mix's aggregate score and worst
+// over-subscription with the candidate in place, and every job's speedup in
+// the mix, in mix order.
+type searchResult struct {
+	candidate
+	score, worst float64
+	speedups     []float64
+}
+
+// searchLocked is the scheduler's one candidate search, shared by Submit,
+// Rebalance and the drain migration. It places jobs[slot] on each distinct
+// candidate in generator order — skipping a repeat of an earlier placement,
+// and one holding exactly the slot's current contexts, which is no move —
+// and scores the mix through scoreMixLocked; span is as for
+// predictMixLocked. The slot's placement is restored before it returns.
+// The results and their speedups are scratch, valid until the next call,
+// and their placements are the candidates' scratch; the first scoring
+// error ends the search. The caller must hold mu.
+func (s *Scheduler) searchLocked(jobs []core.PlacedWorkload, digests []core.Digest, slot int, cands []candidate, span int64) ([]searchResult, error) {
+	cur, n := jobs[slot].Placement, len(jobs)
+	if cap(s.results) < len(cands) {
+		s.results = make([]searchResult, len(cands))
+	}
+	if cap(s.speedups) < n*len(cands) {
+		s.speedups = make([]float64, n*len(cands))
+	}
+	out, buf := s.results[:0], s.speedups
+	for i, c := range cands {
+		if seenBefore(cands[:i], c.place) || samePlacement(c.place, cur) {
+			continue
+		}
+		jobs[slot].Placement = c.place
+		ms, err := s.scoreMixLocked(jobs, digests, span)
+		if err != nil {
+			jobs[slot].Placement = cur
+			return nil, err
+		}
+		sp := buf[:n:n]
+		buf = buf[n:]
+		copy(sp, ms.Speedups)
+		out = append(out, searchResult{c, aggregateThroughput(ms.CoScore), ms.WorstOversubscription, sp})
+	}
+	jobs[slot].Placement = cur
+	return out, nil
+}
+
 // candidatesLocked is the scheduler's one candidate generator, shared by
 // admission, rebalancing, and drain migration. For each thread count in
 // turn it tries pack, spread, and quiet-socket over avail, keeping every
-// placement a strategy can fill; duplicates are kept, since callers count
-// and skip them differently. Quiet-socket ranks sockets by an occupancy
+// placement a strategy can fill; duplicates are kept, and searchLocked
+// scores each placement once. Quiet-socket ranks sockets by an occupancy
 // snapshot taken here. avail must be in dense order, as availLocked
 // returns it. The candidates and their placements are scratch, valid until
 // the next call; a caller keeping a placement copies it. The caller must
