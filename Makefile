@@ -17,9 +17,10 @@ GO ?= go
 # BenchmarkTestbedRun and BenchmarkMeasureAll the simulated testbed (§8);
 # BenchmarkCoScore, BenchmarkSubmit, BenchmarkRebalance and
 # BenchmarkDrainSocket the scheduler rung over the score-only joint solve;
-# BenchmarkRecommend the placement-advice rung (pruned sweep + two full
-# predictions on the X5-2).
-BENCH_CORE = BenchmarkFig10Curves|BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkPredictSweep$$|BenchmarkTestbedRun|BenchmarkMeasureAll$$|BenchmarkEnumeratePlacements|BenchmarkSweepPruned$$|BenchmarkCoScore$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$|BenchmarkRecommend$$
+# BenchmarkControlCycle one cycle of a cache-hit control loop over six
+# services; BenchmarkRecommend the placement-advice rung (pruned sweep + two
+# full predictions on the X5-2).
+BENCH_CORE = BenchmarkFig10Curves|BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkPredictSweep$$|BenchmarkTestbedRun|BenchmarkMeasureAll$$|BenchmarkEnumeratePlacements|BenchmarkSweepPruned$$|BenchmarkCoScore$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$|BenchmarkControlCycle$$|BenchmarkRecommend$$
 
 .PHONY: check test vet pandia-vet alloccheck lockcheck fuzz fuzz-smoke scenario-smoke journal-smoke bench bench-smoke bench-gate bench-module build
 
@@ -104,14 +105,14 @@ bench:
 # sensitive micro-benchmarks, parsed but not recorded, so a broken bench or
 # parser fails the gate without paying for a full measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkSweepPruned$$|BenchmarkTestbedRun$$|BenchmarkCoScore$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$|BenchmarkRecommend$$' -benchtime 5x -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkSweepPruned$$|BenchmarkTestbedRun$$|BenchmarkCoScore$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$|BenchmarkControlCycle$$|BenchmarkRecommend$$' -benchtime 5x -benchmem . \
 	  | $(GO) run ./cmd/pandia-benchjson -label smoke -out ''
 
 # bench-gate is the perf/observability overhead gate: the PredictTime fast
 # path (BenchmarkPredictorReuse) and the score-only joint solve
 # (BenchmarkCoScore) must stay at 0 allocs/op, the scheduler's decision
-# loop (BenchmarkSubmit, BenchmarkRebalance, BenchmarkDrainSocket) at or
-# below its recorded allocs/op (exact, the primary regression teeth), and
+# loop (BenchmarkSubmit, BenchmarkRebalance, BenchmarkDrainSocket,
+# BenchmarkControlCycle) at or below its recorded allocs/op (exact, the primary regression teeth), and
 # every gated benchmark within BENCH_TOLERANCE ns/op of the recorded
 # "current" run in BENCH_core.json. Refresh the reference with `make bench`
 # after intentional perf changes.
@@ -125,9 +126,9 @@ bench-smoke:
 BENCH_TOLERANCE ?= 0.35
 bench-gate:
 	$(GO) build -o /tmp/pandia-benchjson ./cmd/pandia-benchjson
-	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkSweepPruned$$|BenchmarkCoScore$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$' -benchmem -count=5 . \
+	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkSweepPruned$$|BenchmarkCoScore$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$|BenchmarkControlCycle$$' -benchmem -count=5 . \
 	  | /tmp/pandia-benchjson -gate current -gate-tolerance $(BENCH_TOLERANCE) -zero-alloc BenchmarkPredictorReuse,BenchmarkCoScore \
-	      -max-allocs 'BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$' -out BENCH_core.json
+	      -max-allocs 'BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$|BenchmarkControlCycle$$' -out BENCH_core.json
 
 # scenario-smoke is the replay-determinism gate: every bundled scenario in
 # scenarios/ must pass its assertions and two separate replay processes

@@ -664,6 +664,56 @@ func BenchmarkDrainSocket(b *testing.B) {
 	}
 }
 
+// BenchmarkControlCycle measures one cycle of a scheduler control loop over
+// six long-running 8-thread services on the X5-2 (the end-to-end
+// sched-steady workload's op): monitor the mix (Predict), ask for rebalance
+// advice at a 2% threshold, and restart one service (Remove, Submit), in
+// turn. The mixes recur, so after the untimed first round nearly every
+// lookup is a cache hit and the cycle costs the scheduler's own
+// bookkeeping; allocs/op is the steady state whatever b.N is.
+func BenchmarkControlCycle(b *testing.B) {
+	h := harnessFor(b, "x5-2")
+	s, err := scheduler.New(h.MD, scheduler.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var services []scheduler.Job
+	for i, e := range entriesNamed(b, "BT", "CG", "IS", "MD", "Swim", "PRH") {
+		prof, err := h.Profile(e)
+		if err != nil {
+			b.Fatal(err)
+		}
+		job := scheduler.Job{ID: fmt.Sprintf("svc%d-%s", i, e.Name), Workload: &prof.Workload, Threads: 8}
+		if _, err := s.Submit(job); err != nil {
+			b.Fatal(err)
+		}
+		services = append(services, job)
+	}
+	cycle := func(i int) {
+		if _, err := s.Predict(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Rebalance(0.02); err != nil {
+			b.Fatal(err)
+		}
+		job := services[i%len(services)]
+		if err := s.Remove(job.ID); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Submit(job); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := range services {
+		cycle(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle(i)
+	}
+}
+
 // BenchmarkCoScore measures the score-only joint solve every scheduler
 // candidate runs: eight two-thread zoo jobs spread over the X5-2. The
 // allocation report must read 0 allocs/op.

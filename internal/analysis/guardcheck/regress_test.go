@@ -92,7 +92,7 @@ func (s *Scheduler) regressionRegister() {
 func (s *Scheduler) regressionQuietSocket(free []topology.Context, n int, m topology.Machine) placement.Placement {
 	busy := make([]int, m.Sockets)
 	for i, owner := range s.owner {
-		if owner != "" {
+		if owner != nil {
 			busy[m.ContextAt(i).Socket]++
 		}
 	}

@@ -16,11 +16,12 @@ import (
 // bit-identical to cold solves by construction — the property the
 // scenario-corpus byte-identity gate pins.
 //
-// The content is digested once, not per lookup: DigestMachine covers the
-// machine and the options, DigestWorkload one workload, and Key folds those
-// digests with the placements. A digest describes the values it was taken
-// from, so its owner must keep those values fixed — the scheduler digests
-// private snapshots it never writes. Mutated content re-digests to a
+// The content is digested once, not per lookup, in two levels:
+// DigestMachine covers the machine and the options, DigestWorkload one
+// workload, PlacedDigest a workload digest with one job's placement, and Key
+// folds the machine digest with one placed digest per job. A digest
+// describes the values it was taken from, so its owner must keep those
+// values fixed — the scheduler digests private snapshots it never writes. Mutated content re-digests to a
 // different key, so a stale entry is never looked up again; the capacity
 // reset bounds the memory such entries hold.
 
@@ -42,8 +43,9 @@ type canonHash struct{ key, verify uint64 }
 func newCanonHash() canonHash { return canonHash{key: keyOffset64, verify: verifyOffset64} }
 
 // Digest is precomputed key content: the key-stream and verifier-stream
-// digests of a machine and options (DigestMachine) or of one workload
-// (DigestWorkload), which Key folds instead of rehashing the content.
+// digests of a machine and options (DigestMachine), of one workload
+// (DigestWorkload) or of one placed job (PlacedDigest), which Key folds
+// instead of rehashing the content.
 type Digest struct{ key, verify uint64 }
 
 // DigestMachine digests the machine description and the options, the
@@ -66,6 +68,19 @@ func DigestWorkload(w *Workload) Digest {
 	} else {
 		h.workload(w)
 	}
+	return Digest(h)
+}
+
+// PlacedDigest digests one placed job from fresh offsets: work, the
+// DigestWorkload of its workload, then its placement's thread count and
+// contexts in order, so a permuted placement digests differently. It costs
+// one word per context.
+//
+//pandia:noalloc
+func PlacedDigest(work Digest, p placement.Placement) Digest {
+	h := newCanonHash()
+	h.digest(work)
+	h.placement(p)
 	return Digest(h)
 }
 
@@ -218,21 +233,20 @@ func NewCoCache(capacity int) *CoCache {
 	return &CoCache{m: make(map[uint64]coEntry), capacity: capacity}
 }
 
-// Key derives the canonical key and verifier for a joint prediction of the
-// placed workloads, from base = DigestMachine of the machine and options and
-// digests[i] = DigestWorkload of placed[i].Workload. It costs one word per
-// job and per context, whatever the content. The jobs are folded in slice
-// order — floating-point accumulation in the joint solver is
+// Key derives the canonical key and verifier for a joint prediction of a
+// mix, from base = DigestMachine of the machine and options and
+// jobDigests[i] = PlacedDigest of the mix's i-th job. It folds the job count
+// and one word per job, whatever the placements hold. The jobs are folded in
+// slice order — floating-point accumulation in the joint solver is
 // order-sensitive, so permutations of one mix are distinct solves and
 // distinct keys.
 //
 //pandia:noalloc
-func (c *CoCache) Key(base Digest, placed []PlacedWorkload, digests []Digest) (uint64, uint64) {
+func (c *CoCache) Key(base Digest, jobDigests []Digest) (uint64, uint64) {
 	h := canonHash(base)
-	h.int(len(placed))
-	for i, pw := range placed {
-		h.digest(digests[i])
-		h.placement(pw.Placement)
+	h.int(len(jobDigests))
+	for _, d := range jobDigests {
+		h.digest(d)
 	}
 	return h.key, h.verify
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"pandia/internal/machine"
@@ -23,13 +24,13 @@ func quickMix() []PlacedWorkload {
 }
 
 // mixKey derives placed's key from digests taken now, as a caller that
-// keeps no digests would.
+// keeps no digests would: one placed digest per job, folded by Key.
 func mixKey(c *CoCache, md *machine.Description, placed []PlacedWorkload, opt Options) (uint64, uint64) {
 	digests := make([]Digest, len(placed))
 	for i, pw := range placed {
-		digests[i] = DigestWorkload(pw.Workload)
+		digests[i] = PlacedDigest(DigestWorkload(pw.Workload), pw.Placement)
 	}
-	return c.Key(DigestMachine(md, opt), placed, digests)
+	return c.Key(DigestMachine(md, opt), digests)
 }
 
 // TestCoCacheKeyMutation mutates the machine description and a workload in
@@ -135,6 +136,56 @@ func TestCoCacheJobOrder(t *testing.T) {
 	k2, v2 := mixKey(c, md, []PlacedWorkload{placed[1], placed[0]}, Options{})
 	if k1 == k2 || v1 == v2 {
 		t.Fatalf("permuted mix shares a digest: keys %x/%x, verifiers %x/%x", k1, k2, v1, v2)
+	}
+}
+
+// TestCoCacheKeyTwoLevel checks that folding one placed digest per job
+// keeps apart the mixes a flat key over every context keeps apart: two job
+// orders of one mix, one context moved to another core, and two jobs with
+// the same workload swapping their placements.
+func TestCoCacheKeyTwoLevel(t *testing.T) {
+	md := quickMachine()
+	c := NewCoCache(0)
+	base := quickMix()
+	type digest struct{ key, verify uint64 }
+	key := func(placed []PlacedWorkload) digest {
+		k, v := mixKey(c, md, placed, Options{})
+		return digest{k, v}
+	}
+	distinct := func(name string, a, b []PlacedWorkload) {
+		t.Helper()
+		if ka, kb := key(a), key(b); ka.key == kb.key || ka.verify == kb.verify {
+			t.Errorf("%s: mixes share a digest (%x/%x vs %x/%x)", name, ka.key, ka.verify, kb.key, kb.verify)
+		}
+	}
+
+	distinct("job order", base, []PlacedWorkload{base[1], base[0]})
+
+	moved := quickMix()
+	moved[0].Placement[3] = topology.Context{Socket: 0, Core: 4}
+	distinct("context moved to another core", base, moved)
+
+	w := base[0].Workload
+	same := []PlacedWorkload{{Workload: w, Placement: base[0].Placement}, {Workload: w, Placement: base[1].Placement}}
+	swapped := []PlacedWorkload{{Workload: w, Placement: base[1].Placement}, {Workload: w, Placement: base[0].Placement}}
+	distinct("same workload, placements swapped", same, swapped)
+}
+
+// TestPlacedDigestOrder checks that a placed digest follows the context
+// order: a permuted placement is a distinct input to the solver's
+// order-sensitive sums, so it digests differently, while the same contexts
+// in the same order digest identically.
+func TestPlacedDigestOrder(t *testing.T) {
+	w := DigestWorkload(quickMix()[1].Workload)
+	p := quickMix()[1].Placement
+	perm := append(placement.Placement(nil), p...)
+	perm[0], perm[1] = perm[1], perm[0]
+	d, again, permuted := PlacedDigest(w, p), PlacedDigest(w, slices.Clone(p)), PlacedDigest(w, perm)
+	if d != again {
+		t.Fatal("placed digest of an equal placement differs")
+	}
+	if d.key == permuted.key || d.verify == permuted.verify {
+		t.Fatalf("permuted placement shares a digest: %+v", d)
 	}
 }
 

@@ -126,12 +126,12 @@ func (s *Scheduler) explainJob(id string, asText bool) (*explainResponse, string
 	if !ok {
 		return nil, "", fmt.Errorf("scheduler: job %q not running", id)
 	}
-	ids, jobs, digests := s.mixLocked()
+	jobs, digests := s.mixLocked()
 	idx := -1
 	mix := make([]string, 0, len(jobs))
 	for i, pw := range jobs {
-		mix = append(mix, fmt.Sprintf("%s: %d threads on %s", ids[i], len(pw.Placement), placement.Placement(pw.Placement).String()))
-		if ids[i] == id {
+		mix = append(mix, fmt.Sprintf("%s: %d threads on %s", s.mix[i].Job.ID, len(pw.Placement), placement.Placement(pw.Placement).String()))
+		if s.mix[i] == a {
 			idx = i
 		}
 	}

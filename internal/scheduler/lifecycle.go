@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
+	"pandia/internal/core"
 	"pandia/internal/obs"
 	"pandia/internal/placement"
 	"pandia/internal/topology"
@@ -343,8 +343,8 @@ func (s *Scheduler) FailSocket(sock int) (*EvictionReport, error) {
 func (s *Scheduler) affectedLocked(ctxs []topology.Context) []string {
 	var ids []string
 	for _, c := range ctxs {
-		if id := s.owner[s.md.Topo.ContextIndex(c)]; id != "" && !slices.Contains(ids, id) {
-			ids = append(ids, id)
+		if a := s.owner[s.md.Topo.ContextIndex(c)]; a != nil && !slices.Contains(ids, a.Job.ID) {
+			ids = append(ids, a.Job.ID)
 		}
 	}
 	slices.Sort(ids)
@@ -361,9 +361,7 @@ func (s *Scheduler) evictLocked(sc *opScope, id, reason string) Eviction {
 		Placement: append(placement.Placement(nil), a.Placement...),
 		Reason:    reason,
 	}
-	s.setOwnerLocked(a.Placement, "")
-	delete(s.running, id)
-	metRunningJobs.Set(float64(len(s.running)))
+	s.releaseLocked(a)
 	metEvictions.Inc()
 	sc.child(obs.DecisionRecord{
 		Op: "evict", Job: id, Outcome: "evicted", Reason: "eviction",
@@ -425,7 +423,7 @@ func (s *Scheduler) DrainSocket(sock int, opt DrainOptions) (*DrainReport, error
 // rep. The caller must hold mu.
 func (s *Scheduler) drainJobLocked(sc *opScope, id string, opt DrainOptions, rep *DrainReport) {
 	a := s.running[id]
-	cand, err := s.bestMigrationLocked(id, a, sc.id)
+	cand, err := s.bestMigrationLocked(a, sc.id)
 	if err != nil {
 		rep.Evicted = append(rep.Evicted, s.evictLocked(sc, id, "scoring migration candidates: "+err.Error()))
 		return
@@ -442,9 +440,7 @@ func (s *Scheduler) drainJobLocked(sc *opScope, id string, opt DrainOptions, rep
 		}
 		if err == nil {
 			from := append(placement.Placement(nil), a.Placement...)
-			s.setOwnerLocked(a.Placement, "")
-			a.Placement = append(placement.Placement(nil), cand...)
-			s.setOwnerLocked(a.Placement, id)
+			s.placeLocked(a, append(placement.Placement(nil), cand...))
 			rep.Migrated = append(rep.Migrated, Migration{JobID: id, From: from, To: cand, Attempts: attempts})
 			metMigrations.Inc()
 			sc.child(obs.DecisionRecord{
@@ -476,9 +472,10 @@ func (s *Scheduler) drainJobLocked(sc *opScope, id string, opt DrainOptions, rep
 // with a nil error means no feasible placement, and an error is the first
 // scoring error. span is the requesting decision's id for trace
 // attribution. The caller must hold mu.
-func (s *Scheduler) bestMigrationLocked(id string, a *Assignment, span int64) (placement.Placement, error) {
-	ids, jobs, digests := s.mixLocked()
-	results, err := s.searchLocked(jobs, digests, sort.SearchStrings(ids, id), s.candidatesLocked(s.availLocked(id), len(a.Placement)), span)
+func (s *Scheduler) bestMigrationLocked(a *Assignment, span int64) (placement.Placement, error) {
+	jobs, digests := s.mixLocked()
+	slot, _ := s.mixIndexLocked(a.Job.ID)
+	results, err := s.searchLocked(jobs, digests, slot, a, s.candidatesLocked(a, s.availLocked(a), len(a.Placement)), span)
 	if err != nil || len(results) == 0 {
 		return nil, err
 	}
@@ -494,19 +491,29 @@ func (s *Scheduler) bestMigrationLocked(id string, a *Assignment, span int64) (p
 // CheckConsistency verifies the scheduler's structural invariants: the
 // occupancy table and the running placements are a bijection, no two jobs
 // share a context, no thread sits on a failed context, and the unhealthy
-// count matches the health table. The scenario engine calls it after every
-// event; a non-nil error is a scheduler bug.
+// count matches the health table. It also checks the state kept
+// incrementally beside them: the per-socket counts against a recount of the
+// occupancy table, the sorted mix against the running set, and every
+// assignment's placed digest against one taken afresh. The scenario engine
+// calls it after every event; a non-nil error is a scheduler bug.
 func (s *Scheduler) CheckConsistency() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	want := 0
-	ids := make([]string, 0, len(s.running))
-	for id := range s.running {
-		ids = append(ids, id)
+	if len(s.mix) != len(s.running) {
+		return fmt.Errorf("scheduler: sorted mix holds %d jobs, running set %d", len(s.mix), len(s.running))
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		a := s.running[id]
+	want := 0
+	for i, a := range s.mix {
+		id := a.Job.ID
+		if s.running[id] != a {
+			return fmt.Errorf("scheduler: sorted mix holds job %q, which the running set does not", id)
+		}
+		if i > 0 && s.mix[i-1].Job.ID >= id {
+			return fmt.Errorf("scheduler: sorted mix has %q before %q", s.mix[i-1].Job.ID, id)
+		}
+		if d := core.PlacedDigest(core.DigestWorkload(a.work), a.Placement); a.placed != d {
+			return fmt.Errorf("scheduler: job %q has a stale placed digest", id)
+		}
 		seen := make(map[topology.Context]bool, len(a.Placement))
 		for _, c := range a.Placement {
 			if seen[c] {
@@ -516,8 +523,8 @@ func (s *Scheduler) CheckConsistency() error {
 			if !s.md.Topo.ValidContext(c) {
 				return fmt.Errorf("scheduler: job %q holds context %v, which is not on the machine", id, c)
 			}
-			if owner := s.owner[s.md.Topo.ContextIndex(c)]; owner != id {
-				return fmt.Errorf("scheduler: job %q holds context %v but occupancy says %q", id, c, owner)
+			if owner := s.owner[s.md.Topo.ContextIndex(c)]; owner != a {
+				return fmt.Errorf("scheduler: job %q holds context %v but occupancy says %s", id, c, ownerName(owner))
 			}
 			if s.healthLocked(c) == Failed {
 				return fmt.Errorf("scheduler: job %q still placed on failed context %v", id, c)
@@ -526,9 +533,11 @@ func (s *Scheduler) CheckConsistency() error {
 		want += len(a.Placement)
 	}
 	occupied, unhealthy := 0, 0
+	busy := make([]int, len(s.busy))
 	for i, owner := range s.owner {
-		if owner != "" {
+		if owner != nil {
 			occupied++
+			busy[s.ctxs[i].Socket]++
 		}
 		if s.health[i] != Healthy {
 			unhealthy++
@@ -538,9 +547,23 @@ func (s *Scheduler) CheckConsistency() error {
 		return fmt.Errorf("scheduler: occupancy has %d contexts, running placements hold %d",
 			occupied, want)
 	}
+	for sock, n := range busy {
+		if s.busy[sock] != n {
+			return fmt.Errorf("scheduler: socket %d has %d occupied contexts, count says %d", sock, n, s.busy[sock])
+		}
+	}
 	if unhealthy != s.unhealthy {
 		return fmt.Errorf("scheduler: health table has %d unhealthy contexts, count says %d",
 			unhealthy, s.unhealthy)
 	}
 	return nil
+}
+
+// ownerName names an occupancy entry for an error message: the holding job's
+// quoted ID, or "free".
+func ownerName(a *Assignment) string {
+	if a == nil {
+		return "free"
+	}
+	return fmt.Sprintf("%q", a.Job.ID)
 }

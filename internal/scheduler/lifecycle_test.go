@@ -509,3 +509,58 @@ func TestApplyMovePlacementCheckVeto(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCheckConsistencyIncrementalState plants faults in the state the
+// scheduler keeps incrementally — a stale placed digest, a wrong per-socket
+// count, a sorted mix out of step with the running set — and requires
+// CheckConsistency to report each one, and to pass again once it is undone.
+func TestCheckConsistencyIncrementalState(t *testing.T) {
+	s, err := New(testMD(t), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a", "b"} {
+		job := computeJob(id)
+		job.Threads = 4
+		if _, err := s.Submit(job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	a := s.running["a"]
+	for _, tc := range []struct {
+		name, want string
+		plant      func() (undo func())
+	}{
+		{"stale placed digest", "stale placed digest", func() func() {
+			old := a.placed
+			a.placed = a.digest
+			return func() { a.placed = old }
+		}},
+		{"wrong socket count", "occupied contexts, count says", func() func() {
+			s.busy[1]++
+			return func() { s.busy[1]-- }
+		}},
+		{"mix missing a job", "sorted mix holds 1 jobs", func() func() {
+			old := s.mix
+			s.mix = old[1:]
+			return func() { s.mix = old }
+		}},
+		{"mix out of order", "sorted mix has", func() func() {
+			s.mix[0], s.mix[1] = s.mix[1], s.mix[0]
+			return func() { s.mix[0], s.mix[1] = s.mix[1], s.mix[0] }
+		}},
+	} {
+		undo := tc.plant()
+		err := s.CheckConsistency()
+		undo()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckConsistency = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+		if err := s.CheckConsistency(); err != nil {
+			t.Fatalf("after undoing %s: %v", tc.name, err)
+		}
+	}
+}

@@ -76,15 +76,19 @@ func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
 	sc := s.beginOpLocked("rebalance", "")
 	defer sc.end()
 
-	ids, jobs, digests := s.mixLocked()
+	jobs, digests := s.mixLocked()
 	base, err := s.scoreMixLocked(jobs, digests, sc.id)
 	if err != nil {
 		sc.errored(err)
 		return nil, err
 	}
 	baseScore := aggregateThroughput(base.CoScore)
+	ids := make([]string, len(s.mix))
+	for i, a := range s.mix {
+		ids[i] = a.Job.ID
+	}
 	rep := &RebalanceReport{
-		JobIDs:    slices.Clone(ids),
+		JobIDs:    ids,
 		BaseTimes: make([]float64, len(ids)),
 		BaseScore: baseScore,
 	}
@@ -93,10 +97,9 @@ func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
 		rep.BaseTimes[i] = jobs[i].Workload.T1 / sp //nanguard:ok the solver errors unless every speedup is > 0
 	}
 
-	for i, id := range ids {
-		a := s.running[id]
+	for i, a := range s.mix {
 		// Each job's moves are scored against the current state of the rest.
-		results, err := s.searchLocked(jobs, digests, i, s.candidatesLocked(s.availLocked(id), len(a.Placement)), sc.id)
+		results, err := s.searchLocked(jobs, digests, i, a, s.candidatesLocked(a, s.availLocked(a), len(a.Placement)), sc.id)
 		if err != nil {
 			sc.errored(err)
 			return nil, err
@@ -117,7 +120,7 @@ func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
 			}
 			rep.Moves = append(rep.Moves, Move{
 				// r.place is candidate scratch; the advice keeps a copy.
-				JobID: id, From: a.Placement, To: append(placement.Placement(nil), r.place...),
+				JobID: a.Job.ID, From: a.Placement, To: append(placement.Placement(nil), r.place...),
 				Strategy: r.strategy, Gain: gain, Deltas: deltas,
 			})
 		}
@@ -184,9 +187,9 @@ func (s *Scheduler) ApplyMove(m Move) error {
 			return conflict(&MoveConflictError{JobID: m.JobID, Context: c, Health: h,
 				Reason: fmt.Sprintf("target context %v is %s", c, h)})
 		}
-		if owner := s.owner[s.md.Topo.ContextIndex(c)]; owner != "" && owner != m.JobID {
-			return conflict(&MoveConflictError{JobID: m.JobID, Context: c, Owner: owner,
-				Reason: fmt.Sprintf("target context %v now belongs to %q", c, owner)})
+		if owner := s.owner[s.md.Topo.ContextIndex(c)]; owner != nil && owner != a {
+			return conflict(&MoveConflictError{JobID: m.JobID, Context: c, Owner: owner.Job.ID,
+				Reason: fmt.Sprintf("target context %v now belongs to %q", c, owner.Job.ID)})
 		}
 	}
 	if s.cfg.PlacementCheck != nil {
@@ -196,9 +199,7 @@ func (s *Scheduler) ApplyMove(m Move) error {
 			return perr
 		}
 	}
-	s.setOwnerLocked(a.Placement, "")
-	a.Placement = append(placement.Placement(nil), m.To...)
-	s.setOwnerLocked(a.Placement, m.JobID)
+	s.placeLocked(a, append(placement.Placement(nil), m.To...))
 	metRebalanceApplied.Inc()
 	if sc.journaling {
 		sc.rec.Outcome = "applied"

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -82,8 +81,11 @@ type Assignment struct {
 	// work is the snapshot of *Job.Workload taken at Submit, and digest its
 	// cache digest. Every later score and cache key reads these, never the
 	// caller's workload, so mutating that afterwards changes nothing here.
-	work   *core.Workload
-	digest core.Digest
+	// placed is core.PlacedDigest of digest and Placement, the job's word in
+	// every cache key of a mix it runs in; placeLocked refreshes it whenever
+	// Placement changes.
+	work           *core.Workload
+	digest, placed core.Digest
 }
 
 // Config tunes the scheduler.
@@ -142,11 +144,14 @@ type Config struct {
 // Scheduler places jobs on one machine. It is safe for concurrent use.
 //
 // Its state is dense: occupancy and health are slices indexed by
-// topology.Machine.ContextIndex, and the decision loop writes its context
-// lists, candidates and mix into per-scheduler scratch guarded by mu
-// (DESIGN.md §9). Scratch results stay valid only until the next call that
-// writes the same scratch; a placement that outlives the operation — a
-// committed placement, a Move's To, a Migration's To — is copied out.
+// topology.Machine.ContextIndex, an occupied context pointing at the
+// Assignment holding it; per-socket occupancy counts and the running mix in
+// job-ID order are kept up to date as jobs are placed and released; and the
+// decision loop writes its context lists, candidates and mix into
+// per-scheduler scratch guarded by mu (DESIGN.md §9). Scratch results stay
+// valid only until the next call that writes the same scratch; a placement
+// that outlives the operation — a committed placement, a Move's To, a
+// Migration's To — is copied out.
 type Scheduler struct {
 	// md is the scheduler's own copy of the machine description, taken at
 	// New; the predictor and every cache key read it, never the caller's.
@@ -166,11 +171,18 @@ type Scheduler struct {
 	digest core.Digest
 
 	mu sync.Mutex
+	// running maps a job ID to its assignment; mix holds the same
+	// assignments sorted by job ID, the order every joint score reads them in.
 	//pandia:guardedby(mu)
 	running map[string]*Assignment
-	// owner[i] is the ID of the job holding ctxs[i], "" when it is free.
 	//pandia:guardedby(mu)
-	owner []string
+	mix []*Assignment
+	// owner[i] is the assignment holding ctxs[i], nil when it is free, and
+	// busy[k] counts socket k's owned contexts; setOwnerLocked keeps both.
+	//pandia:guardedby(mu)
+	owner []*Assignment
+	//pandia:guardedby(mu)
+	busy []int
 	// health[i] is ctxs[i]'s state; unhealthy counts the entries that are
 	// not Healthy.
 	//pandia:guardedby(mu)
@@ -200,10 +212,10 @@ type Scheduler struct {
 
 	// Decision-loop scratch. avail is availLocked's result; cands and slab
 	// are candidatesLocked's candidates and the contexts their placements
-	// share, valid until its next call; busy, order and isFree are the
-	// generator's per-socket and per-context tables; counts is the
-	// thread-count ladder; mixIDs, mixJobs and mixDigests are mixLocked's
-	// running mix, valid until its next call.
+	// share, valid until its next call; order is the generator's socket
+	// order; counts is the thread-count ladder; mixJobs and mixDigests are
+	// mixLocked's placed workloads and placed digests, valid until its next
+	// call.
 	//pandia:guardedby(mu)
 	avail []topology.Context
 	//pandia:guardedby(mu)
@@ -211,15 +223,9 @@ type Scheduler struct {
 	//pandia:guardedby(mu)
 	slab []topology.Context
 	//pandia:guardedby(mu)
-	busy []int
-	//pandia:guardedby(mu)
 	order []int
 	//pandia:guardedby(mu)
-	isFree []bool
-	//pandia:guardedby(mu)
 	counts []int
-	//pandia:guardedby(mu)
-	mixIDs []string
 	//pandia:guardedby(mu)
 	mixJobs []core.PlacedWorkload
 	//pandia:guardedby(mu)
@@ -265,13 +271,12 @@ func New(desc *machine.Description, cfg Config) (*Scheduler, error) {
 		ctxs:    m.Contexts(),
 		digest:  core.DigestMachine(md, co.Options()),
 		running: make(map[string]*Assignment),
-		owner:   make([]string, m.TotalContexts()),
+		owner:   make([]*Assignment, m.TotalContexts()),
+		busy:    make([]int, m.Sockets),
 		health:  make([]Health, m.TotalContexts()),
 		co:      co,
 		avail:   make([]topology.Context, m.TotalContexts()),
-		busy:    make([]int, m.Sockets),
 		order:   make([]int, m.Sockets),
-		isFree:  make([]bool, m.TotalContexts()),
 	}
 	s.spreadOrder = make([]int, 0, m.TotalContexts())
 	for slot := 0; slot < m.ThreadsPerCore; slot++ {
@@ -309,19 +314,16 @@ func (s *Scheduler) Machine() topology.Machine { return s.md.Topo }
 func (s *Scheduler) FreeContexts() []topology.Context {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]topology.Context(nil), s.availLocked("")...)
+	return append([]topology.Context(nil), s.availLocked(nil)...)
 }
 
-// availLocked lists, in dense order, the healthy contexts that are free or
-// held by job id: where id may be placed, or re-placed with its own
-// contexts counted as free. Cordoned contexts the job occupies are left
-// out, so re-placement migrates it off a cordon. id "" lists the free
-// contexts. The result is scratch, valid until the next call. The caller
-// must hold mu.
-func (s *Scheduler) availLocked(id string) []topology.Context {
+// availLocked lists, in dense order, the contexts usableLocked admits for
+// self. The result is scratch, valid until the next call. The caller must
+// hold mu.
+func (s *Scheduler) availLocked(self *Assignment) []topology.Context {
 	out, k := s.avail, 0
 	for i, c := range s.ctxs {
-		if o := s.owner[i]; (o == "" || o == id) && s.health[i] == Healthy {
+		if s.usableLocked(i, self) {
 			out[k] = c
 			k++
 		}
@@ -329,23 +331,78 @@ func (s *Scheduler) availLocked(id string) []topology.Context {
 	return out[:k]
 }
 
-// setOwnerLocked records id as the holder of p's contexts; id "" frees
-// them. The caller must hold mu.
-func (s *Scheduler) setOwnerLocked(p placement.Placement, id string) {
+// usableLocked reports whether self may be placed on ctxs[i]: the context
+// is healthy and free or held by self, so a re-placed job counts its own
+// contexts as free. Cordoned contexts the job occupies are not usable, so
+// re-placement migrates it off a cordon. self nil (or an assignment not yet
+// placed) admits the free healthy contexts. The caller must hold mu.
+func (s *Scheduler) usableLocked(i int, self *Assignment) bool {
+	o := s.owner[i]
+	return (o == nil || o == self) && s.health[i] == Healthy
+}
+
+// setOwnerLocked records a as the holder of p's contexts, nil freeing them,
+// and keeps the per-socket counts in step. The caller must hold mu.
+func (s *Scheduler) setOwnerLocked(p placement.Placement, a *Assignment) {
 	for _, c := range p {
-		s.owner[s.md.Topo.ContextIndex(c)] = id
+		i := s.md.Topo.ContextIndex(c)
+		if s.owner[i] != nil {
+			s.busy[c.Socket]--
+		}
+		if a != nil {
+			s.busy[c.Socket]++
+		}
+		s.owner[i] = a
 	}
+}
+
+// placeLocked (re)places a on p, a placement the caller hands over: it
+// releases a's current contexts, claims p's and refreshes a's placed digest.
+// Every change to a running assignment's Placement goes through here. The
+// caller must hold mu.
+func (s *Scheduler) placeLocked(a *Assignment, p placement.Placement) {
+	s.setOwnerLocked(a.Placement, nil)
+	a.Placement = p
+	a.placed = core.PlacedDigest(a.digest, p)
+	s.setOwnerLocked(p, a)
+}
+
+// mixIndexLocked returns where job id sits in the sorted mix, or would be
+// inserted, and whether it is there. The caller must hold mu.
+func (s *Scheduler) mixIndexLocked(id string) (int, bool) {
+	return slices.BinarySearchFunc(s.mix, id, func(a *Assignment, id string) int {
+		return strings.Compare(a.Job.ID, id)
+	})
+}
+
+// admitLocked adds a, already placed, to the running set and the sorted mix.
+// The caller must hold mu and have checked that a's job ID is not running.
+func (s *Scheduler) admitLocked(a *Assignment) {
+	i, _ := s.mixIndexLocked(a.Job.ID)
+	s.mix = slices.Insert(s.mix, i, a)
+	s.running[a.Job.ID] = a
+	metRunningJobs.Set(float64(len(s.running)))
+}
+
+// releaseLocked frees a's contexts and drops it from the running set and the
+// sorted mix. The caller must hold mu, and a must be running.
+func (s *Scheduler) releaseLocked(a *Assignment) {
+	s.setOwnerLocked(a.Placement, nil)
+	if i, ok := s.mixIndexLocked(a.Job.ID); ok {
+		s.mix = slices.Delete(s.mix, i, i+1)
+	}
+	delete(s.running, a.Job.ID)
+	metRunningJobs.Set(float64(len(s.running)))
 }
 
 // Assignments returns copies of the running assignments sorted by job ID.
 func (s *Scheduler) Assignments() []*Assignment {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Assignment, 0, len(s.running))
-	for _, a := range s.running {
-		out = append(out, a.clone())
+	out := make([]*Assignment, len(s.mix))
+	for i, a := range s.mix {
+		out[i] = a.clone()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Job.ID < out[j].Job.ID })
 	return out
 }
 
@@ -406,7 +463,7 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		}
 	}
 
-	free := s.availLocked("")
+	free := s.availLocked(nil)
 	if len(free) == 0 {
 		aerr := &AdmissionError{JobID: job.ID, Kind: AdmitNoCapacity,
 			Reason: "no free healthy hardware contexts"}
@@ -414,7 +471,7 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		return nil, aerr
 	}
 	sc.phase(SpanPhaseSweep, true)
-	candidates := s.candidatesLocked(free, s.candidateCountsLocked(job, len(free))...)
+	candidates := s.candidatesLocked(nil, free, s.candidateCountsLocked(job, len(free))...)
 	if len(candidates) == 0 {
 		sc.phase(SpanPhaseSweep, false)
 		aerr := &AdmissionError{JobID: job.ID, Kind: AdmitNoCapacity,
@@ -422,22 +479,23 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		sc.rejected(aerr.Kind.String(), aerr.Reason)
 		return nil, aerr
 	}
-	if sc.journaling {
-		sc.rec.Candidates = len(candidates)
-	}
 
 	// Joint score of each candidate with the running mix; the new job rides
-	// in the mix's last slot.
-	_, base, baseDigests := s.mixLocked()
-	digest := core.DigestWorkload(work)
+	// in the mix's last slot, as an assignment not placed yet.
+	asgn = &Assignment{Job: job, work: work, digest: core.DigestWorkload(work)}
+	base, baseDigests := s.mixLocked()
 	jobs := append(base, core.PlacedWorkload{Workload: work})
-	digests := append(baseDigests, digest)
+	digests := append(baseDigests, core.Digest{})
 	last := len(jobs) - 1
-	results, err := s.searchLocked(jobs, digests, last, candidates, sc.id)
+	results, err := s.searchLocked(jobs, digests, last, asgn, candidates, sc.id)
 	sc.phase(SpanPhaseSweep, false)
 	if err != nil {
 		sc.errored(err)
 		return nil, err
+	}
+	if sc.journaling {
+		// The distinct placements scored, not the generator's duplicates.
+		sc.rec.Candidates = len(results)
 	}
 
 	// best is the highest-scoring result that passes the threshold and SLO
@@ -520,20 +578,16 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		}
 	}
 
-	asgn = &Assignment{
-		Job: job, Placement: place, Strategy: won.strategy, Speedup: won.speedups[last],
-		// T1 over speedup is how a full Prediction derives its Time.
-		Time: work.T1 / won.speedups[last], //nanguard:ok the solver errors unless every speedup is > 0
-		work: work, digest: digest,
-	}
+	asgn.Strategy, asgn.Speedup = won.strategy, won.speedups[last]
+	// T1 over speedup is how a full Prediction derives its Time.
+	asgn.Time = work.T1 / won.speedups[last] //nanguard:ok the solver errors unless every speedup is > 0
 	if len(degradedReasons) > 0 {
 		asgn.Degraded = true
 		asgn.DegradedReasons = degradedReasons
 		metDegradedAdmits.Inc()
 	}
-	s.running[job.ID] = asgn
-	s.setOwnerLocked(asgn.Placement, job.ID)
-	metRunningJobs.Set(float64(len(s.running)))
+	s.placeLocked(asgn, place)
+	s.admitLocked(asgn)
 	if sc.journaling {
 		for i, alt := range alts {
 			if i == best {
@@ -618,9 +672,7 @@ func (s *Scheduler) Remove(jobID string) error {
 	if !ok {
 		return fmt.Errorf("scheduler: job %q not running", jobID)
 	}
-	s.setOwnerLocked(a.Placement, "")
-	delete(s.running, jobID)
-	metRunningJobs.Set(float64(len(s.running)))
+	s.releaseLocked(a)
 	return nil
 }
 
@@ -630,7 +682,7 @@ func (s *Scheduler) Remove(jobID string) error {
 func (s *Scheduler) Predict() (*core.CoPrediction, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, jobs, digests := s.mixLocked()
+	jobs, digests := s.mixLocked()
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("scheduler: nothing running")
 	}
@@ -653,13 +705,13 @@ func (s *Scheduler) Predict() (*core.CoPrediction, error) {
 // predictMixLocked jointly predicts one mix on the full path, through the
 // shared prediction cache; callers treat the result as read-only. A full
 // entry is served as is; otherwise the mix is solved and its full prediction
-// stored, replacing a compact entry. digests[i] is jobs[i]'s workload
-// digest. span is the requesting operation's decision id (0 outside one):
-// it brackets the cache lookup in a span and rides into the solver's trace
-// events, but is excluded from the cache key (DESIGN.md §12). The caller
-// must hold mu.
+// stored, replacing a compact entry. digests[i] is jobs[i]'s placed digest
+// (core.PlacedDigest). span is the requesting operation's decision id (0
+// outside one): it brackets the cache lookup in a span and rides into the
+// solver's trace events, but is excluded from the cache key (DESIGN.md §12).
+// The caller must hold mu.
 func (s *Scheduler) predictMixLocked(jobs []core.PlacedWorkload, digests []core.Digest, span int64) (*core.CoPrediction, error) {
-	ms, co := s.lookupLocked(jobs, digests, span)
+	ms, co := s.lookupLocked(digests, span)
 	if co != nil {
 		return co, nil
 	}
@@ -676,7 +728,7 @@ func (s *Scheduler) predictMixLocked(jobs []core.PlacedWorkload, digests []core.
 // call; digests and span are as for predictMixLocked. The caller must hold
 // mu.
 func (s *Scheduler) scoreMixLocked(jobs []core.PlacedWorkload, digests []core.Digest, span int64) (mixScore, error) {
-	ms, _ := s.lookupLocked(jobs, digests, span)
+	ms, _ := s.lookupLocked(digests, span)
 	if !ms.hit {
 		var err error
 		if ms.CoScore, err = s.co.Score(jobs, s.scoreBuf); err != nil {
@@ -699,11 +751,11 @@ type mixScore struct {
 }
 
 // lookupLocked stamps span on the solver, then derives the mix's cache key
-// from the precomputed digests and makes the one counted lookup, bracketed
+// from the jobs' placed digests and makes the one counted lookup, bracketed
 // in a cache-lookup span. It returns the score and, beside it, the full
 // prediction when a full entry served it. With the cache disabled it
 // reports a miss. The caller must hold mu.
-func (s *Scheduler) lookupLocked(jobs []core.PlacedWorkload, digests []core.Digest, span int64) (ms mixScore, full *core.CoPrediction) {
+func (s *Scheduler) lookupLocked(digests []core.Digest, span int64) (ms mixScore, full *core.CoPrediction) {
 	s.co.SetSpan(span)
 	if s.coCache == nil {
 		return ms, nil
@@ -713,7 +765,7 @@ func (s *Scheduler) lookupLocked(jobs []core.PlacedWorkload, digests []core.Dige
 	if tracing {
 		tr.Emit(obs.Event{Kind: obs.EvSpanBegin, Span: span, Arg: SpanPhaseCache, Job: spanRow})
 	}
-	ms.key, ms.verify = s.coCache.Key(s.digest, jobs, digests)
+	ms.key, ms.verify = s.coCache.Key(s.digest, digests)
 	ms.CoScore, full, ms.hit = s.coCache.LookupScore(ms.key, ms.verify, s.scoreBuf)
 	if tracing {
 		tr.Emit(obs.Event{Kind: obs.EvSpanEnd, Span: span, Arg: SpanPhaseCache, Job: spanRow})
@@ -732,32 +784,24 @@ func (s *Scheduler) PredictionCacheStats() core.CacheStats {
 	return s.coCache.Stats()
 }
 
-// mixLocked returns the running jobs' IDs, placed workload snapshots and
-// workload digests, all in sorted job-ID order. Floating-point accumulation
-// in the joint solver is order-sensitive and scenario replays diff outcomes
-// byte-for-byte, so iterating the running map directly would leak map order
-// into the predictions. All three are scratch, valid until the next call;
-// the job and digest slices keep one spare slot of capacity, so Submit
+// mixLocked returns the running jobs' placed workload snapshots and placed
+// digests in s.mix order, sorted by job ID. Floating-point accumulation in
+// the joint solver is order-sensitive and scenario replays diff outcomes
+// byte-for-byte, so the mix never follows map order. Both are scratch,
+// valid until the next call, and keep one spare slot of capacity, so Submit
 // appends the arriving job without growing them. The caller must hold mu.
-func (s *Scheduler) mixLocked() ([]string, []core.PlacedWorkload, []core.Digest) {
-	ids := s.mixIDs[:0]
-	for id := range s.running {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	s.mixIDs = ids
-	n := len(ids)
+func (s *Scheduler) mixLocked() ([]core.PlacedWorkload, []core.Digest) {
+	n := len(s.mix)
 	if cap(s.mixJobs) <= n {
 		s.mixJobs = make([]core.PlacedWorkload, 2*n+1)
 		s.mixDigests = make([]core.Digest, 2*n+1)
 	}
 	jobs, digests := s.mixJobs[:n], s.mixDigests[:n]
-	for i, id := range ids {
-		a := s.running[id]
+	for i, a := range s.mix {
 		jobs[i] = core.PlacedWorkload{Workload: a.work, Placement: a.Placement}
-		digests[i] = a.digest
+		digests[i] = a.placed
 	}
-	return ids, jobs, digests
+	return jobs, digests
 }
 
 // candidateCountsLocked resolves the thread-count ladder for a job into
@@ -817,16 +861,17 @@ type searchResult struct {
 }
 
 // searchLocked is the scheduler's one candidate search, shared by Submit,
-// Rebalance and the drain migration. It places jobs[slot] on each distinct
-// candidate in generator order — skipping a repeat of an earlier placement,
-// and one holding exactly the slot's current contexts, which is no move —
-// and scores the mix through scoreMixLocked; span is as for
-// predictMixLocked. The slot's placement is restored before it returns.
-// The results and their speedups are scratch, valid until the next call,
-// and their placements are the candidates' scratch; the first scoring
+// Rebalance and the drain migration. It places jobs[slot], the job of
+// assignment self, on each distinct candidate in generator order — skipping
+// a repeat of an earlier placement, and one holding exactly self's current
+// contexts, which is no move — digests the placement once into
+// digests[slot] and scores the mix through scoreMixLocked; span is as for
+// predictMixLocked. The slot's placement and digest are restored before it
+// returns. The results and their speedups are scratch, valid until the next
+// call, and their placements are the candidates' scratch; the first scoring
 // error ends the search. The caller must hold mu.
-func (s *Scheduler) searchLocked(jobs []core.PlacedWorkload, digests []core.Digest, slot int, cands []candidate, span int64) ([]searchResult, error) {
-	cur, n := jobs[slot].Placement, len(jobs)
+func (s *Scheduler) searchLocked(jobs []core.PlacedWorkload, digests []core.Digest, slot int, self *Assignment, cands []candidate, span int64) ([]searchResult, error) {
+	cur, curDigest, n := jobs[slot].Placement, digests[slot], len(jobs)
 	if cap(s.results) < len(cands) {
 		s.results = make([]searchResult, len(cands))
 	}
@@ -835,13 +880,13 @@ func (s *Scheduler) searchLocked(jobs []core.PlacedWorkload, digests []core.Dige
 	}
 	out, buf := s.results[:0], s.speedups
 	for i, c := range cands {
-		if seenBefore(cands[:i], c.place) || samePlacement(c.place, cur) {
+		if seenBefore(cands[:i], c.place) || len(c.place) == len(cur) && s.ownedLocked(c.place, self) {
 			continue
 		}
-		jobs[slot].Placement = c.place
+		jobs[slot].Placement, digests[slot] = c.place, core.PlacedDigest(self.digest, c.place)
 		ms, err := s.scoreMixLocked(jobs, digests, span)
 		if err != nil {
-			jobs[slot].Placement = cur
+			jobs[slot].Placement, digests[slot] = cur, curDigest
 			return nil, err
 		}
 		sp := buf[:n:n]
@@ -849,22 +894,33 @@ func (s *Scheduler) searchLocked(jobs []core.PlacedWorkload, digests []core.Dige
 		copy(sp, ms.Speedups)
 		out = append(out, searchResult{c, aggregateThroughput(ms.CoScore), ms.WorstOversubscription, sp})
 	}
-	jobs[slot].Placement = cur
+	jobs[slot].Placement, digests[slot] = cur, curDigest
 	return out, nil
+}
+
+// ownedLocked reports whether a holds every context of p. A placement never
+// repeats a context, so when p is as long as a's placement this means p is a
+// permutation of it. The caller must hold mu.
+func (s *Scheduler) ownedLocked(p placement.Placement, a *Assignment) bool {
+	for _, c := range p {
+		if s.owner[s.md.Topo.ContextIndex(c)] != a {
+			return false
+		}
+	}
+	return true
 }
 
 // candidatesLocked is the scheduler's one candidate generator, shared by
 // admission, rebalancing, and drain migration. For each thread count in
 // turn it tries pack, spread, and quiet-socket over avail, keeping every
 // placement a strategy can fill; duplicates are kept, and searchLocked
-// scores each placement once. Quiet-socket ranks sockets by an occupancy
-// snapshot taken here. avail must be in dense order, as availLocked
-// returns it. The candidates and their placements are scratch, valid until
-// the next call; a caller keeping a placement copies it. The caller must
-// hold mu.
+// scores each placement once. Quiet-socket ranks sockets by the running
+// per-socket occupancy. avail must be availLocked(self), in dense order.
+// The candidates and their placements are scratch, valid until the next
+// call; a caller keeping a placement copies it. The caller must hold mu.
 //
 //pandia:noalloc
-func (s *Scheduler) candidatesLocked(avail []topology.Context, counts ...int) []candidate {
+func (s *Scheduler) candidatesLocked(self *Assignment, avail []topology.Context, counts ...int) []candidate {
 	need := 0
 	for _, n := range counts {
 		need += 3 * n
@@ -880,7 +936,7 @@ func (s *Scheduler) candidatesLocked(avail []topology.Context, counts ...int) []
 	for _, n := range counts {
 		for _, c := range [...]candidate{
 			{packFree(avail, slab[:n:n]), "pack"},
-			{s.spreadFreeLocked(avail, slab[n:2*n:2*n]), "spread"},
+			{s.spreadFreeLocked(self, len(avail), slab[n:2*n:2*n]), "spread"},
 			{quietSocketFree(order, avail, slab[2*n:3*n:3*n]), "quiet-socket"},
 		} {
 			if c.place != nil {
@@ -903,29 +959,23 @@ func packFree(free, dst []topology.Context) placement.Placement {
 }
 
 // spreadFreeLocked prefers whole idle cores round-robin across sockets,
-// then second contexts: it fills dst with the free contexts met first in
-// spreadOrder, marking them in the isFree table and clearing it again. The
-// caller must hold mu.
-func (s *Scheduler) spreadFreeLocked(free, dst []topology.Context) placement.Placement {
-	n, m, isFree := len(dst), s.md.Topo, s.isFree
-	if n > len(free) {
+// then second contexts: it fills dst with the contexts usable by self met
+// first in spreadOrder. avail is how many there are, len(availLocked(self)).
+// The caller must hold mu.
+func (s *Scheduler) spreadFreeLocked(self *Assignment, avail int, dst []topology.Context) placement.Placement {
+	n := len(dst)
+	if n > avail {
 		return nil
-	}
-	for _, c := range free {
-		isFree[m.ContextIndex(c)] = true
 	}
 	k := 0
 	for _, i := range s.spreadOrder {
 		if k == n {
 			break
 		}
-		if isFree[i] {
+		if s.usableLocked(i, self) {
 			dst[k] = s.ctxs[i]
 			k++
 		}
-	}
-	for _, c := range free {
-		isFree[m.ContextIndex(c)] = false
 	}
 	if k < n {
 		return nil
@@ -933,24 +983,11 @@ func (s *Scheduler) spreadFreeLocked(free, dst []topology.Context) placement.Pla
 	return dst
 }
 
-// socketOccupancyLocked counts occupied contexts per socket into scratch —
-// the foreign-occupancy snapshot quiet-socket placement ranks sockets by.
-// The caller must hold mu.
-func (s *Scheduler) socketOccupancyLocked() []int {
-	busy := s.busy
-	clear(busy)
-	for i, id := range s.owner {
-		if id != "" {
-			busy[s.ctxs[i].Socket]++
-		}
-	}
-	return busy
-}
-
 // quietOrderLocked orders the sockets by increasing occupancy, ties by
-// socket number, into scratch. The caller must hold mu.
+// socket number, into scratch. The occupancy counts every owned context, a
+// re-placed job's own included. The caller must hold mu.
 func (s *Scheduler) quietOrderLocked() []int {
-	busy, order := s.socketOccupancyLocked(), s.order
+	busy, order := s.busy, s.order
 	for i := range order {
 		order[i] = i
 	}
