@@ -6,6 +6,8 @@
 #   make vet     - the custom static analyzers only (cmd/pandia-vet).
 #   make bench-module - vet and test cmd/pandia-bench, a module of its own
 #                  that the root `go build ./...` skips.
+#   make results-check - regenerate results/ and compare it with the
+#                  committed files byte for byte.
 #   make fuzz    - short fuzzing pass over the parser/topology targets.
 #   make bench   - core benchmarks with -benchmem, recorded as the "current"
 #                  run in BENCH_core.json (the "baseline" run stays pinned).
@@ -22,7 +24,7 @@ GO ?= go
 # full predictions on the X5-2).
 BENCH_CORE = BenchmarkFig10Curves|BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkPredictSweep$$|BenchmarkTestbedRun|BenchmarkMeasureAll$$|BenchmarkEnumeratePlacements|BenchmarkSweepPruned$$|BenchmarkCoScore$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$|BenchmarkControlCycle$$|BenchmarkRecommend$$
 
-.PHONY: check test vet pandia-vet alloccheck lockcheck fuzz fuzz-smoke scenario-smoke journal-smoke bench bench-smoke bench-gate bench-module build
+.PHONY: check test vet pandia-vet alloccheck lockcheck fuzz fuzz-smoke scenario-smoke journal-smoke results-check bench bench-smoke bench-gate bench-module build
 
 build:
 	$(GO) build ./...
@@ -37,9 +39,13 @@ pandia-vet:
 	$(GO) run ./cmd/pandia-vet ./...
 
 # alloccheck alone, for the local edit loop: the static zero-allocation
-# proof of the annotated //pandia:noalloc hot path (PredictTime, iterate,
-# the obs updates, the testbed's fixedPoint). `make check` already runs it
-# as part of the full pandia-vet suite.
+# proof of the annotated //pandia:noalloc hot path — in internal/core
+# Predictor.PredictTime, Predictor.speedupBound, sweepChunks,
+# CoPredictor.Score, engine.iterate, engine.loadSummary, PlacedDigest and
+# CoCache.Key; the scheduler's candidatesLocked; the obs updates
+# (Counter.Inc, Counter.Add, Gauge.Set, Histogram.Observe, RingTracer.Emit);
+# and the testbed's fixedPoint. `make check` already runs it as part of the
+# full pandia-vet suite.
 alloccheck:
 	$(GO) run ./cmd/pandia-vet -only alloccheck ./...
 
@@ -59,6 +65,7 @@ check: build
 	$(MAKE) bench-gate
 	$(MAKE) scenario-smoke
 	$(MAKE) journal-smoke
+	$(MAKE) results-check
 	$(MAKE) bench-module
 
 # bench-module builds, vets, and tests the end-to-end benchmark. It is a
@@ -157,3 +164,27 @@ journal-smoke:
 	    || { echo "journal-smoke: $$f journal not byte-identical" >&2; exit 1; }; \
 	  echo "journal-smoke: $$f ok"; \
 	done
+
+# results-check is the reproduction gate: it regenerates results/ (seed 1,
+# the paper-default placement samples) into a temp dir and fails unless
+# both hold the same files, each byte-identical to the committed one. The
+# one exception is report.json's "metrics" section, the process-wide
+# registry snapshot: its core.sweep.worker_predictions histogram follows
+# how the sweep workers were scheduled, so the awk filter drops that
+# section (MarshalIndent writes it from `  "metrics": {` to the next `  }`
+# line) before the compare. A diff means the numbers EXPERIMENTS.md quotes
+# moved: regenerate with `go run ./cmd/pandia-eval` and say why in
+# CHANGES.md. About 30 s of wall time on a 2-CPU host.
+RESULTS_STRIP = /^  "metrics": \{/ { skip = 1 } skip { if (/^  }/) skip = 0; next } { print }
+results-check:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	  $(GO) build -o "$$tmp/pandia-eval" ./cmd/pandia-eval; \
+	  mkdir "$$tmp/out"; \
+	  "$$tmp/pandia-eval" -out "$$tmp/out" > /dev/null; \
+	  diff -r -q -x report.json results "$$tmp/out" \
+	    || { echo "results-check: regenerated files differ from results/" >&2; exit 1; }; \
+	  awk '$(RESULTS_STRIP)' results/report.json > "$$tmp/want.json"; \
+	  awk '$(RESULTS_STRIP)' "$$tmp/out/report.json" > "$$tmp/got.json"; \
+	  cmp "$$tmp/want.json" "$$tmp/got.json" \
+	    || { echo "results-check: report.json differs outside its metrics section" >&2; exit 1; }; \
+	  echo "results-check: results/ reproduced byte for byte"

@@ -251,33 +251,31 @@ func (c *CoCache) Key(base Digest, jobDigests []Digest) (uint64, uint64) {
 	return h.key, h.verify
 }
 
-// get finds the entry under both digests and counts the lookup.
-func (c *CoCache) get(key, verify uint64) (coEntry, bool) {
+// LookupScore serves a stored entry's score, with its speedups written into
+// dst, when both digests match; co is the entry's full prediction, nil for a
+// compact entry (a caller that needs it solves the mix and Stores the
+// result, which replaces the compact entry). Each call counts one lookup.
+// The entry is copied once, out of the table; the score is built in the
+// result.
+func (c *CoCache) LookupScore(key, verify uint64, dst []float64) (sc CoScore, co *CoPrediction, ok bool) {
 	c.mu.RLock()
 	e, ok := c.m[key]
 	c.mu.RUnlock()
 	if !ok || e.verify != verify {
 		c.misses.Add(1)
 		metCacheMisses.Inc()
-		return coEntry{}, false
+		return CoScore{Speedups: dst[:0]}, nil, false
 	}
 	c.hits.Add(1)
 	metCacheHits.Inc()
-	return e, true
-}
-
-// LookupScore serves a stored entry's score, with its speedups written into
-// dst, when both digests match; co is the entry's full prediction, nil for a
-// compact entry (a caller that needs it solves the mix and Stores the
-// result, which replaces the compact entry).
-func (c *CoCache) LookupScore(key, verify uint64, dst []float64) (sc CoScore, co *CoPrediction, ok bool) {
-	e, ok := c.get(key, verify)
 	if e.co != nil {
 		return e.co.Score(dst), e.co, true
 	}
-	sc = e.score // zero on a miss
-	sc.Speedups = append(dst[:0], sc.Speedups...)
-	return sc, nil, ok
+	return CoScore{
+		Speedups:              append(dst[:0], e.score.Speedups...),
+		WorstOversubscription: e.score.WorstOversubscription,
+		WorstResource:         e.score.WorstResource,
+	}, nil, true
 }
 
 // Store records a freshly computed full joint prediction, replacing any

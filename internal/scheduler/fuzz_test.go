@@ -85,12 +85,104 @@ func (r *refModel) applyMoveErr(mv Move) bool {
 // order.
 func samePlacementRef(a, b placement.Placement) bool {
 	x, y := slices.Clone(a), slices.Clone(b)
-	byContext := func(p, q topology.Context) int {
-		return cmp.Or(cmp.Compare(p.Socket, q.Socket), cmp.Compare(p.Core, q.Core), cmp.Compare(p.Slot, q.Slot))
-	}
 	slices.SortFunc(x, byContext)
 	slices.SortFunc(y, byContext)
 	return slices.Equal(x, y)
+}
+
+// byContext is sorted context order: socket, then core, then slot.
+func byContext(p, q topology.Context) int {
+	return cmp.Or(cmp.Compare(p.Socket, q.Socket), cmp.Compare(p.Core, q.Core), cmp.Compare(p.Slot, q.Slot))
+}
+
+// candidates is the reference candidate generator for job id (id "" for an
+// arriving job): for each count n in turn, pack takes the first n contexts
+// usable by id in sorted order; spread the first n ordered by slot, then
+// core, then socket; quiet-socket the first n taken socket by socket, each
+// socket's in sorted order, the sockets ranked by occupancy (every owned
+// context, id's own included; ties by socket number). A strategy with
+// fewer than n usable contexts proposes nothing.
+func (r *refModel) candidates(id string, counts []int) []candidate {
+	var usable []topology.Context
+	for _, c := range r.m.Contexts() {
+		if r.usable(c, id) {
+			usable = append(usable, c)
+		}
+	}
+	slices.SortFunc(usable, byContext)
+	spread := slices.Clone(usable)
+	slices.SortFunc(spread, func(p, q topology.Context) int {
+		return cmp.Or(cmp.Compare(p.Slot, q.Slot), cmp.Compare(p.Core, q.Core), cmp.Compare(p.Socket, q.Socket))
+	})
+	busy := make([]int, r.m.Sockets)
+	for c := range r.owner {
+		busy[c.Socket]++
+	}
+	sockets := make([]int, r.m.Sockets)
+	for i := range sockets {
+		sockets[i] = i
+	}
+	slices.SortStableFunc(sockets, func(a, b int) int { return cmp.Compare(busy[a], busy[b]) })
+	var quiet []topology.Context
+	for _, sock := range sockets {
+		for _, c := range usable {
+			if c.Socket == sock {
+				quiet = append(quiet, c)
+			}
+		}
+	}
+	var out []candidate
+	for _, n := range counts {
+		for _, w := range []candidate{{usable, "pack"}, {spread, "spread"}, {quiet, "quiet-socket"}} {
+			if n <= len(w.place) {
+				out = append(out, candidate{w.place[:n], w.strategy})
+			}
+		}
+	}
+	return out
+}
+
+// checkCandidates holds candidatesLocked to the reference generator: for an
+// arriving job over the thread-count ladder, and for every running job at
+// its own thread count. Placements, their order and the strategy names must
+// all match.
+func (r *refModel) checkCandidates(s *Scheduler) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	free := 0
+	for _, c := range r.m.Contexts() {
+		if r.usable(c, "") {
+			free++
+		}
+	}
+	if free > 0 {
+		counts := s.candidateCountsLocked(Job{}, free)
+		if err := sameCandidates(s.candidatesLocked(nil, counts...), r.candidates("", counts)); err != nil {
+			return fmt.Errorf("arriving job, counts %v: %w", counts, err)
+		}
+	}
+	ids := make([]string, 0, len(r.jobs))
+	for id := range r.jobs {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		n := len(r.jobs[id])
+		if err := sameCandidates(s.candidatesLocked(s.running[id], n), r.candidates(id, []int{n})); err != nil {
+			return fmt.Errorf("running job %q: %w", id, err)
+		}
+	}
+	return nil
+}
+
+// sameCandidates compares generated candidates with the reference's.
+func sameCandidates(got, want []candidate) error {
+	if !slices.EqualFunc(got, want, func(a, b candidate) bool {
+		return a.strategy == b.strategy && slices.Equal(a.place, b.place)
+	}) {
+		return fmt.Errorf("candidates %v, reference %v", got, want)
+	}
+	return nil
 }
 
 // check compares every observable of s with the model.
@@ -179,10 +271,14 @@ func (b *fuzzBytes) contexts(m topology.Machine) []topology.Context {
 // FuzzSchedulerOps decodes bytes into sequences of Submit, Remove,
 // Rebalance, ApplyMove, Cordon, Uncordon, Fail and Drain on small machines.
 // After every operation the scheduler must pass CheckConsistency and agree
-// with the reference model on free contexts, health, health counts and
-// assignments; every outcome that follows from occupancy and health alone
-// (validation errors, move conflicts, counts, evicted jobs) must match the
-// model's.
+// with the reference model on free contexts, health, health counts,
+// assignments and the candidates it generates; every outcome that follows
+// from occupancy and health alone (validation errors, move conflicts,
+// counts, evicted jobs) must match the model's.
+//
+// The last two seeds cordon contexts of running jobs before a Rebalance and
+// a Drain, on fuzz-3x1x2 and fuzz-2x3x1, so the seeds alone cover a
+// re-placed job whose own contexts are not usable.
 func FuzzSchedulerOps(f *testing.F) {
 	for _, seed := range [][]byte{
 		{0, 0, 1, 0, 0, 2, 0, 0, 3, 5, 2, 0},
@@ -190,6 +286,13 @@ func FuzzSchedulerOps(f *testing.F) {
 		{2, 0, 1, 2, 0, 2, 1, 0, 6, 2, 3, 4, 2, 0, 3, 0},
 		{3, 0, 0, 0, 0, 1, 0, 5, 0, 0, 2, 1, 0, 1, 0, 3, 4, 0, 0},
 		{0, 0, 3, 0, 0, 4, 1, 2, 3, 255, 7, 0, 1, 2, 0, 5, 3},
+		// fuzz-3x1x2: j0 (compute, 2 threads) and j1 (memory, 2 threads);
+		// cordon socket 0, Rebalance, drain socket 1, Rebalance.
+		{3, 0, 0, 0, 2, 1, 0, 1, 2, 0, 4, 0, 0, 0, 2, 0, 7, 0, 1, 1, 2},
+		// fuzz-2x3x1: j0 (compute, 3 threads) and j1 (memory, 2 threads);
+		// cordon core 0 of both sockets, Rebalance, drain socket 0,
+		// Rebalance.
+		{2, 0, 0, 0, 3, 1, 0, 1, 2, 0, 4, 2, 0, 3, 0, 2, 0, 7, 0, 0, 1, 2},
 	} {
 		f.Add(seed)
 	}
@@ -318,6 +421,9 @@ func FuzzSchedulerOps(f *testing.F) {
 				}
 			}
 			if err := r.check(s); err != nil {
+				t.Fatalf("op %d (kind %d, job %s): %v", op, what, id, err)
+			}
+			if err := r.checkCandidates(s); err != nil {
 				t.Fatalf("op %d (kind %d, job %s): %v", op, what, id, err)
 			}
 		}

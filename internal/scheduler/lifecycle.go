@@ -475,7 +475,7 @@ func (s *Scheduler) drainJobLocked(sc *opScope, id string, opt DrainOptions, rep
 func (s *Scheduler) bestMigrationLocked(a *Assignment, span int64) (placement.Placement, error) {
 	jobs, digests := s.mixLocked()
 	slot, _ := s.mixIndexLocked(a.Job.ID)
-	results, err := s.searchLocked(jobs, digests, slot, a, s.candidatesLocked(a, s.availLocked(a), len(a.Placement)), span)
+	results, err := s.searchLocked(jobs, digests, slot, a, s.candidatesLocked(a, len(a.Placement)), span)
 	if err != nil || len(results) == 0 {
 		return nil, err
 	}

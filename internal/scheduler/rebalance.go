@@ -77,8 +77,8 @@ func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
 	defer sc.end()
 
 	jobs, digests := s.mixLocked()
-	base, err := s.scoreMixLocked(jobs, digests, sc.id)
-	if err != nil {
+	var base mixScore
+	if err := s.scoreMixLocked(jobs, digests, sc.id, &base); err != nil {
 		sc.errored(err)
 		return nil, err
 	}
@@ -99,7 +99,7 @@ func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
 
 	for i, a := range s.mix {
 		// Each job's moves are scored against the current state of the rest.
-		results, err := s.searchLocked(jobs, digests, i, a, s.candidatesLocked(a, s.availLocked(a), len(a.Placement)), sc.id)
+		results, err := s.searchLocked(jobs, digests, i, a, s.candidatesLocked(a, len(a.Placement)), sc.id)
 		if err != nil {
 			sc.errored(err)
 			return nil, err

@@ -210,14 +210,11 @@ type Scheduler struct {
 	//pandia:guardedby(mu)
 	scoreBuf []float64
 
-	// Decision-loop scratch. avail is availLocked's result; cands and slab
-	// are candidatesLocked's candidates and the contexts their placements
-	// share, valid until its next call; order is the generator's socket
-	// order; counts is the thread-count ladder; mixJobs and mixDigests are
-	// mixLocked's placed workloads and placed digests, valid until its next
-	// call.
-	//pandia:guardedby(mu)
-	avail []topology.Context
+	// Decision-loop scratch. cands and slab are candidatesLocked's
+	// candidates and the contexts their placements share, valid until its
+	// next call; order is the generator's socket order; counts is the
+	// thread-count ladder; mixJobs and mixDigests are mixLocked's placed
+	// workloads and placed digests, valid until its next call.
 	//pandia:guardedby(mu)
 	cands []candidate
 	//pandia:guardedby(mu)
@@ -275,7 +272,6 @@ func New(desc *machine.Description, cfg Config) (*Scheduler, error) {
 		busy:    make([]int, m.Sockets),
 		health:  make([]Health, m.TotalContexts()),
 		co:      co,
-		avail:   make([]topology.Context, m.TotalContexts()),
 		order:   make([]int, m.Sockets),
 	}
 	s.spreadOrder = make([]int, 0, m.TotalContexts())
@@ -314,21 +310,13 @@ func (s *Scheduler) Machine() topology.Machine { return s.md.Topo }
 func (s *Scheduler) FreeContexts() []topology.Context {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]topology.Context(nil), s.availLocked(nil)...)
-}
-
-// availLocked lists, in dense order, the contexts usableLocked admits for
-// self. The result is scratch, valid until the next call. The caller must
-// hold mu.
-func (s *Scheduler) availLocked(self *Assignment) []topology.Context {
-	out, k := s.avail, 0
+	var out []topology.Context
 	for i, c := range s.ctxs {
-		if s.usableLocked(i, self) {
-			out[k] = c
-			k++
+		if s.usableLocked(i, nil) {
+			out = append(out, c)
 		}
 	}
-	return out[:k]
+	return out
 }
 
 // usableLocked reports whether self may be placed on ctxs[i]: the context
@@ -463,19 +451,24 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		}
 	}
 
-	free := s.availLocked(nil)
-	if len(free) == 0 {
+	free := 0
+	for i := range s.ctxs {
+		if s.usableLocked(i, nil) {
+			free++
+		}
+	}
+	if free == 0 {
 		aerr := &AdmissionError{JobID: job.ID, Kind: AdmitNoCapacity,
 			Reason: "no free healthy hardware contexts"}
 		sc.rejected(aerr.Kind.String(), aerr.Reason)
 		return nil, aerr
 	}
 	sc.phase(SpanPhaseSweep, true)
-	candidates := s.candidatesLocked(nil, free, s.candidateCountsLocked(job, len(free))...)
+	candidates := s.candidatesLocked(nil, s.candidateCountsLocked(job, free)...)
 	if len(candidates) == 0 {
 		sc.phase(SpanPhaseSweep, false)
 		aerr := &AdmissionError{JobID: job.ID, Kind: AdmitNoCapacity,
-			Reason: fmt.Sprintf("no feasible placement (%d free contexts)", len(free))}
+			Reason: fmt.Sprintf("no feasible placement (%d free contexts)", free)}
 		sc.rejected(aerr.Kind.String(), aerr.Reason)
 		return nil, aerr
 	}
@@ -711,7 +704,8 @@ func (s *Scheduler) Predict() (*core.CoPrediction, error) {
 // solver's trace events, but is excluded from the cache key (DESIGN.md §12).
 // The caller must hold mu.
 func (s *Scheduler) predictMixLocked(jobs []core.PlacedWorkload, digests []core.Digest, span int64) (*core.CoPrediction, error) {
-	ms, co := s.lookupLocked(digests, span)
+	var ms mixScore
+	co := s.lookupLocked(digests, span, &ms)
 	if co != nil {
 		return co, nil
 	}
@@ -723,23 +717,23 @@ func (s *Scheduler) predictMixLocked(jobs []core.PlacedWorkload, digests []core.
 }
 
 // scoreMixLocked scores one candidate mix through the shared prediction
-// cache: a hit serves the stored score, a miss runs a score-only solve and
-// stores it as a compact entry. Speedups live in s.scoreBuf until the next
-// call; digests and span are as for predictMixLocked. The caller must hold
-// mu.
-func (s *Scheduler) scoreMixLocked(jobs []core.PlacedWorkload, digests []core.Digest, span int64) (mixScore, error) {
-	ms, _ := s.lookupLocked(digests, span)
+// cache into *ms: a hit serves the stored score, a miss runs a score-only
+// solve and stores it as a compact entry. Speedups live in s.scoreBuf until
+// the next call; digests and span are as for predictMixLocked. The caller
+// must hold mu.
+func (s *Scheduler) scoreMixLocked(jobs []core.PlacedWorkload, digests []core.Digest, span int64, ms *mixScore) error {
+	s.lookupLocked(digests, span, ms)
 	if !ms.hit {
 		var err error
 		if ms.CoScore, err = s.co.Score(jobs, s.scoreBuf); err != nil {
-			return ms, err
+			return err
 		}
 		if s.coCache != nil {
 			s.coCache.StoreScore(ms.key, ms.verify, ms.CoScore)
 		}
 	}
 	s.scoreBuf = ms.Speedups
-	return ms, nil
+	return nil
 }
 
 // mixScore is one mix's cache lookup and score: whether the lookup hit, and
@@ -752,13 +746,14 @@ type mixScore struct {
 
 // lookupLocked stamps span on the solver, then derives the mix's cache key
 // from the jobs' placed digests and makes the one counted lookup, bracketed
-// in a cache-lookup span. It returns the score and, beside it, the full
-// prediction when a full entry served it. With the cache disabled it
-// reports a miss. The caller must hold mu.
-func (s *Scheduler) lookupLocked(digests []core.Digest, span int64) (ms mixScore, full *core.CoPrediction) {
+// in a cache-lookup span. It writes the key and the score into *ms and
+// returns the full prediction when a full entry served it. With the cache
+// disabled it reports a miss. The caller must hold mu.
+func (s *Scheduler) lookupLocked(digests []core.Digest, span int64, ms *mixScore) (full *core.CoPrediction) {
 	s.co.SetSpan(span)
 	if s.coCache == nil {
-		return ms, nil
+		*ms = mixScore{}
+		return nil
 	}
 	tr := s.cfg.Tracer
 	tracing := span != 0 && tr != nil && tr.Enabled()
@@ -770,7 +765,7 @@ func (s *Scheduler) lookupLocked(digests []core.Digest, span int64) (ms mixScore
 	if tracing {
 		tr.Emit(obs.Event{Kind: obs.EvSpanEnd, Span: span, Arg: SpanPhaseCache, Job: spanRow})
 	}
-	return ms, full
+	return full
 }
 
 // PredictionCacheStats reports the shared joint-prediction cache's lifetime
@@ -879,13 +874,13 @@ func (s *Scheduler) searchLocked(jobs []core.PlacedWorkload, digests []core.Dige
 		s.speedups = make([]float64, n*len(cands))
 	}
 	out, buf := s.results[:0], s.speedups
+	var ms mixScore
 	for i, c := range cands {
 		if seenBefore(cands[:i], c.place) || len(c.place) == len(cur) && s.ownedLocked(c.place, self) {
 			continue
 		}
 		jobs[slot].Placement, digests[slot] = c.place, core.PlacedDigest(self.digest, c.place)
-		ms, err := s.scoreMixLocked(jobs, digests, span)
-		if err != nil {
+		if err := s.scoreMixLocked(jobs, digests, span, &ms); err != nil {
 			jobs[slot].Placement, digests[slot] = cur, curDigest
 			return nil, err
 		}
@@ -911,76 +906,72 @@ func (s *Scheduler) ownedLocked(p placement.Placement, a *Assignment) bool {
 }
 
 // candidatesLocked is the scheduler's one candidate generator, shared by
-// admission, rebalancing, and drain migration. For each thread count in
-// turn it tries pack, spread, and quiet-socket over avail, keeping every
-// placement a strategy can fill; duplicates are kept, and searchLocked
-// scores each placement once. Quiet-socket ranks sockets by the running
-// per-socket occupancy. avail must be availLocked(self), in dense order.
-// The candidates and their placements are scratch, valid until the next
-// call; a caller keeping a placement copies it. The caller must hold mu.
+// admission, rebalancing, and drain migration. Each strategy is one walk of
+// the contexts usableLocked admits for self, capped at the largest count:
+// pack walks dense order, spread walks spreadOrder (whole idle cores first,
+// round-robin across sockets, then second contexts), and quiet-socket walks
+// each socket's contexts in dense order, the sockets ranked by
+// quietOrderLocked — by occupancy that counts every owned context, the
+// re-placed job's own included. For each count n in turn the candidates are
+// the n-context prefixes of the pack, spread and quiet-socket walks, each
+// kept only when its walk reached n; duplicates are kept, and searchLocked
+// scores each placement once. The candidates and their placements are
+// scratch, valid until the next call, and the placements of one strategy
+// share their contexts; a caller keeping a placement copies it. The caller
+// must hold mu.
 //
 //pandia:noalloc
-func (s *Scheduler) candidatesLocked(self *Assignment, avail []topology.Context, counts ...int) []candidate {
-	need := 0
+func (s *Scheduler) candidatesLocked(self *Assignment, counts ...int) []candidate {
+	most := 0
 	for _, n := range counts {
-		need += 3 * n
+		most = max(most, n)
 	}
-	if cap(s.slab) < need {
-		s.slab = make([]topology.Context, need) //alloccheck:ok scratch grows to the largest request, then is reused
+	if cap(s.slab) < 3*most {
+		s.slab = make([]topology.Context, 3*most) //alloccheck:ok scratch grows to the largest request, then is reused
 	}
 	if cap(s.cands) < 3*len(counts) {
 		s.cands = make([]candidate, 3*len(counts)) //alloccheck:ok scratch grows to the largest request, then is reused
 	}
-	slab, out, k := s.slab[:need], s.cands[:3*len(counts)], 0
-	order := s.quietOrderLocked()
+	// Pack is one run over every context; the sockets' runs are perSocket long.
+	var whole [1]int
+	perSocket := s.md.Topo.CoresPerSocket * s.md.Topo.ThreadsPerCore
+	walks := [...]candidate{
+		{s.walkLocked(self, whole[:], len(s.ctxs), s.slab[:most:most]), "pack"},
+		{s.walkLocked(self, s.spreadOrder, 1, s.slab[most:2*most:2*most]), "spread"},
+		{s.walkLocked(self, s.quietOrderLocked(), perSocket, s.slab[2*most:3*most:3*most]), "quiet-socket"},
+	}
+	out, k := s.cands[:3*len(counts)], 0
 	for _, n := range counts {
-		for _, c := range [...]candidate{
-			{packFree(avail, slab[:n:n]), "pack"},
-			{s.spreadFreeLocked(self, len(avail), slab[n:2*n:2*n]), "spread"},
-			{quietSocketFree(order, avail, slab[2*n:3*n:3*n]), "quiet-socket"},
-		} {
-			if c.place != nil {
-				out[k] = c
+		for _, w := range walks[:] {
+			if n <= len(w.place) {
+				out[k] = candidate{w.place[:n:n], w.strategy}
 				k++
 			}
 		}
-		slab = slab[3*n:]
 	}
 	return out[:k]
 }
 
-// packFree fills dst with the first len(dst) free contexts in dense order.
-func packFree(free, dst []topology.Context) placement.Placement {
-	if len(dst) > len(free) {
-		return nil
-	}
-	copy(dst, free)
-	return dst
-}
-
-// spreadFreeLocked prefers whole idle cores round-robin across sockets,
-// then second contexts: it fills dst with the contexts usable by self met
-// first in spreadOrder. avail is how many there are, len(availLocked(self)).
-// The caller must hold mu.
-func (s *Scheduler) spreadFreeLocked(self *Assignment, avail int, dst []topology.Context) placement.Placement {
-	n := len(dst)
-	if n > avail {
-		return nil
+// walkLocked fills dst with the contexts usableLocked admits for self, in
+// the order of runs: entry r of runs stands for the dense indices r·run up
+// to r·run+run-1. It stops when dst is full or the runs are spent and
+// returns the filled prefix. The caller must hold mu.
+func (s *Scheduler) walkLocked(self *Assignment, runs []int, run int, dst []topology.Context) placement.Placement {
+	if len(dst) == 0 {
+		return dst
 	}
 	k := 0
-	for _, i := range s.spreadOrder {
-		if k == n {
-			break
-		}
-		if s.usableLocked(i, self) {
-			dst[k] = s.ctxs[i]
-			k++
+	for _, r := range runs {
+		for i, end := r*run, r*run+run; i < end; i++ {
+			if s.usableLocked(i, self) {
+				dst[k] = s.ctxs[i]
+				if k++; k == len(dst) {
+					return dst
+				}
+			}
 		}
 	}
-	if k < n {
-		return nil
-	}
-	return dst
+	return dst[:k]
 }
 
 // quietOrderLocked orders the sockets by increasing occupancy, ties by
@@ -998,30 +989,4 @@ func (s *Scheduler) quietOrderLocked() []int {
 		}
 	}
 	return order
-}
-
-// quietSocketFree fills sockets in order (increasing foreign occupancy,
-// snapshotted under the scheduler lock), isolating the new job from running
-// ones where possible: dst takes the free contexts socket by socket.
-func quietSocketFree(order []int, free, dst []topology.Context) placement.Placement {
-	n := len(dst)
-	if n > len(free) {
-		return nil
-	}
-	k := 0
-	for _, sock := range order {
-		for _, c := range free {
-			if k == n {
-				return dst
-			}
-			if c.Socket == sock {
-				dst[k] = c
-				k++
-			}
-		}
-	}
-	if k == n {
-		return dst
-	}
-	return nil
 }
