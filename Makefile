@@ -85,7 +85,8 @@ FUZZ_TARGETS = \
 	FuzzGuardAnnotation:./internal/analysis/locks/ \
 	FuzzPredictClasses:./internal/core/ \
 	FuzzSweepBound:./internal/core/ \
-	FuzzSchedulerOps:./internal/scheduler/
+	FuzzSchedulerOps:./internal/scheduler/ \
+	FuzzTestbedClasses:./internal/simhw/
 
 # fuzz-smoke is the gate-sized fuzzing pass: 5 seconds per target, enough
 # to catch parser/expander regressions on the corpus plus easy mutations.
@@ -112,14 +113,16 @@ bench:
 # sensitive micro-benchmarks, parsed but not recorded, so a broken bench or
 # parser fails the gate without paying for a full measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkSweepPruned$$|BenchmarkTestbedRun$$|BenchmarkCoScore$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$|BenchmarkControlCycle$$|BenchmarkRecommend$$' -benchtime 5x -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkSweepPruned$$|BenchmarkTestbedRun$$|BenchmarkMeasureAll$$|BenchmarkCoScore$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$|BenchmarkControlCycle$$|BenchmarkRecommend$$' -benchtime 5x -benchmem . \
 	  | $(GO) run ./cmd/pandia-benchjson -label smoke -out ''
 
 # bench-gate is the perf/observability overhead gate: the PredictTime fast
 # path (BenchmarkPredictorReuse) and the score-only joint solve
 # (BenchmarkCoScore) must stay at 0 allocs/op, the scheduler's decision
 # loop (BenchmarkSubmit, BenchmarkRebalance, BenchmarkDrainSocket,
-# BenchmarkControlCycle) at or below its recorded allocs/op (exact, the primary regression teeth), and
+# BenchmarkControlCycle) and one simulated testbed run
+# (BenchmarkTestbedRun, only its returned ThreadRates) at or below their
+# recorded allocs/op (exact, the primary regression teeth), and
 # every gated benchmark within BENCH_TOLERANCE ns/op of the recorded
 # "current" run in BENCH_core.json. Refresh the reference with `make bench`
 # after intentional perf changes.
@@ -133,9 +136,9 @@ bench-smoke:
 BENCH_TOLERANCE ?= 0.35
 bench-gate:
 	$(GO) build -o /tmp/pandia-benchjson ./cmd/pandia-benchjson
-	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkSweepPruned$$|BenchmarkCoScore$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$|BenchmarkControlCycle$$' -benchmem -count=5 . \
+	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkSweepPruned$$|BenchmarkTestbedRun$$|BenchmarkCoScore$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$|BenchmarkControlCycle$$' -benchmem -count=5 . \
 	  | /tmp/pandia-benchjson -gate current -gate-tolerance $(BENCH_TOLERANCE) -zero-alloc BenchmarkPredictorReuse,BenchmarkCoScore \
-	      -max-allocs 'BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$|BenchmarkControlCycle$$' -out BENCH_core.json
+	      -max-allocs 'BenchmarkTestbedRun$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$|BenchmarkControlCycle$$' -out BENCH_core.json
 
 # scenario-smoke is the replay-determinism gate: every bundled scenario in
 # scenarios/ must pass its assertions and two separate replay processes

@@ -91,22 +91,23 @@ type opScope struct {
 	cacheBase core.CacheStats
 }
 
-// beginOpLocked opens one operation's scope: allocates the decision id,
-// emits the operation span, and snapshots the cache statistics. The caller
-// must hold mu (the cache baseline reads coCache) and must call end() when
-// the operation finishes. With neither a journal nor a tracer configured
-// this is a pair of branches.
-func (s *Scheduler) beginOpLocked(op, job string) opScope {
-	sc := opScope{s: s}
+// beginOpLocked opens one operation's scope in sc, which the caller owns
+// and passes in as the zero scope: allocates the decision id, emits the
+// operation span, and snapshots the cache statistics. The caller must hold
+// mu (the cache baseline reads coCache) and must call end() when the
+// operation finishes. With neither a journal nor a tracer configured this
+// is a pair of branches, and the scope's record is never copied.
+func (s *Scheduler) beginOpLocked(sc *opScope, op, job string) {
+	sc.s = s
 	sc.journaling = s.cfg.Journal.Enabled()
 	tr := s.cfg.Tracer
 	sc.tracing = tr != nil && tr.Enabled()
 	if !sc.journaling && !sc.tracing {
-		return sc
+		return
 	}
 	sc.id = s.cfg.Journal.NextID()
 	if sc.journaling {
-		sc.rec = obs.DecisionRecord{ID: sc.id, Op: op, Job: job}
+		sc.rec.ID, sc.rec.Op, sc.rec.Job = sc.id, op, job
 		if s.coCache != nil {
 			sc.cache = s.coCache
 			sc.cacheBase = s.coCache.Stats()
@@ -115,7 +116,6 @@ func (s *Scheduler) beginOpLocked(op, job string) opScope {
 	if sc.tracing {
 		tr.Emit(obs.Event{Kind: obs.EvSpanBegin, Span: sc.id, Arg: SpanPhaseOp, Job: spanRow})
 	}
-	return sc
 }
 
 // end closes the operation span. Call via defer, after any record().

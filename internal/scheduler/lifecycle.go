@@ -199,7 +199,8 @@ func (s *Scheduler) Cordon(ctxs ...topology.Context) (int, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sc := s.beginOpLocked("cordon", "")
+	var sc opScope
+	s.beginOpLocked(&sc, "cordon", "")
 	defer sc.end()
 	n := s.cordonLocked(ctxs)
 	if sc.journaling {
@@ -240,7 +241,8 @@ func (s *Scheduler) Uncordon(ctxs ...topology.Context) (int, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sc := s.beginOpLocked("uncordon", "")
+	var sc opScope
+	s.beginOpLocked(&sc, "uncordon", "")
 	defer sc.end()
 	n := 0
 	for _, c := range ctxs {
@@ -293,7 +295,8 @@ func (s *Scheduler) Fail(ctxs ...topology.Context) (*EvictionReport, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sc := s.beginOpLocked("fail", "")
+	var sc opScope
+	s.beginOpLocked(&sc, "fail", "")
 	defer sc.end()
 	rep := &EvictionReport{}
 	for _, c := range ctxs {
@@ -384,7 +387,8 @@ func (s *Scheduler) Drain(ctxs []topology.Context, opt DrainOptions) (*DrainRepo
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	metDrains.Inc()
-	sc := s.beginOpLocked("drain", "")
+	var sc opScope
+	s.beginOpLocked(&sc, "drain", "")
 	defer sc.end()
 
 	rep := &DrainReport{Drained: append([]topology.Context(nil), ctxs...)}
@@ -480,8 +484,8 @@ func (s *Scheduler) bestMigrationLocked(a *Assignment, span int64) (placement.Pl
 		return nil, err
 	}
 	best := 0
-	for i, r := range results {
-		if r.score > results[best].score {
+	for i := range results {
+		if results[i].score > results[best].score {
 			best = i
 		}
 	}

@@ -73,7 +73,8 @@ func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
 		return nil, nil
 	}
 	metRebalanceRuns.Inc()
-	sc := s.beginOpLocked("rebalance", "")
+	var sc opScope
+	s.beginOpLocked(&sc, "rebalance", "")
 	defer sc.end()
 
 	jobs, digests := s.mixLocked()
@@ -104,7 +105,8 @@ func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
 			sc.errored(err)
 			return nil, err
 		}
-		for _, r := range results {
+		for j := range results {
+			r := &results[j]
 			gain := r.score/baseScore - 1
 			if gain < minGain {
 				continue
@@ -155,7 +157,8 @@ func (s *Scheduler) Rebalance(minGain float64) (*RebalanceReport, error) {
 func (s *Scheduler) ApplyMove(m Move) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sc := s.beginOpLocked("apply-move", m.JobID)
+	var sc opScope
+	s.beginOpLocked(&sc, "apply-move", m.JobID)
 	defer sc.end()
 	a, ok := s.running[m.JobID]
 	if !ok {

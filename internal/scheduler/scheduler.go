@@ -433,7 +433,8 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		return nil, fmt.Errorf("scheduler: job %q already running", job.ID)
 	}
 
-	sc := s.beginOpLocked("submit", job.ID)
+	var sc opScope
+	s.beginOpLocked(&sc, "submit", job.ID)
 	defer sc.end()
 
 	var degradedReasons []string
@@ -499,7 +500,8 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 	sawSLO := false
 	// alts holds every result's journal entry, nil unless journaling.
 	var alts []obs.Alternative
-	for i, r := range results {
+	for i := range results {
+		r := &results[i]
 		// The SLO metric doubles as the journal's per-candidate slowdown, so
 		// compute it whenever either consumer wants it.
 		slow := 0.0
@@ -558,7 +560,7 @@ func (s *Scheduler) Submit(job Job) (asgn *Assignment, err error) {
 		degradedReasons = append(degradedReasons,
 			"admission: every candidate violates admission policy, admitted degraded")
 	}
-	won := results[best]
+	won := &results[best]
 
 	// The winner's placement lives in candidate scratch; commit a copy.
 	place := append(placement.Placement(nil), won.place...)
@@ -679,7 +681,8 @@ func (s *Scheduler) Predict() (*core.CoPrediction, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("scheduler: nothing running")
 	}
-	sc := s.beginOpLocked("predict", "")
+	var sc opScope
+	s.beginOpLocked(&sc, "predict", "")
 	defer sc.end()
 	co, err := s.predictMixLocked(jobs, digests, sc.id)
 	if err != nil {

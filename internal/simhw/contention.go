@@ -84,8 +84,11 @@ func (t *resTable) l3AggIdx(sock int) int  { return 4*t.nCores + sock }
 func (t *resTable) dramIdx(sock int) int   { return 4*t.nCores + t.nSock + sock }
 func (t *resTable) icIdx(a, b int) int     { return 4*t.nCores + 2*t.nSock + t.topo.PairIndex(a, b) }
 
-func (t *resTable) reset() {
-	for i := range t.total {
+// reset clears the listed resources (repeats are harmless) for a new
+// iteration; a resource off every class's path keeps stale state that no
+// pass reads.
+func (t *resTable) reset(idx []int) {
+	for _, i := range idx {
 		t.total[i] = 0
 		t.minD[i] = math.Inf(1)
 		t.maxD[i] = 0
@@ -95,20 +98,32 @@ func (t *resTable) reset() {
 	}
 }
 
-func (t *resTable) add(idx int, d float64, isWorkload bool) {
+// note records m users offering demand d on resource idx in its shape:
+// extremes, user count and stressor count. The total is summed apart,
+// since its order of addition matters.
+func (t *resTable) note(idx int, d float64, m int, isWorkload bool) {
 	if d <= 0 {
 		return
 	}
-	t.total[idx] += d
 	if d < t.minD[idx] {
 		t.minD[idx] = d
 	}
 	if d > t.maxD[idx] {
 		t.maxD[idx] = d
 	}
-	t.count[idx]++
+	t.count[idx] += m
 	if !isWorkload {
-		t.stress[idx]++
+		t.stress[idx] += m
+	}
+}
+
+// add adds m users' demand d to resource idx's total, one user at a time.
+func (t *resTable) add(idx int, d float64, m int) {
+	if d <= 0 {
+		return
+	}
+	for ; m > 0; m-- {
+		t.total[idx] += d
 	}
 }
 

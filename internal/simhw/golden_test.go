@@ -19,6 +19,11 @@ import (
 // measurement model, never for a refactor or an optimisation.
 const goldenTestbedDigest uint64 = 0xb3427fd1a47cb399
 
+// goldenInterleavedDigest is the same digest over goldenInterleavedCorpus,
+// pinned from the per-agent simulator before the testbed solved per thread
+// class. The same rule applies: only a deliberate model change may move it.
+const goldenInterleavedDigest uint64 = 0x078f762973e89e24
+
 // goldenWorkloads spans the workload-side knobs of the testbed: demand at
 // every hierarchy level, cache spill, communication, load balancing,
 // burstiness, work growth, memory-boundedness, an active-thread cap and a
@@ -185,6 +190,89 @@ func goldenCorpus(mt MachineTruth) []RunConfig {
 	return out
 }
 
+// goldenInterleavedCorpus covers the placements that split into many short
+// thread-class runs: contexts ordered core by core with the sockets
+// alternating (so consecutive threads change socket and, on an odd
+// prefix, core occupancy), the dense order reversed, an active-thread cap
+// that idles one thread of a core, and stressors on the SMT siblings of
+// workload threads in the middle of a placement.
+func goldenInterleavedCorpus(mt MachineTruth) []RunConfig {
+	topo := mt.Topo
+	var inter []topology.Context
+	for c := 0; c < topo.CoresPerSocket; c++ {
+		for t := 0; t < topo.ThreadsPerCore; t++ {
+			for s := 0; s < topo.Sockets; s++ {
+				inter = append(inter, topology.Context{Socket: s, Core: c, Slot: t})
+			}
+		}
+	}
+	dense := topo.Contexts()
+	rev := make([]topology.Context, len(dense))
+	for i, c := range dense {
+		rev[len(dense)-1-i] = c
+	}
+	total := len(dense)
+	var places [][]topology.Context
+	for _, k := range []int{3, total/2 + 1, total - 1} {
+		if k >= 1 && k <= total {
+			places = append(places, inter[:k], rev[:k])
+		}
+	}
+	// Five active threads: on the interleaved order of a two-way SMT
+	// machine the fifth and sixth share a core, so the sixth idles beside
+	// a busy sibling.
+	idle := goldenWorkloads()[0]
+	idle.Name = "golden-idle-sibling"
+	idle.ActiveThreads = 5
+	last := topo.Sockets - 1
+	mems := []MemPolicy{{}, {BindSockets: []int{last}}, {BindSockets: []int{0, last}}}
+	powers := []PowerMode{PowerFilled, PowerTurbo, PowerNominal}
+	var out []RunConfig
+	k := 0
+	for _, place := range places {
+		for _, w := range []WorkloadTruth{goldenWorkloads()[0], goldenWorkloads()[1], idle} {
+			for _, pm := range powers {
+				out = append(out, RunConfig{
+					Workload: w, Placement: place, Power: pm,
+					Memory: mems[k%len(mems)], Seed: int64(k % 5),
+				})
+				k++
+			}
+		}
+	}
+
+	// Slot 0 of every core, sockets alternating, with CPU and L3
+	// stressors on the slot-1 siblings of two workload threads inside the
+	// placement and a DRAM hog on a free core.
+	if topo.ThreadsPerCore < 2 || topo.CoresPerSocket < 3 {
+		return out
+	}
+	var firsts []topology.Context
+	for _, c := range inter {
+		if c.Slot == 0 {
+			firsts = append(firsts, c)
+		}
+	}
+	st := goldenStressors(mt)
+	free := firsts[len(firsts)-1]
+	place := firsts[:len(firsts)-1]
+	mix := []PlacedStressor{
+		{Ctx: topology.Context{Socket: 0, Core: 1, Slot: 1}, Truth: st[1]},
+		{Ctx: topology.Context{Socket: last, Core: 2, Slot: 1}, Truth: st[2]},
+		{Ctx: free, Truth: st[0]},
+	}
+	for _, w := range []WorkloadTruth{goldenWorkloads()[0], goldenWorkloads()[1], idle} {
+		for _, pm := range powers {
+			out = append(out, RunConfig{
+				Workload: w, Placement: place, Stressors: mix, Power: pm,
+				Memory: mems[k%len(mems)], Seed: int64(k % 5),
+			})
+			k++
+		}
+	}
+	return out
+}
+
 // digestResult folds one run's outcome into the running digest: every
 // float by its exact bit pattern, so a one-ulp drift changes the sum.
 func digestResult(buf []byte, res RunResult, err error) []byte {
@@ -210,9 +298,9 @@ func digestResult(buf []byte, res RunResult, err error) []byte {
 	return buf
 }
 
-// goldenDigest runs the corpus on every preset (in key order) and returns
+// goldenDigest runs a corpus on every preset (in key order) and returns
 // the digest and the number of runs.
-func goldenDigest(t *testing.T) (uint64, int) {
+func goldenDigest(t *testing.T, corpus func(MachineTruth) []RunConfig) (uint64, int) {
 	t.Helper()
 	truths := Truths()
 	keys := make([]string, 0, len(truths))
@@ -228,7 +316,7 @@ func goldenDigest(t *testing.T) (uint64, int) {
 		if err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}
-		for i, cfg := range goldenCorpus(truths[key]) {
+		for i, cfg := range corpus(truths[key]) {
 			res, err := tb.Run(cfg)
 			buf = append(buf[:0], fmt.Sprintf("%s#%d|", key, i)...)
 			buf = digestResult(buf, res, err)
@@ -242,9 +330,20 @@ func goldenDigest(t *testing.T) (uint64, int) {
 // TestTestbedGoldenDigest pins the testbed's results bit for bit over a
 // corpus that covers every preset, power mode, memory binding, active-
 // thread cap, work growth and stressor mixes reaching max-min water-filling.
+// A second digest pins the interleaved corpus, whose placements split into
+// many short thread-class runs.
 func TestTestbedGoldenDigest(t *testing.T) {
-	got, runs := goldenDigest(t)
-	if got != goldenTestbedDigest {
-		t.Fatalf("testbed digest over %d runs = %#016x, want %#016x: a change altered measured results", runs, got, goldenTestbedDigest)
+	for _, c := range []struct {
+		name   string
+		corpus func(MachineTruth) []RunConfig
+		want   uint64
+	}{
+		{"golden", goldenCorpus, goldenTestbedDigest},
+		{"interleaved", goldenInterleavedCorpus, goldenInterleavedDigest},
+	} {
+		got, runs := goldenDigest(t, c.corpus)
+		if got != c.want {
+			t.Errorf("%s testbed digest over %d runs = %#016x, want %#016x: a change altered measured results", c.name, runs, got, c.want)
+		}
 	}
 }

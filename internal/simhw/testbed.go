@@ -88,11 +88,19 @@ const (
 	spillCliffExp      = 0.6
 )
 
-// agent is one demand source in the fixed-point computation: a workload
-// thread or a stressor thread.
-type agent struct {
-	ctx      topology.Context
-	core     int // machine-wide core index
+// class is a set of interchangeable demand sources in the fixed-point
+// computation. An agent is a placed workload thread or a stressor thread.
+// The workload threads on one socket that agree on activity and on the
+// number of active agents on their core form one class, unless a stressor
+// shares their core; such a thread, and each stressor, is a class of its
+// own. Every agent of a class keeps the class's state bit for bit (see
+// the simulated testbed in DESIGN.md §8).
+type class struct {
+	ctx      topology.Context // the representative's context
+	agent    int              // the representative: the class's first agent
+	core     int              // the representative's machine-wide core index
+	n        int              // agents in the class
+	perCore  int              // active agents of the class on each of its cores
 	demand   counters.Rates
 	dramMult float64
 	burst    float64
@@ -100,23 +108,42 @@ type agent struct {
 	f        float64
 	sRes     float64 // contention slowdown (incl. burstiness)
 	sTot     float64 // overall slowdown (incl. comm and load balancing)
+	rate     float64 // progress rate of a thread, set by assemble
 	workload bool
 	active   bool
 }
 
+// run is n consecutive agents of one class. Replaying the runs in order
+// adds each agent's value to an order-sensitive sum in agent order.
+type run struct {
+	cls, n int32
+}
+
 // Run executes one run and returns its measured time and counters.
 func (tb *Testbed) Run(cfg RunConfig) (RunResult, error) {
+	s := tb.getScratch()
+	defer tb.scratch.Put(s)
+	amdahl, nAct, err := tb.setup(s, &cfg)
+	if err != nil {
+		return RunResult{}, err
+	}
+	tb.buildClasses(s, &cfg, amdahl/float64(nAct), nAct) //nanguard:ok setup returns nAct > 0 with a nil error
+	tb.fixedPoint(s, &cfg.Workload, nAct)
+	return tb.assemble(s, &cfg, amdahl, nAct)
+}
+
+// setup validates the run, resolves its memory sockets and clocks, and
+// returns the Amdahl speedup and the active thread count.
+func (tb *Testbed) setup(s *runScratch, cfg *RunConfig) (amdahl float64, nAct int, err error) {
 	mt := &tb.truth
 	wt := &cfg.Workload
 	if err := wt.Validate(); err != nil {
-		return RunResult{}, err
+		return 0, 0, err
 	}
 	n := len(cfg.Placement)
 	if n == 0 {
-		return RunResult{}, fmt.Errorf("simhw: empty placement for workload %q", wt.Name)
+		return 0, 0, fmt.Errorf("simhw: empty placement for workload %q", wt.Name)
 	}
-	s := tb.getScratch()
-	defer tb.scratch.Put(s)
 
 	// Distinct valid contexts bound the agent count by the machine's
 	// context count, which sizes every per-agent scratch buffer.
@@ -124,44 +151,38 @@ func (tb *Testbed) Run(cfg RunConfig) (RunResult, error) {
 	clear(occupied)
 	for _, c := range cfg.Placement {
 		if !mt.Topo.ValidContext(c) {
-			return RunResult{}, fmt.Errorf("simhw: context %v not on machine %s", c, mt.Topo.Name)
+			return 0, 0, fmt.Errorf("simhw: context %v not on machine %s", c, mt.Topo.Name)
 		}
 		ci := mt.Topo.ContextIndex(c)
 		if occupied[ci] {
-			return RunResult{}, fmt.Errorf("simhw: context %v assigned twice", c)
+			return 0, 0, fmt.Errorf("simhw: context %v assigned twice", c)
 		}
 		occupied[ci] = true
 	}
 	for _, st := range cfg.Stressors {
 		if err := st.Truth.Validate(); err != nil {
-			return RunResult{}, err
+			return 0, 0, err
 		}
 		if !mt.Topo.ValidContext(st.Ctx) {
-			return RunResult{}, fmt.Errorf("simhw: stressor context %v not on machine %s", st.Ctx, mt.Topo.Name)
+			return 0, 0, fmt.Errorf("simhw: stressor context %v not on machine %s", st.Ctx, mt.Topo.Name)
 		}
 		ci := mt.Topo.ContextIndex(st.Ctx)
 		if occupied[ci] {
-			return RunResult{}, fmt.Errorf("simhw: stressor context %v already occupied", st.Ctx)
+			return 0, 0, fmt.Errorf("simhw: stressor context %v already occupied", st.Ctx)
 		}
 		occupied[ci] = true
 	}
 
-	if err := tb.memorySockets(s, &cfg); err != nil {
-		return RunResult{}, err
+	if err := tb.memorySockets(s, cfg); err != nil {
+		return 0, 0, err
 	}
 
-	nAct := wt.activeCount(n)
+	nAct = wt.activeCount(n)
 	if nAct <= 0 {
-		return RunResult{}, fmt.Errorf("simhw: workload %q has no active threads", wt.Name)
+		return 0, 0, fmt.Errorf("simhw: workload %q has no active threads", wt.Name)
 	}
-	amdahl := amdahlSpeedup(wt.ParallelFrac, nAct)
-	fInitWorkload := amdahl / float64(nAct)
-
-	tb.socketFreqScales(s, &cfg, nAct)
-	tb.buildAgents(s, &cfg, fInitWorkload, nAct)
-	tb.fixedPoint(s, wt, nAct)
-
-	return tb.assemble(s, &cfg, amdahl, nAct)
+	tb.socketFreqScales(s, cfg, nAct)
+	return amdahlSpeedup(wt.ParallelFrac, nAct), nAct, nil
 }
 
 // memorySockets resolves the memory policy into the sorted set of sockets
@@ -217,19 +238,52 @@ func (tb *Testbed) socketFreqScales(s *runScratch, cfg *RunConfig, nAct int) {
 	}
 }
 
-// buildAgents constructs the demand sources, the per-core occupancy of
-// active agents and the per-core agent index.
-func (tb *Testbed) buildAgents(s *runScratch, cfg *RunConfig, fInitWorkload float64, nAct int) {
-	mt := &tb.truth
+// buildClasses sets the per-socket DRAM spill, the per-core occupancy and
+// agent index, and groups the agents into classes and runs.
+func (tb *Testbed) buildClasses(s *runScratch, cfg *RunConfig, fInitWorkload float64, nAct int) {
+	tb.spill(s, cfg, nAct)
+	topo := tb.truth.Topo
 	wt := &cfg.Workload
-	clear(s.coreOcc)
+	s.occupy(topo, cfg, nAct)
+	s.classes = s.classes[:0]
+	s.runs = s.runs[:0]
+	for i, c := range cfg.Placement {
+		g := topo.GlobalCore(c)
+		active := i < nAct
+		if s.stressed[g] {
+			s.join(i, s.newClass(topo, i, c, wt, fInitWorkload, true, active, 1))
+			continue
+		}
+		// The class key: socket, active agents on the core, activity.
+		key := 2 * (c.Socket*(s.slots+1) + s.coreOcc[g])
+		if active {
+			key++
+		}
+		k := s.classKey[key]
+		if k < 0 {
+			k = s.newClass(topo, i, c, wt, fInitWorkload, true, active, s.coreOcc[g])
+			s.classKey[key] = k
+		}
+		s.join(i, k)
+	}
+	for j := range cfg.Stressors {
+		st := &cfg.Stressors[j]
+		i := len(cfg.Placement) + j
+		s.join(i, s.newClass(topo, i, st.Ctx, &st.Truth, 1, false, true, 1))
+	}
+	for i := range s.classKey {
+		s.classKey[i] = -1
+	}
+}
 
-	// Cache pressure per socket drives the spill multiplier.
+// spill sets each socket's DRAM spill multiplier from its cache pressure.
+func (tb *Testbed) spill(s *runScratch, cfg *RunConfig, nAct int) {
+	mt := &tb.truth
 	pressure := s.pressure
 	clear(pressure)
 	for i, c := range cfg.Placement {
 		if i < nAct {
-			pressure[c.Socket] += wt.WorkingSetMB
+			pressure[c.Socket] += cfg.Workload.WorkingSetMB
 		}
 	}
 	for _, st := range cfg.Stressors {
@@ -238,15 +292,6 @@ func (tb *Testbed) buildAgents(s *runScratch, cfg *RunConfig, fInitWorkload floa
 	for sock := range s.dramMult {
 		s.dramMult[sock] = mt.spillMultiplier(pressure[sock])
 	}
-
-	s.agents = s.agents[:0]
-	for i, c := range cfg.Placement {
-		s.addAgent(mt.Topo, c, wt, fInitWorkload, true, i < nAct)
-	}
-	for i := range cfg.Stressors {
-		s.addAgent(mt.Topo, cfg.Stressors[i].Ctx, &cfg.Stressors[i].Truth, 1, false, true)
-	}
-	s.indexCores()
 }
 
 // spillMultiplier returns the factor by which a socket's cache pressure
@@ -281,56 +326,71 @@ func phi(util, q float64) float64 {
 
 // fixedPoint iterates demand scaling, contention, communication and load
 // balancing until the utilisation factors converge. It works entirely in
-// the run's scratch.
+// the run's scratch, on one state per class; only the order-sensitive
+// sums (the shared resources' totals, the comm penalty's sums) replay the
+// runs, adding a class's value once per agent in agent order.
 //
 //pandia:noalloc
 func (tb *Testbed) fixedPoint(s *runScratch, wt *WorkloadTruth, nAct int) {
 	mt := &tb.truth
 	q := mt.QueueFactor
-	agents := s.agents
+	cls := s.classes
 	table := &s.table
 	dw := &s.demands
 	memShare := safeDiv(1, float64(len(s.memSockets)), 1)
 	table.setCapacities(mt, s.coreOcc, s.freqScale)
 
 	for iter := 0; iter < maxFixedPointIters; iter++ {
-		dw.walk(table, agents, s.memSockets, memShare)
-		table.reset()
-		for i := range agents {
-			idx, d := dw.of(i)
-			for k := range idx {
-				table.add(idx[k], d[k], agents[i].workload)
+		dw.walk(table, cls, s.memSockets, memShare)
+		table.reset(dw.idx[:dw.n])
+		// Every resource's shape, and the representative cores' totals:
+		// only the class's agents on one core add to a core resource.
+		for k := range cls {
+			idx, d, m := dw.of(k)
+			for p := range idx {
+				table.note(idx[p], d[p], m[p], cls[k].workload)
+			}
+			idx, d, m = dw.local(k)
+			for p := range idx {
+				table.add(idx[p], d[p], m[p])
+			}
+		}
+		// The shared resources' totals, one addition per agent.
+		for _, r := range s.runs {
+			idx, d := dw.shared(int(r.cls))
+			for p := range idx {
+				table.add(idx[p], d[p], int(r.n))
 			}
 		}
 
-		// Per-agent contention slowdown: worst over-subscription on the
-		// agent's resource path.
-		for i := range agents {
-			a := &agents[i]
-			if !a.active {
-				a.sRes, a.sTot = 1, 1
+		// Per-class contention slowdown: worst over-subscription on the
+		// representative's resource path.
+		for k := range cls {
+			c := &cls[k]
+			if !c.active {
+				c.sRes, c.sTot = 1, 1
 				continue
 			}
 			sl := 1.0
-			idx, d := dw.of(i)
-			for k := range idx {
-				if got := table.slowdown(idx[k], d[k], q, dw); got > sl {
+			idx, d, _ := dw.of(k)
+			for p := range idx {
+				if got := table.slowdown(idx[p], d[p], q, dw); got > sl {
 					sl = got
 				}
 			}
 			// Core-sharing burstiness: interference scaled by how busy the
 			// co-runners are.
-			if s.coreOcc[a.core] > 1 && a.burst > 0 {
+			if s.coreOcc[c.core] > 1 && c.burst > 0 {
 				var coF float64
-				for _, j := range s.coRunners(a.core) {
-					if b := &agents[j]; i != j && b.active {
+				for _, j := range s.coRunners(c.core) {
+					if b := &cls[s.classOf[j]]; j != c.agent && b.active {
 						coF += b.f
 					}
 				}
-				sl += a.burst * sl * coF
+				sl += c.burst * sl * coF
 			}
-			a.sRes = sl
-			a.sTot = sl
+			c.sRes = sl
+			c.sTot = sl
 		}
 
 		// Communication penalty across sockets for the measured workload,
@@ -342,28 +402,33 @@ func (tb *Testbed) fixedPoint(s *runScratch, wt *WorkloadTruth, nAct int) {
 			// Slowdowns are >= 1 by construction; safeDiv keeps a poisoned
 			// value from spreading NaN through every thread's penalty.
 			var invSum float64
-			for i := range agents {
-				if agents[i].workload && agents[i].active {
-					invSum += safeDiv(1, agents[i].sRes, 1)
+			for _, r := range s.runs {
+				if c := &cls[r.cls]; c.workload && c.active {
+					inv := safeDiv(1, c.sRes, 1)
+					for m := int32(0); m < r.n; m++ {
+						invSum += inv
+					}
 				}
 			}
 			if invSum > 0 {
 				for sock := range s.commPen {
 					var pen float64
-					for j := range agents {
-						b := &agents[j]
+					for _, r := range s.runs {
+						b := &cls[r.cls]
 						if !b.workload || !b.active || b.ctx.Socket == sock {
 							continue
 						}
 						w := safeDiv(1, b.sRes, 1) / invSum
-						pen += wt.CommCost * ((1 - wt.LoadBalance) + wt.LoadBalance*float64(nAct)*w)
+						for m := int32(0); m < r.n; m++ {
+							pen += wt.CommCost * ((1 - wt.LoadBalance) + wt.LoadBalance*float64(nAct)*w)
+						}
 					}
 					s.commPen[sock] = pen
 				}
-				for i := range agents {
-					a := &agents[i]
-					if a.workload && a.active {
-						a.sTot += s.commPen[a.ctx.Socket] * safeDiv(a.fInit, a.sRes, a.fInit)
+				for k := range cls {
+					c := &cls[k]
+					if c.workload && c.active {
+						c.sTot += s.commPen[c.ctx.Socket] * safeDiv(c.fInit, c.sRes, c.fInit)
 					}
 				}
 			}
@@ -373,25 +438,25 @@ func (tb *Testbed) fixedPoint(s *runScratch, wt *WorkloadTruth, nAct int) {
 		// the slowest.
 		if nAct > 1 {
 			var sMax float64
-			for i := range agents {
-				if agents[i].workload && agents[i].active && agents[i].sTot > sMax {
-					sMax = agents[i].sTot
+			for k := range cls {
+				if cls[k].workload && cls[k].active && cls[k].sTot > sMax {
+					sMax = cls[k].sTot
 				}
 			}
 			l := wt.LoadBalance
-			for i := range agents {
-				a := &agents[i]
-				if a.workload && a.active {
-					a.sTot = (1-l)*sMax + l*a.sTot
+			for k := range cls {
+				c := &cls[k]
+				if c.workload && c.active {
+					c.sTot = (1-l)*sMax + l*c.sTot
 				}
 			}
 		}
 
 		// Utilisation update with damping.
 		var maxDelta float64
-		for i := range agents {
-			a := &agents[i]
-			if !a.active {
+		for k := range cls {
+			c := &cls[k]
+			if !c.active {
 				continue
 			}
 			// Synchronisation penalties idle the thread and shrink its
@@ -401,12 +466,12 @@ func (tb *Testbed) fixedPoint(s *runScratch, wt *WorkloadTruth, nAct int) {
 			// slowdown that contention accounts for, exactly as in the
 			// paper's iteration (§5.4). Geometric damping keeps the map
 			// contractive when penalties are stiff.
-			target := a.fInit * safeDiv(a.sRes, a.sTot, 1)
-			next := math.Sqrt(a.f * target)
-			if d := math.Abs(next - a.f); d > maxDelta {
+			target := c.fInit * safeDiv(c.sRes, c.sTot, 1)
+			next := math.Sqrt(c.f * target)
+			if d := math.Abs(next - c.f); d > maxDelta {
 				maxDelta = d
 			}
-			a.f = next
+			c.f = next
 		}
 		if maxDelta < fixedPointTol {
 			break
@@ -414,8 +479,8 @@ func (tb *Testbed) fixedPoint(s *runScratch, wt *WorkloadTruth, nAct int) {
 	}
 }
 
-// assemble turns the converged agent state into a run result with noise and
-// counters.
+// assemble turns the converged class state into a run result with noise
+// and counters. The progress and traffic sums replay the runs.
 func (tb *Testbed) assemble(s *runScratch, cfg *RunConfig, amdahl float64, nAct int) (RunResult, error) {
 	mt := &tb.truth
 	wt := &cfg.Workload
@@ -427,21 +492,26 @@ func (tb *Testbed) assemble(s *runScratch, cfg *RunConfig, amdahl float64, nAct 
 	growth := 1 + wt.WorkGrowth*float64(nAct-1)
 	work := wt.SeqTime * growth
 
-	var rateSum float64
-	rates := make([]float64, n)
-	for i := 0; i < n; i++ {
-		a := &s.agents[i]
-		if !a.active {
+	for k := range s.classes {
+		c := &s.classes[k]
+		if !c.workload || !c.active {
 			continue
 		}
 		spd := 1.0
-		if a.demand.Instr > 0 && wt.Demand.Instr > 0 {
-			spd = a.demand.Instr / wt.Demand.Instr
-		} else if a.demand.DRAM > 0 && wt.Demand.DRAM > 0 {
-			spd = a.demand.DRAM / wt.Demand.DRAM
+		if c.demand.Instr > 0 && wt.Demand.Instr > 0 {
+			spd = c.demand.Instr / wt.Demand.Instr
+		} else if c.demand.DRAM > 0 && wt.Demand.DRAM > 0 {
+			spd = c.demand.DRAM / wt.Demand.DRAM
 		}
-		rates[i] = safeDiv(spd, a.sTot, 0)
-		rateSum += rates[i]
+		c.rate = safeDiv(spd, c.sTot, 0)
+	}
+	var rateSum float64
+	for _, r := range s.runs {
+		if c := &s.classes[r.cls]; c.workload && c.active {
+			for m := int32(0); m < r.n; m++ {
+				rateSum += c.rate
+			}
+		}
 	}
 	if rateSum <= 0 {
 		return RunResult{}, fmt.Errorf("simhw: workload %q made no progress", wt.Name)
@@ -467,18 +537,24 @@ func (tb *Testbed) assemble(s *runScratch, cfg *RunConfig, amdahl float64, nAct 
 	var dramBytes, icBytes float64
 	remote := float64(len(s.memSockets)-1) / float64(len(s.memSockets))
 	share := work / float64(nAct)
-	for i := 0; i < n; i++ {
-		a := &s.agents[i]
-		if !a.active {
+	for _, r := range s.runs {
+		c := &s.classes[r.cls]
+		if !c.workload || !c.active {
 			continue
 		}
-		b := wt.Demand.DRAM * share * a.dramMult
-		dramBytes += b
-		if s.memOn[a.ctx.Socket] {
-			icBytes += 2 * b * remote
-		} else {
-			icBytes += 2 * b
+		b := wt.Demand.DRAM * share * c.dramMult
+		for m := int32(0); m < r.n; m++ {
+			dramBytes += b
+			if s.memOn[c.ctx.Socket] {
+				icBytes += 2 * b * remote
+			} else {
+				icBytes += 2 * b
+			}
 		}
+	}
+	rates := make([]float64, n)
+	for i := range rates {
+		rates[i] = s.classes[s.classOf[i]].rate
 	}
 	sample := counters.Sample{
 		Elapsed:           t,
