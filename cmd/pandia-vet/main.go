@@ -1,8 +1,8 @@
 // Command pandia-vet is the repository's static-analysis multichecker. It
-// runs the nine custom passes under internal/analysis — unitflow,
-// leakcheck, detflow, nanguard, mutcheck, errlint, alloccheck,
-// deadlockcheck, guardcheck — over module packages and exits non-zero if
-// any finding is reported.
+// runs the eight custom passes under internal/analysis — leakcheck,
+// detflow, nanguard, mutcheck, errlint, alloccheck, deadlockcheck,
+// guardcheck — over module packages and exits non-zero if any finding is
+// reported.
 //
 // Usage:
 //
@@ -13,12 +13,6 @@
 // may restrict itself to the packages it is meant for (e.g. detflow guards
 // only the prediction core); -all overrides the restrictions and runs every
 // analyzer everywhere.
-//
-// A baseline file freezes the currently accepted findings so new code is
-// held to the bar without first paying down old findings: -write-baseline
-// records every current finding as JSON, and -baseline makes later runs
-// fail only on findings not in that file (matched by analyzer, file, and
-// message — line numbers may drift as files are edited).
 package main
 
 import (
@@ -39,11 +33,9 @@ import (
 	"pandia/internal/analysis/leakcheck"
 	"pandia/internal/analysis/mutcheck"
 	"pandia/internal/analysis/nanguard"
-	"pandia/internal/analysis/unitflow"
 )
 
 var analyzers = []*analysis.Analyzer{
-	unitflow.Analyzer,
 	leakcheck.Analyzer,
 	detflow.Analyzer,
 	nanguard.Analyzer,
@@ -63,9 +55,6 @@ func main() {
 		verbose = flag.Bool("v", false, "print each package as it is checked")
 		jsonOut = flag.Bool("json", false, "emit diagnostics as a JSON array on stdout instead of text")
 		stats   = flag.Bool("stats", false, "print per-analyzer wall time and finding counts to stderr")
-
-		baseline      = flag.String("baseline", "", "JSON baseline file: fail only on findings not recorded in it")
-		writeBaseline = flag.String("write-baseline", "", "write every current finding to this JSON baseline file and exit 0")
 	)
 	flag.Parse()
 
@@ -160,26 +149,6 @@ func main() {
 		printStats(selected, elapsed, findings)
 	}
 
-	if *writeBaseline != "" {
-		if err := saveBaseline(*writeBaseline, report); err != nil {
-			fmt.Fprintln(os.Stderr, "pandia-vet:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "pandia-vet: wrote %d finding(s) to %s\n", len(report), *writeBaseline)
-		if hardErrors > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-	if *baseline != "" {
-		kept, err := applyBaseline(*baseline, report)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pandia-vet:", err)
-			os.Exit(2)
-		}
-		report = kept
-	}
-
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -201,8 +170,8 @@ func main() {
 }
 
 // printStats reports each selected analyzer's total wall time across all
-// checked packages and how many findings it produced (pre-baseline), so
-// slow passes are visible before they creep into the edit loop.
+// checked packages and how many findings it produced, so slow passes are
+// visible before they creep into the edit loop.
 func printStats(selected []*analysis.Analyzer, elapsed map[string]time.Duration, findings map[string]int) {
 	var total time.Duration
 	fmt.Fprintf(os.Stderr, "%-14s %12s %9s\n", "analyzer", "wall", "findings")
@@ -211,59 +180,6 @@ func printStats(selected []*analysis.Analyzer, elapsed map[string]time.Duration,
 		fmt.Fprintf(os.Stderr, "%-14s %12s %9d\n", a.Name, elapsed[a.Name].Round(time.Microsecond), findings[a.Name])
 	}
 	fmt.Fprintf(os.Stderr, "%-14s %12s\n", "total", total.Round(time.Microsecond))
-}
-
-// baselineKey identifies a finding across line-number drift: the analyzer,
-// the file, and the exact message. Counts are multiset semantics — two
-// identical findings in one file need two baseline entries.
-func baselineKey(d jsonDiagnostic) string {
-	return d.Analyzer + "\x00" + d.File + "\x00" + d.Message
-}
-
-// saveBaseline writes the findings as an indented JSON array.
-func saveBaseline(path string, report []jsonDiagnostic) error {
-	if report == nil {
-		report = []jsonDiagnostic{}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// applyBaseline filters out findings recorded in the baseline file,
-// returning only the new ones. Each baseline entry absolves at most one
-// finding with the same analyzer, file, and message.
-func applyBaseline(path string, report []jsonDiagnostic) ([]jsonDiagnostic, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading baseline: %w", err)
-	}
-	var base []jsonDiagnostic
-	if err := json.Unmarshal(data, &base); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	budget := make(map[string]int, len(base))
-	for _, d := range base {
-		budget[baselineKey(d)]++
-	}
-	var kept []jsonDiagnostic
-	for _, d := range report {
-		k := baselineKey(d)
-		if budget[k] > 0 {
-			budget[k]--
-			continue
-		}
-		kept = append(kept, d)
-	}
-	return kept, nil
 }
 
 // jsonDiagnostic is the -json wire format: one finding per element, with the

@@ -13,9 +13,9 @@
 //   - SuppressedBy / IsTestFile helpers shared by the individual passes.
 //
 // The pandia predictor's correctness rests on properties the Go compiler
-// cannot see — consistent counter units (§3 of the paper), a deterministic
-// fixed-point loop (§5), read-only sharing of placement and topology values —
-// and the passes built on this package check those properties mechanically.
+// cannot see — a deterministic, NaN-free fixed-point loop (§5 of the paper),
+// read-only sharing of placement and topology values — and the passes built
+// on this package check those properties mechanically.
 package analysis
 
 import (
@@ -29,9 +29,9 @@ import (
 
 // Analyzer describes one static-analysis pass.
 type Analyzer struct {
-	// Name identifies the pass in diagnostics, e.g. "unitflow".
+	// Name identifies the pass in diagnostics, e.g. "nanguard".
 	Name string
-	// Doc is a one-paragraph description shown by `pandia-vet help`.
+	// Doc is a one-paragraph description shown by `pandia-vet -list`.
 	Doc string
 	// Run applies the pass to one package.
 	Run func(*Pass) error

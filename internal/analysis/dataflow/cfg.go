@@ -8,11 +8,11 @@
 //     and early returns. Compound statements never appear inside a block —
 //     only their header expressions do — so a pass can replay a block's
 //     nodes in order without re-entering control flow.
-//   - A forward/backward fixed-point solver (solver.go) parameterised by a
-//     Lattice, iterating block transfer functions to convergence.
+//   - A forward fixed-point solver (solver.go) parameterised by a Lattice,
+//     iterating block transfer functions to convergence.
 //
-// Passes built on it (unitflow, the locks engine) analyse one function at
-// a time; function literals get their own graphs via Functions.
+// The locks engine builds on it and analyses one function at a time;
+// function literal bodies are opaque to the enclosing function's graph.
 package dataflow
 
 import (
@@ -385,40 +385,4 @@ func (b *builder) branch(s *ast.BranchStmt) {
 		return
 	}
 	b.cur = b.newBlock() // code after an unconditional branch is unreachable
-}
-
-// Function is one analysable function: a declaration or a function literal.
-type Function struct {
-	// Decl is the enclosing declaration; nil for literals at package level
-	// (inside var initialisers).
-	Decl *ast.FuncDecl
-	// Lit is non-nil when the function is a literal.
-	Lit *ast.FuncLit
-	// Name is the declared name, or "func literal".
-	Name string
-	Body *ast.BlockStmt
-	Type *ast.FuncType
-}
-
-// Functions enumerates every function with a body in the file, in source
-// order: declarations first at their position, then literals (each literal
-// is returned separately and is NOT walked as part of its enclosing
-// function, matching how the CFG treats literal bodies as opaque).
-func Functions(f *ast.File) []Function {
-	var out []Function
-	for _, d := range f.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if ok && fd.Body != nil {
-			out = append(out, Function{Decl: fd, Name: fd.Name.Name, Body: fd.Body, Type: fd.Type})
-		}
-	}
-	// Literals anywhere in the file (including inside declarations above and
-	// package-level var initialisers).
-	ast.Inspect(f, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok && lit.Body != nil {
-			out = append(out, Function{Lit: lit, Name: "func literal", Body: lit.Body, Type: lit.Type})
-		}
-		return true
-	})
-	return out
 }

@@ -160,7 +160,7 @@ func TestDiamondCFGShape(t *testing.T) {
 
 func TestDiamondForwardJoin(t *testing.T) {
 	g := New(parseBody(t, diamondSrc))
-	res := Solve(g, constLattice{}, Forward)
+	res := Solve(g, constLattice{})
 
 	out := res.In[g.Exit].(constFact)
 	if out == nil {
@@ -186,7 +186,7 @@ func f(n int) int {
 	return x
 }`
 	g := New(parseBody(t, src))
-	res := Solve(g, constLattice{}, Forward)
+	res := Solve(g, constLattice{})
 	out := res.In[g.Exit].(constFact)
 	if out == nil {
 		t.Fatal("exit block unreached")
@@ -196,26 +196,6 @@ func f(n int) int {
 		t.Errorf("x at exit = %d, want top (loop may or may not run)", got)
 	}
 }
-
-func TestBackwardReachesEntry(t *testing.T) {
-	// A backward analysis over the diamond must deliver the boundary fact
-	// from Exit back to Entry (here: facts just flow; transfer is identity
-	// for names never assigned, so "seen" survives).
-	g := New(parseBody(t, diamondSrc))
-	res := Solve(g, markLattice{}, Backward)
-	if got := res.Out[g.Entry].(int); got != 1 {
-		t.Errorf("backward fact at entry = %d, want 1", got)
-	}
-}
-
-// markLattice propagates a single bit from the boundary.
-type markLattice struct{}
-
-func (markLattice) Bottom() Fact               { return 0 }
-func (markLattice) Boundary() Fact             { return 1 }
-func (markLattice) Join(a, b Fact) Fact        { return a.(int) | b.(int) }
-func (markLattice) Equal(a, b Fact) bool       { return a.(int) == b.(int) }
-func (markLattice) Transfer(b *Block, in Fact) Fact { return in }
 
 func TestControlFlowCoverage(t *testing.T) {
 	// A grab-bag of control flow the builder must not choke on; the solver
@@ -246,31 +226,8 @@ done:
 	return total
 }`
 	g := New(parseBody(t, src))
-	res := Solve(g, constLattice{}, Forward)
+	res := Solve(g, constLattice{})
 	if res.In[g.Exit].(constFact) == nil {
 		t.Fatal("exit unreached through mixed control flow")
-	}
-}
-
-func TestFunctionsEnumeratesLiterals(t *testing.T) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "x.go", `package p
-var hook = func() {}
-func g() { go func() { _ = func() {} }() }
-`, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fns := Functions(f)
-	decls, lits := 0, 0
-	for _, fn := range fns {
-		if fn.Lit != nil {
-			lits++
-		} else {
-			decls++
-		}
-	}
-	if decls != 1 || lits != 3 {
-		t.Errorf("Functions: got %d decls, %d literals; want 1 and 3", decls, lits)
 	}
 }

@@ -11,8 +11,7 @@ type Lattice interface {
 	// Bottom is the fact for a block not yet reached along any path. Join
 	// must treat it as the identity element.
 	Bottom() Fact
-	// Boundary is the fact at the function boundary: entry for a forward
-	// analysis, exit for a backward one.
+	// Boundary is the fact at the function entry.
 	Boundary() Fact
 	// Join combines the facts flowing in from two predecessors.
 	Join(a, b Fact) Fact
@@ -26,33 +25,23 @@ type Lattice interface {
 	Transfer(b *Block, in Fact) Fact
 }
 
-// Direction selects forward (entry to exit) or backward analysis.
-type Direction int
-
-const (
-	Forward Direction = iota
-	Backward
-)
-
 // Result holds the converged facts of one analysis.
 type Result struct {
-	// In[b] is the fact at block entry (forward) or block exit (backward):
-	// the join over the relevant neighbours, before b's transfer.
+	// In[b] is the fact at block entry: the join over b's predecessors,
+	// before b's transfer.
 	In map[*Block]Fact
 	// Out[b] is Transfer(b, In[b]).
 	Out map[*Block]Fact
 }
 
-// Solve runs the worklist algorithm to a fixed point and returns the
-// per-block facts. Iteration order is reverse postorder for forward analyses
-// (postorder for backward), which converges in a handful of passes for
-// reducible graphs; an iteration budget proportional to the graph size
-// guarantees termination even for a non-monotone lattice.
-func Solve(g *Graph, l Lattice, dir Direction) *Result {
+// Solve runs the forward worklist algorithm, from entry to exit, to a fixed
+// point and returns the per-block facts. Iteration order is reverse
+// postorder, which converges in a handful of passes for reducible graphs;
+// an iteration budget proportional to the graph size guarantees termination
+// even for a non-monotone lattice.
+func Solve(g *Graph, l Lattice) *Result {
 	order := postorder(g)
-	if dir == Forward {
-		reverse(order)
-	}
+	reverse(order)
 	pos := make(map[*Block]int, len(order))
 	for i, b := range order {
 		pos[b] = i
@@ -63,17 +52,6 @@ func Solve(g *Graph, l Lattice, dir Direction) *Result {
 		res.In[b] = l.Bottom()
 		res.Out[b] = l.Bottom()
 	}
-	boundary := g.Entry
-	if dir == Backward {
-		boundary = g.Exit
-	}
-
-	inEdges := func(b *Block) []*Block {
-		if dir == Forward {
-			return b.Preds
-		}
-		return b.Succs
-	}
 
 	inWork := make(map[*Block]bool, len(order))
 	var work []*Block
@@ -82,8 +60,8 @@ func Solve(g *Graph, l Lattice, dir Direction) *Result {
 		inWork[b] = true
 	}
 	// Budget: every block may be revisited once per lattice-height step;
-	// 4*(|B|+1)^2 is far beyond what the unit and lock lattices need and
-	// still tiny for real functions.
+	// 4*(|B|+1)^2 is far beyond what the lock lattice needs and still tiny
+	// for real functions.
 	budget := 4 * (len(g.Blocks) + 1) * (len(g.Blocks) + 1)
 
 	for len(work) > 0 && budget > 0 {
@@ -100,10 +78,10 @@ func Solve(g *Graph, l Lattice, dir Direction) *Result {
 		inWork[b] = false
 
 		in := l.Bottom()
-		if b == boundary {
+		if b == g.Entry {
 			in = l.Boundary()
 		}
-		for _, p := range inEdges(b) {
+		for _, p := range b.Preds {
 			in = l.Join(in, res.Out[p])
 		}
 		res.In[b] = in
@@ -112,11 +90,7 @@ func Solve(g *Graph, l Lattice, dir Direction) *Result {
 			continue
 		}
 		res.Out[b] = out
-		next := b.Succs
-		if dir == Backward {
-			next = b.Preds
-		}
-		for _, s := range next {
+		for _, s := range b.Succs {
 			if !inWork[s] {
 				work = append(work, s)
 				inWork[s] = true

@@ -514,7 +514,7 @@ func (e *engine) accessEffect(fn *callgraph.Node, x *ast.SelectorExpr, f *fact, 
 // set and returns the per-block facts.
 func (e *engine) solveNode(n *callgraph.Node, entry map[LockID]Mode) *dataflow.Result {
 	l := &lockLattice{e: e, fn: n, entry: entry}
-	return dataflow.Solve(e.cfgs[n], l, dataflow.Forward)
+	return dataflow.Solve(e.cfgs[n], l)
 }
 
 // replayNode re-executes every reachable block once, in deterministic

@@ -37,7 +37,6 @@ type ResourceAttribution struct {
 	Instance topology.ResourceID
 	// Utilisation is that instance's load/capacity ratio; above 1 the
 	// resource is oversubscribed and bounds whoever depends on it.
-	//pandia:unit ratio
 	Utilisation float64
 }
 
@@ -54,15 +53,10 @@ type SocketAttribution struct {
 	// thread (ResInstr with Slowdown 1 means unconstrained).
 	Bottleneck topology.ResourceKind
 	// Slowdown is the worst per-thread overall slowdown on the socket.
-	//pandia:unit ratio
-	Slowdown float64
-	//pandia:unit ratio
-	BaseShare float64
-	//pandia:unit ratio
-	ResourceShare float64
-	//pandia:unit ratio
-	CommShare float64
-	//pandia:unit ratio
+	Slowdown         float64
+	BaseShare        float64
+	ResourceShare    float64
+	CommShare        float64
 	LoadBalanceShare float64
 }
 
@@ -73,19 +67,18 @@ type SocketAttribution struct {
 type Explanation struct {
 	Workload string
 	Threads  int
-	//pandia:unit seconds
-	Time float64
-	//pandia:unit ratio
-	Speedup float64
-	//pandia:unit ratio
+	// Time is the predicted execution time in seconds; Speedup and
+	// AmdahlSpeedup are ratios to the single-thread run. All three are
+	// copied from the Prediction.
+	Time          float64
+	Speedup       float64
 	AmdahlSpeedup float64
 
 	// Dominant is the most oversubscribed resource across the machine at
 	// the converged loads, with its load/capacity ratio. It is computed
 	// from the prediction's Loads map and agrees with
 	// Prediction.WorstResource.
-	Dominant topology.ResourceID
-	//pandia:unit ratio
+	Dominant      topology.ResourceID
 	DominantRatio float64
 
 	// Resources lists every loaded resource kind, most utilised first.

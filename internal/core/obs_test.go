@@ -161,6 +161,10 @@ func TestExplainPrediction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if ex.Time != pred.Time || ex.Speedup != pred.Speedup || ex.AmdahlSpeedup != pred.AmdahlSpeedup {
+			t.Errorf("%v: Explain headline time %g, speedup %g, Amdahl %g; Prediction has %g, %g, %g",
+				place, ex.Time, ex.Speedup, ex.AmdahlSpeedup, pred.Time, pred.Speedup, pred.AmdahlSpeedup)
+		}
 		if ex.Dominant != pred.WorstResource {
 			t.Errorf("%v: Explain dominant %v != Prediction.WorstResource %v",
 				place, ex.Dominant, pred.WorstResource)

@@ -22,22 +22,22 @@ type Workload struct {
 	Name string `json:"name"`
 
 	// T1 is the single-thread execution time in seconds (step 1).
-	T1 float64 `json:"t1"` //pandia:unit seconds
+	T1 float64 `json:"t1"`
 	// Demand is the per-thread resource demand vector d (step 1). The
 	// Interconnect component is ignored: interconnect traffic is derived
 	// from DRAM demand and the placement's memory spread.
 	Demand counters.Rates `json:"demand"`
 	// ParallelFrac is the Amdahl parallel fraction p (step 2).
-	ParallelFrac float64 `json:"parallelFrac"` //pandia:unit ratio
+	ParallelFrac float64 `json:"parallelFrac"`
 	// InterSocketOverhead is os: the additional time, relative to T1, that
 	// a thread incurs per thread placed on a different socket (step 3).
-	InterSocketOverhead float64 `json:"interSocketOverhead"` //pandia:unit ratio
+	InterSocketOverhead float64 `json:"interSocketOverhead"`
 	// LoadBalance is l in [0,1]: 0 = lock-step static distribution,
 	// 1 = fully dynamic work redistribution (step 4).
-	LoadBalance float64 `json:"loadBalance"` //pandia:unit ratio
+	LoadBalance float64 `json:"loadBalance"`
 	// Burstiness is b: the extra slowdown fraction from co-locating two of
 	// the workload's threads on one core (step 5).
-	Burstiness float64 `json:"burstiness"` //pandia:unit ratio
+	Burstiness float64 `json:"burstiness"`
 }
 
 // Validate reports whether the workload description is usable. NaN and ±Inf
@@ -139,9 +139,6 @@ func (w *Workload) AmdahlSpeedup(n int) float64 {
 }
 
 // Amdahl computes Amdahl's-law speedup for parallel fraction p on n threads.
-//
-//pandia:unit p ratio
-//pandia:unit return ratio
 func Amdahl(p float64, n int) float64 {
 	if n <= 1 {
 		return 1

@@ -18,19 +18,19 @@ import (
 // Sample aggregates the counters observed over one run of a workload.
 type Sample struct {
 	// Elapsed is the wall-clock duration of the run in seconds.
-	Elapsed float64 `json:"elapsed"` //pandia:unit seconds
+	Elapsed float64 `json:"elapsed"`
 	// Instructions is the total useful instructions executed by the
 	// workload's threads (excluding busy-wait spinning, which good
 	// implementations keep off the pipeline; §2.3).
-	Instructions float64 `json:"instructions"` //pandia:unit instructions
+	Instructions float64 `json:"instructions"`
 	// L1Bytes .. DRAMBytes are total traffic volumes at each level of the
 	// memory hierarchy.
-	L1Bytes   float64 `json:"l1Bytes"`   //pandia:unit bytes
-	L2Bytes   float64 `json:"l2Bytes"`   //pandia:unit bytes
-	L3Bytes   float64 `json:"l3Bytes"`   //pandia:unit bytes
-	DRAMBytes float64 `json:"dramBytes"` //pandia:unit bytes
+	L1Bytes   float64 `json:"l1Bytes"`
+	L2Bytes   float64 `json:"l2Bytes"`
+	L3Bytes   float64 `json:"l3Bytes"`
+	DRAMBytes float64 `json:"dramBytes"`
 	// InterconnectBytes is the total traffic crossing socket-pair links.
-	InterconnectBytes float64 `json:"interconnectBytes"` //pandia:unit bytes
+	InterconnectBytes float64 `json:"interconnectBytes"`
 	// Threads is the number of workload threads active during the run.
 	Threads int `json:"threads"`
 }
@@ -102,15 +102,16 @@ func (s Sample) PerThreadRates() Rates {
 	return r
 }
 
-// Rates is a vector of average resource-consumption rates. It mirrors the
-// paper's per-thread demand vector d.
+// Rates is a vector of average resource-consumption rates per second: Instr
+// of instructions, the other fields of traffic volume, on the scale the
+// package doc gives. It mirrors the paper's per-thread demand vector d.
 type Rates struct {
-	Instr        float64 `json:"instr"`        //pandia:unit instructions/sec
-	L1           float64 `json:"l1"`           //pandia:unit bytes/sec
-	L2           float64 `json:"l2"`           //pandia:unit bytes/sec
-	L3           float64 `json:"l3"`           //pandia:unit bytes/sec
-	DRAM         float64 `json:"dram"`         //pandia:unit bytes/sec
-	Interconnect float64 `json:"interconnect"` //pandia:unit bytes/sec
+	Instr        float64 `json:"instr"`
+	L1           float64 `json:"l1"`
+	L2           float64 `json:"l2"`
+	L3           float64 `json:"l3"`
+	DRAM         float64 `json:"dram"`
+	Interconnect float64 `json:"interconnect"`
 }
 
 // Scale returns the rates multiplied by k.

@@ -24,20 +24,20 @@ type Description struct {
 
 	// CorePeakInstr is the measured peak instruction rate of one core
 	// running a single hardware thread (§3.2).
-	CorePeakInstr float64 `json:"corePeakInstr"` //pandia:unit instructions/sec
+	CorePeakInstr float64 `json:"corePeakInstr"`
 	// SMTFactor is the measured aggregate instruction throughput of a core
 	// running two hardware threads relative to one (§3.2).
-	SMTFactor float64 `json:"smtFactor"` //pandia:unit ratio
+	SMTFactor float64 `json:"smtFactor"`
 
 	// Per-core link bandwidths (§3.1).
-	L1BW     float64 `json:"l1BW"`     //pandia:unit bytes/sec
-	L2BW     float64 `json:"l2BW"`     //pandia:unit bytes/sec
-	L3LinkBW float64 `json:"l3LinkBW"` //pandia:unit bytes/sec
+	L1BW     float64 `json:"l1BW"`
+	L2BW     float64 `json:"l2BW"`
+	L3LinkBW float64 `json:"l3LinkBW"`
 	// Per-socket capacities (§3.1: "360 per core, and 5000 in aggregate").
-	L3AggBW float64 `json:"l3AggBW"` //pandia:unit bytes/sec
-	DRAMBW  float64 `json:"dramBW"`  //pandia:unit bytes/sec
+	L3AggBW float64 `json:"l3AggBW"`
+	DRAMBW  float64 `json:"dramBW"`
 	// Per socket-pair interconnect link bandwidth.
-	InterconnectBW float64 `json:"interconnectBW"` //pandia:unit bytes/sec
+	InterconnectBW float64 `json:"interconnectBW"`
 }
 
 // Validate reports whether the description is usable for prediction. NaN

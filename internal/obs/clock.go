@@ -20,26 +20,21 @@ type Clock interface {
 // concurrent use.
 type ManualClock struct {
 	mu sync.Mutex
-	//pandia:unit seconds
+	// now and tick are in seconds.
 	//pandia:guardedby(mu)
 	now float64
-	//pandia:unit seconds
 	//pandia:guardedby(mu)
 	tick float64
 }
 
 // NewManualClock builds a manual clock that first reads start seconds and
 // advances by tick seconds per reading (tick 0 freezes the clock).
-//
-//pandia:unit start seconds
-//pandia:unit tick seconds
 func NewManualClock(start, tick float64) *ManualClock {
 	return &ManualClock{now: start, tick: tick}
 }
 
-// Now returns the clock's current reading and advances it by one tick.
-//
-//pandia:unit seconds
+// Now returns the clock's current reading in seconds and advances it by
+// one tick.
 func (c *ManualClock) Now() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -49,8 +44,6 @@ func (c *ManualClock) Now() float64 {
 }
 
 // Advance moves the clock forward by d seconds without producing a reading.
-//
-//pandia:unit d seconds
 func (c *ManualClock) Advance(d float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -72,8 +65,6 @@ func WallClock() Clock {
 }
 
 // Now returns monotonic seconds since the clock was created.
-//
-//pandia:unit seconds
 func (c wallClock) Now() float64 {
 	return time.Since(c.epoch).Seconds()
 }

@@ -38,7 +38,6 @@ type Alternative struct {
 	// throughput for admissions, relative gain for rebalance moves).
 	Score float64 `json:"score,omitempty"`
 	// Slowdown is the candidate's predicted worst contention slowdown.
-	//pandia:unit ratio
 	Slowdown float64 `json:"slowdown,omitempty"`
 	// Reject explains a policy rejection ("worst slowdown 3.10 > SLO
 	// 2.50"); empty for candidates that were viable but outscored.
@@ -60,8 +59,7 @@ type DecisionRecord struct {
 	// Seq is the journal's emission ticket, assigned by Record; it totally
 	// orders records even when clock timestamps tie.
 	Seq int64 `json:"seq"`
-	// Time is stamped from the journal's clock at Record time.
-	//pandia:unit seconds
+	// Time is stamped from the journal's clock at Record time, in seconds.
 	Time float64 `json:"t"`
 	// Op names the operation: "submit", "predict", "rebalance",
 	// "apply-move", "drain", "cordon", "uncordon", "fail", "evict",
@@ -168,7 +166,8 @@ func (r *DecisionRecord) AddAlternative(a Alternative) {
 type IncidentDump struct {
 	// ID numbers incidents within a journal, from 1.
 	ID int64 `json:"id"`
-	//pandia:unit seconds
+	// Time is the journal clock's reading when the incident fired, in
+	// seconds.
 	Time float64 `json:"t"`
 	// Trigger classifies the incident: "slo-rejection", "eviction",
 	// "degraded-admission".

@@ -78,19 +78,16 @@ type Event struct {
 	// operation so one Perfetto timeline links scheduler ops to the solver
 	// iterations they triggered.
 	Span int64
-	// Time is the event timestamp, stamped by the tracer's clock.
-	//pandia:unit seconds
+	// Time is the event timestamp in seconds, stamped by the tracer's
+	// clock.
 	Time float64
 	// Residual is the iteration's maximum utilisation-factor delta — the
 	// quantity the convergence test compares against the tolerance.
-	//pandia:unit ratio
 	Residual float64
 	// Factor is the worst per-thread overall slowdown this iteration.
-	//pandia:unit ratio
 	Factor float64
 	// Loads[k] is the worst load/capacity ratio across instances of
 	// resource kind k (0 when the kind is absent or unloaded).
-	//pandia:unit ratio
 	Loads [MaxLoadKinds]float64
 }
 

@@ -28,7 +28,7 @@ type Result struct {
 // later sequence numbers, so ties at one timestamp always resolve in a
 // fixed order: declared events first, then expansions in creation order.
 type queuedEvent struct {
-	//pandia:unit seconds
+	// at is the event's virtual time in seconds.
 	at  float64
 	seq int
 	ev  Event
@@ -70,7 +70,7 @@ type engine struct {
 	s     *scheduler.Scheduler
 	mi    *faults.MachineInjector
 	clock *obs.ManualClock
-	//pandia:unit seconds
+	// now is the virtual time in seconds.
 	now   float64
 	queue eventQueue
 	seq   int

@@ -49,7 +49,7 @@ type Record struct {
 
 // EventOutcome is one executed timeline entry.
 type EventOutcome struct {
-	//pandia:unit seconds
+	// At is the event's virtual time in seconds.
 	At float64 `json:"at"`
 	// Seq orders simultaneous events (scenario order, with expansions
 	// interleaved deterministically).
@@ -94,7 +94,7 @@ type JobFinal struct {
 
 // Final is the machine state when the timeline ran dry.
 type Final struct {
-	//pandia:unit seconds
+	// Time is the virtual time in seconds when the timeline ran dry.
 	Time    float64    `json:"time"`
 	Running []JobFinal `json:"running"`
 	// Context health totals (from scheduler.HealthCounts).

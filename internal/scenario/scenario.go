@@ -70,8 +70,7 @@ type FaultsConfig struct {
 // Event is one timeline entry. Type selects the action; the other fields
 // parameterise it (each type validates the fields it needs).
 type Event struct {
-	// At is the event's virtual timestamp.
-	//pandia:unit seconds
+	// At is the event's virtual timestamp in seconds.
 	At float64 `json:"at"`
 	// Type is one of: submit, remove, load-spike, cordon-socket,
 	// uncordon-socket, cordon-context, uncordon-context, fail-socket,
@@ -86,9 +85,8 @@ type Event struct {
 	// Threads is the requested thread count (0 lets the scheduler pick).
 	Threads int `json:"threads,omitempty"`
 	// Count is the number of arrivals a load-spike expands into; Spacing
-	// separates consecutive arrivals (0 = simultaneous).
-	Count int `json:"count,omitempty"`
-	//pandia:unit seconds
+	// separates consecutive arrivals in seconds (0 = simultaneous).
+	Count   int     `json:"count,omitempty"`
 	Spacing float64 `json:"spacing,omitempty"`
 
 	// Socket targets socket-scoped events.
@@ -96,8 +94,8 @@ type Event struct {
 	// Context targets context-scoped events.
 	Context *ContextRef `json:"context,omitempty"`
 
-	// Deadline and Retries bound drain-socket (scheduler.DrainOptions).
-	//pandia:unit seconds
+	// Deadline (seconds) and Retries bound drain-socket
+	// (scheduler.DrainOptions).
 	Deadline float64 `json:"deadline,omitempty"`
 	Retries  int     `json:"retries,omitempty"`
 
@@ -107,9 +105,8 @@ type Event struct {
 	Apply   bool    `json:"apply,omitempty"`
 
 	// Resubmit re-enqueues jobs evicted by fail-socket/fail-context/inject
-	// as fresh submissions ResubmitDelay after the eviction.
-	Resubmit bool `json:"resubmit,omitempty"`
-	//pandia:unit seconds
+	// as fresh submissions ResubmitDelay seconds after the eviction.
+	Resubmit      bool    `json:"resubmit,omitempty"`
 	ResubmitDelay float64 `json:"resubmitDelay,omitempty"`
 
 	// Draws is how many incident draws an inject event takes from the

@@ -93,15 +93,14 @@ type DrainOptions struct {
 	// MaxRetries is the per-job budget of extra placement-validation
 	// attempts after the first.
 	MaxRetries int
-	// BackoffUnit is the virtual time charged for the first retry of a
-	// job, doubling per consecutive failure (mirrors faults.Policy);
-	// 0 means the default of 1.
-	//pandia:unit seconds
+	// BackoffUnit is the virtual time in seconds charged for the first
+	// retry of a job, doubling per consecutive failure (mirrors
+	// faults.Policy); 0 means the default of 1.
 	BackoffUnit float64
-	// Deadline bounds the total virtual time the drain may charge to
-	// retries and backoff across all jobs; once exceeded, remaining
-	// affected jobs are evicted instead of migrated. 0 means no bound.
-	//pandia:unit seconds
+	// Deadline bounds the total virtual time in seconds the drain may
+	// charge to retries and backoff across all jobs; once exceeded,
+	// remaining affected jobs are evicted instead of migrated. 0 means no
+	// bound.
 	Deadline float64
 }
 
@@ -124,10 +123,10 @@ type DrainReport struct {
 	Migrated []Migration
 	Evicted  []Eviction
 	// Retries counts failed placement-validation attempts that were
-	// retried; Cost is the virtual backoff time they were charged.
+	// retried; Cost is the virtual backoff time, in seconds, they were
+	// charged.
 	Retries int
-	//pandia:unit seconds
-	Cost float64
+	Cost    float64
 	// DeadlineExceeded reports that the drain ran out of its virtual
 	// deadline and evicted the jobs it had not yet migrated.
 	DeadlineExceeded bool

@@ -15,12 +15,10 @@ import (
 // after a candidate move — the evidence behind the move's gain.
 type JobDelta struct {
 	JobID string
-	// Before and After are the job's predicted times under the joint model
-	// in the current state and with the move applied.
-	//pandia:unit seconds
+	// Before and After are the job's predicted times in seconds under the
+	// joint model in the current state and with the move applied.
 	Before float64
-	//pandia:unit seconds
-	After float64
+	After  float64
 }
 
 // Move is one piece of rebalancing advice: re-placing a running job is
@@ -46,8 +44,8 @@ type Move struct {
 type RebalanceReport struct {
 	// JobIDs lists the running jobs at evaluation time, sorted.
 	JobIDs []string
-	// BaseTimes[i] is JobIDs[i]'s predicted time in the current state.
-	//pandia:unit seconds
+	// BaseTimes[i] is JobIDs[i]'s predicted time in seconds in the current
+	// state.
 	BaseTimes []float64
 	// BaseScore is the current aggregate predicted throughput (the sum of
 	// per-job speedups every candidate move is scored against).

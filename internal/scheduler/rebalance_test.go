@@ -160,6 +160,24 @@ func TestRebalanceReport(t *testing.T) {
 	if d := snap.Counter("scheduler.submissions") - base.Counter("scheduler.submissions"); d != 1 {
 		t.Errorf("submissions grew by %d, want 1", d)
 	}
+
+	// With the best move applied, each delta's After must be the time the
+	// joint model now predicts for its job, bit for bit.
+	if err := s.ApplyMove(best); err != nil {
+		t.Fatal(err)
+	}
+	co, err := s.Predict()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(co.Predictions) != len(best.Deltas) {
+		t.Fatalf("Predict covers %d jobs, best move %d deltas", len(co.Predictions), len(best.Deltas))
+	}
+	for k, d := range best.Deltas {
+		if d.After != co.Predictions[k].Time {
+			t.Errorf("job %s: delta after %v, Predict time after the move %v", d.JobID, d.After, co.Predictions[k].Time)
+		}
+	}
 }
 
 // TestRebalanceAdvisesEachMoveOnce crowds two memory jobs onto socket 1

@@ -64,11 +64,10 @@ type Assignment struct {
 	Job       Job
 	Placement placement.Placement
 	// Speedup and Time are the job's predicted speedup and execution time
-	// under the joint model at the moment of admission (later arrivals can
-	// change actual behaviour).
+	// in seconds under the joint model at the moment of admission (later
+	// arrivals can change actual behaviour).
 	Speedup float64
-	//pandia:unit seconds
-	Time float64
+	Time    float64
 	// Strategy names the candidate generator that produced the placement.
 	Strategy string
 	// Degraded marks an admission that violated an admission policy but
@@ -189,10 +188,10 @@ type Scheduler struct {
 	health []Health
 	//pandia:guardedby(mu)
 	unhealthy int
-	// tokens / lastRefill implement the admission token bucket.
+	// tokens / lastRefill implement the admission token bucket;
+	// lastRefill is a clock reading in seconds.
 	//pandia:guardedby(mu)
 	tokens float64
-	//pandia:unit seconds
 	//pandia:guardedby(mu)
 	lastRefill float64
 	// co is the reusable joint-prediction pipeline. A CoPredictor owns

@@ -36,41 +36,41 @@ type MachineTruth struct {
 	// socket are active, TurboAllGHz when every core is active; the testbed
 	// interpolates linearly in the active-core count. NominalGHz applies
 	// when Turbo Boost is disabled.
-	NominalGHz  float64 //pandia:unit hertz
-	TurboMaxGHz float64 //pandia:unit hertz
-	TurboAllGHz float64 //pandia:unit hertz
+	NominalGHz  float64
+	TurboMaxGHz float64
+	TurboAllGHz float64
 
 	// CoreInstrRate is the peak instruction throughput of one core at the
 	// reference frequency with a single hardware thread active.
-	CoreInstrRate float64 //pandia:unit instructions/sec
+	CoreInstrRate float64
 	// SMTAggFactor is the total instruction throughput of a core running
 	// two hardware threads, relative to one (e.g. 1.25: two threads issue
 	// 25% more than one, so each achieves ~62.5% of solo speed).
-	SMTAggFactor float64 //pandia:unit ratio
+	SMTAggFactor float64
 
 	// Per-core link bandwidths (scale with core frequency).
-	L1BW     float64 //pandia:unit bytes/sec
-	L2BW     float64 //pandia:unit bytes/sec
-	L3LinkBW float64 //pandia:unit bytes/sec
+	L1BW     float64
+	L2BW     float64
+	L3LinkBW float64
 	// Per-socket capacities.
-	L3AggBW float64 //pandia:unit bytes/sec
-	DRAMBW  float64 //pandia:unit bytes/sec
+	L3AggBW float64
+	DRAMBW  float64
 	// Per-socket-pair interconnect link bandwidth.
-	InterconnectBW float64 //pandia:unit bytes/sec
+	InterconnectBW float64
 
 	// L3SizeMB is the last-level cache capacity per socket, used by the
 	// spill model. Zero disables spill (the toy machine has no caches).
-	L3SizeMB float64 //pandia:unit bytes
+	L3SizeMB float64
 	// AdaptiveCache selects the smooth spill response of modern adaptive
 	// caches; false selects the sharper cliff of older parts (Westmere).
 	AdaptiveCache bool
 
 	// QueueFactor is the strength of the non-linear latency term near and
 	// beyond bandwidth saturation. Zero gives the idealised linear model.
-	QueueFactor float64 //pandia:unit ratio
+	QueueFactor float64
 	// NoiseSigma is the standard deviation of the multiplicative log-normal
 	// run-time measurement noise.
-	NoiseSigma float64 //pandia:unit ratio
+	NoiseSigma float64
 }
 
 // Validate reports whether the truth is internally consistent.
@@ -132,34 +132,34 @@ type WorkloadTruth struct {
 
 	// SeqTime is the single-thread execution time (seconds) at the
 	// reference frequency, absent any contention.
-	SeqTime float64 //pandia:unit seconds
+	SeqTime float64
 	// ParallelFrac is the true Amdahl parallel fraction p.
-	ParallelFrac float64 //pandia:unit ratio
+	ParallelFrac float64
 	// Demand is the per-thread resource demand vector at full speed. The
 	// Interconnect component is ignored: interconnect traffic is derived
 	// from DRAM demand and memory placement.
 	Demand counters.Rates
 	// WorkingSetMB is the per-thread hot working set, driving L3 spill.
-	WorkingSetMB float64 //pandia:unit bytes
+	WorkingSetMB float64
 	// CommCost is the true per-remote-peer latency overhead, relative to
 	// SeqTime (the quantity Pandia estimates as os, §4.3).
-	CommCost float64 //pandia:unit ratio
+	CommCost float64
 	// LoadBalance is the true dynamic load-balancing factor l in [0,1].
-	LoadBalance float64 //pandia:unit ratio
+	LoadBalance float64
 	// Burstiness is the true core-sharing sensitivity b (§4.5).
-	Burstiness float64 //pandia:unit ratio
+	Burstiness float64
 	// WorkGrowth is the extra total work added per extra thread, as a
 	// fraction of SeqTime (equake's reduction step; zero for conforming
 	// workloads).
-	WorkGrowth float64 //pandia:unit ratio
+	WorkGrowth float64
 	// MemBoundFrac is the fraction of progress limited by the memory system
 	// rather than the core clock; it damps sensitivity to frequency.
-	MemBoundFrac float64 //pandia:unit ratio
+	MemBoundFrac float64
 	// ActiveThreads caps how many placed threads actually perform work
 	// (the single-threaded NPO experiment, §6.3). Zero means all threads.
 	ActiveThreads int
 	// NoiseSigma overrides the machine's measurement noise when positive.
-	NoiseSigma float64 //pandia:unit ratio
+	NoiseSigma float64
 }
 
 // Validate reports whether the workload truth is usable.
