@@ -44,8 +44,9 @@ pandia-vet:
 # CoPredictor.Score, engine.iterate, engine.loadSummary, PlacedDigest and
 # CoCache.Key; the scheduler's candidatesLocked; the obs updates
 # (Counter.Inc, Counter.Add, Gauge.Set, Histogram.Observe, RingTracer.Emit);
-# and the testbed's fixedPoint. `make check` already runs it as part of the
-# full pandia-vet suite.
+# and the testbed's fixedPoint, noiseZ, RunKey and NoiseSource's Seed,
+# Uint64 and Int63. `make check` already runs it as part of the full
+# pandia-vet suite.
 alloccheck:
 	$(GO) run ./cmd/pandia-vet -only alloccheck ./...
 
@@ -57,16 +58,24 @@ alloccheck:
 lockcheck:
 	$(GO) run ./cmd/pandia-vet -only deadlockcheck,guardcheck ./...
 
-check: build
-	$(GO) vet ./...
-	$(GO) run ./cmd/pandia-vet ./...
-	$(GO) test -race ./...
-	$(MAKE) fuzz-smoke
-	$(MAKE) bench-gate
-	$(MAKE) scenario-smoke
-	$(MAKE) journal-smoke
-	$(MAKE) results-check
-	$(MAKE) bench-module
+# check runs every step even after one fails, then names each failed step
+# and fails if any did, so a bench-gate ns/op failure under host load does
+# not hide whether the steps after it pass.
+check:
+	@failed=; \
+	step() { name=$$1; shift; echo "check: $$name"; "$$@" || failed="$$failed $$name"; }; \
+	step build $(GO) build ./...; \
+	step go-vet $(GO) vet ./...; \
+	step pandia-vet $(GO) run ./cmd/pandia-vet ./...; \
+	step race-tests $(GO) test -race ./...; \
+	step fuzz-smoke $(MAKE) fuzz-smoke; \
+	step bench-gate $(MAKE) bench-gate; \
+	step scenario-smoke $(MAKE) scenario-smoke; \
+	step journal-smoke $(MAKE) journal-smoke; \
+	step results-check $(MAKE) results-check; \
+	step bench-module $(MAKE) bench-module; \
+	if [ -n "$$failed" ]; then echo "check: failed steps:$$failed" >&2; exit 1; fi; \
+	echo "check: every step passed"
 
 # bench-module builds, vets, and tests the end-to-end benchmark. It is a
 # separate Go module (its go.mod replaces pandia with ../..), so the root
@@ -86,7 +95,8 @@ FUZZ_TARGETS = \
 	FuzzPredictClasses:./internal/core/ \
 	FuzzSweepBound:./internal/core/ \
 	FuzzSchedulerOps:./internal/scheduler/ \
-	FuzzTestbedClasses:./internal/simhw/
+	FuzzTestbedClasses:./internal/simhw/ \
+	FuzzNoiseStream:./internal/simhw/
 
 # fuzz-smoke is the gate-sized fuzzing pass: 5 seconds per target, enough
 # to catch parser/expander regressions on the corpus plus easy mutations.

@@ -18,9 +18,9 @@ package faults
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
+	"strconv"
 	"sync"
 
 	"pandia/internal/counters"
@@ -174,6 +174,7 @@ type Stats struct {
 type Injector struct {
 	r   simhw.Runner
 	cfg Config
+	key string // RunKey prefix of the fault stream: "faults|seed"
 
 	mu sync.Mutex
 	//pandia:guardedby(mu)
@@ -188,7 +189,7 @@ func New(r simhw.Runner, cfg Config) (*Injector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Injector{r: r, cfg: cfg}, nil
+	return &Injector{r: r, cfg: cfg, key: "faults|" + strconv.FormatInt(cfg.Seed, 10)}, nil
 }
 
 // Machine returns the wrapped runner's machine shape.
@@ -211,28 +212,18 @@ func (in *Injector) Stats() Stats {
 var _ simhw.Runner = (*Injector)(nil)
 
 // rng derives the per-run fault stream from the injector seed and the full
-// run configuration, mirroring the testbed's deterministic noise derivation:
-// identical runs fault identically; changing the run seed (a retry) re-rolls.
-func (in *Injector) rng(cfg simhw.RunConfig) *rand.Rand {
-	h := fnv.New64a()
-	_, _ = fmt.Fprintf(h, "faults|%d|%s|%d|%d|", in.cfg.Seed, cfg.Workload.Name, cfg.Power, cfg.Seed)
-	for _, c := range cfg.Placement {
-		_, _ = fmt.Fprintf(h, "%d.%d.%d,", c.Socket, c.Core, c.Slot)
-	}
-	for _, s := range cfg.Stressors {
-		_, _ = fmt.Fprintf(h, "S%d.%d.%d:%s,", s.Ctx.Socket, s.Ctx.Core, s.Ctx.Slot, s.Truth.Name)
-	}
-	for _, b := range cfg.Memory.BindSockets {
-		_, _ = fmt.Fprintf(h, "M%d,", b)
-	}
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+// run configuration with the testbed's noise derivation, simhw.RunKey under
+// the prefix "faults|seed": identical runs fault identically; changing the
+// run seed (a retry) re-rolls.
+func (in *Injector) rng(cfg *simhw.RunConfig) *rand.Rand {
+	return rand.New(simhw.NewNoiseSource(int64(simhw.RunKey(in.key, cfg))))
 }
 
 // Run executes the run through the wrapped runner, injecting faults. The
 // draw order is fixed (hang, transient, outlier, spike, dropout, corrupt) so
 // one decision never shifts another's dice.
 func (in *Injector) Run(cfg simhw.RunConfig) (simhw.RunResult, error) {
-	rng := in.rng(cfg)
+	rng := in.rng(&cfg)
 	// Draw every class up front: the fault pattern of a run must not depend
 	// on which earlier class fired.
 	uHang := rng.Float64()

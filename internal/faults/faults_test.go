@@ -2,7 +2,10 @@ package faults
 
 import (
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 
 	"pandia/internal/counters"
@@ -58,6 +61,46 @@ func TestZeroConfigPassThrough(t *testing.T) {
 	}
 	if in.Machine().Name != tb.Machine().Name || in.L3SizeMB() != tb.L3SizeMB() {
 		t.Error("pass-through changed the machine shape")
+	}
+}
+
+// TestFaultStreamMatchesFormat pins the per-run fault stream to the
+// derivation the injector has always used, the fmt-formatted key hashed
+// with fnv64a seeding rand.NewSource, so every recorded fault pattern and
+// noise-resilience figure stays put.
+func TestFaultStreamMatchesFormat(t *testing.T) {
+	reference := func(seed int64, cfg *simhw.RunConfig) *rand.Rand {
+		h := fnv.New64a()
+		_, _ = fmt.Fprintf(h, "faults|%d|%s|%d|%d|", seed, cfg.Workload.Name, cfg.Power, cfg.Seed)
+		for _, c := range cfg.Placement {
+			_, _ = fmt.Fprintf(h, "%d.%d.%d,", c.Socket, c.Core, c.Slot)
+		}
+		for _, s := range cfg.Stressors {
+			_, _ = fmt.Fprintf(h, "S%d.%d.%d:%s,", s.Ctx.Socket, s.Ctx.Core, s.Ctx.Slot, s.Truth.Name)
+		}
+		for _, b := range cfg.Memory.BindSockets {
+			_, _ = fmt.Fprintf(h, "M%d,", b)
+		}
+		return rand.New(rand.NewSource(int64(h.Sum64())))
+	}
+	busy := soloCfg(-9)
+	busy.Power = simhw.PowerFilled
+	busy.Placement = append(busy.Placement, topology.Context{Socket: 1, Core: 3, Slot: 1})
+	busy.Stressors = []simhw.PlacedStressor{{Ctx: topology.Context{Socket: 1, Core: 4}, Truth: simhw.WorkloadTruth{Name: "stream"}}}
+	busy.Memory.BindSockets = []int{1, 0}
+	for _, seed := range []int64{0, 1, -42, math.MaxInt64} {
+		in, err := New(testbed(t), Config{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []simhw.RunConfig{soloCfg(1), soloCfg(math.MinInt64), busy} {
+			got, want := in.rng(&cfg), reference(seed, &cfg)
+			for i := 0; i < 16; i++ {
+				if g, w := got.Float64(), want.Float64(); g != w {
+					t.Fatalf("seed %d, run seed %d: draw %d = %v, want %v", seed, cfg.Seed, i, g, w)
+				}
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"pandia/internal/placement"
+	"pandia/internal/simhw"
 	"pandia/internal/topology"
 )
 
@@ -169,12 +170,12 @@ func (mi *MachineInjector) Stats() MachineStats {
 }
 
 // rng derives one deterministic stream position from the seed, a stream
-// label, and the call index — the same fnv64a derivation as the
-// observation-level injector.
+// label, and the call index: an fnv64a hash, as for the observation-level
+// injector, seeding the same simhw.NoiseSource.
 func (mi *MachineInjector) rng(stream string, call int) *rand.Rand {
 	h := fnv.New64a()
 	_, _ = fmt.Fprintf(h, "machinefaults|%d|%s|%s|%d", mi.cfg.Seed, mi.m.Name, stream, call)
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return rand.New(simhw.NewNoiseSource(int64(h.Sum64())))
 }
 
 // Draw advances the incident stream by one step and returns the machine

@@ -3,6 +3,7 @@ package simhw
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"sync"
 	"testing"
@@ -12,8 +13,8 @@ import (
 )
 
 // referenceNoiseKey builds the noise hash input with the fmt formats the
-// testbed has always hashed; appendNoiseKey must match it byte for byte, or
-// every noisy measurement moves.
+// testbed has always hashed; RunKey must hash the same bytes, or every
+// noisy measurement moves.
 func referenceNoiseKey(machine string, cfg *RunConfig) []byte {
 	b := fmt.Appendf(nil, "%s|%s|%d|%d|", machine, cfg.Workload.Name, cfg.Power, cfg.Seed)
 	for _, c := range cfg.Placement {
@@ -30,10 +31,11 @@ func referenceNoiseKey(machine string, cfg *RunConfig) []byte {
 
 func TestNoiseKeyMatchesFormat(t *testing.T) {
 	check := func(machine string, cfg *RunConfig) bool {
-		got := appendNoiseKey([]byte("stale"), machine, cfg)[len("stale"):]
-		want := referenceNoiseKey(machine, cfg)
-		if !bytes.Equal(got, want) {
-			t.Errorf("noise key mismatch:\n got %q\nwant %q", got, want)
+		key := referenceNoiseKey(machine, cfg)
+		h := fnv.New64a()
+		h.Write(key)
+		if got, want := RunKey(machine, cfg), h.Sum64(); got != want {
+			t.Errorf("RunKey = %#x, want fnv64a(%q) = %#x", got, key, want)
 			return false
 		}
 		return true

@@ -1,10 +1,7 @@
 package simhw
 
 import (
-	"hash"
-	"hash/fnv"
 	"math/rand"
-	"strconv"
 
 	"pandia/internal/topology"
 )
@@ -54,12 +51,10 @@ type runScratch struct {
 	coreCount  []int
 	slots      int
 
-	// Measurement noise: the hash input, the hash, and a generator that
-	// Seed resets to exactly the stream rand.New(rand.NewSource(seed))
-	// would produce.
-	noiseKey []byte
-	hash     hash.Hash64
-	rng      *rand.Rand
+	// Measurement noise: rng draws from src, which noiseZ re-seeds per
+	// run.
+	src NoiseSource
+	rng *rand.Rand
 }
 
 func newRunScratch(topo topology.Machine) *runScratch {
@@ -87,9 +82,8 @@ func newRunScratch(topo topology.Machine) *runScratch {
 		coreAgents:  make([]int, nCtx),
 		coreCount:   make([]int, nCores),
 		slots:       topo.ThreadsPerCore,
-		hash:        fnv.New64a(),
-		rng:         rand.New(rand.NewSource(0)),
 	}
+	s.rng = rand.New(&s.src)
 	for i := range s.classKey {
 		s.classKey[i] = -1
 	}
@@ -316,45 +310,4 @@ func (w *demandWalk) demandsOf(idx int) []float64 {
 		}
 	}
 	return w.pop[:k]
-}
-
-// appendNoiseKey appends the byte string that seeds a run's measurement
-// noise: "machine|workload|power|seed|", then "socket.core.slot," per
-// placed thread, "Ssocket.core.slot:name," per stressor and "Msocket," per
-// memory-bound socket.
-func appendNoiseKey(b []byte, machine string, cfg *RunConfig) []byte {
-	b = append(b, machine...)
-	b = append(b, '|')
-	b = append(b, cfg.Workload.Name...)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(cfg.Power), 10)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, cfg.Seed, 10)
-	b = append(b, '|')
-	for _, c := range cfg.Placement {
-		b = appendContext(b, c)
-		b = append(b, ',')
-	}
-	for _, st := range cfg.Stressors {
-		b = append(b, 'S')
-		b = appendContext(b, st.Ctx)
-		b = append(b, ':')
-		b = append(b, st.Truth.Name...)
-		b = append(b, ',')
-	}
-	for _, m := range cfg.Memory.BindSockets {
-		b = append(b, 'M')
-		b = strconv.AppendInt(b, int64(m), 10)
-		b = append(b, ',')
-	}
-	return b
-}
-
-// appendContext appends "socket.core.slot".
-func appendContext(b []byte, c topology.Context) []byte {
-	b = strconv.AppendInt(b, int64(c.Socket), 10)
-	b = append(b, '.')
-	b = strconv.AppendInt(b, int64(c.Core), 10)
-	b = append(b, '.')
-	return strconv.AppendInt(b, int64(c.Slot), 10)
 }

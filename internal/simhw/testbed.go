@@ -570,13 +570,13 @@ func (tb *Testbed) assemble(s *runScratch, cfg *RunConfig, amdahl float64, nAct 
 }
 
 // noiseZ derives a deterministic standard-normal variate from the run
-// configuration, so identical runs measure identical times.
+// configuration, so identical runs measure identical times: the first
+// NormFloat64 of rand.New(rand.NewSource(RunKey(machine name, cfg))).
+//
+//pandia:noalloc
 func (tb *Testbed) noiseZ(s *runScratch, cfg *RunConfig) float64 {
-	s.noiseKey = appendNoiseKey(s.noiseKey[:0], tb.truth.Topo.Name, cfg)
-	s.hash.Reset()
-	s.hash.Write(s.noiseKey)
-	s.rng.Seed(int64(s.hash.Sum64()))
-	return s.rng.NormFloat64()
+	s.src.Seed(int64(RunKey(tb.truth.Topo.Name, cfg)))
+	return s.rng.NormFloat64() //alloccheck:ok math/rand's ziggurat draws only from s.src, whose Uint64 and Int63 are noalloc
 }
 
 // amdahlSpeedup is the classic Amdahl's-law speedup for parallel fraction p
