@@ -8,6 +8,7 @@
 #                  that the root `go build ./...` skips.
 #   make results-check - regenerate results/ and compare it with the
 #                  committed files byte for byte.
+#   make examples-smoke - build and run every program under examples/.
 #   make fuzz    - short fuzzing pass over the parser/topology targets.
 #   make bench   - core benchmarks with -benchmem, recorded as the "current"
 #                  run in BENCH_core.json (the "baseline" run stays pinned).
@@ -24,7 +25,7 @@ GO ?= go
 # full predictions on the X5-2).
 BENCH_CORE = BenchmarkFig10Curves|BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkPredictSweep$$|BenchmarkTestbedRun|BenchmarkMeasureAll$$|BenchmarkEnumeratePlacements|BenchmarkSweepPruned$$|BenchmarkCoScore$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$|BenchmarkControlCycle$$|BenchmarkRecommend$$
 
-.PHONY: check test vet pandia-vet alloccheck lockcheck fuzz fuzz-smoke scenario-smoke journal-smoke results-check bench bench-smoke bench-gate bench-module build
+.PHONY: check test vet pandia-vet alloccheck lockcheck fuzz fuzz-smoke scenario-smoke journal-smoke results-check examples-smoke bench bench-smoke bench-gate bench-module build
 
 build:
 	$(GO) build ./...
@@ -73,6 +74,7 @@ check:
 	step scenario-smoke $(MAKE) scenario-smoke; \
 	step journal-smoke $(MAKE) journal-smoke; \
 	step results-check $(MAKE) results-check; \
+	step examples-smoke $(MAKE) examples-smoke; \
 	step bench-module $(MAKE) bench-module; \
 	if [ -n "$$failed" ]; then echo "check: failed steps:$$failed" >&2; exit 1; fi; \
 	echo "check: every step passed"
@@ -83,6 +85,23 @@ check:
 # public API could break the benchmark unnoticed.
 bench-module:
 	cd cmd/pandia-bench && $(GO) vet ./... && $(GO) test ./...
+
+# examples-smoke builds and runs every program under examples/ and fails on
+# a non-zero exit or an empty standard output. `go build ./...` compiles the
+# examples but nothing else runs them, so without this step a change to the
+# public API could break what an example does unnoticed. Each takes well
+# under a second.
+examples-smoke:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for d in examples/*/; do \
+	  name=$$(basename "$$d"); \
+	  $(GO) build -o "$$tmp/$$name" "./$$d"; \
+	  "$$tmp/$$name" > "$$tmp/$$name.out" \
+	    || { echo "examples-smoke: $$name exited non-zero" >&2; exit 1; }; \
+	  [ -s "$$tmp/$$name.out" ] \
+	    || { echo "examples-smoke: $$name printed nothing" >&2; exit 1; }; \
+	  echo "examples-smoke: $$name ok"; \
+	done
 
 # FUZZ_TARGETS lists every fuzz target as name:package; fuzz-smoke and
 # fuzz both run each one in turn.

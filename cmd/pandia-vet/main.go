@@ -1,8 +1,7 @@
 // Command pandia-vet is the repository's static-analysis multichecker. It
-// runs the eight custom passes under internal/analysis — leakcheck,
-// detflow, nanguard, mutcheck, errlint, alloccheck, deadlockcheck,
-// guardcheck — over module packages and exits non-zero if any finding is
-// reported.
+// runs the seven custom passes under internal/analysis — detflow,
+// nanguard, mutcheck, errlint, alloccheck, deadlockcheck, guardcheck —
+// over module packages and exits non-zero if any finding is reported.
 //
 // Usage:
 //
@@ -30,13 +29,11 @@ import (
 	"pandia/internal/analysis/detflow"
 	"pandia/internal/analysis/errlint"
 	"pandia/internal/analysis/guardcheck"
-	"pandia/internal/analysis/leakcheck"
 	"pandia/internal/analysis/mutcheck"
 	"pandia/internal/analysis/nanguard"
 )
 
 var analyzers = []*analysis.Analyzer{
-	leakcheck.Analyzer,
 	detflow.Analyzer,
 	nanguard.Analyzer,
 	mutcheck.Analyzer,

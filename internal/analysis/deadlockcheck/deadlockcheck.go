@@ -49,8 +49,8 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 	// Every package outside the analysis tooling that imports sync.
 	Restrict: analysis.RestrictTo("internal/scheduler", "internal/obs", "internal/eval",
-		"internal/faults", "internal/scenario", "internal/core", "internal/kernels",
-		"internal/placement", "internal/simhw"),
+		"internal/faults", "internal/scenario", "internal/core", "internal/placement",
+		"internal/simhw"),
 }
 
 type checker struct {

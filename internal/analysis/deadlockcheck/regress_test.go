@@ -26,7 +26,6 @@ var concurrencyPackages = []string{
 // deadlockPackages is deadlockcheck's wider surface: every package outside
 // the analysis tooling that imports sync.
 var deadlockPackages = append(append([]string{}, concurrencyPackages...),
-	"pandia/internal/kernels",
 	"pandia/internal/placement",
 	"pandia/internal/simhw",
 )

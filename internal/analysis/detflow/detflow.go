@@ -15,7 +15,7 @@
 // injected obs.Clock, never a bare time.Now, so recorded traces stay
 // reproducible. A source in the package under analysis is reported at its
 // own position. A core function can also call a helper in an unrestricted
-// package (kernels, placement, a utility package) that hides the same
+// package (placement, topology, a utility package) that hides the same
 // construct one level down, so detflow builds the module-local call graph
 // (internal/analysis/callgraph), collects the sources in the unrestricted
 // functions of the import closure, and taints them through the graph.
@@ -23,8 +23,8 @@
 // reported at the call site where the flow leaves the package, with the
 // full call chain and the true source location in the message:
 //
-//	nondeterminism reaches the core: time.Now (at kernels/cpu.go:42);
-//	call path: kernels.stamp ← core.refresh; inject the clock
+//	nondeterminism reaches the core: time.Now (at placement/stamp.go:42);
+//	call path: placement.stamp ← core.refresh; inject the clock
 //
 // Callees in other restricted packages are not traversed (they are vetted
 // when their own package is analysed). Test files are exempt. A deliberate,

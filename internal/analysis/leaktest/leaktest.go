@@ -1,8 +1,7 @@
-// Package leaktest is the runtime counterpart of the static leakcheck pass:
-// a goleak-style helper that asserts a test leaves no goroutines behind.
-// leakcheck proves what it can about `go func(){...}` literals at compile
-// time; leaktest catches everything it cannot — named-function goroutines,
-// leaks across package boundaries, and leaks that depend on runtime values.
+// Package leaktest is a goleak-style helper that asserts a test leaves no
+// goroutines behind. It is the module's only goroutine-leak check: the tests
+// of both worker pools, the parallel sweep in internal/core and
+// parallelEachN in internal/eval, run under it on their error paths too.
 //
 // Usage:
 //

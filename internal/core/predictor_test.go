@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"pandia/internal/analysis/leaktest"
 	"pandia/internal/machine"
 	"pandia/internal/obs"
 	"pandia/internal/placement"
@@ -273,8 +274,10 @@ func TestPredictSweepNeverPrunes(t *testing.T) {
 }
 
 // TestPredictSweepError checks the first-error bailout of the parallel
-// sweep: an invalid placement mid-list fails the whole sweep with its error.
+// sweep: an invalid placement mid-list fails the whole sweep with its error,
+// and no worker goroutine outlives the failed sweep.
 func TestPredictSweepError(t *testing.T) {
+	defer leaktest.Check(t)()
 	md := toyMachine()
 	w := exampleWorkload()
 	places := make([]placement.Placement, 64)
