@@ -45,8 +45,11 @@ pandia-vet:
 # CoPredictor.Score, engine.iterate, engine.loadSummary, PlacedDigest and
 # CoCache.Key; the scheduler's candidatesLocked; the obs updates
 # (Counter.Inc, Counter.Add, Gauge.Set, Histogram.Observe, RingTracer.Emit);
-# and the testbed's fixedPoint, noiseZ, RunKey and NoiseSource's Seed,
-# Uint64 and Int63. `make check` already runs it as part of the full
+# and the testbed's fixedPoint with its per-run layout and per-iteration
+# helpers (demandWalk.layout, demandWalk.values, demandWalk.addends,
+# resTable.countUsers, resTable.sumShared, replayRuns and
+# runScratch.commPenalties), noiseZ, RunKey and NoiseSource's Seed, Uint64
+# and Int63. `make check` already runs it as part of the full
 # pandia-vet suite.
 alloccheck:
 	$(GO) run ./cmd/pandia-vet -only alloccheck ./...
@@ -151,23 +154,47 @@ bench-smoke:
 # loop (BenchmarkSubmit, BenchmarkRebalance, BenchmarkDrainSocket,
 # BenchmarkControlCycle) and one simulated testbed run
 # (BenchmarkTestbedRun, only its returned ThreadRates) at or below their
-# recorded allocs/op (exact, the primary regression teeth), and
-# every gated benchmark within BENCH_TOLERANCE ns/op of the recorded
-# "current" run in BENCH_core.json. Refresh the reference with `make bench`
-# after intentional perf changes.
+# recorded allocs/op in BENCH_core.json's "current" run (exact, the
+# primary regression teeth), and every gated benchmark within
+# BENCH_TOLERANCE ns/op of a reference revision. Refresh the allocs/op
+# record with `make bench` after intentional changes.
 #
-# The ns/op tolerance is wide because gate hosts are shared single-core
-# containers where neighbour load swings measurements by double-digit
-# percent for minutes at a time; min-of-5 sampling (benchjson collapses
-# -count repeats to the fastest) plus this margin catches real structural
-# regressions without flaking on load. benchjson is built before the
-# benchmarks run so its compile never competes with the measurement.
+# The ns/op reference is a revision measured beside the working tree, not
+# a recorded run: HEAD when the tree has uncommitted changes, and HEAD^
+# when it is clean (a committed change, as in CI, where the checkout
+# fetches two commits), so the gate never compares HEAD with itself; with
+# a clean tree and no HEAD^ it fails. It builds a test binary from a
+# temporary `git archive` of the reference and one from the tree (both
+# -trimpath, so identical sources give the same binary), runs them
+# alternately, benchmark by benchmark, five times each, and compares
+# min-of-5 per side (benchjson -base). Both sides see the same host phase,
+# so the tolerance measures the code, not the load of a shared host, where
+# neighbours swing ns/op by double-digit percent for minutes at a time.
+# benchjson and both binaries are built before any benchmark runs, so no
+# compile competes with the measurement.
 BENCH_TOLERANCE ?= 0.35
+BENCH_GATED = BenchmarkPredictOnce$$ BenchmarkPredictorReuse BenchmarkSweepPruned$$ BenchmarkTestbedRun$$ BenchmarkCoScore$$ BenchmarkSubmit BenchmarkRebalance$$ BenchmarkDrainSocket$$ BenchmarkControlCycle$$
 bench-gate:
-	$(GO) build -o /tmp/pandia-benchjson ./cmd/pandia-benchjson
-	$(GO) test -run '^$$' -bench 'BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkSweepPruned$$|BenchmarkTestbedRun$$|BenchmarkCoScore$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$|BenchmarkControlCycle$$' -benchmem -count=5 . \
-	  | /tmp/pandia-benchjson -gate current -gate-tolerance $(BENCH_TOLERANCE) -zero-alloc BenchmarkPredictorReuse,BenchmarkCoScore \
-	      -max-allocs 'BenchmarkTestbedRun$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$|BenchmarkControlCycle$$' -out BENCH_core.json
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	  if git diff --quiet HEAD --; then ref=HEAD^; else ref=HEAD; fi; \
+	  git rev-parse -q --verify "$$ref^{commit}" >/dev/null || \
+	    { echo "bench-gate: the tree is clean and HEAD has no parent to measure it against" >&2; exit 1; }; \
+	  echo "bench-gate: ns/op reference is $$ref ($$(git rev-parse --short "$$ref"))"; \
+	  $(GO) build -o "$$tmp/benchjson" ./cmd/pandia-benchjson; \
+	  mkdir "$$tmp/ref"; git archive "$$ref" | tar -x -C "$$tmp/ref"; \
+	  (cd "$$tmp/ref" && $(GO) test -trimpath -c -o "$$tmp/ref.test" .); \
+	  $(GO) test -trimpath -c -o "$$tmp/tree.test" .; \
+	  for i in 1 2 3 4 5; do \
+	    for b in $(BENCH_GATED); do \
+	      (cd "$$tmp/ref" && "$$tmp/ref.test" -test.run '^$$' -test.bench "$$b" -test.benchtime 500ms -test.benchmem) >> "$$tmp/ref.out"; \
+	      "$$tmp/tree.test" -test.run '^$$' -test.bench "$$b" -test.benchtime 500ms -test.benchmem >> "$$tmp/tree.out"; \
+	    done; \
+	  done; \
+	  "$$tmp/benchjson" -gate current -base "$$tmp/ref.out" -gate-tolerance $(BENCH_TOLERANCE) \
+	    -zero-alloc BenchmarkPredictorReuse,BenchmarkCoScore \
+	    -max-allocs 'BenchmarkTestbedRun$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$|BenchmarkControlCycle$$' \
+	    -out BENCH_core.json < "$$tmp/tree.out"; \
+	  echo "bench-gate: ns/op measured against $$ref ($$(git rev-parse --short "$$ref"))"
 
 # scenario-smoke is the replay-determinism gate: every bundled scenario in
 # scenarios/ must pass its assertions and two separate replay processes

@@ -13,11 +13,13 @@
 // noise-robust estimator on shared hosts, applied identically when
 // recording and when gating.
 //
-// With -gate <label>, nothing is recorded: the parsed run is compared
-// against the labelled run in -out and the command fails when a benchmark
-// regresses by more than -gate-tolerance in ns/op, when a benchmark named
-// in -zero-alloc reports any allocations, or when a benchmark matching the
-// -max-allocs regexp reports more allocs/op than the labelled run recorded.
+// With -gate <label> and -base <file>, nothing is recorded: the command
+// fails when a benchmark's ns/op exceeds the -base file's `go test -bench`
+// output (a build of the reference revision run alternately with this one,
+// min-of-N per side, so both sides saw the same host load) by more than
+// -gate-tolerance, when a benchmark named in -zero-alloc reports any
+// allocations, or when a benchmark matching the -max-allocs regexp reports
+// more allocs/op than the labelled run in -out recorded.
 // This is the observability overhead gate: the instrumented predictor hot
 // path must stay allocation-free, the scheduler's decision loop must not
 // regain allocations, and everything must stay within tolerance of its
@@ -66,11 +68,16 @@ type File struct {
 func main() {
 	label := flag.String("label", "current", "label to record the run under (an existing label is replaced)")
 	out := flag.String("out", "BENCH_core.json", "JSON file to update; empty prints the run without writing")
-	gate := flag.String("gate", "", "compare against this labelled run in -out instead of recording; fail on regression")
+	gate := flag.String("gate", "", "gate instead of recording: hold allocs/op to this labelled run in -out, ns/op to -base; fail on regression")
+	baseFile := flag.String("base", "", "in gate mode (required), the reference revision's `go test -bench` output that ns/op is held to")
 	gateTol := flag.Float64("gate-tolerance", 0.05, "allowed fractional ns/op regression in gate mode")
 	zeroAlloc := flag.String("zero-alloc", "", "comma-separated benchmarks that must report 0 allocs/op in gate mode")
-	maxAllocs := flag.String("max-allocs", "", "regexp of benchmarks that may not exceed the reference run's allocs/op in gate mode")
+	maxAllocs := flag.String("max-allocs", "", "regexp of benchmarks that may not exceed the labelled run's allocs/op in gate mode")
 	flag.Parse()
+	if *gate != "" && *baseFile == "" {
+		fmt.Fprintln(os.Stderr, "pandia-benchjson: -gate needs -base")
+		os.Exit(2)
+	}
 	var allocRe *regexp.Regexp
 	if *maxAllocs != "" {
 		var err error
@@ -102,11 +109,17 @@ func main() {
 	}
 
 	if *gate != "" {
-		if err := runGate(run, *out, *gate, *gateTol, *zeroAlloc, allocRe); err != nil {
+		base, err := parseFile(*baseFile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "pandia-benchjson: %v\n", err)
+			os.Exit(1)
+		}
+		collapseBest(base)
+		if err := runGate(run, base, *out, *gate, *gateTol, *zeroAlloc, allocRe); err != nil {
 			fmt.Fprintf(os.Stderr, "pandia-benchjson: gate FAILED: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("gate passed against %q (tolerance %.0f%%)\n", *gate, 100**gateTol)
+		fmt.Printf("gate passed: ns/op within %.0f%% of the base run, allocs/op within the %q run\n", 100**gateTol, *gate)
 		return
 	}
 
@@ -143,14 +156,14 @@ func main() {
 	fmt.Printf("recorded %d benchmarks as %q in %s\n", len(run.Benchmarks), run.Label, *out)
 }
 
-// runGate compares the parsed run against the labelled reference in file.
-// Every parsed benchmark also present in the reference must stay within
-// tol fractional ns/op of it, every benchmark named in zeroAlloc must
-// report exactly 0 allocs/op, and every benchmark allocRe (nil: none)
-// matches must report at most the reference's allocs/op. Parsed benchmarks
-// absent from the reference pass the timing check (there is nothing to
-// regress from) but neither allocation check.
-func runGate(run *Run, file, label string, tol float64, zeroAlloc string, allocRe *regexp.Regexp) error {
+// runGate compares the parsed run against base and the labelled run in
+// file. Every parsed benchmark also present in base must stay within tol
+// fractional ns/op of it, every benchmark named in zeroAlloc must report
+// exactly 0 allocs/op, and every benchmark allocRe (nil: none) matches
+// must report at most the labelled run's allocs/op. Parsed benchmarks
+// absent from base pass the timing check (there is nothing to regress
+// from); those absent from the labelled run fail the allocs/op ceiling.
+func runGate(run, base *Run, file, label string, tol float64, zeroAlloc string, allocRe *regexp.Regexp) error {
 	data, err := os.ReadFile(file)
 	if err != nil {
 		return fmt.Errorf("reading reference %s: %w", file, err)
@@ -171,6 +184,10 @@ func runGate(run *Run, file, label string, tol float64, zeroAlloc string, allocR
 	}
 	if !found {
 		return fmt.Errorf("no run labelled %q in %s", label, file)
+	}
+	baseNs := make(map[string]float64, len(base.Benchmarks))
+	for _, b := range base.Benchmarks {
+		baseNs[b.Name] = b.NsPerOp
 	}
 
 	mustZero := make(map[string]bool)
@@ -198,15 +215,15 @@ func runGate(run *Run, file, label string, tol float64, zeroAlloc string, allocR
 				problems = append(problems, fmt.Sprintf("%s: %g allocs/op, must be 0", b.Name, *b.AllocsPerOp))
 			}
 		}
-		r, ok := ref[b.Name]
-		if !ok || r.NsPerOp <= 0 {
+		ns := baseNs[b.Name]
+		if ns <= 0 {
 			continue
 		}
-		growth := b.NsPerOp/r.NsPerOp - 1
-		fmt.Printf("%-32s %+6.1f%% vs %s (%0.f ns/op)\n", b.Name, 100*growth, label, r.NsPerOp)
+		growth := b.NsPerOp/ns - 1
+		fmt.Printf("%-32s %+6.1f%% vs base (%0.f ns/op)\n", b.Name, 100*growth, ns)
 		if growth > tol {
-			problems = append(problems, fmt.Sprintf("%s: %.0f ns/op is %.1f%% above the %q run's %.0f (tolerance %.0f%%)",
-				b.Name, b.NsPerOp, 100*growth, label, r.NsPerOp, 100*tol))
+			problems = append(problems, fmt.Sprintf("%s: %.0f ns/op is %.1f%% above the base run's %.0f (tolerance %.0f%%)",
+				b.Name, b.NsPerOp, 100*growth, ns, 100*tol))
 		}
 	}
 	for name := range mustZero {
@@ -234,6 +251,16 @@ func allocCeiling(b, ref Benchmark, label string) string {
 		return fmt.Sprintf("%s: %g allocs/op, above the %q run's %g", b.Name, *b.AllocsPerOp, label, *ref.AllocsPerOp)
 	}
 	return ""
+}
+
+// parseFile parses the `go test -bench` output stored in a file.
+func parseFile(name string) (*Run, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return parse(f)
 }
 
 // parse reads `go test -bench` output and extracts benchmark lines plus the

@@ -30,7 +30,7 @@ func TestGateMaxAllocs(t *testing.T) {
 	}
 	re := regexp.MustCompile(`BenchmarkSubmit|BenchmarkRebalance$`)
 	gate := func(bs ...Benchmark) error {
-		return runGate(&Run{Benchmarks: bs}, file, "current", 10, "", re)
+		return runGate(&Run{Benchmarks: bs}, &Run{}, file, "current", 10, "", re)
 	}
 
 	if err := gate(
@@ -49,5 +49,37 @@ func TestGateMaxAllocs(t *testing.T) {
 	}
 	if err := gate(Benchmark{Name: "BenchmarkOther", NsPerOp: 100, AllocsPerOp: allocs(1)}); err == nil {
 		t.Fatal("gate passed a run with no benchmark matching -max-allocs")
+	}
+}
+
+// TestGateBase checks the paired gate: ns/op is held to the base run's and
+// not to the labelled run's, while the allocs/op ceiling comes from the
+// labelled run.
+func TestGateBase(t *testing.T) {
+	ref := File{Runs: []Run{{Label: "current", Benchmarks: []Benchmark{
+		{Name: "BenchmarkRun", NsPerOp: 100, AllocsPerOp: allocs(1)},
+	}}}}
+	data, err := json.Marshal(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(t.TempDir(), "bench.json")
+	if err := os.WriteFile(file, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re := regexp.MustCompile(`BenchmarkRun$`)
+	base := &Run{Benchmarks: []Benchmark{{Name: "BenchmarkRun", NsPerOp: 300}}}
+	gate := func(ns, a float64) error {
+		return runGate(&Run{Benchmarks: []Benchmark{{Name: "BenchmarkRun", NsPerOp: ns, AllocsPerOp: allocs(a)}}},
+			base, file, "current", 0.35, "", re)
+	}
+	if err := gate(390, 1); err != nil {
+		t.Fatalf("gate failed 30%% above the base run (3.9x the labelled run): %v", err)
+	}
+	if err := gate(420, 1); err == nil || !strings.Contains(err.Error(), "base run") {
+		t.Fatalf("gate passed 40%% above the base run: %v", err)
+	}
+	if err := gate(100, 2); err == nil || !strings.Contains(err.Error(), "above the \"current\" run's 1") {
+		t.Fatalf("gate passed 2 allocs/op over the labelled ceiling of 1: %v", err)
 	}
 }

@@ -1,6 +1,6 @@
-// Package a is the deadlockcheck fixture: a two-function lock-order
-// inversion, an interprocedural double-lock, and blocking operations
-// under a lock.
+// Package a is the deadlockcheck fixture: two-function lock-order
+// inversions (one through indexed slot locks), an interprocedural
+// double-lock, and blocking operations under a lock.
 package a
 
 import (
@@ -240,4 +240,47 @@ func suppressedReturn(s *store) {
 	s.mu.Lock()
 	//deadlockcheck:ok the caller unlocks through release()
 	return
+}
+
+// journalSlot and Journal mirror the flight recorder's ring: per-slot locks
+// reached by index, and a journal-wide lock. An indexed slot lock is named
+// by its element type, (a.journalSlot).mu, so the planted inversion below
+// is seen: Incident calls Records under mu, and Reset takes mu inside its
+// slot loop.
+type journalSlot struct {
+	mu  sync.Mutex
+	seq int64
+}
+
+type Journal struct {
+	mu    sync.Mutex
+	slots []journalSlot
+	count int
+}
+
+func (j *Journal) Records() int {
+	n := 0
+	for i := range j.slots {
+		j.slots[i].mu.Lock()
+		n += int(j.slots[i].seq)
+		j.slots[i].mu.Unlock()
+	}
+	return n
+}
+
+func (j *Journal) Incident() {
+	j.mu.Lock()
+	j.count = j.Records() // want `potential lock-order inversion among \(a\.Journal\)\.mu, \(a\.journalSlot\)\.mu: holding \(a\.Journal\)\.mu, \(a\.journalSlot\)\.mu is acquired via \(\*a\.Journal\)\.Incident → \(\*a\.Journal\)\.Records \(a\.go:\d+\); holding \(a\.journalSlot\)\.mu, \(a\.Journal\)\.mu is acquired via \(\*a\.Journal\)\.Reset \(a\.go:\d+\)`
+	j.mu.Unlock()
+}
+
+func (j *Journal) Reset() {
+	for i := range j.slots {
+		j.slots[i].mu.Lock()
+		j.slots[i].seq = 0
+		j.mu.Lock()
+		j.count = 0
+		j.mu.Unlock()
+		j.slots[i].mu.Unlock()
+	}
 }

@@ -500,7 +500,7 @@ func (e *engine) accessEffect(fn *callgraph.Node, x *ast.SelectorExpr, f *fact, 
 		Field:    fld,
 		Pos:      x.Sel.Pos(),
 		Write:    e.writes[x.Pos()],
-		Fresh:    e.fresh[fn][root],
+		Fresh:    root.v != nil && e.fresh[fn][root.v],
 		InRoot:   fn.Pkg.Types == e.rootPkg,
 		FnName:   fn.Name(),
 		fn:       fn,

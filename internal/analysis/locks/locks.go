@@ -81,7 +81,8 @@ const (
 	// function literals that capture the variable, but not static calls.
 	kindLocal
 	// kindExpr is the fallback for expressions with no nameable root
-	// (map/slice elements, call results); purely function-local.
+	// (call results, elements of unnamed type, a bare mutex element);
+	// purely function-local.
 	kindExpr
 )
 
@@ -149,36 +150,49 @@ func objDisp(o types.Object) string {
 	return o.Name()
 }
 
-// rootAndPath peels a selector chain down to its root variable, collecting
-// the dotted field path (including implicit embedded-field hops resolved
-// through go/types selections). It fails on anything that is not a plain
-// variable/field chain.
-func rootAndPath(x ast.Expr, info *types.Info) (*types.Var, []string, bool) {
+// lockRoot is what a selector chain is rooted at: a variable, or the named
+// type of a slice, array or map element (elem).
+type lockRoot struct {
+	v    *types.Var
+	elem *types.TypeName
+}
+
+// rootAndPath peels a selector chain down to its root, collecting the
+// dotted field path (including implicit embedded-field hops resolved
+// through go/types selections). The root is a variable, or an indexed
+// element whose type is named (T or *T): the element then stands for any
+// variable of its type, so j.slots[i].mu names the same lock as s.mu after
+// s := &j.slots[i]. It fails on anything else.
+func rootAndPath(x ast.Expr, info *types.Info) (lockRoot, []string, bool) {
 	switch x := ast.Unparen(x).(type) {
 	case *ast.Ident:
 		v, ok := info.Uses[x].(*types.Var)
 		if !ok {
 			v, ok = info.Defs[x].(*types.Var)
 		}
-		return v, nil, ok
+		return lockRoot{v: v}, nil, ok
 	case *ast.SelectorExpr:
 		sel, ok := info.Selections[x]
 		if !ok || sel.Kind() != types.FieldVal {
-			return nil, nil, false
+			return lockRoot{}, nil, false
 		}
 		root, path, ok := rootAndPath(x.X, info)
 		if !ok {
-			return nil, nil, false
+			return lockRoot{}, nil, false
 		}
 		hops, ok := fieldPathNames(info.TypeOf(x.X), sel.Index())
 		if !ok {
-			return nil, nil, false
+			return lockRoot{}, nil, false
 		}
 		return root, append(path, hops...), true
 	case *ast.StarExpr:
 		return rootAndPath(x.X, info)
+	case *ast.IndexExpr:
+		if tn := namedRoot(info.TypeOf(x)); tn != nil {
+			return lockRoot{elem: tn}, nil, true
+		}
 	}
-	return nil, nil, false
+	return lockRoot{}, nil, false
 }
 
 // fieldPathNames maps a go/types selection index path onto field names,
@@ -214,18 +228,22 @@ func namedRoot(t types.Type) *types.TypeName {
 	return nil
 }
 
-// makeRoot classifies a root variable.
-func makeRoot(root *types.Var, hasPath bool) (rootKey, bool) {
+// makeRoot classifies a root. An element root names a lock only through a
+// field path: the element itself may be a bare mutex, and every mutex of
+// its type would then be one lock.
+func makeRoot(root lockRoot, hasPath bool) (rootKey, bool) {
 	switch {
-	case root.Pkg() != nil && root.Parent() == root.Pkg().Scope():
-		return rootKey{kind: kindGlobal, obj: root}, true
+	case root.elem != nil:
+		return rootKey{kind: kindType, typ: root.elem}, hasPath
+	case root.v.Pkg() != nil && root.v.Parent() == root.v.Pkg().Scope():
+		return rootKey{kind: kindGlobal, obj: root.v}, true
 	case hasPath:
-		if tn := namedRoot(root.Type()); tn != nil {
+		if tn := namedRoot(root.v.Type()); tn != nil {
 			return rootKey{kind: kindType, typ: tn}, true
 		}
-		return rootKey{kind: kindLocal, obj: root}, true
+		return rootKey{kind: kindLocal, obj: root.v}, true
 	default:
-		return rootKey{kind: kindLocal, obj: root}, true
+		return rootKey{kind: kindLocal, obj: root.v}, true
 	}
 }
 

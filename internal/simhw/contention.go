@@ -41,10 +41,10 @@ type resTable struct {
 	// proportionally, exactly as Pandia's model assumes.
 	stress []int
 
-	// slow memoises, per iteration, each resource's slowdown on the
-	// proportional-sharing path, where it depends on the resource alone.
-	// NaN marks "not yet computed"; 0 marks a heterogeneous resource whose
-	// slowdown is water-filled per demand from theta and wfScale.
+	// slow holds, per iteration, each listed resource's slowdown on the
+	// proportional-sharing path, where it depends on the resource alone;
+	// 0 marks a heterogeneous resource whose slowdown is water-filled per
+	// demand from theta and wfScale.
 	slow []float64
 	// theta is the per-resource water-filling level and wfScale the
 	// queueing factor applied on top of it, both valid where slow is 0.
@@ -84,25 +84,59 @@ func (t *resTable) l3AggIdx(sock int) int  { return 4*t.nCores + sock }
 func (t *resTable) dramIdx(sock int) int   { return 4*t.nCores + t.nSock + sock }
 func (t *resTable) icIdx(a, b int) int     { return 4*t.nCores + 2*t.nSock + t.topo.PairIndex(a, b) }
 
-// reset clears the listed resources (repeats are harmless) for a new
-// iteration; a resource off every class's path keeps stale state that no
-// pass reads.
-func (t *resTable) reset(idx []int) {
-	for _, i := range idx {
-		t.total[i] = 0
-		t.minD[i] = math.Inf(1)
-		t.maxD[i] = 0
+// countUsers sets the user and stressor counts of the run's resources
+// from the pairs' copies, once per run. The per-agent reference counts
+// only pairs offering demand, yet these counts classify alike at every
+// iteration. A stressor pays no communication or load-balancing penalty,
+// so its utilisation stays at its initial 1 and its pairs always offer
+// demand: the stressor count never changes. A workload pair that offers
+// none can lower the user count, but to one user or none only when at
+// most one positive demand is left, whose extremes classify finds equal
+// (for finite demands) and so homogeneous either way. The table outlives
+// the run in the pool, so every listed resource is zeroed first: classify
+// would read a stale stressor count as a foreign user.
+//
+//pandia:noalloc
+func (t *resTable) countUsers(dw *demandWalk, cls []class) {
+	for _, i := range dw.res {
 		t.count[i] = 0
 		t.stress[i] = 0
-		t.slow[i] = math.NaN()
+	}
+	for k := range cls {
+		idx, _, m := dw.of(k)
+		for p := range idx {
+			t.count[idx[p]] += m[p]
+			if !cls[k].workload {
+				t.stress[idx[p]] += m[p]
+			}
+		}
 	}
 }
 
-// note records m users offering demand d on resource idx in its shape:
-// extremes, user count and stressor count. The total is summed apart,
-// since its order of addition matters.
-func (t *resTable) note(idx int, d float64, m int, isWorkload bool) {
-	if d <= 0 {
+// reset clears the listed resources' totals for a new iteration and, in a
+// run with stressors, their extremes where a stressor shares them, the
+// only place classify reads them; a resource off every class's path keeps
+// stale state that no pass reads.
+func (t *resTable) reset(idx []int, stressed bool) {
+	for _, i := range idx {
+		t.total[i] = 0
+	}
+	if !stressed {
+		return
+	}
+	for _, i := range idx {
+		if t.stress[i] > 0 {
+			t.minD[i] = math.Inf(1)
+			t.maxD[i] = 0
+		}
+	}
+}
+
+// note widens resource idx's demand extremes by a user offering demand d,
+// on a resource a stressor shares. The total is summed apart, since its
+// order of addition matters.
+func (t *resTable) note(idx int, d float64) {
+	if d <= 0 || t.stress[idx] == 0 {
 		return
 	}
 	if d < t.minD[idx] {
@@ -110,10 +144,6 @@ func (t *resTable) note(idx int, d float64, m int, isWorkload bool) {
 	}
 	if d > t.maxD[idx] {
 		t.maxD[idx] = d
-	}
-	t.count[idx] += m
-	if !isWorkload {
-		t.stress[idx] += m
 	}
 }
 
@@ -125,6 +155,57 @@ func (t *resTable) add(idx int, d float64, m int) {
 	for ; m > 0; m-- {
 		t.total[idx] += d
 	}
+}
+
+// replayWidth is the number of shared totals one replay of the runs
+// advances together: every shared resource of a run on a two-socket
+// machine (two L3 aggregates, two DRAM totals, one link), and every shared
+// pair of one class on a four-socket machine.
+const replayWidth = 8
+
+// sumShared sets the shared resources' totals (L3 aggregate, DRAM,
+// interconnect) from the runs, in one replay of the runs per replayWidth
+// shared resources of the run, rather than one per pair.
+//
+//pandia:noalloc
+func (t *resTable) sumShared(dw *demandWalk, nCls int, runs []run) {
+	for base := 0; base < len(dw.sharedRes); base += replayWidth {
+		dw.addends(base, nCls)
+		var acc [replayWidth]float64
+		replayRuns(&acc, dw.addend, runs)
+		for i, r := range dw.sharedRes[base:min(base+replayWidth, len(dw.sharedRes))] {
+			t.total[r] = acc[i]
+		}
+	}
+}
+
+// replayRuns replays the runs in agent order into replayWidth
+// accumulators at once: every agent of a run adds its class's addends,
+// acc[i] += add[cls][i]. The accumulators are independent sums held in
+// registers, so their additions overlap, yet each still receives one
+// addition per agent, in agent order, exactly as adding agent by agent.
+// An addend of +0 stands for a resource the class does not offer: a sum
+// that starts at +0 and adds only non-negative values is never -0, so
+// adding +0 leaves it bit for bit unchanged.
+//
+//pandia:noalloc
+func replayRuns(acc *[replayWidth]float64, add [][replayWidth]float64, runs []run) {
+	a0, a1, a2, a3, a4, a5, a6, a7 := acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7]
+	for _, r := range runs {
+		d := &add[r.cls]
+		d0, d1, d2, d3, d4, d5, d6, d7 := d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]
+		for m := r.n; m > 0; m-- {
+			a0 += d0
+			a1 += d1
+			a2 += d2
+			a3 += d3
+			a4 += d4
+			a5 += d5
+			a6 += d6
+			a7 += d7
+		}
+	}
+	acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7] = a0, a1, a2, a3, a4, a5, a6, a7
 }
 
 // setCapacities fills the run's resource capacities. coreOcc supplies
@@ -153,18 +234,10 @@ func (t *resTable) setCapacities(mt *MachineTruth, coreOcc []int, freqScale []fl
 	}
 }
 
-// slowdown returns the contention slowdown that a user offering demand d > 0
-// experiences on resource idx, applying water-filling when the user
-// population is heterogeneous. The first call per resource and iteration
-// classifies the resource; later calls read the memo.
-func (t *resTable) slowdown(idx int, d, q float64, dw *demandWalk) float64 {
-	s := t.slow[idx]
-	if math.IsNaN(s) {
-		s = t.classify(idx, q, dw)
-	}
-	if s != 0 {
-		return s
-	}
+// waterfilled returns the contention slowdown that a user offering demand
+// d >= 0 experiences on a resource classify water-filled (slow is 0):
+// its max-min fair share of d, with the resource's queueing factor.
+func (t *resTable) waterfilled(idx int, d float64) float64 {
 	alloc := math.Min(d, t.theta[idx])
 	slow := safeDiv(d, alloc, 1)
 	if slow < 1 {
@@ -173,11 +246,11 @@ func (t *resTable) slowdown(idx int, d, q float64, dw *demandWalk) float64 {
 	return slow * t.wfScale[idx]
 }
 
-// classify computes resource idx's memo entry for this iteration: its
+// classify sets resource idx's slowdown for this iteration: its
 // proportional-sharing slowdown, or 0 with theta and wfScale set when a
 // foreign program (stress application) shares the oversubscribed resource
 // with demand unlike the others'.
-func (t *resTable) classify(idx int, q float64, dw *demandWalk) float64 {
+func (t *resTable) classify(idx int, q float64, dw *demandWalk) {
 	s := 1.0
 	if c := t.capacity[idx]; c > 0 {
 		u := t.total[idx] / c
@@ -192,7 +265,6 @@ func (t *resTable) classify(idx int, q float64, dw *demandWalk) float64 {
 		}
 	}
 	t.slow[idx] = s
-	return s
 }
 
 // waterfill computes the max-min fair share level theta such that
@@ -219,9 +291,12 @@ func waterfill(demands []float64, c float64) float64 {
 	return demands[len(demands)-1]
 }
 
+// satStart is the utilisation where the queueing ramp begins.
+const satStart = 0.8
+
 // satWeight is the ramp used by the queueing excess in phi.
 func satWeight(u float64) float64 {
-	sat := (u - 0.8) / 0.4
+	sat := (u - satStart) / 0.4
 	if sat < 0 {
 		return 0
 	}

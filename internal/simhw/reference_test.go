@@ -60,12 +60,12 @@ func refFixedPoint(tb *Testbed, s *runScratch, wt *WorkloadTruth, nAct int) {
 	}
 
 	for iter := 0; iter < maxFixedPointIters; iter++ {
-		dw.walk(table, agents, s.memSockets, memShare)
-		table.reset(all)
+		refWalk(dw, table, agents, s.memSockets, memShare)
+		refReset(table, all)
 		for i := range agents {
 			idx, d, _ := dw.of(i)
 			for k := range idx {
-				table.note(idx[k], d[k], 1, agents[i].workload)
+				refNote(table, idx[k], d[k], agents[i].workload)
 				table.add(idx[k], d[k], 1)
 			}
 		}
@@ -79,7 +79,7 @@ func refFixedPoint(tb *Testbed, s *runScratch, wt *WorkloadTruth, nAct int) {
 			sl := 1.0
 			idx, d, _ := dw.of(i)
 			for k := range idx {
-				if got := table.slowdown(idx[k], d[k], q, dw); got > sl {
+				if got := refSlowdown(table, idx[k], d[k], q, dw); got > sl {
 					sl = got
 				}
 			}
@@ -158,6 +158,97 @@ func refFixedPoint(tb *Testbed, s *runScratch, wt *WorkloadTruth, nAct int) {
 			break
 		}
 	}
+}
+
+// refWalk rebuilds every agent's (resource, demand) pairs at its current
+// utilisation, omitting a pair whose demand is not positive, each with
+// one copy.
+func refWalk(w *demandWalk, t *resTable, agents []class, memSockets []int, memShare float64) {
+	w.n = 0
+	put := func(idx int, d float64) {
+		w.idx[w.n], w.d[w.n], w.m[w.n] = idx, d, 1
+		w.n++
+	}
+	for i := range agents {
+		w.mid[i], w.end[i] = w.n, w.n
+		a := &agents[i]
+		if !a.active {
+			continue
+		}
+		f := a.f
+		if d := a.demand.Instr * f; d > 0 {
+			put(t.instrIdx(a.core), d)
+		}
+		if d := a.demand.L1 * f; d > 0 {
+			put(t.l1Idx(a.core), d)
+		}
+		if d := a.demand.L2 * f; d > 0 {
+			put(t.l2Idx(a.core), d)
+		}
+		if d := a.demand.L3 * f; d > 0 {
+			put(t.l3LinkIdx(a.core), d)
+		}
+		w.mid[i] = w.n
+		if d := a.demand.L3 * f; d > 0 {
+			put(t.l3AggIdx(a.ctx.Socket), d)
+		}
+		if d := a.demand.DRAM * f * a.dramMult; d > 0 {
+			if a.workload {
+				for _, u := range memSockets {
+					put(t.dramIdx(u), d*memShare)
+					if u != a.ctx.Socket {
+						put(t.icIdx(a.ctx.Socket, u), 2*d*memShare)
+					}
+				}
+			} else {
+				put(t.dramIdx(a.ctx.Socket), d)
+			}
+		}
+		w.end[i] = w.n
+	}
+}
+
+// refReset clears every shape field, the total and the slowdown memo
+// (NaN: not yet classified) of the listed resources.
+func refReset(t *resTable, idx []int) {
+	for _, i := range idx {
+		t.total[i] = 0
+		t.minD[i] = math.Inf(1)
+		t.maxD[i] = 0
+		t.count[i] = 0
+		t.stress[i] = 0
+		t.slow[i] = math.NaN()
+	}
+}
+
+// refNote records a user offering demand d > 0 on resource idx in its
+// shape: extremes, user count and stressor count.
+func refNote(t *resTable, idx int, d float64, isWorkload bool) {
+	if d <= 0 {
+		return
+	}
+	if d < t.minD[idx] {
+		t.minD[idx] = d
+	}
+	if d > t.maxD[idx] {
+		t.maxD[idx] = d
+	}
+	t.count[idx]++
+	if !isWorkload {
+		t.stress[idx]++
+	}
+}
+
+// refSlowdown classifies resource idx on its first use in an iteration and
+// returns the slowdown of a user offering demand d there.
+func refSlowdown(t *resTable, idx int, d, q float64, dw *demandWalk) float64 {
+	if math.IsNaN(t.slow[idx]) {
+		t.classify(idx, q, dw)
+	}
+	if s := t.slow[idx]; s != 0 {
+		return s
+	}
+	return t.waterfilled(idx, d)
 }
 
 // refAssemble is the per-agent assembly: every sum adds thread by thread.

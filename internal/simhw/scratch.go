@@ -61,9 +61,10 @@ func newRunScratch(topo topology.Machine) *runScratch {
 	nCtx := topo.TotalContexts()
 	nCores := topo.TotalCores()
 	nSock := topo.Sockets
+	table := newResTable(topo)
 	s := &runScratch{
-		table:       newResTable(topo),
-		demands:     newDemandWalk(nCtx, nSock),
+		table:       table,
+		demands:     newDemandWalk(nCtx, nSock, table.size()),
 		classes:     make([]class, 0, nCtx),
 		classOf:     make([]int32, nCtx),
 		runs:        make([]run, 0, nCtx),
@@ -176,102 +177,228 @@ func (s *runScratch) coRunners(g int) []int {
 	return s.coreAgents[start : start+s.coreCount[g]]
 }
 
-// demandWalk is the flattened resource walk of one fixed-point iteration:
-// every active class's (resource index, offered demand, copies) triples, in
-// class order and, within a class, in hierarchy order: the representative
-// core's resources first, then the shared ones (L3 aggregate, DRAM,
-// interconnect). A pair's copies count the class's agents that offer
-// it: the class's agents on one core for a core resource, every agent of
-// the class for a shared one. The table pass, the slowdown pass and
-// water-filling share the buffer.
+// demandWalk is the flattened resource walk of one run: every active
+// class's (resource index, offered demand, copies) triples, in class order
+// and, within a class, in hierarchy order: the representative core's
+// resources first, then the shared ones (L3 aggregate, DRAM,
+// interconnect). A pair's copies count the class's agents that offer it:
+// the class's agents on one core for a core resource, every agent of the
+// class for a shared one. layout fixes the pairs once per run; values
+// rewrites only their demands each fixed-point iteration. The table pass,
+// the slowdown pass and water-filling share the buffer.
 type demandWalk struct {
 	idx []int
 	d   []float64
 	m   []int
+	// term[p] names the demand term that gives pair p's value.
+	term []uint8
 	// mid[k] is the first shared pair of class k and end[k] one past its
 	// last pair.
 	mid, end []int
 	n        int
+	// res lists the run's distinct resources in first-use order; listed
+	// flags them while layout builds the list.
+	res    []int
+	listed []bool
+	// sharedRes lists the run's distinct shared resources, slot[p] is
+	// shared pair p's position in it and slotOf maps a resource back to
+	// its position while layout builds the list (-1: none). addend holds
+	// each class's demand on the shared resources of one replay, by slot.
+	sharedRes []int
+	slot      []int
+	slotOf    []int
+	addend    [][replayWidth]float64
+	// stressed reports a stressor in the run.
+	stressed bool
 	// pop collects one resource's demand population for water-filling.
 	pop []float64
 }
 
-// newDemandWalk sizes the walk for nAgents agents on nSock sockets: an
-// agent offers at most five core and cache demands plus, per memory
-// socket, a DRAM and an interconnect demand, and a class has at least one
-// agent.
-func newDemandWalk(nAgents, nSock int) demandWalk {
+// The demand terms of a pair's value: a class's per-resource demand at its
+// utilisation; the DRAM demand with the spill multiplier, as a stressor
+// offers it locally; its interleaved share on one memory socket; and that
+// share in both directions on the link to a remote memory socket (the
+// accounting convention calibrated to the paper's Fig. 7 worked example).
+const (
+	termInstr = iota
+	termL1
+	termL2
+	termL3
+	termDRAM
+	termDRAMShare
+	termIC
+	nTerms
+)
+
+// absent is the value of a pair that offers no demand this iteration: its
+// term is not positive at the class's utilisation. Every pass skips it.
+const absent = -1.0
+
+// newDemandWalk sizes the walk for nAgents agents on nSock sockets and a
+// table of nRes resources: an agent offers at most five core and cache
+// demands plus, per memory socket, a DRAM and an interconnect demand, and
+// a class has at least one agent.
+func newDemandWalk(nAgents, nSock, nRes int) demandWalk {
 	pairs := nAgents * (5 + 2*nSock)
-	return demandWalk{
-		idx: make([]int, pairs),
-		d:   make([]float64, pairs),
-		m:   make([]int, pairs),
-		mid: make([]int, nAgents),
-		end: make([]int, nAgents),
-		pop: make([]float64, nAgents),
+	w := demandWalk{
+		idx:       make([]int, pairs),
+		d:         make([]float64, pairs),
+		m:         make([]int, pairs),
+		term:      make([]uint8, pairs),
+		mid:       make([]int, nAgents),
+		end:       make([]int, nAgents),
+		res:       make([]int, 0, nRes),
+		listed:    make([]bool, nRes),
+		sharedRes: make([]int, 0, nRes),
+		slot:      make([]int, pairs),
+		slotOf:    make([]int, nRes),
+		addend:    make([][replayWidth]float64, nAgents),
+		pop:       make([]float64, nAgents),
 	}
+	for i := range w.slotOf {
+		w.slotOf[i] = -1
+	}
+	return w
 }
 
-// walk rebuilds the pairs of every class at its current utilisation.
-func (w *demandWalk) walk(t *resTable, cls []class, memSockets []int, memShare float64) {
+// layout records the pairs of every active class for the run and lists
+// its distinct resources. A pair is laid out where its term's coefficient
+// is positive: a utilisation is never negative, so no other pair can ever
+// offer demand.
+//
+//pandia:noalloc
+func (w *demandWalk) layout(t *resTable, cls []class, memSockets []int) {
 	w.n = 0
+	w.res = w.res[:0]
+	w.sharedRes = w.sharedRes[:0]
+	w.stressed = false
 	for k := range cls {
 		w.mid[k], w.end[k] = w.n, w.n
 		if c := &cls[k]; c.active {
-			w.walkCore(t, c)
+			w.stressed = w.stressed || !c.workload
+			w.layoutCore(t, c)
 			w.mid[k] = w.n
-			w.walkShared(t, c, memSockets, memShare)
+			w.layoutShared(t, c, memSockets)
 			w.end[k] = w.n
+			for p := w.mid[k]; p < w.end[k]; p++ {
+				i := w.idx[p]
+				if w.slotOf[i] < 0 {
+					w.slotOf[i] = len(w.sharedRes)
+					w.sharedRes = w.sharedRes[:len(w.sharedRes)+1]
+					w.sharedRes[w.slotOf[i]] = i
+				}
+				w.slot[p] = w.slotOf[i]
+			}
 		}
 	}
+	for _, i := range w.res {
+		w.listed[i] = false
+	}
+	for _, i := range w.sharedRes {
+		w.slotOf[i] = -1
+	}
 }
 
-// walkCore records the pairs of an active class on its representative
+// layoutCore lays out an active class's pairs on its representative
 // core's resources, one copy per agent of the class on the core.
-func (w *demandWalk) walkCore(t *resTable, c *class) {
-	f := c.f
-	if d := c.demand.Instr * f; d > 0 {
-		w.put(t.instrIdx(c.core), d, c.perCore)
+func (w *demandWalk) layoutCore(t *resTable, c *class) {
+	if c.demand.Instr > 0 {
+		w.put(t.instrIdx(c.core), termInstr, c.perCore)
 	}
-	if d := c.demand.L1 * f; d > 0 {
-		w.put(t.l1Idx(c.core), d, c.perCore)
+	if c.demand.L1 > 0 {
+		w.put(t.l1Idx(c.core), termL1, c.perCore)
 	}
-	if d := c.demand.L2 * f; d > 0 {
-		w.put(t.l2Idx(c.core), d, c.perCore)
+	if c.demand.L2 > 0 {
+		w.put(t.l2Idx(c.core), termL2, c.perCore)
 	}
-	if d := c.demand.L3 * f; d > 0 {
-		w.put(t.l3LinkIdx(c.core), d, c.perCore)
+	if c.demand.L3 > 0 {
+		w.put(t.l3LinkIdx(c.core), termL3, c.perCore)
 	}
 }
 
-// walkShared records the pairs of an active class on the shared
-// resources, one copy per agent of the class, applying the memory
-// interleave and the both-directions interconnect accounting convention
-// (calibrated to the paper's Fig. 7 worked example).
-func (w *demandWalk) walkShared(t *resTable, c *class, memSockets []int, memShare float64) {
-	f := c.f
-	if d := c.demand.L3 * f; d > 0 {
-		w.put(t.l3AggIdx(c.ctx.Socket), d, c.n)
+// layoutShared lays out an active class's pairs on the shared resources,
+// one copy per agent of the class: a workload thread's DRAM demand
+// interleaves over the memory sockets, and a stressor allocates locally.
+func (w *demandWalk) layoutShared(t *resTable, c *class, memSockets []int) {
+	if c.demand.L3 > 0 {
+		w.put(t.l3AggIdx(c.ctx.Socket), termL3, c.n)
 	}
-	if d := c.demand.DRAM * f * c.dramMult; d > 0 {
+	if c.demand.DRAM > 0 {
 		if c.workload {
 			for _, u := range memSockets {
-				w.put(t.dramIdx(u), d*memShare, c.n)
+				w.put(t.dramIdx(u), termDRAMShare, c.n)
 				if u != c.ctx.Socket {
-					w.put(t.icIdx(c.ctx.Socket, u), 2*d*memShare, c.n)
+					w.put(t.icIdx(c.ctx.Socket, u), termIC, c.n)
 				}
 			}
 		} else {
-			w.put(t.dramIdx(c.ctx.Socket), d, c.n) // stressors allocate locally
+			w.put(t.dramIdx(c.ctx.Socket), termDRAM, c.n)
 		}
 	}
 }
 
-func (w *demandWalk) put(idx int, d float64, m int) {
+func (w *demandWalk) put(idx int, term uint8, m int) {
 	w.idx[w.n] = idx
-	w.d[w.n] = d
+	w.term[w.n] = term
 	w.m[w.n] = m
 	w.n++
+	if !w.listed[idx] {
+		w.listed[idx] = true
+		w.res = w.res[:len(w.res)+1] // capacity: every resource of the table
+		w.res[len(w.res)-1] = idx
+	}
+}
+
+// values writes every pair's demand at its class's current utilisation,
+// with the per-agent reference's products in its order: each per-resource
+// demand times f, and the DRAM demand times f times the spill multiplier,
+// then times the memory share (twice that on a link). A pair whose term
+// is not positive offers no demand this iteration and reads absent; a
+// share pair whose DRAM term is positive stays present even where its own
+// product underflows to 0.
+//
+//pandia:noalloc
+func (w *demandWalk) values(cls []class, memShare float64) {
+	p := 0
+	for k := range cls {
+		c := &cls[k]
+		if p == w.end[k] {
+			continue
+		}
+		f := c.f
+		dram := c.demand.DRAM * f * c.dramMult
+		v := [nTerms]float64{c.demand.Instr * f, c.demand.L1 * f, c.demand.L2 * f, c.demand.L3 * f,
+			dram, dram * memShare, 2 * dram * memShare}
+		for i := termInstr; i <= termDRAM; i++ {
+			if !(v[i] > 0) {
+				v[i] = absent
+			}
+		}
+		if v[termDRAM] == absent {
+			v[termDRAMShare], v[termIC] = absent, absent
+		}
+		for ; p < w.end[k]; p++ {
+			w.d[p] = v[w.term[p]]
+		}
+	}
+}
+
+// addends fills every class's demand on the shared resources in slots
+// base to base+replayWidth-1, by slot: +0 where the class offers none this
+// iteration, as add skips a demand that is not positive. A class's shared
+// resources are distinct, so no slot takes two pairs.
+//
+//pandia:noalloc
+func (w *demandWalk) addends(base, nCls int) {
+	for k := 0; k < nCls; k++ {
+		a := &w.addend[k]
+		*a = [replayWidth]float64{}
+		for p := w.mid[k]; p < w.end[k]; p++ {
+			if s := uint(w.slot[p] - base); s < replayWidth && w.d[p] > 0 {
+				a[s] = w.d[p]
+			}
+		}
+	}
 }
 
 // of returns class k's pairs with their copies.
@@ -290,19 +417,14 @@ func (w *demandWalk) local(k int) ([]int, []float64, []int) {
 	return idx[:n], d[:n], m[:n]
 }
 
-// shared returns class k's pairs on shared resources.
-func (w *demandWalk) shared(k int) ([]int, []float64) {
-	return w.idx[w.mid[k]:w.end[k]], w.d[w.mid[k]:w.end[k]]
-}
-
 // demandsOf collects every user's offered demand on one resource, each
-// pair repeated by its copies, for water-filling on heterogeneous
+// present pair repeated by its copies, for water-filling on heterogeneous
 // resources. waterfill sorts the population, so only the multiset counts.
 // The result aliases w.pop and is valid until the next call.
 func (w *demandWalk) demandsOf(idx int) []float64 {
 	k := 0
 	for j := 0; j < w.n; j++ {
-		if w.idx[j] == idx {
+		if w.idx[j] == idx && w.d[j] != absent {
 			for c := 0; c < w.m[j]; c++ {
 				w.pop[k] = w.d[j]
 				k++

@@ -123,13 +123,18 @@ type run struct {
 func (tb *Testbed) Run(cfg RunConfig) (RunResult, error) {
 	s := tb.getScratch()
 	defer tb.scratch.Put(s)
-	amdahl, nAct, err := tb.setup(s, &cfg)
+	return tb.run(s, &cfg)
+}
+
+// run executes one run in scratch s, which any earlier run may have used.
+func (tb *Testbed) run(s *runScratch, cfg *RunConfig) (RunResult, error) {
+	amdahl, nAct, err := tb.setup(s, cfg)
 	if err != nil {
 		return RunResult{}, err
 	}
-	tb.buildClasses(s, &cfg, amdahl/float64(nAct), nAct) //nanguard:ok setup returns nAct > 0 with a nil error
+	tb.buildClasses(s, cfg, amdahl/float64(nAct), nAct) //nanguard:ok setup returns nAct > 0 with a nil error
 	tb.fixedPoint(s, &cfg.Workload, nAct)
-	return tb.assemble(s, &cfg, amdahl, nAct)
+	return tb.assemble(s, cfg, amdahl, nAct)
 }
 
 // setup validates the run, resolves its memory sockets and clocks, and
@@ -312,9 +317,10 @@ func (mt *MachineTruth) spillMultiplier(pressureMB float64) float64 {
 
 // phi is the contention response for homogeneous sharing: linear slowdown
 // beyond saturation with a bounded queueing excess ramping in near
-// saturation.
+// saturation. Up to the ramp's start the excess is 0 for the finite q
+// that MachineTruth.Validate admits, so the response is exactly 1 there.
 func phi(util, q float64) float64 {
-	if util <= 0 {
+	if util <= satStart {
 		return 1
 	}
 	v := util * (1 + q*satWeight(util))
@@ -340,27 +346,33 @@ func (tb *Testbed) fixedPoint(s *runScratch, wt *WorkloadTruth, nAct int) {
 	memShare := safeDiv(1, float64(len(s.memSockets)), 1)
 	table.setCapacities(mt, s.coreOcc, s.freqScale)
 
+	dw.layout(table, cls, s.memSockets)
+	table.countUsers(dw, cls)
+
 	for iter := 0; iter < maxFixedPointIters; iter++ {
-		dw.walk(table, cls, s.memSockets, memShare)
-		table.reset(dw.idx[:dw.n])
-		// Every resource's shape, and the representative cores' totals:
-		// only the class's agents on one core add to a core resource.
-		for k := range cls {
-			idx, d, m := dw.of(k)
-			for p := range idx {
-				table.note(idx[p], d[p], m[p], cls[k].workload)
+		dw.values(cls, memShare)
+		table.reset(dw.res, dw.stressed)
+		// Demand extremes where a stressor shares the resource, and the
+		// representative cores' totals: only the class's agents on one
+		// core add to a core resource.
+		if dw.stressed {
+			for k := range cls {
+				idx, d, _ := dw.of(k)
+				for p := range idx {
+					table.note(idx[p], d[p])
+				}
 			}
-			idx, d, m = dw.local(k)
+		}
+		for k := range cls {
+			idx, d, m := dw.local(k)
 			for p := range idx {
 				table.add(idx[p], d[p], m[p])
 			}
 		}
 		// The shared resources' totals, one addition per agent.
-		for _, r := range s.runs {
-			idx, d := dw.shared(int(r.cls))
-			for p := range idx {
-				table.add(idx[p], d[p], int(r.n))
-			}
+		table.sumShared(dw, len(cls), s.runs)
+		for _, i := range dw.res {
+			table.classify(i, q, dw)
 		}
 
 		// Per-class contention slowdown: worst over-subscription on the
@@ -374,7 +386,14 @@ func (tb *Testbed) fixedPoint(s *runScratch, wt *WorkloadTruth, nAct int) {
 			sl := 1.0
 			idx, d, _ := dw.of(k)
 			for p := range idx {
-				if got := table.slowdown(idx[p], d[p], q, dw); got > sl {
+				if d[p] == absent {
+					continue
+				}
+				got := table.slow[idx[p]]
+				if got == 0 {
+					got = table.waterfilled(idx[p], d[p])
+				}
+				if got > sl {
 					sl = got
 				}
 			}
@@ -411,20 +430,7 @@ func (tb *Testbed) fixedPoint(s *runScratch, wt *WorkloadTruth, nAct int) {
 				}
 			}
 			if invSum > 0 {
-				for sock := range s.commPen {
-					var pen float64
-					for _, r := range s.runs {
-						b := &cls[r.cls]
-						if !b.workload || !b.active || b.ctx.Socket == sock {
-							continue
-						}
-						w := safeDiv(1, b.sRes, 1) / invSum
-						for m := int32(0); m < r.n; m++ {
-							pen += wt.CommCost * ((1 - wt.LoadBalance) + wt.LoadBalance*float64(nAct)*w)
-						}
-					}
-					s.commPen[sock] = pen
-				}
+				s.commPenalties(wt, nAct, invSum)
 				for k := range cls {
 					c := &cls[k]
 					if c.workload && c.active {
@@ -476,6 +482,41 @@ func (tb *Testbed) fixedPoint(s *runScratch, wt *WorkloadTruth, nAct int) {
 		if maxDelta < fixedPointTol {
 			break
 		}
+	}
+}
+
+// commPenalties sets each socket's comm penalty: the sum, over the active
+// workload peers on other sockets in agent order, of a peer's term, which
+// depends on its class alone. One replay of the runs sums replayWidth
+// sockets at once, a peer adding +0 to its own socket's sum as it would
+// skip it: a penalty starts at +0 and is never -0, so +0 leaves it bit for
+// bit unchanged.
+//
+//pandia:noalloc
+func (s *runScratch) commPenalties(wt *WorkloadTruth, nAct int, invSum float64) {
+	cls := s.classes
+	add := s.demands.addend
+	nSock := len(s.commPen)
+	for base := 0; base < nSock; base += replayWidth {
+		live := min(replayWidth, nSock-base)
+		for k := range cls {
+			a := &add[k]
+			*a = [replayWidth]float64{}
+			b := &cls[k]
+			if !b.workload || !b.active {
+				continue
+			}
+			w := safeDiv(1, b.sRes, 1) / invSum //nanguard:ok the caller passes invSum > 0
+			term := wt.CommCost * ((1 - wt.LoadBalance) + wt.LoadBalance*float64(nAct)*w)
+			for i := 0; i < live; i++ {
+				if base+i != b.ctx.Socket {
+					a[i] = term
+				}
+			}
+		}
+		var acc [replayWidth]float64
+		replayRuns(&acc, add, s.runs)
+		copy(s.commPen[base:], acc[:live])
 	}
 }
 
@@ -543,13 +584,13 @@ func (tb *Testbed) assemble(s *runScratch, cfg *RunConfig, amdahl float64, nAct 
 			continue
 		}
 		b := wt.Demand.DRAM * share * c.dramMult
+		ic := 2 * b
+		if s.memOn[c.ctx.Socket] {
+			ic = 2 * b * remote
+		}
 		for m := int32(0); m < r.n; m++ {
 			dramBytes += b
-			if s.memOn[c.ctx.Socket] {
-				icBytes += 2 * b * remote
-			} else {
-				icBytes += 2 * b
-			}
+			icBytes += ic
 		}
 	}
 	rates := make([]float64, n)
