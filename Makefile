@@ -4,6 +4,7 @@
 #                  Run this before sending changes; CI-equivalent.
 #   make test    - the plain tier-1 gate (build + tests), as in ROADMAP.md.
 #   make vet     - the custom static analyzers only (cmd/pandia-vet).
+#   make fmt-check - fail if gofmt would change a .go file outside testdata/.
 #   make bench-module - vet and test cmd/pandia-bench, a module of its own
 #                  that the root `go build ./...` skips.
 #   make results-check - regenerate results/ and compare it with the
@@ -25,7 +26,7 @@ GO ?= go
 # full predictions on the X5-2).
 BENCH_CORE = BenchmarkFig10Curves|BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkPredictSweep$$|BenchmarkTestbedRun|BenchmarkMeasureAll$$|BenchmarkEnumeratePlacements|BenchmarkSweepPruned$$|BenchmarkCoScore$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$|BenchmarkControlCycle$$|BenchmarkRecommend$$
 
-.PHONY: check test vet pandia-vet alloccheck lockcheck fuzz fuzz-smoke scenario-smoke journal-smoke results-check examples-smoke bench bench-smoke bench-gate bench-module build
+.PHONY: check test vet fmt-check pandia-vet alloccheck lockcheck fuzz fuzz-smoke scenario-smoke journal-smoke results-check examples-smoke bench bench-smoke bench-gate bench-module build
 
 build:
 	$(GO) build ./...
@@ -42,12 +43,13 @@ pandia-vet:
 # alloccheck alone, for the local edit loop: the static zero-allocation
 # proof of the annotated //pandia:noalloc hot path — in internal/core
 # Predictor.PredictTime, Predictor.speedupBound, sweepChunks,
-# CoPredictor.Score, engine.iterate, engine.loadSummary, PlacedDigest and
-# CoCache.Key; the scheduler's candidatesLocked; the obs updates
-# (Counter.Inc, Counter.Add, Gauge.Set, Histogram.Observe, RingTracer.Emit);
-# and the testbed's fixedPoint with its per-run layout and per-iteration
-# helpers (demandWalk.layout, demandWalk.values, demandWalk.addends,
-# resTable.countUsers, resTable.sumShared, replayRuns and
+# CoPredictor.Score, engine.iterate, engine.layout, engine.addShared,
+# engine.loadSummary, PlacedDigest and CoCache.Key; the run replay both
+# solvers share, replay.Sum; the scheduler's candidatesLocked; the obs
+# updates (Counter.Inc, Counter.Add, Gauge.Set, Histogram.Observe,
+# RingTracer.Emit); and the testbed's fixedPoint with its per-run layout
+# and per-iteration helpers (demandWalk.layout, demandWalk.values,
+# demandWalk.addends, resTable.countUsers, resTable.sumShared and
 # runScratch.commPenalties), noiseZ, RunKey and NoiseSource's Seed, Uint64
 # and Int63. `make check` already runs it as part of the full
 # pandia-vet suite.
@@ -69,6 +71,7 @@ check:
 	@failed=; \
 	step() { name=$$1; shift; echo "check: $$name"; "$$@" || failed="$$failed $$name"; }; \
 	step build $(GO) build ./...; \
+	step gofmt $(MAKE) fmt-check; \
 	step go-vet $(GO) vet ./...; \
 	step pandia-vet $(GO) run ./cmd/pandia-vet ./...; \
 	step race-tests $(GO) test -race ./...; \
@@ -81,6 +84,19 @@ check:
 	step bench-module $(MAKE) bench-module; \
 	if [ -n "$$failed" ]; then echo "check: failed steps:$$failed" >&2; exit 1; fi; \
 	echo "check: every step passed"
+
+# fmt-check fails, naming the files, when gofmt -l lists any .go file
+# outside testdata/ that git tracks or would track (untracked ones not
+# ignored), and fails when gofmt itself fails on one. gofmt comes from the
+# toolchain of $(GO). The analyzer fixtures under testdata/ keep the
+# layout their expected findings are written against.
+fmt-check:
+	@gofmt="$$($(GO) env GOROOT)/bin/gofmt"; \
+	list=$$(git ls-files --cached --others --exclude-standard '*.go' | grep -v '/testdata/'); \
+	if [ -z "$$list" ]; then echo "fmt-check: git lists no .go file" >&2; exit 1; fi; \
+	files=$$(echo "$$list" | xargs "$$gofmt" -l) || { echo "fmt-check: $$gofmt failed" >&2; exit 1; }; \
+	if [ -n "$$files" ]; then echo "fmt-check: not gofmt-formatted:" >&2; echo "$$files" >&2; exit 1; fi; \
+	echo "fmt-check: every .go file outside testdata/ is gofmt-formatted"
 
 # bench-module builds, vets, and tests the end-to-end benchmark. It is a
 # separate Go module (its go.mod replaces pandia with ../..), so the root

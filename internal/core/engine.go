@@ -8,6 +8,7 @@ import (
 	"pandia/internal/machine"
 	"pandia/internal/obs"
 	"pandia/internal/placement"
+	"pandia/internal/replay"
 	"pandia/internal/topology"
 )
 
@@ -50,7 +51,7 @@ type job struct {
 	// consecutive threads in one class (see thread classes in DESIGN.md §8).
 	classes []class
 	classOf []int32
-	runs    []run
+	runs    []replay.Run
 
 	// sockLock and sockInd hold the per-socket communication sums of §5.2
 	// (identical for every thread on one socket); sized to the machine's
@@ -79,13 +80,6 @@ type class struct {
 
 	f, prevF, sRes, sTot, commPen, lbPen, inv float64
 	bottleneck                                topology.ResourceKind
-}
-
-// run is n consecutive placement entries of one class. Replaying runs in
-// placement order adds each thread's value to an order-sensitive sum in
-// the same order the per-thread loop did.
-type run struct {
-	cls, n int32
 }
 
 // carve re-slices sockLock and sockInd out of one slab sized for nSock
@@ -150,7 +144,14 @@ type engine struct {
 	// runtime checks are enabled (see invariants.go); nil otherwise.
 	invErr error
 
-	// Dense load tables, one slot per resource instance.
+	// addend holds each class's addends to the loads in shared: one row
+	// per class and pass of replay.Width slots (setAddend), the classes of
+	// all bound jobs numbered in job order, nCls of them.
+	nCls   int
+	addend [][replay.Width]float64
+
+	// Dense load tables, one slot per resource instance. shared holds
+	// l3Agg, dram and ic back to back, the slots of addShared's replay.
 	instr  []float64
 	l1     []float64
 	l2     []float64
@@ -158,6 +159,7 @@ type engine struct {
 	l3Agg  []float64
 	dram   []float64
 	ic     []float64
+	shared []float64
 }
 
 // newEngineState allocates an engine's machine-sized tables with no
@@ -199,6 +201,7 @@ func newEngineState(md *machine.Description) (*engine, error) {
 	e.l1, b = b[:cores:cores], b[cores:]
 	e.l2, b = b[:cores:cores], b[cores:]
 	e.l3Link, b = b[:cores:cores], b[cores:]
+	e.shared = b
 	e.l3Agg, b = b[:sock:sock], b[sock:]
 	e.dram, b = b[:sock:sock], b[sock:]
 	e.ic = b[:pairs:pairs]
@@ -267,6 +270,7 @@ func (e *engine) bind(placed []PlacedWorkload, validateWorkloads bool) error {
 	for _, j := range e.jobs {
 		e.group(j)
 	}
+	e.layout()
 	return nil
 }
 
@@ -312,10 +316,10 @@ func (e *engine) group(j *job) {
 			j.classes[k].perCore++
 		}
 		j.classOf[i] = k
-		if r := len(j.runs) - 1; r >= 0 && j.runs[r].cls == k {
-			j.runs[r].n++
+		if r := len(j.runs) - 1; r >= 0 && j.runs[r].Cls == k {
+			j.runs[r].N++
 		} else {
-			j.runs = append(j.runs, run{cls: k, n: 1}) //alloccheck:ok grows to the largest run count seen; steady state reuses it
+			j.runs = append(j.runs, replay.Run{Cls: k, N: 1}) //alloccheck:ok grows to the largest run count seen; steady state reuses it
 		}
 	}
 	for k := range j.classes {
@@ -330,10 +334,10 @@ func (e *engine) group(j *job) {
 	for _, s := range j.memSockets {
 		var lockstep float64
 		for _, r := range j.runs {
-			if j.classes[r.cls].sock == s {
+			if j.classes[r.Cls].sock == s {
 				continue
 			}
-			for m := int32(0); m < r.n; m++ {
+			for m := int32(0); m < r.N; m++ {
 				lockstep += j.w.InterSocketOverhead
 			}
 		}
@@ -433,7 +437,7 @@ func (j *job) bind(e *engine, topo topology.Machine, w *Workload, place placemen
 // Every sum adds the same values in the same order as a per-thread sweep of
 // the placements in job order: a representative core receives its class's
 // value once per thread on it, and the socket, DRAM and interconnect sums
-// replay each job's runs.
+// replay the jobs' runs (addShared).
 func (e *engine) accumulate(full bool) {
 	if full {
 		for i := range e.instr {
@@ -447,12 +451,6 @@ func (e *engine) accumulate(full bool) {
 			}
 		}
 	}
-	for s := range e.l3Agg {
-		e.l3Agg[s], e.dram[s] = 0, 0
-	}
-	for p := range e.ic {
-		e.ic[p] = 0
-	}
 	for _, j := range e.jobs {
 		d := &j.w.Demand
 		for k := range j.classes {
@@ -465,36 +463,8 @@ func (e *engine) accumulate(full bool) {
 				e.l3Link[core] += d.L3 * fi
 			}
 		}
-		share := j.memShare
-		for _, r := range j.runs {
-			cl := &j.classes[r.cls]
-			sock, fi := cl.sock, cl.f
-			acc := e.l3Agg[sock]
-			for m := int32(0); m < r.n; m++ {
-				acc += d.L3 * fi
-			}
-			e.l3Agg[sock] = acc
-			dd := d.DRAM * fi
-			if dd <= 0 {
-				continue
-			}
-			for _, u := range j.memSockets {
-				acc := e.dram[u]
-				for m := int32(0); m < r.n; m++ {
-					acc += dd * share
-				}
-				e.dram[u] = acc
-				if u != sock {
-					p := e.pairOf[sock*e.nSock+u]
-					acc := e.ic[p]
-					for m := int32(0); m < r.n; m++ {
-						acc += 2 * dd * share
-					}
-					e.ic[p] = acc
-				}
-			}
-		}
 	}
+	e.addShared()
 	if !full {
 		return
 	}
@@ -504,6 +474,80 @@ func (e *engine) accumulate(full bool) {
 				e.instr[core], e.l1[core], e.l2[core], e.l3Link[core] = e.instr[rep], e.l1[rep], e.l2[rep], e.l3Link[rep]
 			}
 		}
+	}
+}
+
+// layout sizes the addend rows for the bound jobs' classes and sets them
+// to +0: addShared writes only the slots a class feeds.
+//
+//pandia:noalloc
+func (e *engine) layout() {
+	e.nCls = 0
+	for _, j := range e.jobs {
+		e.nCls += len(j.classes)
+	}
+	rows := e.nCls * ((len(e.shared) + replay.Width - 1) / replay.Width)
+	if cap(e.addend) < rows {
+		e.addend = make([][replay.Width]float64, rows) //alloccheck:ok grows to the largest class count seen; steady state reuses it
+	}
+	e.addend = e.addend[:rows]
+	clear(e.addend)
+}
+
+// setAddend sets class g's addend to slot s of shared. The slot sits in
+// pass s/replay.Width, whose rows follow those of the passes before it.
+// Taken unsigned, the pass and the lane are a shift and a mask, and the
+// lane needs no bounds check: the signed form measured ~1.7% slower on a
+// one-worker Recommend over zoo workloads on x5-2 (2-CPU Xeon host).
+func (e *engine) setAddend(g, s int, v float64) {
+	i := uint(s)
+	e.addend[int(i/replay.Width)*e.nCls+g][i%replay.Width] = v
+}
+
+// addShared adds every bound job's threads to the socket-level loads, in
+// job and thread order: each thread adds its class's L3 demand to its
+// socket's aggregate and, when its DRAM demand dd is positive, dd·share to
+// the DRAM of every socket its job uses and 2·dd·share to the interconnect
+// between its socket and each other one of them. Every slot a class does
+// not feed, a DRAM demand that is not positive included, takes +0, which
+// leaves a load bit for bit unchanged (replay.Sum). So replaying each job's
+// runs in job order, into accumulators that start at +0 and carry from job
+// to job, once per replay.Width slots of shared, gives every load the
+// additions of the per-thread loop, in its order.
+//
+//pandia:noalloc
+func (e *engine) addShared() {
+	nSock := e.nSock
+	g0 := 0
+	for _, j := range e.jobs {
+		d := &j.w.Demand
+		for k := range j.classes {
+			cl := &j.classes[k]
+			g := g0 + k
+			dd := d.DRAM * cl.f
+			if dd <= 0 {
+				dd = 0
+			}
+			dram, ic := dd*j.memShare, 2*dd*j.memShare
+			e.setAddend(g, cl.sock, d.L3*cl.f)
+			for _, u := range j.memSockets {
+				e.setAddend(g, nSock+u, dram)
+				if u != cl.sock {
+					e.setAddend(g, 2*nSock+e.pairOf[cl.sock*nSock+u], ic)
+				}
+			}
+		}
+		g0 += len(j.classes)
+	}
+	for base, r := 0, 0; base < len(e.shared); base, r = base+replay.Width, r+e.nCls {
+		var acc [replay.Width]float64
+		g0 := r
+		for _, j := range e.jobs {
+			n := len(j.classes)
+			replay.Sum(&acc, e.addend[g0:g0+n], j.runs)
+			g0 += n
+		}
+		copy(e.shared[base:], acc[:])
 	}
 }
 
@@ -626,10 +670,10 @@ func (e *engine) iterate(opt Options) (int, bool) {
 			// tests math.Abs(delta) < tol, which a NaN never satisfies).
 			var invSum float64
 			for _, r := range j.runs {
-				cl := &j.classes[r.cls]
+				cl := &j.classes[r.Cls]
 				inv := SafeDiv(1, cl.sRes, 1)
 				cl.inv = inv
-				for m := int32(0); m < r.n; m++ {
+				for m := int32(0); m < r.N; m++ {
 					invSum += inv
 				}
 			}
@@ -641,17 +685,18 @@ func (e *engine) iterate(opt Options) (int, bool) {
 			// thread on a different socket, which makes them a function of
 			// the thread's socket alone. The lockstep sums were taken at
 			// bind; each socket's independent sum replays the runs on the
-			// other sockets, in thread order.
+			// other sockets, in thread order, a run's term taken once.
 			for _, s := range j.memSockets {
 				var independent float64
 				for _, r := range j.runs {
-					cl := &j.classes[r.cls]
+					cl := &j.classes[r.Cls]
 					if cl.sock == s {
 						continue
 					}
 					wk := cl.inv / invSum
-					for m := int32(0); m < r.n; m++ {
-						independent += fn * wk * iso
+					term := fn * wk * iso
+					for m := int32(0); m < r.N; m++ {
+						independent += term
 					}
 				}
 				j.sockInd[s] = independent
@@ -797,8 +842,8 @@ func (e *engine) assemble(preds []*Prediction, iters int, converged, joint bool)
 func (j *job) speedup() (float64, error) {
 	var invSum float64
 	for _, r := range j.runs {
-		inv := SafeDiv(1, j.classes[r.cls].sTot, 1)
-		for m := int32(0); m < r.n; m++ {
+		inv := SafeDiv(1, j.classes[r.Cls].sTot, 1)
+		for m := int32(0); m < r.N; m++ {
 			invSum += inv
 		}
 	}

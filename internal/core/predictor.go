@@ -356,14 +356,18 @@ func predictSweepN(md *machine.Description, w *Workload, places []placement.Plac
 	// Seed: the highest-bound placement is never prunable, so solving it
 	// first gives every other placement a strong incumbent to beat. Bounds
 	// come from the predictor's workload, which is the repaired copy under
-	// AllowDegraded. A sweep that never prunes (frac 0) computes no bound
-	// and seeds with the largest placement, which grows the predictor's
-	// scratch once instead of step by step.
+	// AllowDegraded. Each bound is computed once, here, and waits in its
+	// placement's out slot, as the Speedup of an otherwise zero value,
+	// until sweepChunks reads it and overwrites the slot. A sweep that
+	// never prunes (frac 0) computes no bound and seeds with the largest
+	// placement, which grows the predictor's scratch once instead of step
+	// by step.
 	seed, seedKey := 0, math.Inf(-1)
 	for i, place := range places {
 		k := float64(len(place))
 		if frac > 0 {
 			k = p.speedupBound(place)
+			out[i].Speedup = k
 		}
 		if k > seedKey {
 			seed, seedKey = i, k
@@ -430,10 +434,11 @@ func predictSweepN(md *machine.Description, w *Workload, places []placement.Plac
 
 // sweepChunks is one sweep worker's claim loop: it claims chunks of the
 // index space from the shared counter, and each claimed placement is either
-// skipped under the dominance bound (speedupBound below frac of the
-// incumbent) or predicted on the fast path into the worker's own output
-// slot, raising the incumbent. The seed index was solved before the workers
-// started and is skipped here. With frac 0 no bound is computed.
+// skipped under the dominance bound (the speedupBound predictSweepN left in
+// its out slot, below frac of the incumbent) or predicted on the fast path
+// into that slot, raising the incumbent. Only the claiming worker touches a
+// slot. The seed index was solved before the workers started and is
+// skipped here. With frac 0 no bound is read.
 //
 //pandia:noalloc
 func sweepChunks(p *Predictor, places []placement.Placement, out []TimePrediction, seed int, frac float64, best *atomic.Uint64, next *atomic.Int64, stop *atomic.Bool) (done, pruned int64, err error) {
@@ -451,7 +456,7 @@ func sweepChunks(p *Predictor, places []placement.Placement, out []TimePredictio
 			if i == seed {
 				continue
 			}
-			if frac > 0 && p.speedupBound(places[i]) < frac*math.Float64frombits(best.Load()) {
+			if frac > 0 && out[i].Speedup < frac*math.Float64frombits(best.Load()) {
 				out[i] = TimePrediction{Pruned: true}
 				pruned++
 				continue

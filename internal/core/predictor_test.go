@@ -273,6 +273,82 @@ func TestPredictSweepNeverPrunes(t *testing.T) {
 	}
 }
 
+// TestPredictSweepBoundOnce holds a one-worker sweep, which reads each
+// placement's bound from the slot the seed scan left it in, to a sweep
+// that calls speedupBound wherever it needs a bound: every slot and the
+// stats must agree, at two pruning fractions and at frac 0, which reads no
+// bound.
+func TestPredictSweepBoundOnce(t *testing.T) {
+	md := quickMachine()
+	w := quickWorkload(100, 80, 160, 120, 220, 70, 150)
+	var places []placement.Placement
+	for seed := uint16(0); seed < 200; seed++ {
+		places = append(places, quickPlacement(md.Topo, seed, uint8(seed*3)))
+	}
+	for _, frac := range []float64{0.9, 0.95, 0} {
+		got, gotStats, err := predictSweepN(md, w, places, Options{}, frac, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantStats := refSweep(t, md, w, places, frac)
+		if gotStats != wantStats {
+			t.Errorf("frac %v: stats %+v, want %+v", frac, gotStats, wantStats)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("frac %v, placement %d: %+v, want %+v", frac, i, got[i], want[i])
+			}
+		}
+		if frac > 0 && wantStats.Pruned == 0 {
+			t.Errorf("frac %v pruned nothing; the bound went unread", frac)
+		}
+	}
+}
+
+// refSweep is the one-worker sweep with a speedupBound call wherever a
+// bound is needed: the seed scan, then each placement in order.
+func refSweep(t *testing.T, md *machine.Description, w *Workload, places []placement.Placement, frac float64) ([]TimePrediction, SweepStats) {
+	t.Helper()
+	p, err := NewPredictor(md, w, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, seedKey := 0, math.Inf(-1)
+	for i, place := range places {
+		k := float64(len(place))
+		if frac > 0 {
+			k = p.speedupBound(place)
+		}
+		if k > seedKey {
+			seed, seedKey = i, k
+		}
+	}
+	out := make([]TimePrediction, len(places))
+	var stats SweepStats
+	best := math.Inf(-1)
+	solve := func(i int) {
+		tp, err := p.PredictTime(places[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = tp
+		stats.Evaluated++
+		best = math.Max(best, tp.Speedup)
+	}
+	solve(seed)
+	for i := range places {
+		switch {
+		case i == seed:
+		case frac > 0 && p.speedupBound(places[i]) < frac*best:
+			out[i] = TimePrediction{Pruned: true}
+			stats.Pruned++
+		default:
+			solve(i)
+		}
+	}
+	return out, stats
+}
+
 // TestPredictSweepError checks the first-error bailout of the parallel
 // sweep: an invalid placement mid-list fails the whole sweep with its error,
 // and no worker goroutine outlives the failed sweep.

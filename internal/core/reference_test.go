@@ -5,6 +5,7 @@ import (
 
 	"pandia/internal/machine"
 	"pandia/internal/obs"
+	"pandia/internal/replay"
 	"pandia/internal/topology"
 )
 
@@ -24,7 +25,7 @@ func (j *job) refGroup() {
 	for i, c := range j.place {
 		j.classes = append(j.classes, class{core: j.coreOf[i], sock: c.Socket, perCore: 1, f: j.fInit})
 		j.classOf[i] = int32(i)
-		j.runs = append(j.runs, run{cls: int32(i), n: 1})
+		j.runs = append(j.runs, replay.Run{Cls: int32(i), N: 1})
 	}
 }
 

@@ -69,9 +69,9 @@ func TestClamp(t *testing.T) {
 	inf := math.Inf(1)
 	nan := math.NaN()
 	cases := []struct {
-		name          string
-		x, lo, hi     float64
-		want          float64
+		name      string
+		x, lo, hi float64
+		want      float64
 	}{
 		{"inside", 0.5, 0, 1, 0.5},
 		{"below", -2, 0, 1, 0},

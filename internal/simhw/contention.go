@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 
+	"pandia/internal/replay"
 	"pandia/internal/topology"
 )
 
@@ -157,55 +158,20 @@ func (t *resTable) add(idx int, d float64, m int) {
 	}
 }
 
-// replayWidth is the number of shared totals one replay of the runs
-// advances together: every shared resource of a run on a two-socket
-// machine (two L3 aggregates, two DRAM totals, one link), and every shared
-// pair of one class on a four-socket machine.
-const replayWidth = 8
-
 // sumShared sets the shared resources' totals (L3 aggregate, DRAM,
-// interconnect) from the runs, in one replay of the runs per replayWidth
-// shared resources of the run, rather than one per pair.
+// interconnect) from the runs, in one replay of the runs (replay.Sum) per
+// replay.Width shared resources of the run, rather than one per pair.
 //
 //pandia:noalloc
-func (t *resTable) sumShared(dw *demandWalk, nCls int, runs []run) {
-	for base := 0; base < len(dw.sharedRes); base += replayWidth {
+func (t *resTable) sumShared(dw *demandWalk, nCls int, runs []replay.Run) {
+	for base := 0; base < len(dw.sharedRes); base += replay.Width {
 		dw.addends(base, nCls)
-		var acc [replayWidth]float64
-		replayRuns(&acc, dw.addend, runs)
-		for i, r := range dw.sharedRes[base:min(base+replayWidth, len(dw.sharedRes))] {
+		var acc [replay.Width]float64
+		replay.Sum(&acc, dw.addend, runs)
+		for i, r := range dw.sharedRes[base:min(base+replay.Width, len(dw.sharedRes))] {
 			t.total[r] = acc[i]
 		}
 	}
-}
-
-// replayRuns replays the runs in agent order into replayWidth
-// accumulators at once: every agent of a run adds its class's addends,
-// acc[i] += add[cls][i]. The accumulators are independent sums held in
-// registers, so their additions overlap, yet each still receives one
-// addition per agent, in agent order, exactly as adding agent by agent.
-// An addend of +0 stands for a resource the class does not offer: a sum
-// that starts at +0 and adds only non-negative values is never -0, so
-// adding +0 leaves it bit for bit unchanged.
-//
-//pandia:noalloc
-func replayRuns(acc *[replayWidth]float64, add [][replayWidth]float64, runs []run) {
-	a0, a1, a2, a3, a4, a5, a6, a7 := acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7]
-	for _, r := range runs {
-		d := &add[r.cls]
-		d0, d1, d2, d3, d4, d5, d6, d7 := d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]
-		for m := r.n; m > 0; m-- {
-			a0 += d0
-			a1 += d1
-			a2 += d2
-			a3 += d3
-			a4 += d4
-			a5 += d5
-			a6 += d6
-			a7 += d7
-		}
-	}
-	acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7] = a0, a1, a2, a3, a4, a5, a6, a7
 }
 
 // setCapacities fills the run's resource capacities. coreOcc supplies

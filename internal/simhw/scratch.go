@@ -3,6 +3,7 @@ package simhw
 import (
 	"math/rand"
 
+	"pandia/internal/replay"
 	"pandia/internal/topology"
 )
 
@@ -22,7 +23,7 @@ type runScratch struct {
 	// unused.
 	classes  []class
 	classOf  []int32
-	runs     []run
+	runs     []replay.Run
 	classKey []int32
 
 	occupied []bool // by topology.ContextIndex: context taken this run
@@ -67,7 +68,7 @@ func newRunScratch(topo topology.Machine) *runScratch {
 		demands:     newDemandWalk(nCtx, nSock, table.size()),
 		classes:     make([]class, 0, nCtx),
 		classOf:     make([]int32, nCtx),
-		runs:        make([]run, 0, nCtx),
+		runs:        make([]replay.Run, 0, nCtx),
 		classKey:    make([]int32, nSock*2*(topo.ThreadsPerCore+1)),
 		occupied:    make([]bool, nCtx),
 		memOn:       make([]bool, nSock),
@@ -164,10 +165,10 @@ func (s *runScratch) newClass(topo topology.Machine, i int, ctx topology.Context
 func (s *runScratch) join(i int, k int32) {
 	s.classes[k].n++
 	s.classOf[i] = k
-	if r := len(s.runs) - 1; r >= 0 && s.runs[r].cls == k {
-		s.runs[r].n++
+	if r := len(s.runs) - 1; r >= 0 && s.runs[r].Cls == k {
+		s.runs[r].N++
 	} else {
-		s.runs = append(s.runs, run{cls: k, n: 1})
+		s.runs = append(s.runs, replay.Run{Cls: k, N: 1})
 	}
 }
 
@@ -207,7 +208,7 @@ type demandWalk struct {
 	sharedRes []int
 	slot      []int
 	slotOf    []int
-	addend    [][replayWidth]float64
+	addend    [][replay.Width]float64
 	// stressed reports a stressor in the run.
 	stressed bool
 	// pop collects one resource's demand population for water-filling.
@@ -252,7 +253,7 @@ func newDemandWalk(nAgents, nSock, nRes int) demandWalk {
 		sharedRes: make([]int, 0, nRes),
 		slot:      make([]int, pairs),
 		slotOf:    make([]int, nRes),
-		addend:    make([][replayWidth]float64, nAgents),
+		addend:    make([][replay.Width]float64, nAgents),
 		pop:       make([]float64, nAgents),
 	}
 	for i := range w.slotOf {
@@ -384,7 +385,7 @@ func (w *demandWalk) values(cls []class, memShare float64) {
 }
 
 // addends fills every class's demand on the shared resources in slots
-// base to base+replayWidth-1, by slot: +0 where the class offers none this
+// base to base+replay.Width-1, by slot: +0 where the class offers none this
 // iteration, as add skips a demand that is not positive. A class's shared
 // resources are distinct, so no slot takes two pairs.
 //
@@ -392,9 +393,9 @@ func (w *demandWalk) values(cls []class, memShare float64) {
 func (w *demandWalk) addends(base, nCls int) {
 	for k := 0; k < nCls; k++ {
 		a := &w.addend[k]
-		*a = [replayWidth]float64{}
+		*a = [replay.Width]float64{}
 		for p := w.mid[k]; p < w.end[k]; p++ {
-			if s := uint(w.slot[p] - base); s < replayWidth && w.d[p] > 0 {
+			if s := uint(w.slot[p] - base); s < replay.Width && w.d[p] > 0 {
 				a[s] = w.d[p]
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -148,61 +147,6 @@ func TestTestbedVanishingDemands(t *testing.T) {
 	// at 0.
 	if absents == 0 || zeros == 0 {
 		t.Errorf("%d absent and %d zero pairs at the runs' last iterations; the test needs both", absents, zeros)
-	}
-}
-
-// TestReplayRunsMatchesSequential holds the register replay to adding
-// agent by agent into each accumulator alone: 1 to replayWidth
-// accumulators in use, runs of 0 to 72 agents, addends of mixed
-// magnitudes, zero and subnormal.
-func TestReplayRunsMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	pick := func() float64 {
-		switch rng.Intn(6) {
-		case 0:
-			return 0
-		case 1:
-			return math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1000))
-		case 2:
-			return rng.Float64() * 1e-300
-		case 3:
-			return rng.Float64() * 1e12
-		default:
-			return rng.ExpFloat64()
-		}
-	}
-	for used := 1; used <= replayWidth; used++ {
-		for trial := 0; trial < 40; trial++ {
-			nCls := 1 + rng.Intn(6)
-			add := make([][replayWidth]float64, nCls)
-			for k := range add {
-				for i := 0; i < used; i++ {
-					add[k][i] = pick()
-				}
-			}
-			var runs []run
-			for n := 0; n <= 72; n += 1 + rng.Intn(12) {
-				runs = append(runs, run{cls: int32(rng.Intn(nCls)), n: int32(n)})
-			}
-			var acc [replayWidth]float64
-			for i := 0; i < used; i++ {
-				acc[i] = pick()
-			}
-			want := acc
-			for i := 0; i < used; i++ {
-				for _, r := range runs {
-					for m := int32(0); m < r.n; m++ {
-						want[i] += add[r.cls][i]
-					}
-				}
-			}
-			replayRuns(&acc, add, runs)
-			for i := 0; i < used; i++ {
-				if math.Float64bits(acc[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%d accumulators, trial %d: accumulator %d = %v, one at a time %v", used, trial, i, acc[i], want[i])
-				}
-			}
-		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"pandia/internal/counters"
+	"pandia/internal/replay"
 	"pandia/internal/topology"
 )
 
@@ -111,12 +112,6 @@ type class struct {
 	rate     float64 // progress rate of a thread, set by assemble
 	workload bool
 	active   bool
-}
-
-// run is n consecutive agents of one class. Replaying the runs in order
-// adds each agent's value to an order-sensitive sum in agent order.
-type run struct {
-	cls, n int32
 }
 
 // Run executes one run and returns its measured time and counters.
@@ -422,9 +417,9 @@ func (tb *Testbed) fixedPoint(s *runScratch, wt *WorkloadTruth, nAct int) {
 			// value from spreading NaN through every thread's penalty.
 			var invSum float64
 			for _, r := range s.runs {
-				if c := &cls[r.cls]; c.workload && c.active {
+				if c := &cls[r.Cls]; c.workload && c.active {
 					inv := safeDiv(1, c.sRes, 1)
-					for m := int32(0); m < r.n; m++ {
+					for m := int32(0); m < r.N; m++ {
 						invSum += inv
 					}
 				}
@@ -487,7 +482,7 @@ func (tb *Testbed) fixedPoint(s *runScratch, wt *WorkloadTruth, nAct int) {
 
 // commPenalties sets each socket's comm penalty: the sum, over the active
 // workload peers on other sockets in agent order, of a peer's term, which
-// depends on its class alone. One replay of the runs sums replayWidth
+// depends on its class alone. One replay of the runs sums replay.Width
 // sockets at once, a peer adding +0 to its own socket's sum as it would
 // skip it: a penalty starts at +0 and is never -0, so +0 leaves it bit for
 // bit unchanged.
@@ -497,11 +492,11 @@ func (s *runScratch) commPenalties(wt *WorkloadTruth, nAct int, invSum float64) 
 	cls := s.classes
 	add := s.demands.addend
 	nSock := len(s.commPen)
-	for base := 0; base < nSock; base += replayWidth {
-		live := min(replayWidth, nSock-base)
+	for base := 0; base < nSock; base += replay.Width {
+		live := min(replay.Width, nSock-base)
 		for k := range cls {
 			a := &add[k]
-			*a = [replayWidth]float64{}
+			*a = [replay.Width]float64{}
 			b := &cls[k]
 			if !b.workload || !b.active {
 				continue
@@ -514,8 +509,8 @@ func (s *runScratch) commPenalties(wt *WorkloadTruth, nAct int, invSum float64) 
 				}
 			}
 		}
-		var acc [replayWidth]float64
-		replayRuns(&acc, add, s.runs)
+		var acc [replay.Width]float64
+		replay.Sum(&acc, add, s.runs)
 		copy(s.commPen[base:], acc[:live])
 	}
 }
@@ -548,8 +543,8 @@ func (tb *Testbed) assemble(s *runScratch, cfg *RunConfig, amdahl float64, nAct 
 	}
 	var rateSum float64
 	for _, r := range s.runs {
-		if c := &s.classes[r.cls]; c.workload && c.active {
-			for m := int32(0); m < r.n; m++ {
+		if c := &s.classes[r.Cls]; c.workload && c.active {
+			for m := int32(0); m < r.N; m++ {
 				rateSum += c.rate
 			}
 		}
@@ -579,7 +574,7 @@ func (tb *Testbed) assemble(s *runScratch, cfg *RunConfig, amdahl float64, nAct 
 	remote := float64(len(s.memSockets)-1) / float64(len(s.memSockets))
 	share := work / float64(nAct)
 	for _, r := range s.runs {
-		c := &s.classes[r.cls]
+		c := &s.classes[r.Cls]
 		if !c.workload || !c.active {
 			continue
 		}
@@ -588,7 +583,7 @@ func (tb *Testbed) assemble(s *runScratch, cfg *RunConfig, amdahl float64, nAct 
 		if s.memOn[c.ctx.Socket] {
 			ic = 2 * b * remote
 		}
-		for m := int32(0); m < r.n; m++ {
+		for m := int32(0); m < r.N; m++ {
 			dramBytes += b
 			icBytes += ic
 		}
