@@ -43,16 +43,16 @@ pandia-vet:
 # alloccheck alone, for the local edit loop: the static zero-allocation
 # proof of the annotated //pandia:noalloc hot path — in internal/core
 # Predictor.PredictTime, Predictor.speedupBound, sweepChunks,
-# CoPredictor.Score, engine.iterate, engine.layout, engine.addShared,
-# engine.loadSummary, PlacedDigest and CoCache.Key; the run replay both
-# solvers share, replay.Sum; the scheduler's candidatesLocked; the obs
-# updates (Counter.Inc, Counter.Add, Gauge.Set, Histogram.Observe,
-# RingTracer.Emit); and the testbed's fixedPoint with its per-run layout
-# and per-iteration helpers (demandWalk.layout, demandWalk.values,
-# demandWalk.addends, resTable.countUsers, resTable.sumShared and
-# runScratch.commPenalties), noiseZ, RunKey and NoiseSource's Seed, Uint64
-# and Int63. `make check` already runs it as part of the full
-# pandia-vet suite.
+# sortByBound, CoPredictor.Score, job.walk, engine.iterate, engine.layout,
+# engine.addShared, engine.loadSummary, PlacedDigest and CoCache.Key; the
+# run replay both solvers share, replay.Sum; the scheduler's
+# candidatesLocked; the obs updates (Counter.Inc, Counter.Add, Gauge.Set,
+# Histogram.Observe, RingTracer.Emit); and the testbed's fixedPoint with
+# its per-run layout and per-iteration helpers (demandWalk.layout,
+# demandWalk.values, demandWalk.addends, resTable.countUsers,
+# resTable.sumShared and runScratch.commPenalties), noiseZ, RunKey and
+# NoiseSource's Seed, Uint64 and Int63. `make check` already runs it as
+# part of the full pandia-vet suite.
 alloccheck:
 	$(GO) run ./cmd/pandia-vet -only alloccheck ./...
 
@@ -247,7 +247,10 @@ journal-smoke:
 # registry snapshot: its core.sweep.worker_predictions histogram follows
 # how the sweep workers were scheduled, so the awk filter drops that
 # section (MarshalIndent writes it from `  "metrics": {` to the next `  }`
-# line) before the compare. A diff means the numbers EXPERIMENTS.md quotes
+# line) before the compare. The metricDeltas section is compared: its
+# core.sweep.* and core.predict.total counters come from pruned sweeps,
+# whose pruned set the round rule fixes whatever the worker count or the
+# host's load (DESIGN.md §12). A diff means the numbers EXPERIMENTS.md quotes
 # moved: regenerate with `go run ./cmd/pandia-eval` and say why in
 # CHANGES.md. About 30 s of wall time on a 2-CPU host.
 RESULTS_STRIP = /^  "metrics": \{/ { skip = 1 } skip { if (/^  }/) skip = 0; next } { print }

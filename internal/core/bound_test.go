@@ -93,9 +93,10 @@ func amdahlBound(w *core.Workload, n int) float64 {
 
 // FuzzSweepBound decodes a small topology and machine description, a
 // workload, an option set and a few random placements, then checks that
-// each placement's dominance bound is at least its PredictTime speedup, and
-// that a pruned sweep over them prunes only placements the full sweep puts
-// below the target fraction of its best.
+// each placement's dominance bound is at least its PredictTime speedup, that
+// a pruned sweep over them prunes only placements the full sweep puts below
+// the target fraction of its best, and that the pruned sweep's slots and
+// stats are the same at 1, 2 and 8 workers.
 func FuzzSweepBound(f *testing.F) {
 	f.Add([]byte{1, 3, 1, 0, 40, 90, 120, 200, 30, 60, 7, 5, 99, 150, 3, 12, 200, 4, 9})
 	f.Add([]byte{3, 2, 1, 1, 255, 10, 200, 30, 0, 60, 12, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
@@ -143,9 +144,23 @@ func FuzzSweepBound(f *testing.F) {
 			t.Fatal(err)
 		}
 		frac := 0.5 + 0.5*r.unit()
-		pruned, _, err := core.PredictSweepPruned(md, w, places, opt, frac)
+		pruned, stats, err := core.PredictSweepPruned(md, w, places, opt, frac)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			got, st, err := core.PredictSweepN(md, w, places, opt, frac, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st != stats {
+				t.Fatalf("topology %+v, workload %+v, options %+v: %d workers: stats %+v, want %+v", topo, *w, opt, workers, st, stats)
+			}
+			for i := range got {
+				if got[i] != pruned[i] {
+					t.Fatalf("%s: %d workers: %+v, want %+v", describe(i), workers, got[i], pruned[i])
+				}
+			}
 		}
 		best := math.Inf(-1)
 		for _, tp := range full {

@@ -130,15 +130,14 @@ type engine struct {
 
 	// occupied and mine are reusable bitsets over dense context indices:
 	// occupied accumulates every bound job's contexts to reject cross-job
-	// overlap, mine detects duplicates within one placement. They replace
-	// the map[topology.Context]bool of the original engine so binding a
-	// placement allocates nothing.
+	// overlap, mine detects duplicates within one placement and is all zero
+	// between job binds. They replace the map[topology.Context]bool of the
+	// original engine so binding a placement allocates nothing.
 	occupied []uint64
 	mine     []uint64
 
-	// sockSeen is per-job scratch for collecting the sockets a placement
-	// touches in increasing order.
-	sockSeen []bool
+	// sockN is per-job scratch: the placement's threads on each socket.
+	sockN []int
 
 	// invErr records the first per-iteration invariant violation when the
 	// runtime checks are enabled (see invariants.go); nil otherwise.
@@ -182,7 +181,7 @@ func newEngineState(md *machine.Description) (*engine, error) {
 		occSpan:  occSpan,
 		occupied: make([]uint64, words),
 		mine:     make([]uint64, words),
-		sockSeen: make([]bool, sock),
+		sockN:    make([]int, sock),
 	}
 	for k := range e.classKey {
 		e.classKey[k] = -1
@@ -235,15 +234,12 @@ func (e *engine) bind(placed []PlacedWorkload, validateWorkloads bool) error {
 	if len(placed) == 0 {
 		return errNoWorkloads
 	}
-	topo := e.md.Topo
 	e.invErr = nil
 	for i := range e.coreOcc {
 		e.coreOcc[i] = 0
 		e.coreJob[i] = noJob
 	}
-	for i := range e.occupied {
-		e.occupied[i] = 0
-	}
+	clear(e.occupied)
 	e.jobs = e.jobs[:0]
 	for _, pw := range placed {
 		if pw.Workload == nil {
@@ -254,15 +250,10 @@ func (e *engine) bind(placed []PlacedWorkload, validateWorkloads bool) error {
 				return err
 			}
 		}
-		if err := e.claimPlacement(pw.Placement); err != nil {
+		j := e.nextJob()
+		if err := j.bind(e, pw.Workload, pw.Placement); err != nil {
 			return err
 		}
-		n := len(pw.Placement)
-		if n == 0 {
-			return fmt.Errorf("core: empty placement for %q", pw.Workload.Name) //alloccheck:ok invalid-placement error path is cold
-		}
-		j := e.nextJob()
-		j.bind(e, topo, pw.Workload, pw.Placement)
 		e.jobs = append(e.jobs, j) //alloccheck:ok re-slices the pool; grows only with the job count
 	}
 	// Grouping needs every job's occupancy: a core is shared only once a
@@ -280,8 +271,7 @@ const (
 	sharedCore = -2
 )
 
-// group splits the job's threads into classes and its placement into runs,
-// and sums the §5.2 lockstep terms, which depend on the placement alone.
+// group splits the job's threads into classes and its placement into runs.
 //
 // A thread on a core only its own job uses is keyed by (socket, core
 // occupancy); a thread on a shared core by the core. By induction over the
@@ -325,24 +315,6 @@ func (e *engine) group(j *job) {
 	for k := range j.classes {
 		e.classKey[j.classes[k].key] = -1
 	}
-
-	// The lockstep sum of a socket adds the overhead once per thread on
-	// another socket, in thread order (§5.2).
-	if j.w.InterSocketOverhead <= 0 || n <= 1 {
-		return
-	}
-	for _, s := range j.memSockets {
-		var lockstep float64
-		for _, r := range j.runs {
-			if j.classes[r.Cls].sock == s {
-				continue
-			}
-			for m := int32(0); m < r.N; m++ {
-				lockstep += j.w.InterSocketOverhead
-			}
-		}
-		j.sockLock[s] = lockstep
-	}
 }
 
 // nextJob hands out a pooled job struct, growing the pool on first use.
@@ -355,77 +327,132 @@ func (e *engine) nextJob() *job {
 	return j
 }
 
-// claimPlacement validates one placement against the machine and every
-// previously bound placement using the engine's bitsets. The checks and
-// error messages mirror placement.Validate plus the engine's historical
-// cross-job overlap error, in the same precedence order.
-func (e *engine) claimPlacement(p placement.Placement) error {
+// bind validates the placement against the machine and every job bound
+// before it, fills the job's derived per-placement state and adds its
+// threads to the engine's core occupancy, in one walk of the placement.
+// The checks and messages are placement.Validate's plus the engine's
+// cross-job overlap error, in the same precedence: an empty placement,
+// then the first context that is off the machine or used twice, then the
+// first context an earlier job holds. The overlap is tested word by word
+// after the walk; only a failing test rescans for the context to name. An
+// error leaves mine all zero and the other tables to the next bind's reset.
+func (j *job) bind(e *engine, w *Workload, place placement.Placement) error {
 	topo := e.md.Topo
-	if len(p) == 0 {
+	n := len(place)
+	if n == 0 {
 		return errEmptyPlacing
 	}
-	for i := range e.mine {
-		e.mine[i] = 0
-	}
-	for _, c := range p {
-		if !topo.ValidContext(c) {
+	j.coreOf = growInts(j.coreOf, n)
+	mine := e.mine
+	if bad := j.walk(e, place); bad >= 0 {
+		clear(mine)
+		if c := place[bad]; !topo.ValidContext(c) {
 			return fmt.Errorf("placement: context %v not on machine %s", c, topo.Name) //alloccheck:ok invalid-placement error path is cold
 		}
-		idx := topo.ContextIndex(c)
-		if e.mine[idx/64]&(1<<(idx%64)) != 0 {
-			return fmt.Errorf("placement: context %v used twice", c) //alloccheck:ok invalid-placement error path is cold
-		}
-		e.mine[idx/64] |= 1 << (idx % 64)
+		return fmt.Errorf("placement: context %v used twice", place[bad]) //alloccheck:ok invalid-placement error path is cold
 	}
-	for _, c := range p {
-		idx := topo.ContextIndex(c)
-		if e.occupied[idx/64]&(1<<(idx%64)) != 0 {
-			return fmt.Errorf("core: context %v claimed by two workloads", c) //alloccheck:ok invalid-placement error path is cold
-		}
-		e.occupied[idx/64] |= 1 << (idx % 64)
+	var overlap uint64
+	for k, m := range mine {
+		overlap |= m & e.occupied[k]
 	}
-	return nil
-}
+	if overlap != 0 {
+		clear(mine)
+		for _, c := range place {
+			if idx := topo.ContextIndex(c); e.occupied[idx/64]&(1<<(idx%64)) != 0 {
+				return fmt.Errorf("core: context %v claimed by two workloads", c) //alloccheck:ok invalid-placement error path is cold
+			}
+		}
+	}
+	for k, m := range mine {
+		e.occupied[k] |= m
+		mine[k] = 0
+	}
+	sockN := e.sockN
 
-// bind fills the job's derived per-placement state and adds its threads to
-// the engine's core occupancy. The placement must already be validated.
-func (j *job) bind(e *engine, topo topology.Machine, w *Workload, place placement.Placement) {
-	jid := len(e.jobs)
-	n := len(place)
 	j.w = w
 	j.place = place
-	j.coreOf = growInts(j.coreOf, n)
 	j.carve(topo.Sockets)
 	j.amdahl = w.AmdahlSpeedup(n)
 	j.fInit = j.amdahl / float64(n) //nanguard:ok bind rejects empty placements, n >= 1
 	j.sCap = math.Inf(1)
-
-	for s := range e.sockSeen {
-		e.sockSeen[s] = false
-	}
-	for i, c := range place {
-		core := topo.GlobalCore(c)
-		j.coreOf[i] = core
-		e.coreOcc[core]++
-		if owner := e.coreJob[core]; owner == noJob {
-			e.coreJob[core] = jid
-		} else if owner != jid {
-			e.coreJob[core] = sharedCore
-		}
-		e.sockSeen[c.Socket] = true
-	}
-	// Collect the sockets in use in increasing order (the original engine
-	// built them from a map and sorted; sweeping the seen table ascending
-	// yields the identical slice).
+	// The sockets in use, in increasing order.
 	j.memSockets = j.memSockets[:0]
-	for s := 0; s < topo.Sockets; s++ {
-		if e.sockSeen[s] {
+	for s, ns := range sockN {
+		if ns > 0 {
 			j.memSockets = append(j.memSockets, s) //alloccheck:ok grows once to the socket count; steady state reuses it
 		}
 	}
 	// The placement is non-empty, so at least one socket is in use; the
 	// fallback share of 1 is only a belt for that unreachable case.
 	j.memShare = SafeDiv(1, float64(len(j.memSockets)), 1)
+
+	// The lockstep sum of socket s adds the overhead once per thread on
+	// another socket (§5.2): n−n_s additions of one value from +0, so it
+	// depends on that count alone. One running sum serves every socket,
+	// taken from the most threads to the fewest; a socket taken is marked
+	// by a count of −1, which no socket in use has.
+	if os := w.InterSocketOverhead; os > 0 && n > 1 {
+		var lockstep float64
+		adds := 0
+		for range j.memSockets {
+			s := j.memSockets[0]
+			for _, u := range j.memSockets {
+				if sockN[u] > sockN[s] {
+					s = u
+				}
+			}
+			for ; adds < n-sockN[s]; adds++ {
+				lockstep += os
+			}
+			j.sockLock[s] = lockstep
+			sockN[s] = -1
+		}
+	}
+	return nil
+}
+
+// walk is bind's one pass over a non-empty placement: for each thread it
+// checks that the context is on the machine (topology.ValidContext) and
+// not already in mine, adds it to mine, and records the thread's core in
+// coreOf, the core's occupancy and owner, and the per-socket count in
+// sockN. It returns the position of the first context that fails a check,
+// or −1.
+//
+// The walk is a function of its own, and the tables and the topology's
+// sizes are held in locals, so the loop's values fit the registers: inlined
+// into bind, beside its error paths, the loop copied the topology on every
+// thread.
+//
+//pandia:noalloc
+func (j *job) walk(e *engine, place placement.Placement) int {
+	topo := &e.md.Topo
+	sockets, cores, slots := uint(topo.Sockets), uint(topo.CoresPerSocket), uint(topo.ThreadsPerCore)
+	jid := len(e.jobs)
+	coreOf, mine, sockN := j.coreOf[:len(place)], e.mine, e.sockN
+	coreOcc := e.coreOcc
+	coreJob := e.coreJob[:len(coreOcc)]
+	clear(sockN)
+	for i, c := range place {
+		if uint(c.Socket) >= sockets || uint(c.Core) >= cores || uint(c.Slot) >= slots {
+			return i
+		}
+		core := c.Socket*int(cores) + c.Core   // topo.GlobalCore(c)
+		idx := uint(core)*slots + uint(c.Slot) // topo.ContextIndex(c)
+		bit := uint64(1) << (idx % 64)
+		if mine[idx/64]&bit != 0 {
+			return i
+		}
+		mine[idx/64] |= bit
+		sockN[c.Socket]++
+		coreOf[i] = core
+		coreOcc[core]++
+		if owner := coreJob[core]; owner == noJob {
+			coreJob[core] = jid
+		} else if owner != jid {
+			coreJob[core] = sharedCore
+		}
+	}
+	return -1
 }
 
 // accumulate recomputes the resource loads from all jobs' demands at the

@@ -274,6 +274,11 @@ func (p *Predictor) speedupBound(place placement.Placement) float64 {
 // fine-grained enough to balance uneven placement sizes.
 const sweepChunk = 16
 
+// sweepRound is the number of placements a pruned sweep tests against one
+// incumbent (DESIGN.md §12). It does not depend on the worker count, so
+// neither does the pruned set.
+const sweepRound = 256
+
 // SweepWorkers returns the worker count PredictSweep would use for n
 // placements: GOMAXPROCS capped at the item count.
 func SweepWorkers(n int) int {
@@ -291,8 +296,8 @@ func SweepWorkers(n int) int {
 // Each worker owns a pooled Predictor, claims chunks of the index space from
 // an atomic counter, and writes results into its own slots, so the output is
 // deterministic regardless of scheduling. The first error stops the sweep.
-// It runs the pruned sweep's loop with frac 0, under which no placement is
-// ever pruned.
+// It runs the pruned sweep's loop with frac 0: one round in index order, in
+// which no placement is pruned.
 func PredictSweep(md *machine.Description, w *Workload, places []placement.Placement, opt Options) ([]TimePrediction, error) {
 	out, _, err := predictSweepN(md, w, places, opt, 0, SweepWorkers(len(places)))
 	return out, err
@@ -300,9 +305,10 @@ func PredictSweep(md *machine.Description, w *Workload, places []placement.Place
 
 // SweepStats reports a pruned sweep's work split: Evaluated placements were
 // solved, Pruned placements were skipped because their lockstep dominance
-// bound could not reach the incumbent (DESIGN.md §12). In a parallel sweep
-// the split depends on how fast the incumbent rises across workers, so the
-// counts can vary run-to-run; the sweep's selected results never do.
+// bound could not reach the incumbent (DESIGN.md §12). The incumbent moves
+// only between rounds of a fixed size, so the split, like every result, is
+// a function of the machine, workload, placements and fraction alone: the
+// worker count and scheduling do not move it.
 type SweepStats struct {
 	Evaluated, Pruned int64
 }
@@ -326,9 +332,14 @@ func (s SweepStats) PruneRate() float64 {
 // the full sweep's.
 //
 // The sweep first solves the placement with the highest bound (the lowest
-// index on ties) to seed the incumbent, then sweeps the rest in parallel.
-// frac outside (0, 1], NaN included, is clamped to 1 — prune only what
-// cannot beat the incumbent at all.
+// index on ties) to seed the incumbent. It takes the others by bound,
+// descending, ties in index order, in rounds of sweepRound: a placement is
+// pruned when its bound is below frac times the incumbent as it stood at
+// the start of its round. Workers split a round, and the incumbent is
+// published at the round's end, so the pruned set, every slot and the
+// stats are the same at any worker count. frac outside (0, 1], NaN
+// included, is clamped to 1 — prune only what cannot beat the incumbent at
+// all.
 func PredictSweepPruned(md *machine.Description, w *Workload, places []placement.Placement, opt Options, frac float64) ([]TimePrediction, SweepStats, error) {
 	if !(frac > 0 && frac <= 1) {
 		frac = 1
@@ -336,13 +347,44 @@ func PredictSweepPruned(md *machine.Description, w *Workload, places []placement
 	return predictSweepN(md, w, places, opt, frac, SweepWorkers(len(places)))
 }
 
+// sweep is the state one sweep's workers share while they solve a round.
+type sweep struct {
+	places []placement.Placement
+	out    []TimePrediction
+	// order lists the placements to solve, by position; nil is index
+	// order, in which the seed is skipped.
+	order []int32
+	seed  int
+	// hi ends the round's positions, and next is the first one unclaimed.
+	// Only the coordinator writes hi, between rounds.
+	hi   int
+	next atomic.Int64
+	// best is the largest speedup solved so far, as float bits (IEEE
+	// ordering matches unsigned ordering for non-negative values).
+	best     atomic.Uint64
+	stop     atomic.Bool
+	mu       sync.Mutex
+	firstErr error
+}
+
+// fail records the sweep's first error and stops every worker's claims.
+func (s *sweep) fail(err error) {
+	s.stop.Store(true)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.firstErr == nil {
+		s.firstErr = err
+	}
+}
+
 // predictSweepN is the sweep behind PredictSweep (frac 0) and
 // PredictSweepPruned, with an explicit worker count (at least 1) so tests
 // can force parallel execution on single-CPU machines. The inputs are
 // validated, and under AllowDegraded repaired, by NewPredictor alone, even
-// for an empty placement list. It solves the seed placement on the calling
-// goroutine, then runs that many claim loops, the first on the seed's
-// Predictor.
+// for an empty placement list. The calling goroutine solves the seed, then
+// coordinates the rounds and solves its share of each on the seed's
+// Predictor; up to workers−1 helpers, each with a Predictor of its own,
+// persist across the rounds.
 func predictSweepN(md *machine.Description, w *Workload, places []placement.Placement, opt Options, frac float64, workers int) ([]TimePrediction, SweepStats, error) {
 	p, err := NewPredictor(md, w, opt)
 	if err != nil {
@@ -358,8 +400,8 @@ func predictSweepN(md *machine.Description, w *Workload, places []placement.Plac
 	// come from the predictor's workload, which is the repaired copy under
 	// AllowDegraded. Each bound is computed once, here, and waits in its
 	// placement's out slot, as the Speedup of an otherwise zero value,
-	// until sweepChunks reads it and overwrites the slot. A sweep that
-	// never prunes (frac 0) computes no bound and seeds with the largest
+	// until the sweep prunes the slot or solves it. A sweep that never
+	// prunes (frac 0) computes no bound and seeds with the largest
 	// placement, which grows the predictor's scratch once instead of step
 	// by step.
 	seed, seedKey := 0, math.Inf(-1)
@@ -378,107 +420,212 @@ func predictSweepN(md *machine.Description, w *Workload, places []placement.Plac
 		return nil, SweepStats{}, err
 	}
 	out[seed] = tp
-	metSweepPreds.Inc()
-	var best atomic.Uint64
-	best.Store(math.Float64bits(tp.Speedup))
+	s := &sweep{places: places, out: out, seed: seed}
+	s.best.Store(math.Float64bits(tp.Speedup))
+
+	// Frac 0 sweeps every position of the index order in one round. A
+	// pruned sweep orders what the seed's speedup cannot already prune.
+	n, size, pruned := len(places), len(places), 0
+	if frac > 0 {
+		s.order, pruned = boundOrder(out, seed, frac*tp.Speedup)
+		n, size = len(s.order), sweepRound
+	}
 
 	var (
-		next              atomic.Int64
-		stop              atomic.Bool
-		evaluated, pruned atomic.Int64
-		mu                sync.Mutex
-		firstErr          error
-		wg                sync.WaitGroup
+		start       chan struct{}
+		round, exit sync.WaitGroup
 	)
-	fail := func(err error) {
-		stop.Store(true)
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(first bool) {
-			defer wg.Done()
-			wp, seeded := p, int64(1)
-			if !first {
-				var err error
-				if wp, err = NewPredictor(md, w, opt); err != nil {
-					fail(err)
-					return
-				}
-				seeded = 0
+	helper := func() {
+		defer exit.Done()
+		var (
+			wp   *Predictor
+			done int64
+			err  error
+		)
+		for range start {
+			if wp == nil {
+				wp, err = NewPredictor(md, w, opt)
 			}
-			done, skipped, err := sweepChunks(wp, places, out, seed, frac, &best, &next, &stop)
-			// Sweep metrics accumulate in the worker-local counters and
-			// flush once at exit: one atomic per chunk claim, a few per
-			// worker lifetime, nothing per prediction.
-			evaluated.Add(done)
-			pruned.Add(skipped)
-			metSweepPreds.Add(done)
-			metSweepPruned.Add(skipped)
-			metSweepPerWkr.Observe(float64(done + seeded))
+			if err == nil {
+				var d int64
+				d, err = sweepChunks(wp, s)
+				done += d
+			}
 			if err != nil {
-				fail(err)
+				s.fail(err)
 			}
-		}(wk == 0)
+			round.Done()
+		}
+		metSweepPreds.Add(done)
+		metSweepPerWkr.Observe(float64(done))
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, SweepStats{}, firstErr
+	defer func() {
+		if start != nil {
+			close(start)
+			exit.Wait()
+		}
+	}()
+
+	done := int64(1) // the seed
+	for lo := 0; lo < n && !s.stop.Load(); lo += size {
+		hi := min(lo+size, n)
+		if frac > 0 {
+			// Bounds fall along the order, so the round's pruned
+			// placements are a suffix, and every later round is pruned
+			// whole.
+			thr := frac * math.Float64frombits(s.best.Load())
+			cut := lo
+			for cut < hi && !(out[s.order[cut]].Speedup < thr) {
+				cut++
+			}
+			if cut < hi {
+				for _, i := range s.order[cut:] {
+					out[i] = TimePrediction{Pruned: true}
+				}
+				pruned += n - cut
+				n = cut // ends the loop after this round
+			}
+			hi = cut
+		}
+		s.hi = hi
+		s.next.Store(int64(lo))
+		// One helper per chunk beyond the one the coordinator takes.
+		helpers := max(0, min(workers, (hi-lo+sweepChunk-1)/sweepChunk)-1)
+		if helpers > 0 && start == nil {
+			start = make(chan struct{}, workers-1)
+			for wk := 1; wk < workers; wk++ {
+				exit.Add(1)
+				go helper()
+			}
+		}
+		round.Add(helpers)
+		for wk := 0; wk < helpers; wk++ {
+			start <- struct{}{}
+		}
+		d, err := sweepChunks(p, s)
+		done += d
+		if err != nil {
+			s.fail(err)
+		}
+		round.Wait()
 	}
-	return out, SweepStats{Evaluated: evaluated.Load() + 1, Pruned: pruned.Load()}, nil
+	metSweepPreds.Add(done)
+	metSweepPruned.Add(int64(pruned))
+	metSweepPerWkr.Observe(float64(done))
+	if s.firstErr != nil {
+		return nil, SweepStats{}, s.firstErr
+	}
+	return out, SweepStats{Evaluated: int64(len(places) - pruned), Pruned: int64(pruned)}, nil
 }
 
-// sweepChunks is one sweep worker's claim loop: it claims chunks of the
-// index space from the shared counter, and each claimed placement is either
-// skipped under the dominance bound (the speedupBound predictSweepN left in
-// its out slot, below frac of the incumbent) or predicted on the fast path
-// into that slot, raising the incumbent. Only the claiming worker touches a
-// slot. The seed index was solved before the workers started and is
-// skipped here. With frac 0 no bound is read.
+// boundOrder returns the placements a sweep seeded at seed may still have
+// to solve, every other one whose bound, parked in its out slot, is not
+// below thr, sorted by bound, descending, ties in index order. It marks the
+// rest pruned and returns their count: the incumbent only rises, so they
+// are pruned in any order, and only the rest pay for the sort.
+func boundOrder(out []TimePrediction, seed int, thr float64) ([]int32, int) {
+	n := 0
+	for i := range out {
+		if i != seed && !(out[i].Speedup < thr) {
+			n++
+		}
+	}
+	buf := make([]int32, 2*n)
+	order := buf[:0:n]
+	for i := range out {
+		switch {
+		case i == seed:
+		case out[i].Speedup < thr:
+			out[i] = TimePrediction{Pruned: true}
+		default:
+			order = append(order, int32(i))
+		}
+	}
+	return sortByBound(order, buf[n:], out), len(out) - 1 - n
+}
+
+// radixBits is the width of one digit of sortByBound.
+const radixBits = 8
+
+// sortByBound sorts order, a list of out's indices, by the bounds parked in
+// their slots, descending, keeping equal bounds in their order: a
+// least-significant-digit radix sort over the complemented bits of each
+// bound, which order like the bounds, reversed, for positive bounds. A
+// digit every key shares is skipped. tmp is scratch of order's length, and
+// the result is one of the two.
 //
 //pandia:noalloc
-func sweepChunks(p *Predictor, places []placement.Placement, out []TimePrediction, seed int, frac float64, best *atomic.Uint64, next *atomic.Int64, stop *atomic.Bool) (done, pruned int64, err error) {
-	for !stop.Load() {
-		lo := int(next.Add(sweepChunk)) - sweepChunk
-		if lo >= len(places) {
+func sortByBound(order, tmp []int32, out []TimePrediction) []int32 {
+	const mask = 1<<radixBits - 1
+	var varying uint64
+	if len(order) > 0 {
+		first := math.Float64bits(out[order[0]].Speedup)
+		for _, i := range order {
+			varying |= math.Float64bits(out[i].Speedup) ^ first
+		}
+	}
+	for shift := 0; shift < 64; shift += radixBits {
+		if varying>>shift&mask == 0 {
+			continue
+		}
+		var pos [1 << radixBits]int
+		for _, i := range order {
+			pos[^math.Float64bits(out[i].Speedup)>>shift&mask]++
+		}
+		sum := 0
+		for d, c := range pos {
+			pos[d] = sum
+			sum += c
+		}
+		for _, i := range order {
+			d := ^math.Float64bits(out[i].Speedup) >> shift & mask
+			tmp[pos[d]] = i
+			pos[d]++
+		}
+		order, tmp = tmp, order
+	}
+	return order
+}
+
+// sweepChunks is one sweep worker's claim loop over the round: it claims
+// chunks of the round's positions from the shared counter and predicts
+// each placement on the fast path into its out slot, raising the
+// incumbent. Only the claiming worker touches a slot. Which placements the
+// round solves the coordinator settled before it began, so no bound is
+// read here.
+//
+//pandia:noalloc
+func sweepChunks(p *Predictor, s *sweep) (done int64, err error) {
+	for !s.stop.Load() {
+		lo := int(s.next.Add(sweepChunk)) - sweepChunk
+		if lo >= s.hi {
 			break
 		}
 		metSweepChunks.Inc()
-		hi := lo + sweepChunk
-		if hi > len(places) {
-			hi = len(places)
-		}
-		for i := lo; i < hi; i++ {
-			if i == seed {
+		for pos := lo; pos < min(lo+sweepChunk, s.hi); pos++ {
+			i := pos
+			if s.order != nil {
+				i = int(s.order[pos])
+			} else if i == s.seed {
 				continue
 			}
-			if frac > 0 && out[i].Speedup < frac*math.Float64frombits(best.Load()) {
-				out[i] = TimePrediction{Pruned: true}
-				pruned++
-				continue
-			}
-			tp, err := p.PredictTime(places[i])
+			tp, err := p.PredictTime(s.places[i])
 			if err != nil {
-				return done, pruned, err
+				return done, err
 			}
-			out[i] = tp
+			s.out[i] = tp
 			done++
-			// Monotone max over positive float bits (IEEE ordering matches
-			// unsigned ordering for non-negative values).
+			// Monotone max over positive float bits.
 			bits := math.Float64bits(tp.Speedup)
 			for {
-				cur := best.Load()
-				if bits <= cur || best.CompareAndSwap(cur, bits) {
+				cur := s.best.Load()
+				if bits <= cur || s.best.CompareAndSwap(cur, bits) {
 					break
 				}
 			}
 		}
 	}
-	return done, pruned, nil
+	return done, nil
 }
 
 // CoPredictor is the reusable joint-prediction pipeline: one engine's

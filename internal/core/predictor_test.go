@@ -88,6 +88,10 @@ func TestPredictorValidationErrors(t *testing.T) {
 			"placement: context s5/c0/t0 not on machine " + md.Topo.Name},
 		{"duplicate", placement.Placement{{Socket: 0, Core: 0, Slot: 0}, {Socket: 0, Core: 0, Slot: 0}},
 			"placement: context s0/c0/t0 used twice"},
+		{"duplicate before off-machine", placement.Placement{{Socket: 0, Core: 1, Slot: 1}, {Socket: 0, Core: 1, Slot: 1}, {Socket: 5, Core: 0, Slot: 0}},
+			"placement: context s0/c1/t1 used twice"},
+		{"off-machine before duplicate", placement.Placement{{Socket: 0, Core: 1, Slot: 1}, {Socket: 5, Core: 0, Slot: 0}, {Socket: 0, Core: 1, Slot: 1}},
+			"placement: context s5/c0/t0 not on machine " + md.Topo.Name},
 	}
 	for _, tc := range cases {
 		if _, err := p.Predict(tc.place); err == nil || err.Error() != tc.want {
@@ -128,6 +132,119 @@ func TestPredictorAfterError(t *testing.T) {
 	}
 	if got.Time != want.Time || got.Speedup != want.Speedup {
 		t.Errorf("after error: (%v, %v), want (%v, %v)", got.Time, got.Speedup, want.Time, want.Speedup)
+	}
+}
+
+// TestCoBindErrorPrecedence pins which error a joint bind reports when a
+// placement breaks several rules: the first context, in placement order,
+// that is off the machine or used twice, and only then the first context
+// an earlier job of the mix holds. TestPredictorValidationErrors covers the
+// order within one placement.
+func TestCoBindErrorPrecedence(t *testing.T) {
+	md := quickMachine()
+	ctx := md.Topo.ContextAt
+	w := quickWorkload(100, 80, 160, 120, 220, 70, 150)
+	cp, err := NewCoPredictor(md, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := func(places ...placement.Placement) []PlacedWorkload {
+		out := make([]PlacedWorkload, len(places))
+		for i, place := range places {
+			out[i] = PlacedWorkload{Workload: w, Placement: place}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		mix  []PlacedWorkload
+		want string
+	}{
+		{"overlap at context 0, duplicate later", mix(
+			placement.Placement{ctx(0)},
+			placement.Placement{ctx(0), ctx(5), ctx(5)}),
+			"placement: context s0/c2/t1 used twice"},
+		{"first of several overlaps", mix(
+			placement.Placement{ctx(0), ctx(1), ctx(20)},
+			placement.Placement{ctx(7), ctx(20), ctx(1), ctx(0)}),
+			"core: context s1/c2/t0 claimed by two workloads"},
+		{"overlap with the first of two earlier jobs", mix(
+			placement.Placement{ctx(0)},
+			placement.Placement{ctx(1)},
+			placement.Placement{ctx(2), ctx(1), ctx(0)}),
+			"core: context s0/c0/t1 claimed by two workloads"},
+	} {
+		if _, err := cp.Predict(tc.mix); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestCoPredictorAfterPartialBind checks that a mix whose bind fails after
+// earlier jobs were bound, or midway through a job's walk, leaves nothing
+// behind: the next Predict and Score of a valid mix equal a fresh
+// CoPredictor's, bit for bit. The machine has 72 contexts, so a failing
+// walk can leave a second word of the duplicate bitset behind; the valid
+// mix uses contexts in both words and shares SMT cores between jobs, so
+// stale bits, occupancy or owners would fail it or change its classes.
+func TestCoPredictorAfterPartialBind(t *testing.T) {
+	md := quickMachine()
+	md.Topo = topology.Machine{Name: "wide", Sockets: 2, CoresPerSocket: 18, ThreadsPerCore: 2}
+	ctx := md.Topo.ContextAt
+	w1 := quickWorkload(100, 80, 160, 120, 220, 70, 150)
+	w2 := quickWorkload(30, 200, 40, 250, 90, 200, 20)
+	w3 := quickWorkload(180, 10, 90, 60, 250, 30, 240)
+	valid := []PlacedWorkload{
+		{Workload: w1, Placement: placement.Placement{ctx(0), ctx(2), ctx(36), ctx(38), ctx(70)}},
+		{Workload: w2, Placement: placement.Placement{ctx(1), ctx(3), ctx(4), ctx(6), ctx(71)}},
+		{Workload: w3, Placement: placement.Placement{ctx(37), ctx(40), ctx(5), ctx(66)}},
+	}
+	want, err := PredictCoSchedule(md, valid, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failing := map[string][]PlacedWorkload{
+		"duplicate in the second job": {
+			{Workload: w1, Placement: placement.Placement{ctx(8), ctx(9), ctx(44)}},
+			{Workload: w2, Placement: placement.Placement{ctx(70), ctx(10), ctx(46), ctx(10)}},
+			{Workload: w3, Placement: placement.Placement{ctx(30)}},
+		},
+		"off-machine in the third job": {
+			{Workload: w1, Placement: placement.Placement{ctx(0), ctx(1), ctx(2), ctx(3)}},
+			{Workload: w2, Placement: placement.Placement{ctx(36), ctx(37)}},
+			{Workload: w3, Placement: placement.Placement{ctx(71), ctx(40), ctx(41), {Socket: 9, Core: 0, Slot: 0}}},
+		},
+		"overlap in the third job": {
+			{Workload: w1, Placement: placement.Placement{ctx(0), ctx(36)}},
+			{Workload: w2, Placement: placement.Placement{ctx(1), ctx(37)}},
+			{Workload: w3, Placement: placement.Placement{ctx(66), ctx(2), ctx(3), ctx(37)}},
+		},
+	}
+	cp, err := NewCoPredictor(md, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"duplicate in the second job", "off-machine in the third job", "overlap in the third job"} {
+		if _, err := cp.Predict(failing[name]); err == nil {
+			t.Fatalf("%s: bind succeeded", name)
+		}
+		got, err := cp.Predict(valid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %s: Predict %+v, want %+v", name, got, want)
+		}
+		if _, err := cp.Score(failing[name], nil); err == nil {
+			t.Fatalf("%s: Score's bind succeeded", name)
+		}
+		score, err := cp.Score(valid, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantScore := want.Score(nil); !reflect.DeepEqual(score, wantScore) {
+			t.Fatalf("after %s: Score %+v, want %+v", name, score, wantScore)
+		}
 	}
 }
 
