@@ -26,7 +26,7 @@ GO ?= go
 # full predictions on the X5-2).
 BENCH_CORE = BenchmarkFig10Curves|BenchmarkPredictOnce$$|BenchmarkPredictorReuse|BenchmarkPredictSweep$$|BenchmarkTestbedRun|BenchmarkMeasureAll$$|BenchmarkEnumeratePlacements|BenchmarkSweepPruned$$|BenchmarkCoScore$$|BenchmarkSubmit|BenchmarkRebalance$$|BenchmarkDrainSocket$$|BenchmarkControlCycle$$|BenchmarkRecommend$$
 
-.PHONY: check test vet fmt-check pandia-vet alloccheck lockcheck fuzz fuzz-smoke scenario-smoke journal-smoke results-check examples-smoke bench bench-smoke bench-gate bench-module build
+.PHONY: check test vet fmt-check pandia-vet alloccheck lockcheck fuzz fuzz-smoke scenario-golden results-check examples-smoke bench bench-smoke bench-gate bench-module build
 
 build:
 	$(GO) build ./...
@@ -43,16 +43,17 @@ pandia-vet:
 # alloccheck alone, for the local edit loop: the static zero-allocation
 # proof of the annotated //pandia:noalloc hot path — in internal/core
 # Predictor.PredictTime, Predictor.speedupBound, sweepChunks,
-# sortByBound, CoPredictor.Score, job.walk, engine.iterate, engine.layout,
-# engine.addShared, engine.loadSummary, PlacedDigest and CoCache.Key; the
-# run replay both solvers share, replay.Sum; the scheduler's
-# candidatesLocked; the obs updates (Counter.Inc, Counter.Add, Gauge.Set,
-# Histogram.Observe, RingTracer.Emit); and the testbed's fixedPoint with
-# its per-run layout and per-iteration helpers (demandWalk.layout,
-# demandWalk.values, demandWalk.addends, resTable.countUsers,
-# resTable.sumShared and runScratch.commPenalties), noiseZ, RunKey and
-# NoiseSource's Seed, Uint64 and Int63. `make check` already runs it as
-# part of the full pandia-vet suite.
+# sortByBound, CoPredictor.Score and ScoreValidated, job.walk,
+# engine.iterate, engine.layout, engine.addShared, engine.loadSummary,
+# PlacedDigest and CoCache.Key; the run replay both solvers share,
+# replay.Sum; the scheduler's candidatesLocked; the obs updates
+# (Counter.Inc, Counter.Add, Gauge.Set, Histogram.Observe,
+# RingTracer.Emit); and the testbed's fixedPoint with its per-run layout,
+# saturation screen and per-iteration helpers (demandWalk.layout,
+# demandWalk.screen, demandWalk.values, demandWalk.addends,
+# resTable.countUsers, resTable.sumShared and runScratch.commPenalties),
+# noiseZ, RunKey and NoiseSource's Seed, Uint64 and Int63. `make check`
+# already runs it as part of the full pandia-vet suite.
 alloccheck:
 	$(GO) run ./cmd/pandia-vet -only alloccheck ./...
 
@@ -77,8 +78,7 @@ check:
 	step race-tests $(GO) test -race ./...; \
 	step fuzz-smoke $(MAKE) fuzz-smoke; \
 	step bench-gate $(MAKE) bench-gate; \
-	step scenario-smoke $(MAKE) scenario-smoke; \
-	step journal-smoke $(MAKE) journal-smoke; \
+	step scenario-golden $(MAKE) scenario-golden; \
 	step results-check $(MAKE) results-check; \
 	step examples-smoke $(MAKE) examples-smoke; \
 	step bench-module $(MAKE) bench-module; \
@@ -212,33 +212,31 @@ bench-gate:
 	    -out BENCH_core.json < "$$tmp/tree.out"; \
 	  echo "bench-gate: ns/op measured against $$ref ($$(git rev-parse --short "$$ref"))"
 
-# scenario-smoke is the replay-determinism gate: every bundled scenario in
-# scenarios/ must pass its assertions and two separate replay processes
-# must emit byte-identical incident records. A diff here means scheduler
-# state leaked nondeterminism (map order, wall clock, unseeded randomness)
-# into an incident record.
-scenario-smoke:
-	$(GO) build -o /tmp/pandia-scenario-smoke ./cmd/pandia
-	@set -e; for f in scenarios/*.json; do \
-	  /tmp/pandia-scenario-smoke replay -q -o /tmp/scenario-rec1.json $$f; \
-	  /tmp/pandia-scenario-smoke replay -q -o /tmp/scenario-rec2.json $$f; \
-	  cmp /tmp/scenario-rec1.json /tmp/scenario-rec2.json \
-	    || { echo "scenario-smoke: $$f replay not byte-identical" >&2; exit 1; }; \
-	  echo "scenario-smoke: $$f ok"; \
-	done
-
-# journal-smoke is the flight-recorder determinism gate: every bundled
-# scenario is replayed twice with -journal and the decision-journal JSONL
-# must be byte-identical across replays (DESIGN.md §13).
-journal-smoke:
-	$(GO) build -o /tmp/pandia-journal-smoke ./cmd/pandia
-	@set -e; for f in scenarios/*.json; do \
-	  /tmp/pandia-journal-smoke replay -q -o /dev/null -journal /tmp/journal-smoke1.jsonl $$f; \
-	  /tmp/pandia-journal-smoke replay -q -o /dev/null -journal /tmp/journal-smoke2.jsonl $$f; \
-	  cmp /tmp/journal-smoke1.jsonl /tmp/journal-smoke2.jsonl \
-	    || { echo "journal-smoke: $$f journal not byte-identical" >&2; exit 1; }; \
-	  echo "journal-smoke: $$f ok"; \
-	done
+# scenario-golden is the CLI replay gate: one `pandia replay` per bundled
+# scenario in scenarios/ must pass the scenario's assertions and write its
+# incident record (-o) and decision journal (-journal, DESIGN.md §13) byte
+# for byte as the goldens in internal/scenario/testdata/, the files
+# TestCorpusGolden holds the in-process replay to. A diff means the CLI
+# path changed what a replay records (flag handling, encoding, file
+# writing) or leaked nondeterminism (map order, wall clock, unseeded
+# randomness) into it; after an intended change, regenerate the goldens
+# with `go test ./internal/scenario -run TestCorpusGolden -update`. The
+# goldens are generated on amd64, where TestCorpusGolden runs, so the step
+# is skipped on other architectures, as that test is.
+scenario-golden:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	  if [ "$$($(GO) env GOARCH)" != amd64 ]; then \
+	    echo "scenario-golden: the goldens are generated on amd64; skipped on $$($(GO) env GOARCH)"; exit 0; fi; \
+	  $(GO) build -o "$$tmp/pandia" ./cmd/pandia; \
+	  for f in scenarios/*.json; do \
+	    name=$$(basename "$$f" .json); golden=internal/scenario/testdata/$$name; \
+	    "$$tmp/pandia" replay -q -o "$$tmp/r.json" -journal "$$tmp/j.jsonl" "$$f"; \
+	    cmp "$$tmp/r.json" "$$golden.record.json" \
+	      || { echo "scenario-golden: $$f record differs from $$golden.record.json" >&2; exit 1; }; \
+	    cmp "$$tmp/j.jsonl" "$$golden.journal.jsonl" \
+	      || { echo "scenario-golden: $$f journal differs from $$golden.journal.jsonl" >&2; exit 1; }; \
+	    echo "scenario-golden: $$f ok"; \
+	  done
 
 # results-check is the reproduction gate: it regenerates results/ (seed 1,
 # the paper-default placement samples) into a temp dir and fails unless

@@ -11,10 +11,10 @@ import (
 )
 
 // cmdReplay replays one scenario file and writes its incident record. The
-// record bytes are deterministic: replaying the same file twice produces
-// identical output, which `make scenario-smoke` diffs as a CI gate; the
-// journal JSONL written by -journal is held to the same standard by
-// `make journal-smoke`.
+// record bytes are deterministic: replaying the same file always produces
+// identical output, and `make scenario-golden`, a CI gate, compares each
+// bundled scenario's record, and the journal JSONL written by -journal,
+// with the goldens in internal/scenario/testdata/.
 func cmdReplay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	out := fs.String("o", "", "write the incident record to this file (default stdout)")

@@ -227,7 +227,8 @@ func growInt32s(s []int32, n int) []int32 {
 // bind attaches the placed workloads to the engine, resetting every table
 // and recycling per-job scratch. With validateWorkloads false the workload
 // descriptions are assumed already validated (the Predictor validates its
-// one workload at construction); placements are always validated, through
+// one workload at construction, the scheduler each job's snapshot at
+// Submit, before scoring through CoPredictor.ScoreValidated); placements are always validated, through
 // the engine's bitsets rather than placement.Validate's map, producing the
 // same errors without allocating.
 func (e *engine) bind(placed []PlacedWorkload, validateWorkloads bool) error {

@@ -695,6 +695,24 @@ func (cp *CoPredictor) Predict(placed []PlacedWorkload) (*CoPrediction, error) {
 //
 //pandia:noalloc
 func (cp *CoPredictor) Score(placed []PlacedWorkload, dst []float64) (CoScore, error) {
+	return cp.score(placed, dst, true)
+}
+
+// ScoreValidated is Score for workloads that the caller has validated
+// (Workload.Validate) and not changed since: it skips their validation and
+// is otherwise the same solve, bit for bit. Placements are still checked.
+// The scheduler scores through it, as Submit validates each job's
+// workload snapshot once.
+//
+//pandia:noalloc
+func (cp *CoPredictor) ScoreValidated(placed []PlacedWorkload, dst []float64) (CoScore, error) {
+	return cp.score(placed, dst, false)
+}
+
+// score is Score, validating each workload when validate is set.
+//
+//pandia:noalloc
+func (cp *CoPredictor) score(placed []PlacedWorkload, dst []float64, validate bool) (CoScore, error) {
 	if invariantChecks.Load() {
 		co, err := cp.Predict(placed) //alloccheck:ok invariant-check mode deliberately routes through the allocating full path
 		if err != nil {
@@ -703,7 +721,7 @@ func (cp *CoPredictor) Score(placed []PlacedWorkload, dst []float64) (CoScore, e
 		return co.Score(dst), nil //alloccheck:ok invariant-check mode only; dst may grow like the full path's result
 	}
 	e := cp.e
-	if err := e.bind(placed, true); err != nil {
+	if err := e.bind(placed, validate); err != nil {
 		return CoScore{}, err
 	}
 	e.iterate(cp.opt)

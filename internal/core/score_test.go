@@ -68,7 +68,7 @@ func randomMix(rng *rand.Rand, md *machine.Description, ws []*core.Workload) ([]
 // TestCoScoreMatchesPredict is the differential test of the score-only
 // solve: on three machine presets and seeded mixes of zoo jobs, every
 // speedup, the worst oversubscription and its resource must equal the full
-// joint prediction's bit for bit.
+// joint prediction's bit for bit, and ScoreValidated's CoScore Score's.
 func TestCoScoreMatchesPredict(t *testing.T) {
 	for _, model := range []string{"x3-2", "x5-2", "x2-4"} {
 		t.Run(model, func(t *testing.T) {
@@ -78,7 +78,7 @@ func TestCoScoreMatchesPredict(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(7))
-			var buf []float64
+			var buf, vbuf []float64
 			sharedMixes := 0
 			for trial := 0; trial < 60; trial++ {
 				mix, shared := randomMix(rng, md, ws)
@@ -94,6 +94,14 @@ func TestCoScoreMatchesPredict(t *testing.T) {
 					t.Fatal(err)
 				}
 				buf = sc.Speedups
+				sv, err := cp.ScoreValidated(mix, vbuf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vbuf = sv.Speedups
+				if !sameScore(sv, sc) {
+					t.Fatalf("trial %d: ScoreValidated %+v, Score %+v", trial, sv, sc)
+				}
 				if len(sc.Speedups) != len(mix) {
 					t.Fatalf("trial %d: %d speedups for %d jobs", trial, len(sc.Speedups), len(mix))
 				}
@@ -118,6 +126,20 @@ func TestCoScoreMatchesPredict(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sameScore reports whether two scores agree bit for bit.
+func sameScore(a, b core.CoScore) bool {
+	if len(a.Speedups) != len(b.Speedups) || a.WorstResource != b.WorstResource ||
+		math.Float64bits(a.WorstOversubscription) != math.Float64bits(b.WorstOversubscription) {
+		return false
+	}
+	for i := range a.Speedups {
+		if math.Float64bits(a.Speedups[i]) != math.Float64bits(b.Speedups[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // sortedMapWorst is the reference worst-resource scan: the joint load map

@@ -16,9 +16,10 @@ var update = flag.Bool("update", false, "rewrite the golden replay records and j
 
 // TestCorpusGolden pins every bundled scenario's incident record and
 // decision journal byte for byte against files committed under testdata/.
-// scenario-smoke and journal-smoke only compare two replays of one build;
+// TestCorpusReplaysByteIdentical only compares two replays of one build;
 // this test catches a change that moves a decision or a cache counter in
-// every replay alike. Regenerate with `go test ./internal/scenario -run
+// every replay alike. `make scenario-golden` holds the `pandia replay`
+// CLI to the same files. Regenerate with `go test ./internal/scenario -run
 // TestCorpusGolden -update` after an intended change.
 func TestCorpusGolden(t *testing.T) {
 	// The goldens are generated on linux/amd64. Other architectures may

@@ -10,7 +10,7 @@ import (
 // Record is the incident record a replay emits: what happened, to whom, and
 // what the machine looked like when the timeline ran dry. Its Encode output
 // is byte-identical across replays of the same scenario — the property
-// `make scenario-smoke` enforces — so every field is either deterministic
+// TestCorpusGolden and `make scenario-golden` enforce — so every field is either deterministic
 // by construction or a delta over the replay (never an absolute of shared
 // process state).
 type Record struct {

@@ -8,8 +8,9 @@
 // assertions over the outcome. The engine executes the events off a
 // binary-heap queue on an obs.ManualClock, injecting machine-level faults
 // from internal/faults' seeded streams, and emits an incident Record whose
-// JSON encoding is stable run-to-run: `pandia replay` twice and diff —
-// byte-for-byte equality is a CI gate (`make scenario-smoke`).
+// JSON encoding is stable run-to-run: one `pandia replay` per bundled
+// scenario must equal its committed golden byte for byte, a CI gate
+// (`make scenario-golden`).
 //
 // Determinism contract: the engine owns every clock reading (ManualClock
 // advanced to event timestamps), every random draw comes from fnv64a-seeded

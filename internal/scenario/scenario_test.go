@@ -69,9 +69,9 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// TestCorpusReplaysByteIdentical is the in-process version of `make
-// scenario-smoke`: every bundled scenario passes its assertions and two
-// replays encode to identical bytes.
+// TestCorpusReplaysByteIdentical checks replay determinism in process:
+// every bundled scenario passes its assertions and two replays encode to
+// identical bytes.
 func TestCorpusReplaysByteIdentical(t *testing.T) {
 	paths, err := filepath.Glob("../../scenarios/*.json")
 	if err != nil {

@@ -3,6 +3,7 @@ package scheduler
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -314,6 +315,9 @@ func TestDrainRetriesExhaustedEvicts(t *testing.T) {
 // TestDrainScoringErrorEvicts corrupts a running job's workload snapshot so
 // every migration candidate fails to score: the drain must evict the job,
 // name the scoring error as the reason, and leave the drained socket free.
+// Scoring does not re-validate a snapshot Submit validated, so the
+// corruption is one the solve itself rejects: a NaN parallel fraction
+// makes every predicted speedup degenerate.
 func TestDrainScoringErrorEvicts(t *testing.T) {
 	defer leaktest.Check(t)()
 	s, err := New(testMD(t), Config{DisablePredictionCache: true})
@@ -327,7 +331,7 @@ func TestDrainScoringErrorEvicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	s.running["a"].work.T1 = -1
+	s.running["a"].work.ParallelFrac = math.NaN()
 	s.mu.Unlock()
 
 	sock := a.Placement[0].Socket
@@ -338,7 +342,7 @@ func TestDrainScoringErrorEvicts(t *testing.T) {
 	if len(rep.Evicted) != 1 || len(rep.Migrated) != 0 {
 		t.Fatalf("report %+v, want one eviction", rep)
 	}
-	if r := rep.Evicted[0].Reason; !strings.HasPrefix(r, "scoring migration candidates: ") || !strings.Contains(r, "non-positive T1") {
+	if r := rep.Evicted[0].Reason; !strings.HasPrefix(r, "scoring migration candidates: ") || !strings.Contains(r, "degenerate prediction") {
 		t.Fatalf("eviction reason %q does not name the scoring error", r)
 	}
 	for _, c := range s.FreeContexts() {

@@ -720,14 +720,15 @@ func (s *Scheduler) predictMixLocked(jobs []core.PlacedWorkload, digests []core.
 
 // scoreMixLocked scores one candidate mix through the shared prediction
 // cache into *ms: a hit serves the stored score, a miss runs a score-only
-// solve and stores it as a compact entry. Speedups live in s.scoreBuf until
+// solve, without re-validating the workloads (every job's is the snapshot
+// Submit validated), and stores it as a compact entry. Speedups live in s.scoreBuf until
 // the next call; digests and span are as for predictMixLocked. The caller
 // must hold mu.
 func (s *Scheduler) scoreMixLocked(jobs []core.PlacedWorkload, digests []core.Digest, span int64, ms *mixScore) error {
 	s.lookupLocked(digests, span, ms)
 	if !ms.hit {
 		var err error
-		if ms.CoScore, err = s.co.Score(jobs, s.scoreBuf); err != nil {
+		if ms.CoScore, err = s.co.ScoreValidated(jobs, s.scoreBuf); err != nil {
 			return err
 		}
 		if s.coCache != nil {

@@ -164,6 +164,39 @@ func TestSubmitAdmissionTable(t *testing.T) {
 	}
 }
 
+// TestSubmitValidatesBeforeScoring: the scheduler scores mixes without
+// re-validating their workloads (core.CoPredictor.ScoreValidated), so
+// Submit's own check is the only one. With a job running, an invalid
+// workload is still rejected with Validate's error and changes nothing.
+func TestSubmitValidatesBeforeScoring(t *testing.T) {
+	s, err := New(testMD(t), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(computeJob("running")); err != nil {
+		t.Fatal(err)
+	}
+	free := len(s.FreeContexts())
+	for _, bad := range []func(*core.Workload){
+		func(w *core.Workload) { w.T1 = math.NaN() },
+		func(w *core.Workload) { w.ParallelFrac = 1.2 },
+		func(w *core.Workload) { w.Demand.L1 = math.Inf(1) },
+	} {
+		j := computeJob("bad")
+		bad(j.Workload)
+		want := j.Workload.Validate()
+		if want == nil {
+			t.Fatalf("%+v: Validate accepts the workload", *j.Workload)
+		}
+		if _, err := s.Submit(j); err == nil || err.Error() != want.Error() {
+			t.Fatalf("%+v: Submit returned %v, want Validate's %v", *j.Workload, err, want)
+		}
+		if got := len(s.FreeContexts()); got != free {
+			t.Fatalf("rejected job changed the free contexts: %d, want %d", got, free)
+		}
+	}
+}
+
 func TestPlacementsNeverOverlap(t *testing.T) {
 	s, err := New(testMD(t), Config{})
 	if err != nil {

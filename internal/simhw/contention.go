@@ -215,11 +215,12 @@ func (t *resTable) waterfilled(idx int, d float64) float64 {
 // classify sets resource idx's slowdown for this iteration: its
 // proportional-sharing slowdown, or 0 with theta and wfScale set when a
 // foreign program (stress application) shares the oversubscribed resource
-// with demand unlike the others'.
-func (t *resTable) classify(idx int, q float64, dw *demandWalk) {
+// with demand unlike the others'. It returns the utilisation total/capacity
+// it classified, 0 for a resource without capacity (never contended).
+func (t *resTable) classify(idx int, q float64, dw *demandWalk) (u float64) {
 	s := 1.0
 	if c := t.capacity[idx]; c > 0 {
-		u := t.total[idx] / c
+		u = t.total[idx] / c
 		homogeneous := u <= 1 || t.count[idx] <= 1 || t.stress[idx] == 0 ||
 			t.maxD[idx]-t.minD[idx] <= 1e-9*t.maxD[idx]
 		if homogeneous {
@@ -231,6 +232,7 @@ func (t *resTable) classify(idx int, q float64, dw *demandWalk) {
 		}
 	}
 	t.slow[idx] = s
+	return u
 }
 
 // waterfill computes the max-min fair share level theta such that
@@ -259,6 +261,13 @@ func waterfill(demands []float64, c float64) float64 {
 
 // satStart is the utilisation where the queueing ramp begins.
 const satStart = 0.8
+
+// coldUtil is the saturation screen's threshold: a resource whose
+// first-iteration utilisation is at most coldUtil is cold, its slowdown
+// exactly 1 at every later iteration (DESIGN.md §8). The relative margin
+// of 1e-9 below satStart covers the few ulps by which a later utilisation
+// can exceed the first one.
+const coldUtil = satStart * (1 - 1e-9)
 
 // satWeight is the ramp used by the queueing excess in phi.
 func satWeight(u float64) float64 {

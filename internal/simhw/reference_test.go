@@ -16,13 +16,24 @@ import (
 // validation, memory and clock set-up, then one class per agent, so every
 // thread keeps its own state and every sum adds agent by agent.
 func refRun(tb *Testbed, cfg RunConfig) (RunResult, error) {
+	return refRunWatched(tb, cfg, nil)
+}
+
+// refWatch sees the per-agent state at the end of each reference
+// iteration: the agents after their utilisation update, and the table with
+// that iteration's totals.
+type refWatch func(iter int, agents []class, t *resTable)
+
+// refRunWatched is refRun with watch, when not nil, called after every
+// iteration of the fixed point.
+func refRunWatched(tb *Testbed, cfg RunConfig, watch refWatch) (RunResult, error) {
 	s := newRunScratch(tb.truth.Topo)
 	amdahl, nAct, err := tb.setup(s, &cfg)
 	if err != nil {
 		return RunResult{}, err
 	}
 	refAgents(tb, s, &cfg, amdahl/float64(nAct), nAct)
-	refFixedPoint(tb, s, &cfg.Workload, nAct)
+	refFixedPoint(tb, s, &cfg.Workload, nAct, watch)
 	return refAssemble(tb, s, &cfg, amdahl, nAct)
 }
 
@@ -45,8 +56,8 @@ func refAgents(tb *Testbed, s *runScratch, cfg *RunConfig, fInitWorkload float64
 
 // refFixedPoint is the per-agent fixed point: every resource of the table
 // cleared each iteration, and every agent's demands, slowdown, penalties
-// and update computed for that agent alone.
-func refFixedPoint(tb *Testbed, s *runScratch, wt *WorkloadTruth, nAct int) {
+// and update computed for that agent alone. It screens no resource.
+func refFixedPoint(tb *Testbed, s *runScratch, wt *WorkloadTruth, nAct int, watch refWatch) {
 	mt := &tb.truth
 	q := mt.QueueFactor
 	agents := s.classes
@@ -153,6 +164,9 @@ func refFixedPoint(tb *Testbed, s *runScratch, wt *WorkloadTruth, nAct int) {
 				maxDelta = d
 			}
 			a.f = next
+		}
+		if watch != nil {
+			watch(iter, agents, table)
 		}
 		if maxDelta < fixedPointTol {
 			break
@@ -367,27 +381,44 @@ func TestTestbedClassesMatchReference(t *testing.T) {
 }
 
 // FuzzTestbedClasses compares the class solver with the per-agent
-// reference on arbitrary runs: any preset, placements in any context order
-// (order picks contexts by index, repeats skipped), stressors on free
-// contexts or on the SMT siblings of workload threads, active-thread caps,
-// memory binding and every power mode.
+// reference on arbitrary runs (testbedFuzzInput decodes them), seeded with
+// the saturation screen's threshold runs (kneeSeeds).
 func FuzzTestbedClasses(f *testing.F) {
-	f.Add(uint8(0), []byte{0, 2, 4, 1, 3}, []byte{}, uint8(0), uint8(0), uint8(0), int64(0))
-	f.Add(uint8(1), []byte{0, 36, 1, 37, 2, 38, 3, 39, 4}, []byte{0x81, 2}, uint8(5), uint8(0), uint8(1), int64(3))
-	f.Add(uint8(2), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, []byte{0x80, 0x83, 0x44}, uint8(3), uint8(2), uint8(2), int64(7))
-	f.Add(uint8(3), []byte{0, 24, 48, 72, 1, 25, 49, 73, 2, 26}, []byte{0x82, 0x86, 0x01}, uint8(7), uint8(5), uint8(1), int64(-1))
-	f.Add(uint8(4), []byte{0, 4, 1, 5, 2, 6}, []byte{}, uint8(3), uint8(1), uint8(0), int64(11))
-	f.Add(uint8(5), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19}, []byte{0x80}, uint8(19), uint8(3), uint8(2), int64(2))
+	f.Add(uint8(0), []byte{0, 2, 4, 1, 3}, []byte{}, uint8(0), uint8(0), uint8(0), int64(0), 0.0, 0.0, 0.0)
+	f.Add(uint8(1), []byte{0, 36, 1, 37, 2, 38, 3, 39, 4}, []byte{0x81, 2}, uint8(5), uint8(0), uint8(1), int64(3), 0.0, 0.0, 0.0)
+	f.Add(uint8(2), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, []byte{0x80, 0x83, 0x44}, uint8(3), uint8(2), uint8(2), int64(7), 0.0, 0.0, 0.0)
+	f.Add(uint8(3), []byte{0, 24, 48, 72, 1, 25, 49, 73, 2, 26}, []byte{0x82, 0x86, 0x01}, uint8(7), uint8(5), uint8(1), int64(-1), 0.0, 0.0, 0.0)
+	f.Add(uint8(4), []byte{0, 4, 1, 5, 2, 6}, []byte{}, uint8(3), uint8(1), uint8(0), int64(11), 0.0, 0.0, 0.0)
+	f.Add(uint8(5), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19}, []byte{0x80}, uint8(19), uint8(3), uint8(2), int64(2), 0.0, 0.0, 0.0)
+	for _, k := range kneeSeeds {
+		f.Add(kneePreset, kneeOrder, []byte{}, uint8(0), uint8(0), kneePower, int64(0), k.scale, kneeLoadBalance, kneeQueueFactor)
+	}
+	beds := fuzzBeds(f)
+	f.Fuzz(func(t *testing.T, preset uint8, order, stress []byte, active, mem, power uint8, seed int64, scale, lb, q float64) {
+		tb, cfg, ok := testbedFuzzInput(beds, preset, order, stress, active, mem, power, seed, scale, lb, q)
+		if ok {
+			sameAsReference(t, tb, cfg, fmt.Sprintf("%s %+v", tb.truth.Topo.Name, cfg))
+		}
+	})
+}
+
+// fuzzBeds returns a testbed per preset, in sortedTruths order.
+func fuzzBeds(tb testing.TB) []*Testbed {
 	truths := sortedTruths()
 	beds := make([]*Testbed, len(truths))
 	for i, mt := range truths {
-		tb, err := NewTestbed(mt)
+		b, err := NewTestbed(mt)
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
-		beds[i] = tb
+		beds[i] = b
 	}
-	wls := append(goldenWorkloads(), WorkloadTruth{
+	return beds
+}
+
+// fuzzWorkloads are the workloads a FuzzTestbedClasses input picks from.
+func fuzzWorkloads() []WorkloadTruth {
+	return append(goldenWorkloads(), WorkloadTruth{
 		Name: "fuzz-light", SeqTime: 100, ParallelFrac: 1,
 		Demand:   counters.Rates{Instr: 0.5, L3: 2, DRAM: 4},
 		CommCost: 0.01, LoadBalance: 0.5, Burstiness: 0.4, MemBoundFrac: 1,
@@ -396,62 +427,86 @@ func FuzzTestbedClasses(f *testing.F) {
 		Demand:       counters.Rates{L2: 5, DRAM: 12},
 		WorkingSetMB: 30, MemBoundFrac: 0.9,
 	})
-	f.Fuzz(func(t *testing.T, preset uint8, order, stress []byte, active, mem, power uint8, seed int64) {
-		tb := beds[int(preset)%len(beds)]
-		topo := tb.truth.Topo
-		all := topo.Contexts()
-		taken := make([]bool, len(all))
-		var place []topology.Context
-		for _, b := range order {
-			if i := int(b) % len(all); !taken[i] {
-				taken[i] = true
-				place = append(place, all[i])
-			}
+}
+
+// testbedFuzzInput decodes one FuzzTestbedClasses input into a testbed and
+// a run, ok false when it names none: any preset, placements in any
+// context order (order picks contexts by index, repeats skipped),
+// stressors on free contexts or on the SMT siblings of workload threads,
+// active-thread caps, memory binding and every power mode. When positive,
+// scale multiplies the workload's demand vector, lb replaces its load
+// balance and q the machine's queue factor, so a run can sit at the
+// saturation screen's threshold (DESIGN.md §8).
+func testbedFuzzInput(beds []*Testbed, preset uint8, order, stress []byte, active, mem, power uint8, seed int64, scale, lb, q float64) (*Testbed, RunConfig, bool) {
+	tb := beds[int(preset)%len(beds)]
+	if q > 0 {
+		mt := tb.truth
+		mt.QueueFactor = q
+		var err error
+		if tb, err = NewTestbed(mt); err != nil {
+			return nil, RunConfig{}, false
 		}
-		if len(place) == 0 {
-			return
-		}
-		wl := wls[int(seed&0xff)%len(wls)]
-		if active > 0 {
-			wl.ActiveThreads = int(active) % (len(place) + 1)
-		}
-		cfg := RunConfig{Workload: wl, Placement: place, Power: PowerMode(power % 3), Seed: seed}
-		st := goldenStressors(tb.truth)
-		for _, b := range stress {
-			// High bit: the next slot on the core of the workload thread b
-			// picks; otherwise the b-th free context.
-			i := -1
-			if b&0x80 != 0 && topo.ThreadsPerCore > 1 {
-				c := place[int(b&0x7f)%len(place)]
-				c.Slot = (c.Slot + 1) % topo.ThreadsPerCore
-				i = topo.ContextIndex(c)
-			} else {
-				var free []int
-				for k, on := range taken {
-					if !on {
-						free = append(free, k)
-					}
-				}
-				if len(free) > 0 {
-					i = free[int(b&0x7f)%len(free)]
-				}
-			}
-			if i < 0 || taken[i] {
-				continue
-			}
+	}
+	topo := tb.truth.Topo
+	all := topo.Contexts()
+	taken := make([]bool, len(all))
+	var place []topology.Context
+	for _, b := range order {
+		if i := int(b) % len(all); !taken[i] {
 			taken[i] = true
-			cfg.Stressors = append(cfg.Stressors, PlacedStressor{Ctx: all[i], Truth: st[int(b)%len(st)]})
+			place = append(place, all[i])
 		}
-		// mem: low bits bind sockets, bit 7 repeats socket 0 in the list.
-		for sock := 0; sock < topo.Sockets && sock < 7; sock++ {
-			if mem&(1<<sock) != 0 {
-				cfg.Memory.BindSockets = append(cfg.Memory.BindSockets, sock)
+	}
+	if len(place) == 0 {
+		return nil, RunConfig{}, false
+	}
+	wls := fuzzWorkloads()
+	wl := wls[int(seed&0xff)%len(wls)]
+	if active > 0 {
+		wl.ActiveThreads = int(active) % (len(place) + 1)
+	}
+	if scale > 0 {
+		wl.Demand = wl.Demand.Scale(scale)
+	}
+	if lb > 0 {
+		wl.LoadBalance = lb
+	}
+	cfg := RunConfig{Workload: wl, Placement: place, Power: PowerMode(power % 3), Seed: seed}
+	st := goldenStressors(tb.truth)
+	for _, b := range stress {
+		// High bit: the next slot on the core of the workload thread b
+		// picks; otherwise the b-th free context.
+		i := -1
+		if b&0x80 != 0 && topo.ThreadsPerCore > 1 {
+			c := place[int(b&0x7f)%len(place)]
+			c.Slot = (c.Slot + 1) % topo.ThreadsPerCore
+			i = topo.ContextIndex(c)
+		} else {
+			var free []int
+			for k, on := range taken {
+				if !on {
+					free = append(free, k)
+				}
+			}
+			if len(free) > 0 {
+				i = free[int(b&0x7f)%len(free)]
 			}
 		}
-		if mem&0x80 != 0 && len(cfg.Memory.BindSockets) > 0 {
-			cfg.Memory.BindSockets = append(cfg.Memory.BindSockets, 0)
+		if i < 0 || taken[i] {
+			continue
 		}
-		slices.Reverse(cfg.Memory.BindSockets)
-		sameAsReference(t, tb, cfg, fmt.Sprintf("%s %+v", topo.Name, cfg))
-	})
+		taken[i] = true
+		cfg.Stressors = append(cfg.Stressors, PlacedStressor{Ctx: all[i], Truth: st[int(b)%len(st)]})
+	}
+	// mem: low bits bind sockets, bit 7 repeats socket 0 in the list.
+	for sock := 0; sock < topo.Sockets && sock < 7; sock++ {
+		if mem&(1<<sock) != 0 {
+			cfg.Memory.BindSockets = append(cfg.Memory.BindSockets, sock)
+		}
+	}
+	if mem&0x80 != 0 && len(cfg.Memory.BindSockets) > 0 {
+		cfg.Memory.BindSockets = append(cfg.Memory.BindSockets, 0)
+	}
+	slices.Reverse(cfg.Memory.BindSockets)
+	return tb, cfg, true
 }

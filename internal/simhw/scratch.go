@@ -197,10 +197,11 @@ type demandWalk struct {
 	// last pair.
 	mid, end []int
 	n        int
-	// res lists the run's distinct resources in first-use order; listed
-	// flags them while layout builds the list.
-	res    []int
-	listed []bool
+	// res lists the run's distinct resources in first-use order. mark
+	// flags resources: the listed ones while layout builds the list, the
+	// hot ones while screen compacts the walk.
+	res  []int
+	mark []bool
 	// sharedRes lists the run's distinct shared resources, slot[p] is
 	// shared pair p's position in it and slotOf maps a resource back to
 	// its position while layout builds the list (-1: none). addend holds
@@ -249,7 +250,7 @@ func newDemandWalk(nAgents, nSock, nRes int) demandWalk {
 		mid:       make([]int, nAgents),
 		end:       make([]int, nAgents),
 		res:       make([]int, 0, nRes),
-		listed:    make([]bool, nRes),
+		mark:      make([]bool, nRes),
 		sharedRes: make([]int, 0, nRes),
 		slot:      make([]int, pairs),
 		slotOf:    make([]int, nRes),
@@ -293,8 +294,63 @@ func (w *demandWalk) layout(t *resTable, cls []class, memSockets []int) {
 		}
 	}
 	for _, i := range w.res {
-		w.listed[i] = false
+		w.mark[i] = false
 	}
+	for _, i := range w.sharedRes {
+		w.slotOf[i] = -1
+	}
+}
+
+// screen keeps only the pairs on hot resources, those mark flags: it
+// compacts every class's pairs in place, in their order, lists the hot
+// resources in res and the hot shared ones in sharedRes, with fresh
+// slots, and clears mark. A hot resource keeps all its pairs, so its
+// water-filling population is unchanged; the user counts countUsers set
+// are not touched. The fixed point screens once, after the first
+// iteration's classify: a cold resource's slowdown stays exactly 1, so no
+// later pass needs its pairs (DESIGN.md §8).
+//
+//pandia:noalloc
+func (w *demandWalk) screen(nCls int) {
+	n, lo := 0, 0
+	w.sharedRes = w.sharedRes[:0]
+	for k := 0; k < nCls; k++ {
+		mid, hi := w.mid[k], w.end[k]
+		for p := lo; p < hi; p++ {
+			if p == mid {
+				w.mid[k] = n
+			}
+			i := w.idx[p]
+			if !w.mark[i] {
+				continue
+			}
+			w.idx[n], w.d[n], w.m[n], w.term[n] = i, w.d[p], w.m[p], w.term[p]
+			if p >= mid {
+				if w.slotOf[i] < 0 {
+					w.slotOf[i] = len(w.sharedRes)
+					w.sharedRes = w.sharedRes[:len(w.sharedRes)+1] // capacity: every resource of the table
+					w.sharedRes[w.slotOf[i]] = i
+				}
+				w.slot[n] = w.slotOf[i]
+			}
+			n++
+		}
+		if mid == hi {
+			w.mid[k] = n
+		}
+		w.end[k] = n
+		lo = hi
+	}
+	w.n = n
+	h := 0
+	for _, i := range w.res {
+		if w.mark[i] {
+			w.res[h] = i
+			h++
+			w.mark[i] = false
+		}
+	}
+	w.res = w.res[:h]
 	for _, i := range w.sharedRes {
 		w.slotOf[i] = -1
 	}
@@ -343,8 +399,8 @@ func (w *demandWalk) put(idx int, term uint8, m int) {
 	w.term[w.n] = term
 	w.m[w.n] = m
 	w.n++
-	if !w.listed[idx] {
-		w.listed[idx] = true
+	if !w.mark[idx] {
+		w.mark[idx] = true
 		w.res = w.res[:len(w.res)+1] // capacity: every resource of the table
 		w.res[len(w.res)-1] = idx
 	}

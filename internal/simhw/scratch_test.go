@@ -127,7 +127,7 @@ func TestTestbedVanishingDemands(t *testing.T) {
 				t.Fatal(err)
 			}
 			refAgents(tb, ref, &cfg, amdahl/float64(nAct), nAct)
-			refFixedPoint(tb, ref, &cfg.Workload, nAct)
+			refFixedPoint(tb, ref, &cfg.Workload, nAct, nil)
 			for _, r := range s.demands.res {
 				if got, want := s.table.total[r], ref.table.total[r]; math.Float64bits(got) != math.Float64bits(want) {
 					t.Errorf("%s vanishing config %d: resource %d totals %v, per-agent walk %v", topo.Name, i, r, got, want)

@@ -108,6 +108,7 @@ type class struct {
 	fInit    float64
 	f        float64
 	sRes     float64 // contention slowdown (incl. burstiness)
+	inv      float64 // 1/sRes, guarded, for the comm penalty
 	sTot     float64 // overall slowdown (incl. comm and load balancing)
 	rate     float64 // progress rate of a thread, set by assemble
 	workload bool
@@ -326,13 +327,16 @@ func phi(util, q float64) float64 {
 }
 
 // fixedPoint iterates demand scaling, contention, communication and load
-// balancing until the utilisation factors converge. It works entirely in
-// the run's scratch, on one state per class; only the order-sensitive
-// sums (the shared resources' totals, the comm penalty's sums) replay the
-// runs, adding a class's value once per agent in agent order.
+// balancing until the utilisation factors converge, and returns the
+// number of iterations it ran. It works entirely in the run's scratch, on
+// one state per class; only the order-sensitive sums (the shared
+// resources' totals, the comm penalty's sums) replay the runs, adding a
+// class's value once per agent in agent order. After the first
+// iteration's classify, the walk keeps only the resources that can still
+// saturate (demandWalk.screen).
 //
 //pandia:noalloc
-func (tb *Testbed) fixedPoint(s *runScratch, wt *WorkloadTruth, nAct int) {
+func (tb *Testbed) fixedPoint(s *runScratch, wt *WorkloadTruth, nAct int) int {
 	mt := &tb.truth
 	q := mt.QueueFactor
 	cls := s.classes
@@ -344,7 +348,8 @@ func (tb *Testbed) fixedPoint(s *runScratch, wt *WorkloadTruth, nAct int) {
 	dw.layout(table, cls, s.memSockets)
 	table.countUsers(dw, cls)
 
-	for iter := 0; iter < maxFixedPointIters; iter++ {
+	iter := 0
+	for iter < maxFixedPointIters {
 		dw.values(cls, memShare)
 		table.reset(dw.res, dw.stressed)
 		// Demand extremes where a stressor shares the resource, and the
@@ -366,8 +371,19 @@ func (tb *Testbed) fixedPoint(s *runScratch, wt *WorkloadTruth, nAct int) {
 		}
 		// The shared resources' totals, one addition per agent.
 		table.sumShared(dw, len(cls), s.runs)
-		for _, i := range dw.res {
-			table.classify(i, q, dw)
+		if iter == 0 {
+			// The saturation screen: no utilisation ever exceeds its
+			// first-iteration value by more than a few ulps, so a resource
+			// at most coldUtil there never reaches the queueing ramp
+			// (DESIGN.md §8). A NaN utilisation stays hot.
+			for _, i := range dw.res {
+				dw.mark[i] = !(table.classify(i, q, dw) <= coldUtil)
+			}
+			dw.screen(len(cls))
+		} else {
+			for _, i := range dw.res {
+				table.classify(i, q, dw)
+			}
 		}
 
 		// Per-class contention slowdown: worst over-subscription on the
@@ -415,12 +431,16 @@ func (tb *Testbed) fixedPoint(s *runScratch, wt *WorkloadTruth, nAct int) {
 		if wt.CommCost > 0 && nAct > 1 {
 			// Slowdowns are >= 1 by construction; safeDiv keeps a poisoned
 			// value from spreading NaN through every thread's penalty.
+			for k := range cls {
+				if c := &cls[k]; c.workload && c.active {
+					c.inv = safeDiv(1, c.sRes, 1)
+				}
+			}
 			var invSum float64
 			for _, r := range s.runs {
 				if c := &cls[r.Cls]; c.workload && c.active {
-					inv := safeDiv(1, c.sRes, 1)
 					for m := int32(0); m < r.N; m++ {
-						invSum += inv
+						invSum += c.inv
 					}
 				}
 			}
@@ -474,15 +494,17 @@ func (tb *Testbed) fixedPoint(s *runScratch, wt *WorkloadTruth, nAct int) {
 			}
 			c.f = next
 		}
+		iter++
 		if maxDelta < fixedPointTol {
 			break
 		}
 	}
+	return iter
 }
 
 // commPenalties sets each socket's comm penalty: the sum, over the active
 // workload peers on other sockets in agent order, of a peer's term, which
-// depends on its class alone. One replay of the runs sums replay.Width
+// depends on its class alone (and on its guarded 1/sRes, class.inv). One replay of the runs sums replay.Width
 // sockets at once, a peer adding +0 to its own socket's sum as it would
 // skip it: a penalty starts at +0 and is never -0, so +0 leaves it bit for
 // bit unchanged.
@@ -501,7 +523,7 @@ func (s *runScratch) commPenalties(wt *WorkloadTruth, nAct int, invSum float64) 
 			if !b.workload || !b.active {
 				continue
 			}
-			w := safeDiv(1, b.sRes, 1) / invSum //nanguard:ok the caller passes invSum > 0
+			w := b.inv / invSum //nanguard:ok the caller passes invSum > 0
 			term := wt.CommCost * ((1 - wt.LoadBalance) + wt.LoadBalance*float64(nAct)*w)
 			for i := 0; i < live; i++ {
 				if base+i != b.ctx.Socket {
